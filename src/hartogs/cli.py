@@ -104,7 +104,9 @@ def cmd_qpoly(args) -> str:
 def cmd_roots(args) -> str:
     pair = _pair_from_args(args)
     q = diagonal_poly(pair).poly
-    census = interior_root_count(q, with_floats=True, tol=args.tol)
+    census = interior_root_count(
+        q, with_floats=args.output_format != "csv", tol=args.tol
+    )
     if args.output_format == "json":
         payload = {
             "m": pair.m,

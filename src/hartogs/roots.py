@@ -1,6 +1,9 @@
 """Exact root localization relative to the unit circle, plus float roots.
 
-Everything that claims a count is proven over the rationals:
+Everything that claims a count is proven in exact arithmetic.  Gcds and
+Sturm chains run on integer coefficient lists, through one sign-preserving
+primitive pseudo-remainder step (``_neg_prem``, after Collins and Brown &
+Traub), so the remainder sequences never build a Fraction:
 
 * ``chebyshev_reduce`` turns a palindromic p of degree 2k into a degree-k
   polynomial g with p(e^(i theta)) * e^(-ik theta) = g(cos theta), via the
@@ -8,11 +11,14 @@ Everything that claims a count is proven over the rationals:
   g in [-1, 1] (interior x doubles into a conjugate pair, x = +-1 maps to
   the single roots s = +-1).
 * ``sturm_count`` counts distinct real roots in a half-open interval (a, b]
-  by Sturm chains over Fractions (square factors removed by exact GCD).
+  by the chain of (p, p'), which needs no squarefree p once the roots at
+  the endpoints are divided out.
 * ``circle_root_count`` counts unit-circle roots of a palindromic p with
   multiplicity: strip exact roots at s = +-1, Chebyshev-reduce the even
-  palindromic remainder, and weight each Yun squarefree factor's Sturm
-  count by its multiplicity.
+  palindromic remainder and count the distinct roots of its image in
+  (-1, 1) with one Sturm chain.  Only a nonzero count runs Yun's
+  squarefree decomposition, to weight each factor's count by its
+  multiplicity.
 * ``interior_root_count`` produces the full inside/on/outside census.  For
   palindromic p with no circle roots the pairing s <-> 1/s forces
   inside = outside = deg/2.  Otherwise an exact Schur-Cohn/Lehmer count
@@ -50,7 +56,7 @@ from .errors import (
     ValidationError,
     ZeroConstantTerm,
 )
-from .poly import Scalar, UniPoly
+from .poly import UniPoly
 
 __all__ = [
     "RootCensus",
@@ -67,42 +73,92 @@ __all__ = [
 ]
 
 CIRCLE_GUARD = 1e-9
+_ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# integer polynomial arithmetic (coefficient lists, ascending degree)
+
+
+def _primitive(coeffs) -> list[int]:
+    """Scale by a positive rational to integer coefficients with content 1.
+
+    Positive scaling preserves signs everywhere, which is what Sturm-chain
+    bookkeeping needs.  Trailing zeros are dropped, so the zero polynomial
+    comes back as [].
+    """
+    den = 1
+    for c in coeffs:
+        if isinstance(c, Fraction):
+            den = math.lcm(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    while ints and ints[-1] == 0:
+        ints.pop()
+    content = math.gcd(*ints)
+    return [c // content for c in ints] if content > 1 else ints
+
+
+def _derivative(p: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _neg_prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of -(a mod b), by a sign-preserving pseudo-remainder.
+
+    Each step r <- |lc b| * r - sgn(lc b) * lc(r) * x^delta * b cancels the
+    leading term of r while multiplying it by a positive number, so the
+    result is a positive multiple of the negated Euclidean remainder, and
+    Sturm signs survive.  b must be nonzero; [] means b divides a.
+    """
+    mul = abs(b[-1])
+    sgn = 1 if b[-1] > 0 else -1
+    low = b[:-1]
+    db = len(low)
+    r = list(a)
+    while len(r) > db:
+        c = sgn * r.pop()  # the cancelled leading term
+        shift = len(r) - db
+        head = r[:shift] if mul == 1 else [mul * x for x in r[:shift]]
+        r = head + [mul * x - c * y for x, y in zip(r[shift:], low)]
+        while r and r[-1] == 0:
+            r.pop()
+    if not r:
+        return r
+    content = math.gcd(*r)
+    return [-x // content for x in r]
+
+
+def _hom_eval(p: list[int], x: Fraction) -> int:
+    """den^deg * p(num/den) for x = num/den, den > 0: same sign, exact int."""
+    num, den = x.numerator, x.denominator
+    acc, dpow = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * dpow
+        dpow *= den
+    return acc
+
+
+def _deflate(p: list[int], x: Fraction) -> list[int]:
+    """Exact quotient p / (den*X - num) for a rational root x = num/den."""
+    num, den = x.numerator, x.denominator
+    q = [0] * (len(p) - 1)
+    carry = 0
+    for i in range(len(p) - 1, 0, -1):
+        carry = (p[i] + num * carry) // den
+        q[i - 1] = carry
+    return q
 
 
 # ---------------------------------------------------------------------------
 # exact gcd / squarefree machinery
 
 
-def _primitive(p: UniPoly) -> UniPoly:
-    """Scale by a positive rational to integer coefficients with content 1.
-
-    Positive scaling preserves signs everywhere, which is what Sturm-chain
-    bookkeeping needs.
-    """
-    if p.is_zero:
-        return p
-    den = 1
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, abs(c))
-    return UniPoly([c // content for c in ints])
-
-
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals (primitive remainder sequence inside)."""
-    a, b = _primitive(a), _primitive(b)
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        _, r = a.div_rem(b)
-        a, b = b, _primitive(r)
-    if a.is_zero:
-        return UniPoly()
-    return a.monic()
+    """Monic gcd over the rationals (primitive integer remainder sequence)."""
+    a, b = _primitive(a.coeffs), _primitive(b.coeffs)
+    while b:
+        a, b = b, _neg_prem(a, b)
+    return UniPoly(a).monic()
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -143,18 +199,15 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
 # Sturm chains
 
 
-def _sturm_chain(p0: UniPoly, p1: UniPoly) -> list[UniPoly]:
-    """Negated-remainder chain starting (p0, p1), sign-safe normalization."""
+def _sturm_chain(p0: list[int], p1: list[int]) -> list[list[int]]:
+    """Negated-remainder chain starting (p0, p1), nonzero p1, positive scaling."""
     chain = [_primitive(p0), _primitive(p1)]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        _, r = chain[-2].div_rem(chain[-1])
-        if r.is_zero:
+    while len(chain[-1]) > 1:
+        r = _neg_prem(chain[-2], chain[-1])
+        if not r:
             break
-        chain.append(_primitive(-r))
-    return [q for q in chain if not q.is_zero]
-
-def _sign(x: Scalar) -> int:
-    return (x > 0) - (x < 0)
+        chain.append(r)
+    return chain
 
 
 def _variations(signs: list[int]) -> int:
@@ -162,36 +215,42 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for prev, cur in zip(signs, signs[1:]) if prev != cur)
 
 
-def _variations_at(chain: list[UniPoly], x: Scalar) -> int:
-    return _variations([_sign(q(Fraction(x))) for q in chain])
+def _variations_at(chain: list[list[int]], x: Fraction) -> int:
+    values = (_hom_eval(q, x) for q in chain)
+    return _variations([(v > 0) - (v < 0) for v in values])
 
 
-def _variations_at_inf(chain: list[UniPoly], direction: int) -> int:
+def _variations_at_inf(chain: list[list[int]], direction: int) -> int:
     signs = []
     for q in chain:
-        s = _sign(q.leading)
-        if direction < 0 and q.degree % 2 == 1:
+        s = 1 if q[-1] > 0 else -1
+        if direction < 0 and len(q) % 2 == 0:
             s = -s
         signs.append(s)
     return _variations(signs)
 
 
-def _open_interval_count(sf: UniPoly, a: Fraction, b: Fraction) -> int:
-    """Distinct roots of squarefree sf in the open interval (a, b)."""
+def _open_interval_count(p: list[int], a: Fraction, b: Fraction) -> int:
+    """Distinct roots of integer p in the open interval (a, b).
+
+    p need not be squarefree: once roots at the endpoints are divided out,
+    the chain of (p, p') ends in gcd(p, p'), which is nonzero at a and b,
+    and dividing the whole chain by it changes no sign variation there.
+    """
     for endpoint in (a, b):
-        if sf(endpoint) == 0:
-            sf = sf.div_exact(UniPoly([-endpoint, 1]))
-    if sf.degree < 1:
+        while len(p) > 1 and _hom_eval(p, endpoint) == 0:
+            p = _deflate(p, endpoint)
+    if len(p) < 2:
         return 0
-    chain = _sturm_chain(sf, sf.derivative())
+    chain = _sturm_chain(p, _derivative(p))
     return _variations_at(chain, a) - _variations_at(chain, b)
 
 
 def sturm_count(p: UniPoly, a, b) -> int:
     """Distinct real roots of p in (a, b], exact over the rationals.
 
-    Square factors are removed by exact GCD first, so multiplicities do not
-    affect the count; the endpoints are handled by explicit evaluation.
+    Multiplicities do not affect the count; the endpoints are handled by
+    explicit evaluation.
     """
     a, b = Fraction(a), Fraction(b)
     if not a < b:
@@ -200,8 +259,9 @@ def sturm_count(p: UniPoly, a, b) -> int:
         raise ValidationError("cannot count roots of the zero polynomial")
     if p.degree == 0:
         return 0
-    sf = squarefree_part(p)
-    return _open_interval_count(sf, a, b) + (1 if sf(b) == 0 else 0)
+    ints = _primitive(p.coeffs)
+    at_b = _hom_eval(ints, b) == 0
+    return _open_interval_count(ints, a, b) + at_b
 
 
 # ---------------------------------------------------------------------------
@@ -221,42 +281,50 @@ def chebyshev_reduce(p: UniPoly) -> UniPoly:
         raise NotPalindromic("chebyshev_reduce needs a palindromic polynomial")
     if p.degree % 2 != 0:
         raise NotPalindromic("chebyshev_reduce needs even degree")
-    k = p.degree // 2
-    g = UniPoly([p[k]])
-    t_prev, t_cur = UniPoly([1]), UniPoly([0, 1])
-    two_x = UniPoly([0, 2])
+    c, k = p.coeffs, p.degree // 2
+    g = [c[k]] + [0] * k
+    t_prev, t_cur = [1], [0, 1]
     for j in range(1, k + 1):
-        g = g + t_cur.scale(2 * p[k + j])
-        t_prev, t_cur = t_cur, two_x * t_cur - t_prev
-    return g
+        a = 2 * c[k + j]
+        for i, t in enumerate(t_cur):
+            g[i] += a * t
+        t_next = [0] + [2 * t for t in t_cur]
+        for i, t in enumerate(t_prev):
+            t_next[i] -= t
+        t_prev, t_cur = t_cur, t_next
+    return UniPoly(g)
 
 
 def _circle_count_selfinversive(h: UniPoly) -> int:
     """Unit-circle roots (with multiplicity) of h with rev(h) = +-h.
 
-    Strips exact roots at s = +-1, then counts roots of the Chebyshev image
-    of the surviving even palindromic part inside (-1, 1), each weighted by
-    its Yun multiplicity and doubled (a conjugate pair per x).
+    Strips exact roots at s = +-1, then counts the distinct roots of the
+    Chebyshev image g of the surviving even palindromic part inside (-1, 1)
+    with one Sturm chain.  Only when that count is nonzero does Yun's
+    decomposition run, to weight each root by its multiplicity; every root
+    found is doubled (a conjugate pair per x).
     """
     if h.is_zero:
         raise ValidationError("zero polynomial")
+    h_ints = _primitive(h.coeffs)
     count = 0
-    s_minus_1 = UniPoly([-1, 1])
-    s_plus_1 = UniPoly([1, 1])
-    while h.degree > 0 and h(1) == 0:
-        h = h.div_exact(s_minus_1)
-        count += 1
-    while h.degree > 0 and h(-1) == 0:
-        h = h.div_exact(s_plus_1)
-        count += 1
-    if h.degree == 0:
+    for root in (_ONE, -_ONE):
+        while len(h_ints) > 1 and _hom_eval(h_ints, root) == 0:
+            h_ints = _deflate(h_ints, root)
+            count += 1
+    if len(h_ints) == 1:
         return count
+    h = UniPoly(h_ints)
     if not h.is_palindromic():
         raise InternalMismatch("expected a self-inversive factor")
-    g = chebyshev_reduce(h)
+    g = _primitive(chebyshev_reduce(h).coeffs)
+    if _open_interval_count(g, -_ONE, _ONE) == 0:
+        return count
     weighted = 0
-    for factor, mult in squarefree_decomposition(g):
-        weighted += mult * _open_interval_count(factor, Fraction(-1), Fraction(1))
+    for factor, mult in squarefree_decomposition(UniPoly(g)):
+        weighted += mult * _open_interval_count(
+            _primitive(factor.coeffs), -_ONE, _ONE
+        )
     return count + 2 * weighted
 
 
@@ -327,14 +395,19 @@ def _poly_pow(base: UniPoly, e: int) -> UniPoly:
 
 
 def _cauchy_index(den: UniPoly, num: UniPoly) -> int:
-    """Cauchy index of num/den over (-inf, +inf) by a generalized Sturm chain."""
+    """Cauchy index of num/den over (-inf, +inf) by a generalized Sturm chain.
+
+    The polynomial part of num/den contributes no jumps, so num is first
+    replaced by a positive multiple of num mod den.
+    """
     if num.is_zero:
         return 0
-    if num.degree >= den.degree:
-        _, num = num.div_rem(den)  # polynomial part contributes no jumps
-        if num.is_zero:
+    den_ints, num_ints = _primitive(den.coeffs), _primitive(num.coeffs)
+    if len(num_ints) >= len(den_ints):
+        num_ints = [-c for c in _neg_prem(num_ints, den_ints)]
+        if not num_ints:
             return 0
-    chain = _sturm_chain(den, num)
+    chain = _sturm_chain(den_ints, num_ints)
     return _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
 
 

@@ -112,13 +112,26 @@ def _refine_real_root(sf: UniPoly, approx: float) -> float:
     return float((lo + hi) / 2)
 
 
+def _horner_complex(top: list[float], x: complex) -> complex:
+    """``UniPoly.__call__`` at a complex point, on float coefficients given
+    top degree first."""
+    acc = 0j
+    for c in top:
+        acc = acc * x + c
+    return acc
+
+
 def _refine_complex_root(sf: UniPoly, approx: complex) -> complex:
-    """Newton polish in double precision at a simple root."""
-    dsf = sf.derivative()
+    """Newton polish in double precision at a simple root.
+
+    The coefficients are converted to floats once, before the loop.
+    """
+    f_top = [float(c) for c in reversed(sf.coeffs)]
+    df_top = [float(c) for c in reversed(sf.derivative().coeffs)]
     z = complex(approx)
     for _ in range(60):
-        fz = sf(z)
-        dz = dsf(z)
+        fz = _horner_complex(f_top, z)
+        dz = _horner_complex(df_top, z)
         if dz == 0:
             break
         step = fz / dz

@@ -85,6 +85,14 @@ class TestRootsCommand:
         assert lines[0] == "inside,on_circle,outside,method"
         assert lines[1].startswith("2,0,2,")
 
+    def test_csv_skips_float_diagnostic(self, capsys):
+        # Aberth fails on this degree-156 Q; CSV prints only the exact census
+        rc, out, _ = run(
+            capsys, ["roots", "--m", "79", "--n", "1", "--output-format", "csv"]
+        )
+        assert rc == 0
+        assert out.strip().split("\n")[1] == "78,0,78,palindromic_pairing"
+
     def test_text_includes_float_diagnostics(self, capsys):
         rc, out, _ = run(capsys, ["roots", "--m", "2", "--n", "1"])
         assert rc == 0

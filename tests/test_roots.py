@@ -100,6 +100,48 @@ class TestSturmCount:
         assert sturm_count(p, a, b) + sturm_count(p, b, c) == sturm_count(p, a, c)
 
 
+# Factors with roots at +-1, inside and outside (-1, 1), and none real.
+SYMPY_FACTORS = [[-1, 1], [1, 1], [1, -2], [-3, 1], [1, 0, 1], [-1, 0, 5], [2, 3, -2]]
+
+
+@st.composite
+def integer_polys(draw):
+    """Integer polynomials with repeated factors and either leading sign."""
+    p = UniPoly([draw(st.sampled_from([-3, -1, 1, 2]))])
+    for coeffs in draw(st.lists(st.sampled_from(SYMPY_FACTORS), max_size=5)):
+        p = p * UniPoly(coeffs)
+    tail = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+    if any(tail):
+        p = p * UniPoly(tail)
+    return p
+
+
+class TestAgainstSympy:
+    """The integer remainder sequences against an independent CAS."""
+
+    @staticmethod
+    def to_sympy(p: UniPoly):
+        sympy = pytest.importorskip("sympy")
+        return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_polys(), integer_polys(), integer_polys())
+    def test_gcd(self, common, a, b):
+        g = poly_gcd(common * a, common * b)
+        expected = self.to_sympy(common * a).gcd(self.to_sympy(common * b))
+        expected = [Fraction(str(c)) for c in reversed(expected.monic().all_coeffs())]
+        assert list(g.coeffs) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_polys())
+    def test_sturm_count_half_open(self, p):
+        if p.degree < 1:
+            return
+        sf = self.to_sympy(p).sqf_part()
+        expected = sf.count_roots(-1, 1) - (1 if p(-1) == 0 else 0)
+        assert sturm_count(p, -1, 1) == expected
+
+
 class TestChebyshevReduce:
     def test_frozen_q31(self):
         assert chebyshev_reduce(UniPoly([1, 6, 13, 6, 1])) == UniPoly([11, 12, 4])
@@ -148,6 +190,8 @@ class TestCircleRootCount:
             ([1, 8, 18, 8, 1], 0),  # (s^2+4s+1)^2
             ([1, 0, -2, 0, 1], 4),  # (s-1)^2 (s+1)^2
             ([1, 0, 2, 0, 1], 4),  # (s^2+1)^2 with multiplicity
+            ([1, 2, 3, 2, 1], 4),  # (s^2+s+1)^2: Yun weights the double roots
+            ([1, 6, 11, 6, 1], 0),  # (s^2+3s+1)^2: non-squarefree image, none
         ],
     )
     def test_frozen(self, coeffs, expected):

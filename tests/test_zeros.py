@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -173,6 +174,14 @@ class TestScan:
         b = rows_to_csv(rows2, include_timing=False)
         assert a == b
         assert a.splitlines()[0] == CSV_HEADER.rsplit(",", 1)[0]
+
+    def test_scan60_csv_is_pinned(self):
+        # sha256 of this scan as computed with Fraction remainder sequences;
+        # the integer census must reproduce it byte for byte
+        csv = rows_to_csv(scan(60), include_timing=False)
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "fc9ccbfa00b6c3030e2cef937e9279d48b89d5191ec19993df897066ff36973d"
+        )
 
     def test_json_round_trip(self):
         rows = scan(6)
