@@ -72,7 +72,6 @@ from .zeros import (
     ZeroWitness,
     coprime_pairs,
     rows_to_csv,
-    rows_to_json,
     scan,
     witness_candidates,
     zero_witness,

@@ -3,7 +3,9 @@
 Subcommands: kernel, qpoly, roots, scan, witness, eval.  Every subcommand
 accepts --output-format {json,csv,text} and an optional --output PATH;
 files are written via a temp file in the target directory followed by an
-atomic rename, so a failed run never leaves a partial file behind.
+atomic rename, so a failed run never leaves a partial file behind.  Each
+``cmd_*`` returns a JSON-able record for json or a list of lines for csv
+and text, built only for the format asked for; ``main`` serializes it.
 
 Exit codes: 0 success (including conjecture findings, which are reported
 but are not errors), 2 validation failure with a one-line diagnostic, 3
@@ -29,7 +31,7 @@ from .kernel import (
 )
 from .qpoly import diagonal_poly
 from .roots import interior_root_count
-from .zeros import rows_to_csv, rows_to_json, scan, zero_witness
+from .zeros import rows_to_csv, scan, zero_witness
 
 __all__ = ["main", "run"]
 
@@ -50,10 +52,6 @@ def _write_output(text: str, path: str | None) -> None:
         raise
 
 
-def _pair_from_args(args) -> CoprimePair:
-    return CoprimePair(args.m, args.n)
-
-
 def _complex_arg(text: str) -> complex:
     try:
         return complex(text.replace(" ", ""))
@@ -65,15 +63,15 @@ def _fmt_complex(value: complex) -> str:
     return f"{value.real:.17g}{value.imag:+.17g}j"
 
 
-def cmd_kernel(args) -> str:
-    pair = _pair_from_args(args)
+def cmd_kernel(args) -> dict | list[str]:
+    pair = CoprimePair(args.m, args.n)
     formula = kernel_formula(pair, verify=args.verify)
     if args.output_format == "json":
-        return json.dumps(formula.to_json_dict(), indent=2) + "\n"
+        return formula.to_json_dict()
     if args.output_format == "csv":
-        lines = ["deg_s,deg_t,coeff"]
-        lines.extend(f"{i},{j},{c}" for i, j, c in formula.numerator.sorted_terms())
-        return "\n".join(lines) + "\n"
+        return ["deg_s,deg_t,coeff"] + [
+            f"{i},{j},{c}" for i, j, c in formula.numerator.sorted_terms()
+        ]
     lines = [
         f"pair: m={pair.m} n={pair.n} (k={pair.k})",
         f"numerator terms: {formula.numerator.num_terms} (expected {4 * pair.m - 3})",
@@ -82,33 +80,31 @@ def cmd_kernel(args) -> str:
     ]
     if args.verify:
         lines.append("verified: effective construction matches the oracle")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def cmd_qpoly(args) -> str:
-    pair = _pair_from_args(args)
+def cmd_qpoly(args) -> dict | list[str]:
+    pair = CoprimePair(args.m, args.n)
     dp = diagonal_poly(pair)
     if args.output_format == "json":
-        return json.dumps(dp.to_json_dict(), indent=2) + "\n"
+        return dp.to_json_dict()
     if args.output_format == "csv":
-        lines = ["degree,coeff"]
-        lines.extend(f"{e},{c}" for e, c in enumerate(dp.poly.coeffs))
-        return "\n".join(lines) + "\n"
-    return (
-        f"pair: m={pair.m} n={pair.n} (k={pair.k})\n"
-        f"Q(s) = {dp.poly}\n"
-        f"palindromic: {dp.poly.is_palindromic()}  Q(1) = {dp.poly(1)} = m^3\n"
-    )
+        return ["degree,coeff"] + [f"{e},{c}" for e, c in enumerate(dp.poly.coeffs)]
+    return [
+        f"pair: m={pair.m} n={pair.n} (k={pair.k})",
+        f"Q(s) = {dp.poly}",
+        f"palindromic: {dp.poly.is_palindromic()}  Q(1) = {dp.poly(1)} = m^3",
+    ]
 
 
-def cmd_roots(args) -> str:
-    pair = _pair_from_args(args)
+def cmd_roots(args) -> dict | list[str]:
+    pair = CoprimePair(args.m, args.n)
     q = diagonal_poly(pair).poly
     census = interior_root_count(
         q, with_floats=args.output_format != "csv", tol=args.tol
     )
     if args.output_format == "json":
-        payload = {
+        return {
             "m": pair.m,
             "n": pair.n,
             "degree": q.degree,
@@ -119,13 +115,11 @@ def cmd_roots(args) -> str:
             "float_roots": [[r.real, r.imag] for r in census.float_roots],
             "float_residuals": list(census.float_residuals),
         }
-        return json.dumps(payload, indent=2) + "\n"
     if args.output_format == "csv":
-        lines = ["inside,on_circle,outside,method"]
-        lines.append(
-            f"{census.inside},{census.on_circle},{census.outside},{census.method}"
-        )
-        return "\n".join(lines) + "\n"
+        return [
+            "inside,on_circle,outside,method",
+            f"{census.inside},{census.on_circle},{census.outside},{census.method}",
+        ]
     lines = [
         f"pair: m={pair.m} n={pair.n}  Q degree {q.degree}",
         f"census: inside={census.inside} on_circle={census.on_circle} "
@@ -134,10 +128,10 @@ def cmd_roots(args) -> str:
     ]
     for r, resid in zip(census.float_roots, census.float_residuals):
         lines.append(f"  {_fmt_complex(r)}  |s|={abs(r):.12f}  residual={resid:.2e}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def cmd_scan(args) -> str:
+def cmd_scan(args) -> list:
     workers = args.workers
     env_workers = os.environ.get("HARTOGS_WORKERS")
     if env_workers is not None:
@@ -147,11 +141,12 @@ def cmd_scan(args) -> str:
             raise ValidationError(f"HARTOGS_WORKERS={env_workers!r} is not an integer")
     rows = scan(args.m_max, k=args.k, workers=workers)
     include_timing = not args.no_timing
-    findings = [row for row in rows if not row.conjecture_holds]
     if args.output_format == "json":
-        return rows_to_json(rows, include_timing)
+        return [row.to_json_dict(include_timing) for row in rows]
+    table = rows_to_csv(rows, include_timing).splitlines()
     if args.output_format == "csv":
-        return rows_to_csv(rows, include_timing)
+        return table
+    findings = [row for row in rows if not row.conjecture_holds]
     lines = [
         f"scanned {len(rows)} coprime pairs with m <= {args.m_max}"
         + (f", k = {args.k}" if args.k is not None else "")
@@ -166,52 +161,37 @@ def cmd_scan(args) -> str:
     else:
         lines.append("conjecture holds on every scanned pair "
                      "(circle count 0, interior count k)")
-    lines.append(rows_to_csv(rows, include_timing).rstrip("\n"))
-    return "\n".join(lines) + "\n"
+    return lines + table
 
 
-def cmd_witness(args) -> str:
-    pair = _pair_from_args(args)
+def cmd_witness(args) -> dict | list[str]:
+    pair = CoprimePair(args.m, args.n)
     witness = zero_witness(pair, which=args.which)
     if args.output_format == "json":
-        return json.dumps(witness.to_json_dict(), indent=2) + "\n"
+        return witness.to_json_dict()
     if args.output_format == "csv":
-        lines = ["m,n,s0_re,s0_im,z1_re,z1_im,z2_re,z2_im,w1_re,w1_im,w2_re,w2_im,residual,margin"]
-        z1, z2 = witness.z
-        w1, w2 = witness.w
-        lines.append(
-            ",".join(
-                [
-                    str(pair.m),
-                    str(pair.n),
-                    f"{witness.s0.real:.17g}",
-                    f"{witness.s0.imag:.17g}",
-                    f"{z1.real:.17g}",
-                    f"{z1.imag:.17g}",
-                    f"{z2.real:.17g}",
-                    f"{z2.imag:.17g}",
-                    f"{w1.real:.17g}",
-                    f"{w1.imag:.17g}",
-                    f"{w2.real:.17g}",
-                    f"{w2.imag:.17g}",
-                    f"{witness.residual:.3e}",
-                    f"{witness.margin:.6e}",
-                ]
-            )
-        )
-        return "\n".join(lines) + "\n"
-    return (
-        f"pair: m={pair.m} n={pair.n}\n"
-        f"s0 = {_fmt_complex(witness.s0)} (interior root of Q, |s0|={abs(witness.s0):.12f})\n"
-        f"z = ({_fmt_complex(witness.z[0])}, {_fmt_complex(witness.z[1])})\n"
-        f"w = ({_fmt_complex(witness.w[0])}, {_fmt_complex(witness.w[1])})\n"
-        f"K(z,w) = {_fmt_complex(witness.kernel_value)}  |K| = {witness.residual:.3e}\n"
-        f"interior margin: {witness.margin:.6e}\n"
-    )
+        points = [("s0", witness.s0), ("z1", witness.z[0]), ("z2", witness.z[1]),
+                  ("w1", witness.w[0]), ("w2", witness.w[1])]
+        columns = [("m", str(pair.m)), ("n", str(pair.n))]
+        for name, value in points:
+            columns += [(f"{name}_re", f"{value.real:.17g}"),
+                        (f"{name}_im", f"{value.imag:.17g}")]
+        columns += [("residual", f"{witness.residual:.3e}"),
+                    ("margin", f"{witness.margin:.6e}")]
+        return [",".join(name for name, _ in columns),
+                ",".join(text for _, text in columns)]
+    return [
+        f"pair: m={pair.m} n={pair.n}",
+        f"s0 = {_fmt_complex(witness.s0)} (interior root of Q, |s0|={abs(witness.s0):.12f})",
+        f"z = ({_fmt_complex(witness.z[0])}, {_fmt_complex(witness.z[1])})",
+        f"w = ({_fmt_complex(witness.w[0])}, {_fmt_complex(witness.w[1])})",
+        f"K(z,w) = {_fmt_complex(witness.kernel_value)}  |K| = {witness.residual:.3e}",
+        f"interior margin: {witness.margin:.6e}",
+    ]
 
 
-def cmd_eval(args) -> str:
-    pair = _pair_from_args(args)
+def cmd_eval(args) -> dict | list[str]:
+    pair = CoprimePair(args.m, args.n)
     z = (args.z1, args.z2)
     w = (args.w1 if args.w1 is not None else args.z1,
          args.w2 if args.w2 is not None else args.z2)
@@ -221,7 +201,7 @@ def cmd_eval(args) -> str:
     denom = max(abs(closed), abs(series), 1e-300)
     rel = abs(closed - series) / denom
     if args.output_format == "json":
-        payload = {
+        return {
             "m": pair.m,
             "n": pair.n,
             "z": [[z[0].real, z[0].imag], [z[1].real, z[1].imag]],
@@ -232,21 +212,19 @@ def cmd_eval(args) -> str:
             "tail_estimate": tail,
             "relative_difference": rel,
         }
-        return json.dumps(payload, indent=2) + "\n"
     if args.output_format == "csv":
-        lines = ["closed_re,closed_im,series_re,series_im,cutoff,tail_estimate,relative_difference"]
-        lines.append(
+        return [
+            "closed_re,closed_im,series_re,series_im,cutoff,tail_estimate,relative_difference",
             f"{closed.real:.17g},{closed.imag:.17g},{series.real:.17g},"
-            f"{series.imag:.17g},{args.cutoff},{tail:.3e},{rel:.3e}"
-        )
-        return "\n".join(lines) + "\n"
-    return (
-        f"pair: m={pair.m} n={pair.n}\n"
-        f"closed form: {_fmt_complex(closed)}\n"
-        f"series (cutoff {args.cutoff}): {_fmt_complex(series)}\n"
-        f"tail estimate: {tail:.3e}\n"
-        f"relative difference: {rel:.3e}\n"
-    )
+            f"{series.imag:.17g},{args.cutoff},{tail:.3e},{rel:.3e}",
+        ]
+    return [
+        f"pair: m={pair.m} n={pair.n}",
+        f"closed form: {_fmt_complex(closed)}",
+        f"series (cutoff {args.cutoff}): {_fmt_complex(series)}",
+        f"tail estimate: {tail:.3e}",
+        f"relative difference: {rel:.3e}",
+    ]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -256,7 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, pair_args=True):
+    def add_command(name, func, summary, pair_args=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         if pair_args:
             p.add_argument("--m", type=int, required=True, help="numerator exponent m")
             p.add_argument("--n", type=int, required=True, help="denominator exponent n")
@@ -266,44 +246,35 @@ def _build_parser() -> argparse.ArgumentParser:
             default="text",
         )
         p.add_argument("--output", help="write to this path (atomic temp+rename)")
+        return p
 
-    p_kernel = sub.add_parser("kernel", help="closed-form kernel numerator")
-    add_common(p_kernel)
+    p_kernel = add_command("kernel", cmd_kernel, "closed-form kernel numerator")
     p_kernel.add_argument(
         "--verify",
         action="store_true",
         help="cross-check against the brute-force oracle (exit 3 on mismatch)",
     )
-    p_kernel.set_defaults(func=cmd_kernel)
 
-    p_qpoly = sub.add_parser("qpoly", help="diagonal polynomial Q")
-    add_common(p_qpoly)
-    p_qpoly.set_defaults(func=cmd_qpoly)
+    add_command("qpoly", cmd_qpoly, "diagonal polynomial Q")
 
-    p_roots = sub.add_parser("roots", help="exact root census of Q")
-    add_common(p_roots)
+    p_roots = add_command("roots", cmd_roots, "exact root census of Q")
     p_roots.add_argument("--tol", type=float, default=1e-12,
                          help="residual target for the float diagnostic roots")
-    p_roots.set_defaults(func=cmd_roots)
 
-    p_scan = sub.add_parser("scan", help="conjecture scan over coprime pairs")
-    add_common(p_scan, pair_args=False)
+    p_scan = add_command("scan", cmd_scan, "conjecture scan over coprime pairs",
+                         pair_args=False)
     p_scan.add_argument("--m-max", type=int, required=True)
     p_scan.add_argument("--k", type=int, default=None, help="only pairs with m - n = k")
     p_scan.add_argument("--workers", type=int, default=None,
                         help="process pool size (HARTOGS_WORKERS overrides)")
     p_scan.add_argument("--no-timing", action="store_true",
                         help="omit elapsed_ms for byte-reproducible output")
-    p_scan.set_defaults(func=cmd_scan)
 
-    p_witness = sub.add_parser("witness", help="explicit kernel-zero witness")
-    add_common(p_witness)
+    p_witness = add_command("witness", cmd_witness, "explicit kernel-zero witness")
     p_witness.add_argument("--which", type=int, default=0,
                            help="index into the ordered interior-root candidates")
-    p_witness.set_defaults(func=cmd_witness)
 
-    p_eval = sub.add_parser("eval", help="evaluate kernel: closed form vs series")
-    add_common(p_eval)
+    p_eval = add_command("eval", cmd_eval, "evaluate kernel: closed form vs series")
     p_eval.add_argument("--z1", type=_complex_arg, required=True)
     p_eval.add_argument("--z2", type=_complex_arg, required=True)
     p_eval.add_argument("--w1", type=_complex_arg, default=None,
@@ -311,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--w2", type=_complex_arg, default=None,
                         help="defaults to z2")
     p_eval.add_argument("--cutoff", type=int, default=400)
-    p_eval.set_defaults(func=cmd_eval)
 
     return parser
 
@@ -320,7 +290,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
+        out = args.func(args)
+        if args.output_format == "json":
+            text = json.dumps(out, indent=2) + "\n"
+        else:
+            text = "\n".join(out) + "\n"
         _write_output(text, args.output)
     except InternalMismatch as exc:
         print(f"internal mismatch: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import CoprimePair, level, tent_partner
+from .arith import CoprimePair, level, numerator_coeff, tent_partner
 from .domain import in_domain
 from .errors import (
     DegenerateInput,
@@ -61,33 +61,33 @@ Point = tuple[complex, complex]
 _DENOM_FLOOR = 1e-300
 
 
-def numerator_effective(pair: CoprimePair) -> BiPoly:
-    """Kernel numerator assembled from its five structured pieces.
+def _numerator_terms(pair: CoprimePair):
+    """Yield (piece, (b1, b2), coeff) for the five structured pieces of P.
 
-    The pieces have pairwise disjoint monomial support: the lone spike
-    m^2 s^(m-1) t^n, two bands over 0 <= b1 <= m-2, and two bands over
-    m <= b1 <= 2m-2, the band rows placed by the staircase level.
+    Piece 0 is the lone spike m^2 s^(m-1) t^n; pieces 1-2 are bands over
+    0 <= b1 <= m-2 and pieces 3-4 bands over m <= b1 <= 2m-2, the band rows
+    placed by the staircase level.  The pieces have pairwise disjoint
+    monomial support.
     """
     m, n = pair
-    terms: dict[tuple[int, int], int] = {(m - 1, n): m * m}
+    yield 0, (m - 1, n), m * m
     for j in range(m - 1):
         lev = level(pair, j)
         part = tent_partner(pair, j)
         up, down = part + 1, m - part - 1
-        for key, coeff in (
-            ((j, 2 * n - lev), (j + 1) * up),
-            ((j, 2 * n + 1 - lev), (j + 1) * down),
-            ((j + m, n - lev), (m - j - 1) * up),
-            ((j + m, n + 1 - lev), (m - j - 1) * down),
-        ):
-            terms[key] = terms.get(key, 0) + coeff
-    return BiPoly(terms)
+        yield 1, (j, 2 * n - lev), (j + 1) * up
+        yield 2, (j, 2 * n + 1 - lev), (j + 1) * down
+        yield 3, (j + m, n - lev), (m - j - 1) * up
+        yield 4, (j + m, n + 1 - lev), (m - j - 1) * down
+
+
+def numerator_effective(pair: CoprimePair) -> BiPoly:
+    """Kernel numerator: the sum of its five structured pieces, in O(m) time."""
+    return BiPoly({key: coeff for _, key, coeff in _numerator_terms(pair)})
 
 
 def numerator_oracle(pair: CoprimePair) -> BiPoly:
     """Kernel numerator by brute force over the full exponent rectangle."""
-    from .arith import numerator_coeff
-
     m, n = pair
     terms: dict[tuple[int, int], int] = {}
     for b1 in range(2 * m - 1):

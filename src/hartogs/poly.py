@@ -11,9 +11,9 @@ Two deliberately small types:
   trailing zeros.
 
 Coefficients are arbitrary precision by construction; nothing in this module
-touches floats except the explicit complex/float evaluation helpers.  JSON
-serialization keeps coefficients as decimal strings so precision survives
-round-trips through machine-readable output.
+touches floats except the explicit complex/float evaluation helpers.  The
+JSON form of a ``BiPoly`` keeps coefficients as decimal strings so precision
+survives in machine-readable output.
 """
 
 from __future__ import annotations
@@ -30,19 +30,11 @@ __all__ = ["BiPoly", "UniPoly", "Scalar"]
 
 def _as_scalar(value) -> Scalar:
     """Normalize an exact scalar: Fractions with denominator 1 become ints."""
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else value
     if isinstance(value, int):
         return value
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else value
     raise ValidationError(f"exact scalar expected, got {type(value).__name__}")
-
-
-def _scalar_to_str(value: Scalar) -> str:
-    return str(value)
-
-
-def _scalar_from_str(text: str) -> Scalar:
-    return _as_scalar(Fraction(text))
 
 
 class BiPoly:
@@ -61,14 +53,6 @@ class BiPoly:
                     cleaned[(int(i), int(j))] = c
         self._terms = cleaned
 
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
-
-    @classmethod
-    def monomial(cls, i: int, j: int, coeff: Scalar = 1) -> "BiPoly":
-        return cls({(i, j): coeff})
-
     @property
     def terms(self) -> dict[tuple[int, int], Scalar]:
         """Copy of the exponent-to-coefficient map."""
@@ -85,53 +69,12 @@ class BiPoly:
     def coeff(self, i: int, j: int) -> Scalar:
         return self._terms.get((i, j), 0)
 
-    @property
-    def degree_s(self) -> int:
-        return max((i for i, _ in self._terms), default=-1)
-
-    @property
-    def degree_t(self) -> int:
-        return max((j for _, j in self._terms), default=-1)
-
-    @property
-    def total_degree(self) -> int:
-        return max((i + j for i, j in self._terms), default=-1)
-
     def sorted_terms(self) -> list[tuple[int, int, Scalar]]:
         """Terms in canonical order: lexicographic by (deg_s, deg_t)."""
         return [(i, j, self._terms[(i, j)]) for i, j in sorted(self._terms)]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
-        return BiPoly(out)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "BiPoly":
-        c = _as_scalar(c)
-        if c == 0:
-            return BiPoly()
-        return BiPoly({key: c * v for key, v in self._terms.items()})
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        out: dict[tuple[int, int], Scalar] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return BiPoly(out)
 
     def restrict_diagonal(self) -> "UniPoly":
         """Substitute t = s: a ring homomorphism onto univariate polynomials."""
@@ -156,14 +99,8 @@ class BiPoly:
     def to_json_dict(self) -> dict:
         return {
             "var": "s,t",
-            "terms": [[i, j, _scalar_to_str(c)] for i, j, c in self.sorted_terms()],
+            "terms": [[i, j, str(c)] for i, j, c in self.sorted_terms()],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BiPoly":
-        if data.get("var") != "s,t":
-            raise ValidationError("expected a bivariate polynomial in s,t")
-        return cls({(int(i), int(j)): _scalar_from_str(c) for i, j, c in data["terms"]})
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -200,14 +137,6 @@ class UniPoly:
             cleaned.pop()
         self._coeffs = tuple(cleaned)
 
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
-    @classmethod
-    def monomial(cls, e: int, coeff: Scalar = 1) -> "UniPoly":
-        return cls([0] * e + [coeff])
-
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
         return self._coeffs
@@ -227,11 +156,6 @@ class UniPoly:
             raise ValidationError("zero polynomial has no leading coefficient")
         return self._coeffs[-1]
 
-    @property
-    def scalar_domain(self) -> str:
-        """'integer' when every coefficient is an int, else 'rational'."""
-        return "integer" if all(isinstance(c, int) for c in self._coeffs) else "rational"
-
     def valuation(self) -> int:
         """Order of vanishing at 0 (index of first nonzero coefficient)."""
         if self.is_zero:
@@ -246,9 +170,6 @@ class UniPoly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         a, b = self._coeffs, other._coeffs
@@ -294,12 +215,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly([i * c for i, c in enumerate(self._coeffs)][1:])
 
-    def shift_up(self, e: int) -> "UniPoly":
-        """Multiply by x^e."""
-        if self.is_zero:
-            return self
-        return UniPoly([0] * e + list(self._coeffs))
-
     def shift_down(self, e: int) -> "UniPoly":
         """Divide by x^e exactly; raises NotDivisible if a low term survives."""
         if e < 0:
@@ -317,11 +232,6 @@ class UniPoly:
     def is_palindromic(self) -> bool:
         """True when the coefficient sequence reads the same both ways."""
         return not self.is_zero and self._coeffs == tuple(reversed(self._coeffs))
-
-    def map_fraction(self) -> "UniPoly":
-        out = UniPoly()
-        out._coeffs = tuple(Fraction(c) for c in self._coeffs)
-        return out
 
     def div_rem(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         """Euclidean division over the rationals: self = q*other + r."""
@@ -356,13 +266,6 @@ class UniPoly:
         if lead == 1:
             return self
         return UniPoly([Fraction(c, 1) / lead for c in self._coeffs])
-
-    def to_json_dict(self) -> dict:
-        return {"coeffs": [_scalar_to_str(c) for c in self._coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "UniPoly":
-        return cls([_scalar_from_str(c) for c in data["coeffs"]])
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -3,7 +3,7 @@
 Setting t = s in the kernel numerator P and dividing by the exact factor
 s^(2n-1) yields the diagonal polynomial Q of degree 2k, k = m - n.  Q has
 strictly positive integer coefficients, is palindromic, and satisfies
-Q(1) = m^3.  It decomposes into five pieces mirroring the numerator:
+Q(1) = m^3.  Its five pieces are the restrictions of the numerator's pieces:
 
     q0 = m^2 s^k
     q1 = sum_j (j+1)(kappa+1)       s^E(j)            (constant term at j=0)
@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import CoprimePair, level, tent_partner
+from .arith import CoprimePair
 from .errors import InternalMismatch, UnsupportedFamily, ValidationError
-from .kernel import numerator_effective
+from .kernel import _numerator_terms
 from .poly import UniPoly
 
 __all__ = [
@@ -61,48 +61,19 @@ class DiagonalPoly:
 
 
 def diagonal_poly(pair: CoprimePair) -> DiagonalPoly:
-    """Build Q two ways and insist they agree.
+    """Restrict the five numerator pieces to the diagonal t = s.
 
-    The piecewise construction above is checked against the independent
-    route numerator -> restrict_diagonal -> shift_down(2n-1); a mismatch
-    raises InternalMismatch rather than being silently resolved.
+    A term c s^b1 t^b2 of a piece of P lands on c s^(b1 + b2 - (2n-1)), so
+    each piece of Q is the restriction of the matching piece of P, and Q,
+    their sum, is P(s, s) / s^(2n-1).  The tests compare Q with the
+    restriction of ``numerator_oracle``, which shares no staircase code.
     """
-    m, n = pair
-    k = pair.k
-    q0 = UniPoly.monomial(k, m * m)
-    acc = [dict(), dict(), dict(), dict()]
-    for j in range(m - 1):
-        e = j - level(pair, j) + 1
-        part = tent_partner(pair, j)
-        up, down = part + 1, m - part - 1
-        for idx, (exp, coeff) in enumerate(
-            (
-                (e, (j + 1) * up),
-                (e + 1, (j + 1) * down),
-                (e + k, (m - j - 1) * up),
-                (e + k + 1, (m - j - 1) * down),
-            )
-        ):
-            acc[idx][exp] = acc[idx].get(exp, 0) + coeff
-
-    def densify(d: dict[int, int]) -> UniPoly:
-        if not d:
-            return UniPoly()
-        coeffs = [0] * (max(d) + 1)
-        for e, c in d.items():
-            coeffs[e] = c
-        return UniPoly(coeffs)
-
-    pieces = (q0, *(densify(d) for d in acc))
-    total = UniPoly()
-    for piece in pieces:
-        total = total + piece
-    check = numerator_effective(pair).restrict_diagonal().shift_down(2 * n - 1)
-    if total != check:
-        raise InternalMismatch(
-            f"piecewise diagonal polynomial disagrees with the numerator route for {pair}"
-        )
-    return DiagonalPoly(pair, total, pieces)
+    shift = 2 * pair.n - 1
+    pieces = [[0] * (2 * pair.k + 1) for _ in range(5)]
+    for piece, (b1, b2), coeff in _numerator_terms(pair):
+        pieces[piece][b1 + b2 - shift] += coeff
+    q = [sum(column) for column in zip(*pieces)]
+    return DiagonalPoly(pair, UniPoly(q), tuple(UniPoly(p) for p in pieces))
 
 
 def verify_piece_identities(dp: DiagonalPoly) -> bool:
@@ -115,9 +86,9 @@ def verify_piece_identities(dp: DiagonalPoly) -> bool:
     q0, q1, q2, q3, q4 = dp.pieces
     two_k = 2 * dp.k
 
-    def rev_in_degree(p: UniPoly) -> UniPoly:
+    def rev_in_degree(p: UniPoly) -> UniPoly | None:
         if p.degree > two_k:
-            return UniPoly.monomial(two_k + 1)  # cannot match; forces False
+            return None  # cannot match; forces False
         coeffs = [0] * (two_k + 1)
         for e, c in enumerate(p.coeffs):
             coeffs[two_k - e] = c

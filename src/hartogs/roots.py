@@ -20,15 +20,15 @@ Traub), so the remainder sequences never build a Fraction:
   squarefree decomposition, to weight each factor's count by its
   multiplicity.
 * ``interior_root_count`` produces the full inside/on/outside census.  For
-  palindromic p with no circle roots the pairing s <-> 1/s forces
-  inside = outside = deg/2.  Otherwise an exact Schur-Cohn/Lehmer count
-  runs on rational arithmetic.  Degenerate steps are resolved without
-  perturbation, by deflating exact circle roots first: the self-inversive
-  factor d = gcd(f, rev f) carries every circle root and every reciprocal
-  pair, d is counted by Cohn's derivative rule (a self-inversive d has as
-  many roots inside as outside, and that number equals the number of roots
-  of d' strictly outside the closed disk), and the cofactor f/d recurses
-  classically.  The one remaining degenerate shape (|a0| = |lead|,
+  palindromic p the pairing s <-> 1/s forces inside = outside, so the
+  circle count alone gives inside = outside = (deg - on)/2.  Otherwise an
+  exact Schur-Cohn/Lehmer count runs on rational arithmetic.  Degenerate
+  steps are resolved without perturbation, by deflating exact circle roots
+  first: the self-inversive factor d = gcd(f, rev f) carries every circle
+  root and every reciprocal pair, d is counted by Cohn's derivative rule (a
+  self-inversive d has as many roots inside as outside, and that number
+  equals the number of roots of d' strictly outside the closed disk), and
+  the cofactor f/d recurses classically.  The one remaining degenerate shape (|a0| = |lead|,
   gcd(f, rev f) = 1, hence provably no circle roots) is finished by an
   exact Cayley transform to the half-plane and a Cauchy-index count via
   Sturm chains.
@@ -41,7 +41,6 @@ the exact census; disagreement raises a warning, never a silent fix.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -304,8 +303,6 @@ def _circle_count_selfinversive(h: UniPoly) -> int:
     decomposition run, to weight each root by its multiplicity; every root
     found is doubled (a conjugate pair per x).
     """
-    if h.is_zero:
-        raise ValidationError("zero polynomial")
     h_ints = _primitive(h.coeffs)
     count = 0
     for root in (_ONE, -_ONE):
@@ -375,13 +372,7 @@ def _selfinversive_inside(d: UniPoly) -> int:
     number of roots of d' strictly outside the closed unit disk, which is
     the inside count of the reversed derivative.
     """
-    dp = d.derivative()
-    if dp.is_zero:
-        return 0
-    v = dp.valuation()
-    if v:
-        dp = dp.shift_down(v)
-    rdp = dp.reverse()
+    rdp = d.derivative().reverse()  # reversal also drops any factor s^v of d'
     if rdp.degree < 1:
         return 0
     return _disk_count(rdp)
@@ -485,8 +476,9 @@ def interior_root_count(
 ) -> RootCensus:
     """Exact census of the roots of p relative to the unit circle.
 
-    Requires p(0) != 0.  Palindromic p with no circle roots is settled by
-    the reciprocal pairing alone; every other case runs the exact
+    Requires p(0) != 0.  For palindromic p, s -> 1/s pairs the roots inside
+    with those outside, multiplicities included, so after the exact circle
+    count inside = outside = (deg - on)/2.  Every other p runs the exact
     Schur-Cohn count.  With ``with_floats`` the Aberth-Ehrlich roots are
     attached and their guard-band classification is compared against the
     exact counts (mismatch warns, never silently resolves).
@@ -498,11 +490,10 @@ def interior_root_count(
     n = p.degree
     if p.is_palindromic():
         on = _circle_count_selfinversive(p)
-        if on == 0:
-            census = RootCensus(n // 2, 0, n // 2, "palindromic_pairing")
-        else:
-            inside = _disk_count(p)
-            census = RootCensus(inside, on, n - on - inside, "schur_cohn")
+        if (n - on) % 2:
+            raise InternalMismatch(f"{n - on} roots off the circle cannot pair up")
+        half = (n - on) // 2
+        census = RootCensus(half, on, half, "palindromic_pairing")
     else:
         d = poly_gcd(p, p.reverse())
         on = _circle_count_selfinversive(d) if d.degree > 0 else 0

@@ -19,11 +19,10 @@ scan keeps going.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .arith import CoprimePair
@@ -34,6 +33,8 @@ from .poly import UniPoly
 from .qpoly import diagonal_poly
 from .roots import (
     CIRCLE_GUARD,
+    _hom_eval,
+    _primitive,
     interior_root_count,
     numeric_roots,
     squarefree_part,
@@ -47,7 +48,6 @@ __all__ = [
     "scan",
     "coprime_pairs",
     "rows_to_csv",
-    "rows_to_json",
     "CSV_HEADER",
 ]
 
@@ -83,16 +83,20 @@ class ZeroWitness:
 
 
 def _refine_real_root(sf: UniPoly, approx: float) -> float:
-    """Exact-sign bisection around a float approximation of a simple root."""
+    """Exact-sign bisection around a float approximation of a simple root.
+
+    Signs come from a positive integer multiple of sf(x), in int arithmetic.
+    """
+    ints = _primitive(sf.coeffs)
     width = Fraction(1, 10**6)
     lo = Fraction(approx) - width
     hi = Fraction(approx) + width
-    flo, fhi = sf(lo), sf(hi)
+    flo, fhi = _hom_eval(ints, lo), _hom_eval(ints, hi)
     attempts = 0
     while (flo > 0) == (fhi > 0):
         width *= 4
         lo, hi = Fraction(approx) - width, Fraction(approx) + width
-        flo, fhi = sf(lo), sf(hi)
+        flo, fhi = _hom_eval(ints, lo), _hom_eval(ints, hi)
         attempts += 1
         if attempts > 8:
             return approx  # no bracket; keep the float root as-is
@@ -102,7 +106,7 @@ def _refine_real_root(sf: UniPoly, approx: float) -> float:
         return float(hi)
     for _ in range(80):
         mid = (lo + hi) / 2
-        fmid = sf(mid)
+        fmid = _hom_eval(ints, mid)
         if fmid == 0:
             return float(mid)
         if (fmid > 0) == (flo > 0):
@@ -167,14 +171,6 @@ def witness_candidates(pair: CoprimePair) -> list[complex]:
     return sorted(refined, key=lambda r: (r.real, r.imag))
 
 
-def _unit_phase(s0: complex) -> complex:
-    """Unit complex number e^(i arg s0)."""
-    a = abs(s0)
-    if a == 0:
-        return 1 + 0j
-    return s0 / a
-
-
 def zero_witness(pair: CoprimePair, which: int = 0) -> ZeroWitness:
     """Build the kernel-zero witness for the chosen interior root of Q."""
     candidates = witness_candidates(pair)
@@ -184,7 +180,7 @@ def zero_witness(pair: CoprimePair, which: int = 0) -> ZeroWitness:
         )
     s0 = candidates[which]
     r = math.sqrt(abs(s0))
-    phase = _unit_phase(s0)
+    phase = s0 / abs(s0)  # e^(i arg s0); s0 != 0 because Q(0) != 0
     z = (r * phase, r * phase)
     w = (complex(r), complex(r))
     psi = (z[0] * w[0].conjugate(), z[1] * w[1].conjugate())
@@ -235,19 +231,13 @@ class ScanRow:
         return ",".join(fields)
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "m": self.m,
-            "n": self.n,
-            "k": self.k,
-            "degree": self.degree,
-            "circle_count": self.circle_count,
-            "interior_count": self.interior_count,
-            "conjecture_holds": self.conjecture_holds,
-        }
+        out = asdict(self)
         if include_timing:
             out["elapsed_ms"] = round(self.elapsed_ms, 3)
-        if self.error is not None:
-            out["error"] = self.error
+        else:
+            del out["elapsed_ms"]
+        if self.error is None:
+            del out["error"]
         return out
 
 
@@ -310,9 +300,3 @@ def rows_to_csv(rows: list[ScanRow], include_timing: bool = True) -> str:
     lines = [header]
     lines.extend(row.csv_line(include_timing) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def rows_to_json(rows: list[ScanRow], include_timing: bool = True) -> str:
-    return json.dumps(
-        [row.to_json_dict(include_timing) for row in rows], indent=2
-    ) + "\n"

@@ -77,9 +77,9 @@ class TestNumerator:
         for pair in PAIRS:
             p = numerator_effective(pair)
             assert p.num_terms == 4 * pair.m - 3
-            assert p.total_degree == 2 * pair.m - 1
-            assert p.degree_s == 2 * pair.m - 2
-            assert p.degree_t == 2 * pair.n
+            assert max(i + j for i, j in p.terms) == 2 * pair.m - 1
+            assert max(i for i, _ in p.terms) == 2 * pair.m - 2
+            assert max(j for _, j in p.terms) == 2 * pair.n
 
     def test_corner_coefficients(self):
         # the j = 0 band always contributes coefficient m-n at t^{2n}

@@ -15,7 +15,7 @@ from hartogs import (
     diagonal_poly,
     family_closed_form,
     family_pair,
-    numerator_effective,
+    numerator_oracle,
     verify_piece_identities,
 )
 
@@ -75,10 +75,13 @@ class TestStructure:
             assert diagonal_poly(pair).poly(1) == pair.m**3
 
     def test_matches_numerator_restriction(self):
-        # Q is the diagonal restriction of P with the s^{2n-1} factor removed
-        for pair in _coprime_pairs(10):
+        # Q is the diagonal restriction of P with the s^{2n-1} factor removed;
+        # the brute-force oracle shares only ``tent`` with the construction
+        pairs = _coprime_pairs(30)
+        assert len(pairs) == 277
+        for pair in pairs:
             direct = (
-                numerator_effective(pair)
+                numerator_oracle(pair)
                 .restrict_diagonal()
                 .shift_down(2 * pair.n - 1)
             )

@@ -26,6 +26,7 @@ from hartogs import (
     squarefree_part,
     sturm_count,
 )
+from hartogs.roots import _disk_count
 
 
 def poly_from_roots(*roots_and_mults: tuple[int, int]) -> UniPoly:
@@ -72,7 +73,7 @@ class TestGcdAndSquarefree:
         # equal up to a constant: same degree and proportional coefficients
         assert prod.degree == p.degree
         ratio = Fraction(p.leading) / Fraction(prod.leading)
-        assert prod.scale(ratio) == p.map_fraction()
+        assert prod.scale(ratio) == p
 
 
 class TestSturmCount:
@@ -232,6 +233,21 @@ class TestInteriorRootCount:
         census = interior_root_count(UniPoly(coeffs))
         assert (census.inside, census.on_circle, census.outside) == expected
         assert census.method in {"palindromic_pairing", "schur_cohn"}
+
+    @pytest.mark.parametrize(
+        "coeffs,expected",
+        [
+            ([1, 2, 3, 2, 1], (0, 4, 0)),  # (s^2+s+1)^2
+            ([1, 4, 5, 4, 1], (1, 2, 1)),  # (s^2+s+1)(s^2+3s+1)
+            ([1, 5, 8, 5, 1], (1, 2, 1)),  # (s+1)^2 (s^2+3s+1)
+        ],
+    )
+    def test_palindromic_pairing_with_circle_roots(self, coeffs, expected):
+        p = UniPoly(coeffs)
+        census = interior_root_count(p)
+        assert (census.inside, census.on_circle, census.outside) == expected
+        assert census.method == "palindromic_pairing"
+        assert census.inside == _disk_count(p)  # Schur-Cohn as the oracle
 
     def test_rejects_zero_constant_term(self):
         with pytest.raises(ZeroConstantTerm):

@@ -17,11 +17,11 @@ from hartogs import (
     in_domain,
     interior_margin,
     rows_to_csv,
-    rows_to_json,
     scan,
     witness_candidates,
     zero_witness,
 )
+from hartogs.cli import main
 from hartogs.zeros import CSV_HEADER
 
 WITNESS_PAIRS = [(2, 1), (3, 2), (3, 1), (5, 3)]
@@ -183,9 +183,10 @@ class TestScan:
             "fc9ccbfa00b6c3030e2cef937e9279d48b89d5191ec19993df897066ff36973d"
         )
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, capsys):
         rows = scan(6)
-        data = json.loads(rows_to_json(rows, include_timing=False))
+        assert main(["scan", "--m-max", "6", "--no-timing", "--output-format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
         assert len(data) == len(rows)
         assert data[0] == {
             "m": 2,
@@ -203,4 +204,4 @@ class TestScan:
             conjecture_holds=False, elapsed_ms=0.0, error="boom",
         )
         assert row.csv_line(include_timing=False) == "9,2,7,-1,-1,-1,false"
-        assert json.loads(rows_to_json([row]))[0]["error"] == "boom"
+        assert row.to_json_dict()["error"] == "boom"
