@@ -9,8 +9,7 @@ and text, built only for the format asked for; ``main`` serializes it.
 
 Exit codes: 0 success (including conjecture findings, which are reported
 but are not errors), 2 validation failure with a one-line diagnostic, 3
-internal cross-check mismatch.  The HARTOGS_WORKERS environment variable
-overrides --workers for the scan.
+internal cross-check mismatch.
 """
 
 from __future__ import annotations
@@ -132,14 +131,7 @@ def cmd_roots(args) -> dict | list[str]:
 
 
 def cmd_scan(args) -> list:
-    workers = args.workers
-    env_workers = os.environ.get("HARTOGS_WORKERS")
-    if env_workers is not None:
-        try:
-            workers = int(env_workers)
-        except ValueError:
-            raise ValidationError(f"HARTOGS_WORKERS={env_workers!r} is not an integer")
-    rows = scan(args.m_max, k=args.k, workers=workers)
+    rows = scan(args.m_max, k=args.k, workers=args.workers)
     include_timing = not args.no_timing
     if args.output_format == "json":
         return [row.to_json_dict(include_timing) for row in rows]
@@ -266,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--m-max", type=int, required=True)
     p_scan.add_argument("--k", type=int, default=None, help="only pairs with m - n = k")
     p_scan.add_argument("--workers", type=int, default=None,
-                        help="process pool size (HARTOGS_WORKERS overrides)")
+                        help="process pool size")
     p_scan.add_argument("--no-timing", action="store_true",
                         help="omit elapsed_ms for byte-reproducible output")
 

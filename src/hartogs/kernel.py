@@ -199,6 +199,7 @@ def series_kernel(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> complex
     log_s = np.log(complex(s)) if s != 0 else None
     total = 0.0 + 0.0j
     inv_pi2m = 1.0 / (math.pi**2 * m)
+    t_powers = t ** np.arange(2 * cutoff + 1)  # every row spans <= 2*cutoff+1 b
     for a in range(cutoff + 1):
         if s == 0 and a > 0:
             break
@@ -207,7 +208,7 @@ def series_kernel(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> complex
             continue
         prefactor = np.exp((a * log_s if log_s is not None else 0.0) + b_lo * log_t)
         b = np.arange(b_lo, b_hi + 1)
-        powers = prefactor * t ** np.arange(b.size)
+        powers = prefactor * t_powers[: b.size]
         weights = (a + 1) * (m * (b + 1) + n * (a + 1)) * inv_pi2m
         total += complex(np.sum(powers * weights))
     return total

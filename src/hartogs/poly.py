@@ -6,9 +6,12 @@ Two deliberately small types:
   integer exponents and exact integer coefficients, stored as a map from
   exponent pairs to nonzero coefficients.
 * ``UniPoly`` -- a dense univariate polynomial with exact scalar
-  coefficients (Python ints, or ``fractions.Fraction`` when a division has
-  happened), stored as a coefficient tuple in ascending degree with no
-  trailing zeros.
+  coefficients, stored as a coefficient tuple in ascending degree with no
+  trailing zeros.  The pipeline builds it with int coefficients; a
+  ``fractions.Fraction`` coefficient appears only in input given that way
+  and in results that divide over the rationals: the monic gcd and
+  squarefree factors of ``hartogs.roots`` (whose algorithms run on integer
+  coefficient lists) and ``div_rem``.
 
 Coefficients are arbitrary precision by construction; nothing in this module
 touches floats except the explicit complex/float evaluation helpers.  The
@@ -171,21 +174,6 @@ class UniPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self._coeffs == other._coeffs
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self._coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
     def scale(self, c: Scalar) -> "UniPoly":
         return UniPoly([c * v for v in self._coeffs])
 
@@ -251,21 +239,6 @@ class UniPoly:
                 for j, d in enumerate(den):
                     rem[i + j] -= factor * d
         return UniPoly(quo), UniPoly(rem)
-
-    def div_exact(self, other: "UniPoly") -> "UniPoly":
-        """Exact division; raises NotDivisible when a remainder survives."""
-        quo, rem = self.div_rem(other)
-        if not rem.is_zero:
-            raise NotDivisible("polynomial division left a remainder")
-        return quo
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        lead = self.leading
-        if lead == 1:
-            return self
-        return UniPoly([Fraction(c, 1) / lead for c in self._coeffs])
 
     def __str__(self) -> str:
         if self.is_zero:

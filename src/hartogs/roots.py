@@ -1,9 +1,13 @@
 """Exact root localization relative to the unit circle, plus float roots.
 
-Everything that claims a count is proven in exact arithmetic.  Gcds and
-Sturm chains run on integer coefficient lists, through one sign-preserving
-primitive pseudo-remainder step (``_neg_prem``, after Collins and Brown &
-Traub), so the remainder sequences never build a Fraction:
+Everything that claims a count is proven in exact arithmetic, and every
+exact algorithm runs on primitive integer coefficient lists (ascending
+degree).  Two integer steps carry all the division: a sign-preserving
+primitive pseudo-remainder (``_neg_prem``, after Collins and Brown & Traub)
+for gcds and Sturm chains, and an exact quotient (``_divexact``), integral
+by Gauss's lemma because every divisor is primitive.  Public names convert
+once at the boundary: ``_primitive`` on the way in, and the gcd and
+squarefree results leave as monic ``UniPoly``s.
 
 * ``chebyshev_reduce`` turns a palindromic p of degree 2k into a degree-k
   polynomial g with p(e^(i theta)) * e^(-ik theta) = g(cos theta), via the
@@ -22,16 +26,16 @@ Traub), so the remainder sequences never build a Fraction:
 * ``interior_root_count`` produces the full inside/on/outside census.  For
   palindromic p the pairing s <-> 1/s forces inside = outside, so the
   circle count alone gives inside = outside = (deg - on)/2.  Otherwise an
-  exact Schur-Cohn/Lehmer count runs on rational arithmetic.  Degenerate
+  exact Schur-Cohn/Lehmer count runs on the integer lists.  Degenerate
   steps are resolved without perturbation, by deflating exact circle roots
   first: the self-inversive factor d = gcd(f, rev f) carries every circle
   root and every reciprocal pair, d is counted by Cohn's derivative rule (a
   self-inversive d has as many roots inside as outside, and that number
   equals the number of roots of d' strictly outside the closed disk), and
-  the cofactor f/d recurses classically.  The one remaining degenerate shape (|a0| = |lead|,
-  gcd(f, rev f) = 1, hence provably no circle roots) is finished by an
-  exact Cayley transform to the half-plane and a Cauchy-index count via
-  Sturm chains.
+  the cofactor f/d recurses classically.  The one remaining degenerate
+  shape (|a0| = |lead|, gcd(f, rev f) = 1, hence provably no circle roots)
+  is finished by an exact Cayley transform to the half-plane and a
+  Cauchy-index count via Sturm chains.
 
 ``numeric_roots`` is the float diagnostic: an Aberth-Ehrlich simultaneous
 iteration with a relative backward-error residual acceptance test.  Its
@@ -45,12 +49,14 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import (
     ConvergenceFailure,
     InternalMismatch,
+    NotDivisible,
     NotPalindromic,
     ValidationError,
     ZeroConstantTerm,
@@ -97,6 +103,13 @@ def _primitive(coeffs) -> list[int]:
     return [c // content for c in ints] if content > 1 else ints
 
 
+def _monic(p: list[int]) -> UniPoly:
+    """The monic UniPoly proportional to a nonzero p; [] stays zero."""
+    if not p or p[-1] == 1:
+        return UniPoly(p)
+    return UniPoly([Fraction(c, p[-1]) for c in p])
+
+
 def _derivative(p: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(p)][1:]
 
@@ -127,6 +140,35 @@ def _neg_prem(a: list[int], b: list[int]) -> list[int]:
     return [-x // content for x in r]
 
 
+def _divexact(a: list[int], b: list[int]) -> list[int]:
+    """Quotient a / b for a primitive b that divides a over the rationals.
+
+    By Gauss's lemma that quotient has integer coefficients, so every step
+    of the long division divides exactly; a step that cannot, or a
+    surviving remainder, raises NotDivisible.
+    """
+    lead, width = b[-1], len(b)
+    r = list(a)
+    q = [0] * max(len(a) - width + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + width - 1], lead)
+        if rem:
+            raise NotDivisible("integer long division left a fraction")
+        q[i] = c
+        if c:
+            r[i : i + width] = [x - c * y for x, y in zip(r[i : i + width], b)]
+    if any(r[: width - 1]):
+        raise NotDivisible("polynomial division left a remainder")
+    return q
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of integer lists by the primitive remainder sequence."""
+    while b:
+        a, b = b, _neg_prem(a, b)
+    return _primitive(a)
+
+
 def _hom_eval(p: list[int], x: Fraction) -> int:
     """den^deg * p(num/den) for x = num/den, den > 0: same sign, exact int."""
     num, den = x.numerator, x.denominator
@@ -137,15 +179,13 @@ def _hom_eval(p: list[int], x: Fraction) -> int:
     return acc
 
 
-def _deflate(p: list[int], x: Fraction) -> list[int]:
-    """Exact quotient p / (den*X - num) for a rational root x = num/den."""
-    num, den = x.numerator, x.denominator
-    q = [0] * (len(p) - 1)
-    carry = 0
-    for i in range(len(p) - 1, 0, -1):
-        carry = (p[i] + num * carry) // den
-        q[i - 1] = carry
-    return q
+def _strip_root(p: list[int], x: Fraction) -> tuple[list[int], int]:
+    """Divide the rational root x out of p as often as it divides."""
+    mult = 0
+    while len(p) > 1 and _hom_eval(p, x) == 0:
+        p = _divexact(p, [-x.numerator, x.denominator])
+        mult += 1
+    return p, mult
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +194,7 @@ def _deflate(p: list[int], x: Fraction) -> list[int]:
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd over the rationals (primitive integer remainder sequence)."""
-    a, b = _primitive(a.coeffs), _primitive(b.coeffs)
-    while b:
-        a, b = b, _neg_prem(a, b)
-    return UniPoly(a).monic()
+    return _monic(_gcd(_primitive(a.coeffs), _primitive(b.coeffs)))
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -166,32 +203,41 @@ def squarefree_part(p: UniPoly) -> UniPoly:
         raise ValidationError("zero polynomial has no squarefree part")
     if p.degree == 0:
         return UniPoly([1])
-    return p.monic().div_exact(poly_gcd(p, p.derivative()))
+    ints = _primitive(p.coeffs)
+    return _monic(_divexact(ints, _gcd(ints, _derivative(ints))))
+
+
+def _yun(p: list[int]) -> list[tuple[list[int], int]]:
+    """Yun decomposition of a nonconstant integer p: [(g_i, i)], g_i primitive.
+
+    Each pass divides c and d by the same primitive gcd, so both stay
+    integral (Gauss) and keep one common rational factor against the monic
+    recurrence, which the step d <- d - c' needs.
+    """
+    out: list[tuple[list[int], int]] = []
+    c, d = p, _derivative(p)
+    a = _gcd(c, d)
+    i = 0
+    while True:
+        c, d = _divexact(c, a), _divexact(d, a)
+        if len(c) == 1:
+            return out
+        d = [x - y for x, y in zip_longest(d, _derivative(c), fillvalue=0)]
+        while d and d[-1] == 0:
+            d.pop()
+        a = _gcd(c, d)
+        i += 1
+        if len(a) > 1:
+            out.append((a, i))
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     """Yun decomposition: [(g_i, i)] with monic p = prod g_i^i, g_i squarefree."""
     if p.is_zero:
         raise ValidationError("zero polynomial has no squarefree decomposition")
-    p = p.monic()
     if p.degree == 0:
         return []
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
-    if g.degree == 0:
-        return [(p, 1)]
-    out: list[tuple[UniPoly, int]] = []
-    c = p.div_exact(g)
-    d = dp.div_exact(g) - c.derivative()
-    i = 1
-    while c.degree > 0:
-        a = poly_gcd(c, d)
-        if a.degree > 0:
-            out.append((a, i))
-        c = c.div_exact(a)
-        d = d.div_exact(a) - c.derivative()
-        i += 1
-    return out
+    return [(_monic(g), mult) for g, mult in _yun(_primitive(p.coeffs))]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +283,7 @@ def _open_interval_count(p: list[int], a: Fraction, b: Fraction) -> int:
     and dividing the whole chain by it changes no sign variation there.
     """
     for endpoint in (a, b):
-        while len(p) > 1 and _hom_eval(p, endpoint) == 0:
-            p = _deflate(p, endpoint)
+        p = _strip_root(p, endpoint)[0]
     if len(p) < 2:
         return 0
     chain = _sturm_chain(p, _derivative(p))
@@ -267,6 +312,22 @@ def sturm_count(p: UniPoly, a, b) -> int:
 # circle counting
 
 
+def _chebyshev(c) -> list:
+    """Chebyshev image of the palindromic coefficient list c (even degree)."""
+    k = (len(c) - 1) // 2
+    g = [c[k]] + [0] * k
+    t_prev, t_cur = [1], [0, 1]
+    for j in range(1, k + 1):
+        a = 2 * c[k + j]
+        for i, t in enumerate(t_cur):
+            g[i] += a * t
+        t_next = [0] + [2 * t for t in t_cur]
+        for i, t in enumerate(t_prev):
+            t_next[i] -= t
+        t_prev, t_cur = t_cur, t_next
+    return g
+
+
 def chebyshev_reduce(p: UniPoly) -> UniPoly:
     """Degree-k image g of a palindromic degree-2k polynomial.
 
@@ -280,22 +341,11 @@ def chebyshev_reduce(p: UniPoly) -> UniPoly:
         raise NotPalindromic("chebyshev_reduce needs a palindromic polynomial")
     if p.degree % 2 != 0:
         raise NotPalindromic("chebyshev_reduce needs even degree")
-    c, k = p.coeffs, p.degree // 2
-    g = [c[k]] + [0] * k
-    t_prev, t_cur = [1], [0, 1]
-    for j in range(1, k + 1):
-        a = 2 * c[k + j]
-        for i, t in enumerate(t_cur):
-            g[i] += a * t
-        t_next = [0] + [2 * t for t in t_cur]
-        for i, t in enumerate(t_prev):
-            t_next[i] -= t
-        t_prev, t_cur = t_cur, t_next
-    return UniPoly(g)
+    return UniPoly(_chebyshev(p.coeffs))
 
 
-def _circle_count_selfinversive(h: UniPoly) -> int:
-    """Unit-circle roots (with multiplicity) of h with rev(h) = +-h.
+def _circle_count_selfinversive(h: list[int]) -> int:
+    """Unit-circle roots (with multiplicity) of integer h with rev(h) = +-h.
 
     Strips exact roots at s = +-1, then counts the distinct roots of the
     Chebyshev image g of the surviving even palindromic part inside (-1, 1)
@@ -303,25 +353,19 @@ def _circle_count_selfinversive(h: UniPoly) -> int:
     decomposition run, to weight each root by its multiplicity; every root
     found is doubled (a conjugate pair per x).
     """
-    h_ints = _primitive(h.coeffs)
-    count = 0
-    for root in (_ONE, -_ONE):
-        while len(h_ints) > 1 and _hom_eval(h_ints, root) == 0:
-            h_ints = _deflate(h_ints, root)
-            count += 1
-    if len(h_ints) == 1:
+    h, at_one = _strip_root(h, _ONE)
+    h, at_minus_one = _strip_root(h, -_ONE)
+    count = at_one + at_minus_one
+    if len(h) == 1:
         return count
-    h = UniPoly(h_ints)
-    if not h.is_palindromic():
+    if h != h[::-1]:
         raise InternalMismatch("expected a self-inversive factor")
-    g = _primitive(chebyshev_reduce(h).coeffs)
+    g = _primitive(_chebyshev(h))
     if _open_interval_count(g, -_ONE, _ONE) == 0:
         return count
     weighted = 0
-    for factor, mult in squarefree_decomposition(UniPoly(g)):
-        weighted += mult * _open_interval_count(
-            _primitive(factor.coeffs), -_ONE, _ONE
-        )
+    for factor, mult in _yun(g):
+        weighted += mult * _open_interval_count(factor, -_ONE, _ONE)
     return count + 2 * weighted
 
 
@@ -329,15 +373,15 @@ def circle_root_count(p: UniPoly) -> int:
     """Roots of a palindromic p on |s| = 1, counted with multiplicity."""
     if p.is_zero or not p.is_palindromic():
         raise NotPalindromic("circle_root_count needs a palindromic polynomial")
-    return _circle_count_selfinversive(p)
+    return _circle_count_selfinversive(_primitive(p.coeffs))
 
 
 # ---------------------------------------------------------------------------
 # exact open-disk counting (Schur-Cohn with exact degenerate handling)
 
 
-def _disk_count(f: UniPoly) -> int:
-    """Roots of f in |z| < 1 with multiplicity; requires f(0) != 0.
+def _disk_count(f: list[int]) -> int:
+    """Roots of integer f in |z| < 1 with multiplicity; requires f(0) != 0.
 
     Classical Schur-Cohn step: with t = a0*f - lead*rev(f) and
     delta = t(0) = a0^2 - lead^2, Rouche on |z| = 1 gives
@@ -346,16 +390,16 @@ def _disk_count(f: UniPoly) -> int:
     Circle roots and reciprocal pairs are split off first through
     d = gcd(f, rev f), handled by Cohn's derivative rule.
     """
-    n = f.degree
+    n = len(f) - 1
     if n <= 0:
         return 0
-    rf = f.reverse()
-    d = poly_gcd(f, rf)
-    if d.degree > 0:
-        return _selfinversive_inside(d) + _disk_count(f.div_exact(d))
-    a0, lead = f[0], f.leading
-    t = f.scale(a0) - rf.scale(lead)
-    if t.is_zero:
+    rf = f[::-1]
+    d = _gcd(f, rf)
+    if len(d) > 1:
+        return _selfinversive_inside(d) + _disk_count(_divexact(f, d))
+    a0, lead = f[0], f[-1]
+    t = _primitive([a0 * x - lead * y for x, y in zip(f, rf)])
+    if not t:
         raise InternalMismatch("self-inversive input survived the gcd split")
     delta = t[0]
     if delta > 0:
@@ -365,44 +409,34 @@ def _disk_count(f: UniPoly) -> int:
     return _cayley_disk_count(f)
 
 
-def _selfinversive_inside(d: UniPoly) -> int:
+def _selfinversive_inside(d: list[int]) -> int:
     """Inside count of a self-inversive d via Cohn's derivative rule.
 
     d has equally many roots inside and outside, and that number equals the
     number of roots of d' strictly outside the closed unit disk, which is
     the inside count of the reversed derivative.
     """
-    rdp = d.derivative().reverse()  # reversal also drops any factor s^v of d'
-    if rdp.degree < 1:
+    rdp = _primitive(_derivative(d)[::-1])  # also drops any factor s^v of d'
+    if len(rdp) < 2:
         return 0
     return _disk_count(rdp)
 
 
-def _poly_pow(base: UniPoly, e: int) -> UniPoly:
-    out = UniPoly([1])
-    for _ in range(e):
-        out = out * base
-    return out
-
-
-def _cauchy_index(den: UniPoly, num: UniPoly) -> int:
+def _cauchy_index(den: list[int], num: list[int]) -> int:
     """Cauchy index of num/den over (-inf, +inf) by a generalized Sturm chain.
 
     The polynomial part of num/den contributes no jumps, so num is first
     replaced by a positive multiple of num mod den.
     """
-    if num.is_zero:
-        return 0
-    den_ints, num_ints = _primitive(den.coeffs), _primitive(num.coeffs)
-    if len(num_ints) >= len(den_ints):
-        num_ints = [-c for c in _neg_prem(num_ints, den_ints)]
-        if not num_ints:
+    if len(num) >= len(den):
+        num = [-c for c in _neg_prem(num, den)]
+        if not num:
             return 0
-    chain = _sturm_chain(den_ints, num_ints)
+    chain = _sturm_chain(den, num)
     return _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
 
 
-def _cayley_disk_count(f: UniPoly) -> int:
+def _cayley_disk_count(f: list[int]) -> int:
     """Inside count for the degenerate Schur-Cohn shape, no circle roots.
 
     Maps the disk to the right half-plane by z = (w-1)/(w+1), so
@@ -415,29 +449,21 @@ def _cayley_disk_count(f: UniPoly) -> int:
     dominates at both ends and the advance is -pi * I(B/A), while for odd
     n the imaginary part dominates and the advance is +pi * I(A/B).
     """
-    n = f.degree
-    w_minus = UniPoly([-1, 1])
-    w_plus = UniPoly([1, 1])
-    F = UniPoly()
-    for k, a in enumerate(f.coeffs):
-        if a != 0:
-            F = F + (_poly_pow(w_minus, k) * _poly_pow(w_plus, n - k)).scale(a)
-    if F.degree != n:
+    n = len(f) - 1
+    # homogeneous Horner for F = sum_k a_k x^k y^(n-k), x = w - 1, y = w + 1:
+    # multiply by x, then add a_k y^(n-k), carrying the power of y along
+    F, y_pow = [f[-1]], [1]
+    for a in reversed(f[:-1]):
+        F = [prev - cur for cur, prev in zip(F + [0], [0] + F)]
+        y_pow = [prev + cur for cur, prev in zip(y_pow + [0], [0] + y_pow)]
+        F = [x + a * y for x, y in zip(F, y_pow)]
+    if F[-1] == 0:
         raise InternalMismatch("Cayley transform dropped degree; f(1) = 0?")
-    a_coeffs = [0] * (n + 1)
-    b_coeffs = [0] * (n + 1)
-    for k in range(n + 1):
-        c = F[k]
-        if k % 4 == 0:
-            a_coeffs[k] = c
-        elif k % 4 == 1:
-            b_coeffs[k] = c
-        elif k % 4 == 2:
-            a_coeffs[k] = -c
-        else:
-            b_coeffs[k] = -c
-    A, B = UniPoly(a_coeffs), UniPoly(b_coeffs)
-    if A.is_zero or B.is_zero:
+    # i^k sorts the coefficient of w^k into A (k even) or B (k odd)
+    sign = (1, 1, -1, -1)
+    A = _primitive([sign[k % 4] * c if k % 2 == 0 else 0 for k, c in enumerate(F)])
+    B = _primitive([sign[k % 4] * c if k % 2 else 0 for k, c in enumerate(F)])
+    if not A or not B:
         # F(iy) confined to one axis: roots split evenly across half-planes
         if n % 2:
             raise InternalMismatch("axis-symmetric transform with odd degree")
@@ -488,16 +514,17 @@ def interior_root_count(
     if p[0] == 0:
         raise ZeroConstantTerm("census requires a nonzero constant term")
     n = p.degree
+    ints = _primitive(p.coeffs)
     if p.is_palindromic():
-        on = _circle_count_selfinversive(p)
+        on = _circle_count_selfinversive(ints)
         if (n - on) % 2:
             raise InternalMismatch(f"{n - on} roots off the circle cannot pair up")
         half = (n - on) // 2
         census = RootCensus(half, on, half, "palindromic_pairing")
     else:
-        d = poly_gcd(p, p.reverse())
-        on = _circle_count_selfinversive(d) if d.degree > 0 else 0
-        inside = _disk_count(p)
+        d = _gcd(ints, ints[::-1])
+        on = _circle_count_selfinversive(d) if len(d) > 1 else 0
+        inside = _disk_count(ints)
         census = RootCensus(inside, on, n - on - inside, "schur_cohn")
     if census.inside < 0 or census.outside < 0:
         raise InternalMismatch(f"census went negative: {census}")

@@ -29,7 +29,6 @@ from .arith import CoprimePair
 from .domain import interior_margin
 from .errors import InternalMismatch, NoInteriorRoot, ValidationError
 from .kernel import kernel_formula
-from .poly import UniPoly
 from .qpoly import diagonal_poly
 from .roots import (
     CIRCLE_GUARD,
@@ -82,12 +81,12 @@ class ZeroWitness:
         }
 
 
-def _refine_real_root(sf: UniPoly, approx: float) -> float:
+def _refine_real_root(ints: list[int], approx: float) -> float:
     """Exact-sign bisection around a float approximation of a simple root.
 
-    Signs come from a positive integer multiple of sf(x), in int arithmetic.
+    Signs come from the primitive integer multiple ``ints`` of the squarefree
+    part, evaluated in int arithmetic.
     """
-    ints = _primitive(sf.coeffs)
     width = Fraction(1, 10**6)
     lo = Fraction(approx) - width
     hi = Fraction(approx) + width
@@ -125,13 +124,14 @@ def _horner_complex(top: list[float], x: complex) -> complex:
     return acc
 
 
-def _refine_complex_root(sf: UniPoly, approx: complex) -> complex:
+def _refine_complex_root(
+    f_top: list[float], df_top: list[float], approx: complex
+) -> complex:
     """Newton polish in double precision at a simple root.
 
-    The coefficients are converted to floats once, before the loop.
+    f_top and df_top are the float coefficients of the squarefree part and
+    of its derivative, top degree first.
     """
-    f_top = [float(c) for c in reversed(sf.coeffs)]
-    df_top = [float(c) for c in reversed(sf.derivative().coeffs)]
     z = complex(approx)
     for _ in range(60):
         fz = _horner_complex(f_top, z)
@@ -139,6 +139,8 @@ def _refine_complex_root(sf: UniPoly, approx: complex) -> complex:
         if dz == 0:
             break
         step = fz / dz
+        if z - step == z:
+            break  # a fixed point: every later pass would repeat this step
         z -= step
         if abs(step) < 1e-17 * max(1.0, abs(z)):
             break
@@ -162,12 +164,15 @@ def witness_candidates(pair: CoprimePair) -> list[complex]:
         raise InternalMismatch(
             f"census reports interior roots for {pair} but the float finder found none"
         )
+    ints = _primitive(sf.coeffs)
+    f_top = [float(c) for c in reversed(sf.coeffs)]
+    df_top = [float(c) for c in reversed(sf.derivative().coeffs)]
     refined = []
     for r in interior:
         if abs(r.imag) < 1e-12:
-            refined.append(complex(_refine_real_root(sf, r.real)))
+            refined.append(complex(_refine_real_root(ints, r.real)))
         else:
-            refined.append(_refine_complex_root(sf, r))
+            refined.append(_refine_complex_root(f_top, df_top, r))
     return sorted(refined, key=lambda r: (r.real, r.imag))
 
 

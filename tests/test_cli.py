@@ -212,18 +212,6 @@ class TestScanCommand:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
-    def test_workers_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("HARTOGS_WORKERS", "2")
-        rc, out, _ = run(
-            capsys, ["scan", "--m-max", "6", "--no-timing", "--output-format", "csv"]
-        )
-        monkeypatch.delenv("HARTOGS_WORKERS")
-        rc2, out2, _ = run(
-            capsys, ["scan", "--m-max", "6", "--no-timing", "--output-format", "csv"]
-        )
-        assert rc == rc2 == 0
-        assert out == out2
-
     def test_rejects_bad_m_max(self, capsys):
         rc, _, err = run(capsys, ["scan", "--m-max", "1"])
         assert rc == 2

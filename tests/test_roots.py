@@ -130,8 +130,7 @@ class TestAgainstSympy:
     def test_gcd(self, common, a, b):
         g = poly_gcd(common * a, common * b)
         expected = self.to_sympy(common * a).gcd(self.to_sympy(common * b))
-        expected = [Fraction(str(c)) for c in reversed(expected.monic().all_coeffs())]
-        assert list(g.coeffs) == expected
+        assert list(g.coeffs) == self.monic_coeffs(expected)
 
     @settings(max_examples=60, deadline=None)
     @given(integer_polys())
@@ -141,6 +140,24 @@ class TestAgainstSympy:
         sf = self.to_sympy(p).sqf_part()
         expected = sf.count_roots(-1, 1) - (1 if p(-1) == 0 else 0)
         assert sturm_count(p, -1, 1) == expected
+
+    @staticmethod
+    def monic_coeffs(f) -> list[Fraction]:
+        return [Fraction(str(c)) for c in reversed(f.monic().all_coeffs())]
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_polys())
+    def test_squarefree_part(self, p):
+        expected = self.monic_coeffs(self.to_sympy(p).sqf_part())
+        assert list(squarefree_part(p).coeffs) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_polys())
+    def test_squarefree_decomposition(self, p):
+        _, factors = self.to_sympy(p).sqf_list()
+        expected = [(self.monic_coeffs(f), mult) for f, mult in factors]
+        got = [(list(f.coeffs), mult) for f, mult in squarefree_decomposition(p)]
+        assert got == expected
 
 
 class TestChebyshevReduce:
@@ -243,11 +260,10 @@ class TestInteriorRootCount:
         ],
     )
     def test_palindromic_pairing_with_circle_roots(self, coeffs, expected):
-        p = UniPoly(coeffs)
-        census = interior_root_count(p)
+        census = interior_root_count(UniPoly(coeffs))
         assert (census.inside, census.on_circle, census.outside) == expected
         assert census.method == "palindromic_pairing"
-        assert census.inside == _disk_count(p)  # Schur-Cohn as the oracle
+        assert census.inside == _disk_count(coeffs)  # Schur-Cohn as the oracle
 
     def test_rejects_zero_constant_term(self):
         with pytest.raises(ZeroConstantTerm):
@@ -268,20 +284,25 @@ class TestInteriorRootCount:
 
     def test_matches_numpy_on_random_battery(self):
         rng = np.random.default_rng(20250825)
-        checked = 0
-        while checked < 120:
-            degree = int(rng.integers(1, 8))
-            coeffs = [int(c) for c in rng.integers(-9, 10, size=degree + 1)]
-            if coeffs[0] == 0 or coeffs[-1] == 0:
-                continue
-            p = UniPoly(coeffs)
-            expected = numpy_census(p)
-            mods = np.abs(np.roots([float(c) for c in reversed(coeffs)]))
-            if expected[1] == 0 and np.any(np.abs(mods - 1) < 1e-6):
-                continue  # numpy verdict too close to the circle to trust
-            census = interior_root_count(p)
-            assert (census.inside, census.on_circle, census.outside) == expected
-            checked += 1
+        # the second shape ties |a0| = |lead|, which mostly ends in the
+        # Cayley-transform branch of the Schur-Cohn recursion
+        for tied_ends in (False, True):
+            checked = 0
+            while checked < 120:
+                degree = int(rng.integers(1, 8))
+                coeffs = [int(c) for c in rng.integers(-9, 10, size=degree + 1)]
+                if tied_ends:
+                    coeffs[-1] = int(rng.choice([-1, 1])) * coeffs[0]
+                if coeffs[0] == 0 or coeffs[-1] == 0:
+                    continue
+                p = UniPoly(coeffs)
+                expected = numpy_census(p)
+                mods = np.abs(np.roots([float(c) for c in reversed(coeffs)]))
+                if expected[1] == 0 and np.any(np.abs(mods - 1) < 1e-6):
+                    continue  # numpy verdict too close to the circle to trust
+                census = interior_root_count(p)
+                assert (census.inside, census.on_circle, census.outside) == expected
+                checked += 1
 
     @given(st.lists(st.integers(-9, 9), min_size=2, max_size=7))
     @settings(max_examples=60)
