@@ -102,6 +102,7 @@ def cmd_roots(args) -> dict | list[str]:
     census = interior_root_count(
         q, with_floats=args.output_format != "csv", tol=args.tol
     )
+    failed = census.diagnostic_error is not None
     if args.output_format == "json":
         return {
             "m": pair.m,
@@ -111,8 +112,9 @@ def cmd_roots(args) -> dict | list[str]:
             "on_circle": census.on_circle,
             "outside": census.outside,
             "method": census.method,
-            "float_roots": [[r.real, r.imag] for r in census.float_roots],
-            "float_residuals": list(census.float_residuals),
+            "float_roots": None if failed else [[r.real, r.imag] for r in census.float_roots],
+            "float_residuals": None if failed else list(census.float_residuals),
+            "diagnostic_error": census.diagnostic_error,
         }
     if args.output_format == "csv":
         return [
@@ -123,8 +125,10 @@ def cmd_roots(args) -> dict | list[str]:
         f"pair: m={pair.m} n={pair.n}  Q degree {q.degree}",
         f"census: inside={census.inside} on_circle={census.on_circle} "
         f"outside={census.outside} (method: {census.method})",
-        "float roots (diagnostic):",
     ]
+    if failed:
+        return lines + [f"float roots (diagnostic) unavailable: {census.diagnostic_error}"]
+    lines.append("float roots (diagnostic):")
     for r, resid in zip(census.float_roots, census.float_residuals):
         lines.append(f"  {_fmt_complex(r)}  |s|={abs(r):.12f}  residual={resid:.2e}")
     return lines

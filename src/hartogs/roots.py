@@ -38,9 +38,13 @@ squarefree results leave as monic ``UniPoly``s.
   Cauchy-index count via Sturm chains.
 
 ``numeric_roots`` is the float diagnostic: an Aberth-Ehrlich simultaneous
-iteration with a relative backward-error residual acceptance test.  Its
-inside/on/outside classification (guard band 1e-9) is cross-checked against
-the exact census; disagreement raises a warning, never a silent fix.
+iteration with a relative backward-error residual acceptance test.  Where
+|z|^deg would leave the double range it evaluates the reversed polynomial
+at 1/z instead (Bini 1996), and so does ``root_residual`` for |r| > 1;
+both are tested up to degree 398.  Its inside/on/outside classification
+(guard band 1e-9) is cross-checked against the exact census; disagreement
+raises a warning, never a silent fix, and a diagnostic that does not
+converge leaves the exact census standing.
 """
 
 from __future__ import annotations
@@ -79,6 +83,9 @@ __all__ = [
 
 CIRCLE_GUARD = 1e-9
 _ONE = Fraction(1)
+# numeric_roots evaluates rev p at 1/z where deg * ln|z| exceeds this, i.e.
+# |z|^deg > 1e260, which keeps Horner sums far inside the double range
+_FAR_LOG = 600.0
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +387,7 @@ def circle_root_count(p: UniPoly) -> int:
 # exact open-disk counting (Schur-Cohn with exact degenerate handling)
 
 
-def _disk_count(f: list[int]) -> int:
+def _disk_count(f: list[int], d: list[int] | None = None) -> int:
     """Roots of integer f in |z| < 1 with multiplicity; requires f(0) != 0.
 
     Classical Schur-Cohn step: with t = a0*f - lead*rev(f) and
@@ -388,13 +395,15 @@ def _disk_count(f: list[int]) -> int:
     inside(f) = inside(t) when delta > 0 and inside(f) = deg - inside(t)
     when delta < 0, valid because f is circle-root-free at that point.
     Circle roots and reciprocal pairs are split off first through
-    d = gcd(f, rev f), handled by Cohn's derivative rule.
+    d = gcd(f, rev f), handled by Cohn's derivative rule; a caller that has
+    already computed that gcd passes it as ``d``.
     """
     n = len(f) - 1
     if n <= 0:
         return 0
     rf = f[::-1]
-    d = _gcd(f, rf)
+    if d is None:
+        d = _gcd(f, rf)
     if len(d) > 1:
         return _selfinversive_inside(d) + _disk_count(_divexact(f, d))
     a0, lead = f[0], f[-1]
@@ -491,6 +500,7 @@ class RootCensus:
     method: str  # "palindromic_pairing" or "schur_cohn"
     float_roots: tuple[complex, ...] | None = None
     float_residuals: tuple[float, ...] | None = None
+    diagnostic_error: str | None = None  # why the float roots are missing
 
     @property
     def degree(self) -> int:
@@ -507,7 +517,8 @@ def interior_root_count(
     count inside = outside = (deg - on)/2.  Every other p runs the exact
     Schur-Cohn count.  With ``with_floats`` the Aberth-Ehrlich roots are
     attached and their guard-band classification is compared against the
-    exact counts (mismatch warns, never silently resolves).
+    exact counts (mismatch warns, never silently resolves).  If Aberth does
+    not converge, the exact census is kept and ``diagnostic_error`` says why.
     """
     if p.is_zero or p.degree < 0:
         raise ValidationError("census needs a nonzero polynomial")
@@ -524,12 +535,15 @@ def interior_root_count(
     else:
         d = _gcd(ints, ints[::-1])
         on = _circle_count_selfinversive(d) if len(d) > 1 else 0
-        inside = _disk_count(ints)
+        inside = _disk_count(ints, d)
         census = RootCensus(inside, on, n - on - inside, "schur_cohn")
     if census.inside < 0 or census.outside < 0:
         raise InternalMismatch(f"census went negative: {census}")
     if with_floats and n >= 1:
-        roots = numeric_roots(p, tol=tol)
+        try:
+            roots = numeric_roots(p, tol=tol)
+        except ConvergenceFailure as exc:
+            return replace(census, diagnostic_error=str(exc))
         resid = tuple(root_residual(p, r) for r in roots)
         triple = classify_float_roots(roots)
         if triple != (census.inside, census.on_circle, census.outside):
@@ -550,14 +564,24 @@ def interior_root_count(
 
 
 def root_residual(p: UniPoly, r: complex) -> float:
-    """Relative backward-error residual |p(r)| / sum_i |c_i| |r|^i."""
+    """Relative backward-error residual |p(r)| / sum_i |c_i| |r|^i.
+
+    For |r| > 1 both sums are taken for rev p at 1/r instead, which divides
+    each by |r|^deg, so neither overflows at large degree.
+    """
+    coeffs, r = p.coeffs, complex(r)
+    if abs(r) > 1.0:
+        coeffs, r = coeffs[::-1], 1.0 / r
+    value = 0j
+    for c in reversed(coeffs):
+        value = value * r + float(c)
     scale = 0.0
     mag = 1.0
     ar = abs(r)
-    for c in p.coeffs:
+    for c in coeffs:
         scale += abs(float(c)) * mag
         mag *= ar
-    return abs(p(complex(r))) / scale if scale else 0.0
+    return abs(value) / scale if scale else 0.0
 
 
 def classify_float_roots(
@@ -584,6 +608,15 @@ def numeric_roots(
     Converged when every root satisfies the relative backward-error
     residual |p(r)| / sum |c_i||r|^i <= tol; raises ConvergenceFailure if
     the budget runs out first.  Roots come back sorted by (real, imag).
+
+    Horner's rule at an iterate with |z|^deg beyond 1e260 would come close
+    to overflow, so there, as in Bini's Aberth code, the reversed
+    polynomial R = rev p is evaluated at y = 1/z instead, in the same pass:
+    p/p' = R / (deg*y*R - y^2*R'), and the residual ratio is the same for R
+    at y as for p at z.  Sweeps without such an iterate run p alone.
+    Tested to converge, with the float census equal to the exact one, on
+    Q for every (m, 1) and (m, m - 2) with m <= 200 (degree up to 398) and
+    every pair with 50 <= m - n <= 100, n <= 12.
     """
     if p.degree < 1:
         raise ValidationError("need degree >= 1 to compute roots")
@@ -597,26 +630,50 @@ def numeric_roots(
     coeffs /= np.max(np.abs(coeffs))
     dcoeffs = coeffs[1:] * np.arange(1, n + 1)
     abs_coeffs = np.abs(coeffs)
+    # p in row 0 and R = rev p in row 1, for one Horner pass over both
+    pair = np.stack([coeffs, coeffs[::-1]], axis=1)[:, :, None]
+    dpair = pair[1:] * np.arange(1, n + 1)[:, None, None]
+    abs_pair = np.abs(pair)
+    far_radius = math.exp(_FAR_LOG / n)
 
     radius = (abs(coeffs[0]) / abs(coeffs[-1])) ** (1.0 / n)
     angles = 2.0 * math.pi * np.arange(n) / n + 0.4
     z = radius * np.exp(1j * angles)
 
     def horner(cs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        acc = np.full_like(x, cs[-1], dtype=complex)
+        acc = np.full_like(x, cs[-1])
         for c in cs[-2::-1]:
-            acc = acc * x + c
+            acc *= x
+            acc += c
         return acc
 
     for _ in range(max_iter):
-        pv = horner(coeffs, z)
-        scale = horner(abs_coeffs.astype(complex), np.abs(z).astype(complex)).real
+        az = np.abs(z)
+        far = az > far_radius
+        mixed = far.any()
+        if mixed:
+            # row 0 holds the near iterates and row 1 the reciprocals of the
+            # far ones; each row's other entries are 0, so nothing overflows
+            y = 1.0 / np.where(far, z, 1.0)
+            x = np.stack([np.where(far, 0.0, z), np.where(far, y, 0.0)])
+            near_pv, far_rv = horner(pair, x)
+            pv = np.where(far, far_rv, near_pv)
+            near_scale, far_scale = horner(abs_pair, np.abs(x))
+            scale = np.where(far, far_scale, near_scale)
+        else:
+            pv = horner(coeffs, z)
+            scale = horner(abs_coeffs, az)
         if np.all(np.abs(pv) <= tol * scale):
             roots = found + sorted(
                 (complex(r) for r in z), key=lambda r: (r.real, r.imag)
             )
             return roots
-        dv = horner(dcoeffs, z)
+        if mixed:
+            # p/p' at a far z is R / (n*y*R - y^2*R') at y = 1/z
+            near_dv, far_dr = horner(dpair, x)
+            dv = np.where(far, n * y * pv - y * y * far_dr, near_dv)
+        else:
+            dv = horner(dcoeffs, z)
         dv = np.where(dv == 0, 1e-300, dv)
         w = pv / dv
         diff = z[:, None] - z[None, :]

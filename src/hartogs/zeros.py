@@ -20,6 +20,7 @@ scan keeps going.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -53,6 +54,7 @@ __all__ = [
 Point = tuple[complex, complex]
 
 _PSI_TOL = 1e-14
+_EPS = sys.float_info.epsilon
 _MARGIN_FLOOR = 1e-6
 
 
@@ -142,8 +144,8 @@ def _refine_complex_root(
         if z - step == z:
             break  # a fixed point: every later pass would repeat this step
         z -= step
-        if abs(step) < 1e-17 * max(1.0, abs(z)):
-            break
+        if abs(step) <= 2 * _EPS * abs(z):
+            break  # within two double spacings of z: rounding noise from here
     return z
 
 
@@ -152,7 +154,12 @@ def witness_candidates(pair: CoprimePair) -> list[complex]:
 
     Refinement runs on the exact squarefree part of Q: interior roots can
     have even multiplicity (Q for (5,3) is 5(s^2+3s+1)^2), where plain
-    bisection on Q itself would find no sign change.
+    bisection on Q itself would find no sign change.  Q is real, so only
+    real roots and roots above the real axis are refined, and each complex
+    one brings its exact conjugate: the list is closed under conjugation.
+    A float root is taken as real when no other root lies nearer its mirror
+    image than itself; at (27, 25) a real root comes out of Aberth with
+    imaginary part 8e-12.
     """
     q = diagonal_poly(pair).poly
     census = interior_root_count(q)
@@ -168,11 +175,15 @@ def witness_candidates(pair: CoprimePair) -> list[complex]:
     f_top = [float(c) for c in reversed(sf.coeffs)]
     df_top = [float(c) for c in reversed(sf.derivative().coeffs)]
     refined = []
-    for r in interior:
-        if abs(r.imag) < 1e-12:
+    for i, r in enumerate(interior):
+        mirror = r.conjugate()
+        gap = abs(r - mirror)
+        if not any(abs(s - mirror) < gap for j, s in enumerate(interior) if j != i):
+            # no other root is nearer the mirror image: r is real
             refined.append(complex(_refine_real_root(ints, r.real)))
-        else:
-            refined.append(_refine_complex_root(f_top, df_top, r))
+        elif r.imag > 0:
+            z = _refine_complex_root(f_top, df_top, r)
+            refined += [z, z.conjugate()]  # Q is real: conjugates are exact
     return sorted(refined, key=lambda r: (r.real, r.imag))
 
 

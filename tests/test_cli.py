@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from hartogs import ConvergenceFailure, roots
 from hartogs.cli import main
 
 
@@ -86,7 +87,7 @@ class TestRootsCommand:
         assert lines[1].startswith("2,0,2,")
 
     def test_csv_skips_float_diagnostic(self, capsys):
-        # Aberth fails on this degree-156 Q; CSV prints only the exact census
+        # CSV prints only the exact census, so Aberth does not run
         rc, out, _ = run(
             capsys, ["roots", "--m", "79", "--n", "1", "--output-format", "csv"]
         )
@@ -106,6 +107,40 @@ class TestRootsCommand:
         assert rc == 0
         data = json.loads(out)
         assert (data["inside"], data["on_circle"], data["outside"]) == (2, 0, 2)
+        assert data["diagnostic_error"] is None
+
+    def test_json_at_the_size_frontier(self, capsys):
+        rc, out, _ = run(
+            capsys, ["roots", "--m", "79", "--n", "1", "--output-format", "json"]
+        )
+        assert rc == 0
+        data = json.loads(out)
+        assert len(data["float_roots"]) == data["degree"] == 156
+        assert max(data["float_residuals"]) < 1e-10
+
+    @pytest.fixture
+    def failing_aberth(self, monkeypatch):
+        def fail(p, tol=1e-12):
+            raise ConvergenceFailure("Aberth-Ehrlich gave up")
+
+        monkeypatch.setattr(roots, "numeric_roots", fail)
+
+    def test_failed_diagnostic_json(self, capsys, failing_aberth):
+        rc, out, _ = run(
+            capsys, ["roots", "--m", "5", "--n", "3", "--output-format", "json"]
+        )
+        assert rc == 0
+        data = json.loads(out)
+        assert (data["inside"], data["on_circle"], data["outside"]) == (2, 0, 2)
+        assert data["float_roots"] is None and data["float_residuals"] is None
+        assert data["diagnostic_error"] == "Aberth-Ehrlich gave up"
+
+    def test_failed_diagnostic_text(self, capsys, failing_aberth):
+        rc, out, _ = run(capsys, ["roots", "--m", "5", "--n", "3"])
+        assert rc == 0
+        assert "census: inside=2 on_circle=0 outside=2" in out
+        assert out.count("Aberth-Ehrlich gave up") == 1
+        assert "residual=" not in out
 
 
 class TestWitnessCommand:

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hartogs import (
+    ConvergenceFailure,
+    CoprimePair,
     NotPalindromic,
     UniPoly,
     ZeroConstantTerm,
@@ -26,6 +28,8 @@ from hartogs import (
     squarefree_part,
     sturm_count,
 )
+from hartogs import roots
+from hartogs.qpoly import diagonal_poly
 from hartogs.roots import _disk_count
 
 
@@ -282,6 +286,29 @@ class TestInteriorRootCount:
         assert all(res < 1e-10 for res in c.float_residuals)
         assert classify_float_roots(c.float_roots) == (2, 0, 2)
 
+    def test_non_palindromic_gcd_computed_once(self, monkeypatch):
+        calls = []
+        real_gcd = roots._gcd
+
+        def counting_gcd(a, b):
+            calls.append((a, b))
+            return real_gcd(a, b)
+
+        monkeypatch.setattr(roots, "_gcd", counting_gcd)
+        census = interior_root_count(UniPoly([8, 1, -4, 3, 1, -9, -8]))
+        assert (census.inside, census.on_circle, census.outside) == (3, 0, 3)
+        assert len(calls) == 1
+
+    def test_failed_diagnostic_keeps_exact_census(self, monkeypatch):
+        def fail(p, tol=1e-12):
+            raise ConvergenceFailure("Aberth-Ehrlich gave up")
+
+        monkeypatch.setattr(roots, "numeric_roots", fail)
+        c = interior_root_count(UniPoly([1, 6, 13, 6, 1]), with_floats=True)
+        assert (c.inside, c.on_circle, c.outside) == (2, 0, 2)
+        assert c.float_roots is None and c.float_residuals is None
+        assert c.diagnostic_error == "Aberth-Ehrlich gave up"
+
     def test_matches_numpy_on_random_battery(self):
         rng = np.random.default_rng(20250825)
         # the second shape ties |a0| = |lead|, which mostly ends in the
@@ -363,6 +390,23 @@ class TestNumericRoots:
         assert len(mine) == len(ref)
         for a in mine:
             assert min(abs(a - b) for b in ref) < 1e-8
+
+
+    # degree 146..398: |z|^deg leaves the double range for the outer roots,
+    # so Aberth and the residual evaluate rev p at 1/z there
+    @pytest.mark.parametrize(
+        "mn", [(78, 5), (79, 1), (99, 4), (101, 1), (120, 1), (160, 1), (200, 1)]
+    )
+    def test_converges_at_the_size_frontier(self, mn):
+        q = diagonal_poly(CoprimePair(*mn)).poly
+        found = numeric_roots(q)
+        assert len(found) == q.degree
+        residuals = [root_residual(q, r) for r in found]
+        assert all(math.isfinite(res) and res < 1e-10 for res in residuals)
+        census = interior_root_count(q)
+        assert classify_float_roots(found) == (
+            census.inside, census.on_circle, census.outside
+        )
 
 
 class TestFamilyLimits:

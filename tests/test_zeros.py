@@ -52,6 +52,19 @@ class TestWitnessCandidates:
             for s0 in witness_candidates(CoprimePair(*mn)):
                 assert abs(s0) < 1
 
+    def test_closed_under_conjugation(self):
+        for pair in coprime_pairs(30):
+            found = witness_candidates(pair)
+            mirrored = sorted((s.conjugate() for s in found), key=lambda s: (s.real, s.imag))
+            assert mirrored == found, pair
+
+    def test_real_root_with_float_noise_stays_real(self):
+        # Aberth leaves imaginary parts of ~1e-12 on real roots of these Q
+        for mn in [(27, 25), (37, 35)]:
+            found = witness_candidates(CoprimePair(*mn))
+            assert len(found) == 2
+            assert all(s.imag == 0 for s in found)
+
     def test_conjugates_come_in_sorted_order(self):
         a, b = witness_candidates(CoprimePair(3, 1))
         assert abs(a - b.conjugate()) < 1e-12
