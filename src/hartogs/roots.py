@@ -611,9 +611,10 @@ def numeric_roots(
 
     Horner's rule at an iterate with |z|^deg beyond 1e260 would come close
     to overflow, so there, as in Bini's Aberth code, the reversed
-    polynomial R = rev p is evaluated at y = 1/z instead, in the same pass:
-    p/p' = R / (deg*y*R - y^2*R'), and the residual ratio is the same for R
-    at y as for p at z.  Sweeps without such an iterate run p alone.
+    polynomial R = rev p is evaluated at y = 1/z instead, one such iterate
+    at a time, while p runs vectorized over the rest: p/p' = R /
+    (deg*y*R - y^2*R'), and the residual ratio is the same for R at y as
+    for p at z.
     Tested to converge, with the float census equal to the exact one, on
     Q for every (m, 1) and (m, m - 2) with m <= 200 (degree up to 398) and
     every pair with 50 <= m - n <= 100, n <= 12.
@@ -630,10 +631,7 @@ def numeric_roots(
     coeffs /= np.max(np.abs(coeffs))
     dcoeffs = coeffs[1:] * np.arange(1, n + 1)
     abs_coeffs = np.abs(coeffs)
-    # p in row 0 and R = rev p in row 1, for one Horner pass over both
-    pair = np.stack([coeffs, coeffs[::-1]], axis=1)[:, :, None]
-    dpair = pair[1:] * np.arange(1, n + 1)[:, None, None]
-    abs_pair = np.abs(pair)
+    rev_top = coeffs.tolist()  # R = rev p, top degree first
     far_radius = math.exp(_FAR_LOG / n)
 
     radius = (abs(coeffs[0]) / abs(coeffs[-1])) ** (1.0 / n)
@@ -647,33 +645,32 @@ def numeric_roots(
             acc += c
         return acc
 
+    def reversed_terms(y: complex) -> tuple[complex, float, complex]:
+        # p(z), its scale and p'(z) at z = 1/y, each divided by z^n, from R
+        r = dr = 0j
+        s, ay = 0.0, abs(y)
+        for c in rev_top:
+            dr = dr * y + r
+            r = r * y + c
+            s = s * ay + abs(c)
+        return r, s, n * y * r - y * y * dr
+
     for _ in range(max_iter):
-        az = np.abs(z)
-        far = az > far_radius
-        mixed = far.any()
-        if mixed:
-            # row 0 holds the near iterates and row 1 the reciprocals of the
-            # far ones; each row's other entries are 0, so nothing overflows
-            y = 1.0 / np.where(far, z, 1.0)
-            x = np.stack([np.where(far, 0.0, z), np.where(far, y, 0.0)])
-            near_pv, far_rv = horner(pair, x)
-            pv = np.where(far, far_rv, near_pv)
-            near_scale, far_scale = horner(abs_pair, np.abs(x))
-            scale = np.where(far, far_scale, near_scale)
-        else:
-            pv = horner(coeffs, z)
-            scale = horner(abs_coeffs, az)
+        # far iterates (in practice one or none) go through R at y = 1/z,
+        # one at a time; the vectorized pass sees 0 in their place
+        far = np.flatnonzero(np.abs(z) > far_radius)
+        x = z.copy()
+        x[far] = 0.0
+        pv = horner(coeffs, x)
+        scale = horner(abs_coeffs, np.abs(x))
+        dv = horner(dcoeffs, x)
+        for i in far:
+            pv[i], scale[i], dv[i] = reversed_terms(1.0 / complex(z[i]))
         if np.all(np.abs(pv) <= tol * scale):
             roots = found + sorted(
                 (complex(r) for r in z), key=lambda r: (r.real, r.imag)
             )
             return roots
-        if mixed:
-            # p/p' at a far z is R / (n*y*R - y^2*R') at y = 1/z
-            near_dv, far_dr = horner(dpair, x)
-            dv = np.where(far, n * y * pv - y * y * far_dr, near_dv)
-        else:
-            dv = horner(dcoeffs, z)
         dv = np.where(dv == 0, 1e-300, dv)
         w = pv / dv
         diff = z[:, None] - z[None, :]

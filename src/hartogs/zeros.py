@@ -149,6 +149,28 @@ def _refine_complex_root(
     return z
 
 
+def _mirror_partners(roots: list[complex]) -> list[int]:
+    """partner[i] = j when float roots i and j are one conjugate pair, and
+    partner[i] = i when root i is real.
+
+    Roots of a real polynomial are mirror images of one another across the
+    real axis up to float noise.  Pairs are matched greedily, nearest first,
+    on the distance |r_j - conj(r_i)|, which is symmetric in i and j and is
+    2|Im r_i| for i = j.  Both members of a pair are classified by that one
+    distance, so every root gets exactly one role.
+    """
+    dist = sorted(
+        (abs(roots[j] - roots[i].conjugate()), i, j)
+        for i in range(len(roots))
+        for j in range(i, len(roots))
+    )
+    partner = [-1] * len(roots)
+    for _, i, j in dist:
+        if partner[i] < 0 and partner[j] < 0:
+            partner[i], partner[j] = j, i
+    return partner
+
+
 def witness_candidates(pair: CoprimePair) -> list[complex]:
     """Interior roots of Q (distinct, refined), deterministically ordered.
 
@@ -157,8 +179,8 @@ def witness_candidates(pair: CoprimePair) -> list[complex]:
     bisection on Q itself would find no sign change.  Q is real, so only
     real roots and roots above the real axis are refined, and each complex
     one brings its exact conjugate: the list is closed under conjugation.
-    A float root is taken as real when no other root lies nearer its mirror
-    image than itself; at (27, 25) a real root comes out of Aberth with
+    Which float roots are real and which form a pair is read off
+    ``_mirror_partners``; at (27, 25) a real root comes out of Aberth with
     imaginary part 8e-12.
     """
     q = diagonal_poly(pair).poly
@@ -175,14 +197,12 @@ def witness_candidates(pair: CoprimePair) -> list[complex]:
     f_top = [float(c) for c in reversed(sf.coeffs)]
     df_top = [float(c) for c in reversed(sf.derivative().coeffs)]
     refined = []
-    for i, r in enumerate(interior):
-        mirror = r.conjugate()
-        gap = abs(r - mirror)
-        if not any(abs(s - mirror) < gap for j, s in enumerate(interior) if j != i):
-            # no other root is nearer the mirror image: r is real
-            refined.append(complex(_refine_real_root(ints, r.real)))
-        elif r.imag > 0:
-            z = _refine_complex_root(f_top, df_top, r)
+    for i, j in enumerate(_mirror_partners(interior)):
+        if j == i:
+            refined.append(complex(_refine_real_root(ints, interior[i].real)))
+        elif i < j:
+            top = max(interior[i], interior[j], key=lambda r: r.imag)
+            z = _refine_complex_root(f_top, df_top, top)
             refined += [z, z.conjugate()]  # Q is real: conjugates are exact
     return sorted(refined, key=lambda r: (r.real, r.imag))
 

@@ -86,13 +86,16 @@ class TestRootsCommand:
         assert lines[0] == "inside,on_circle,outside,method"
         assert lines[1].startswith("2,0,2,")
 
-    def test_csv_skips_float_diagnostic(self, capsys):
-        # CSV prints only the exact census, so Aberth does not run
+    def test_csv_skips_float_diagnostic(self, capsys, monkeypatch):
+        # CSV prints only the exact census, so Aberth must not run
+        calls = []
+        monkeypatch.setattr(roots, "numeric_roots", lambda *a, **k: calls.append(a))
         rc, out, _ = run(
             capsys, ["roots", "--m", "79", "--n", "1", "--output-format", "csv"]
         )
         assert rc == 0
         assert out.strip().split("\n")[1] == "78,0,78,palindromic_pairing"
+        assert calls == []
 
     def test_text_includes_float_diagnostics(self, capsys):
         rc, out, _ = run(capsys, ["roots", "--m", "2", "--n", "1"])

@@ -13,16 +13,19 @@ from hartogs import (
     ScanRow,
     ValidationError,
     coprime_pairs,
+    diagonal_poly,
     eval_kernel,
     in_domain,
     interior_margin,
+    interior_root_count,
     rows_to_csv,
     scan,
+    squarefree_part,
     witness_candidates,
     zero_witness,
 )
 from hartogs.cli import main
-from hartogs.zeros import CSV_HEADER
+from hartogs.zeros import CSV_HEADER, _mirror_partners
 
 WITNESS_PAIRS = [(2, 1), (3, 2), (3, 1), (5, 3)]
 
@@ -57,6 +60,9 @@ class TestWitnessCandidates:
             found = witness_candidates(pair)
             mirrored = sorted((s.conjugate() for s in found), key=lambda s: (s.real, s.imag))
             assert mirrored == found, pair
+            # one candidate per distinct interior root: no pair split or lost
+            sf = squarefree_part(diagonal_poly(pair).poly)
+            assert len(found) == interior_root_count(sf).inside, pair
 
     def test_real_root_with_float_noise_stays_real(self):
         # Aberth leaves imaginary parts of ~1e-12 on real roots of these Q
@@ -64,6 +70,13 @@ class TestWitnessCandidates:
             found = witness_candidates(CoprimePair(*mn))
             assert len(found) == 2
             assert all(s.imag == 0 for s in found)
+
+    def test_mirror_partners_give_each_root_one_role(self):
+        # 1 + 1e-9j and 1 - 4e-9j lie 3e-9 from each other's mirror image,
+        # nearer than the second one's own mirror, farther than the first's:
+        # both stay real rather than one real and one half of a pair
+        assert _mirror_partners([1 + 1e-9j, 1 - 4e-9j]) == [0, 1]
+        assert _mirror_partners([0.5 - 2j, 0.3 + 1e-13j, 0.5 + 2.000001j]) == [2, 1, 0]
 
     def test_conjugates_come_in_sorted_order(self):
         a, b = witness_candidates(CoprimePair(3, 1))
