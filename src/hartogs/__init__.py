@@ -36,7 +36,6 @@ from .errors import (
 from .kernel import (
     KernelFormula,
     eval_kernel,
-    k1_kernel,
     kernel_formula,
     monomial_norm_sq,
     numerator_effective,
@@ -57,7 +56,6 @@ from .qpoly import (
 from .roots import (
     RootCensus,
     chebyshev_reduce,
-    circle_root_count,
     classify_float_roots,
     interior_root_count,
     numeric_roots,

@@ -20,7 +20,13 @@ series K = sum s^a t^b / ||z1^a z2^b||^2 over allowable exponents, with
     ||z1^a z2^b||^2 = pi^2 * m / ((a+1) * (m(b+1) + n(a+1))),
 
 obtained by polar integration over H; exponents are allowable iff a >= 0
-and m(b+1) + n(a+1) > 0 (b may be negative).
+and m(b+1) + n(a+1) > 0 (b may be negative).  ``KernelFormula.eval`` and
+``series_kernel`` check (z, w) against the domain through one helper.
+
+On the axis slice z1 = w1 = 0 the kernel is ``restrict_s0``, a function of
+t alone, whose exact zero ``restrict_s0_zero`` t = n/(n - m) is interior
+exactly when gamma = m/n > 2; the tests check that the closed form
+vanishes there.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import CoprimePair, level, numerator_coeff, tent_partner
-from .domain import in_domain
+from .domain import _exponent_pair, in_domain
 from .errors import (
     DegenerateInput,
     DenominatorVanishes,
@@ -53,12 +59,19 @@ __all__ = [
     "monomial_norm_sq",
     "restrict_s0",
     "restrict_s0_zero",
-    "k1_kernel",
 ]
 
 Point = tuple[complex, complex]
 
 _DENOM_FLOOR = 1e-300
+
+
+def _checked_st(pair: CoprimePair, z: Point, w: Point):
+    """(s, t) = (z1 conj(w1), z2 conj(w2)) for z, w strictly inside H."""
+    for point, name in ((z, "z"), (w, "w")):
+        if not in_domain(pair, point):
+            raise OutsideDomain(f"{name}={point!r} is not inside H_({pair.m}/{pair.n})")
+    return z[0] * w[0].conjugate(), z[1] * w[1].conjugate()
 
 
 def _numerator_terms(pair: CoprimePair):
@@ -118,13 +131,8 @@ class KernelFormula:
 
     def eval(self, z: Point, w: Point) -> complex:
         """Evaluate K(z, w) for z, w strictly inside the domain."""
-        pair = self.pair
-        for point, name in ((z, "z"), (w, "w")):
-            if not in_domain(pair, point):
-                raise OutsideDomain(f"{name}={point!r} is not inside H_({pair.m}/{pair.n})")
-        s = z[0] * w[0].conjugate()
-        t = z[1] * w[1].conjugate()
-        m, n = pair
+        s, t = _checked_st(self.pair, z, w)
+        m, n = self.pair
         shape = (1 - t) ** 2 * (t**n - s**m) ** 2
         if abs(shape) < _DENOM_FLOOR:
             raise DenominatorVanishes(
@@ -184,14 +192,11 @@ def series_kernel(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> complex
     exp(a*log s + b_min*log t) so that no intermediate power over- or
     underflows even though t^b grows for negative b.
     """
-    for point, name in ((z, "z"), (w, "w")):
-        if not in_domain(pair, point):
-            raise OutsideDomain(f"{name}={point!r} is not inside H_({pair.m}/{pair.n})")
+    s, t = _checked_st(pair, z, w)
     if cutoff < 0:
         raise ValidationError("cutoff must be nonnegative")
     m, n = pair
-    s = complex(z[0] * w[0].conjugate())
-    t = complex(z[1] * w[1].conjugate())
+    s, t = complex(s), complex(t)
     if t == 0:
         # impossible for interior points: membership forces |z2| > 0
         raise DegenerateInput("t = 0 has no allowable series rows")
@@ -251,61 +256,29 @@ def series_tail_estimate(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> 
     return tail
 
 
-def _gamma_value(gamma) -> float:
-    if isinstance(gamma, CoprimePair):
-        return gamma.m / gamma.n
-    if isinstance(gamma, (int, Fraction)):
-        return float(gamma)
-    if isinstance(gamma, float):
-        return gamma
-    raise ValidationError(f"cannot read an exponent from {gamma!r}")
-
-
 def restrict_s0(gamma, t: complex) -> complex:
     """Kernel restricted to the slice z1 = w1 = 0, as a function of t.
 
     Equals (1 + (gamma - 1) t) / (gamma * pi^2 * t * (1 - t)^2) on the
     punctured disk 0 < |t| < 1; raises DegenerateInput off that set.
+    ``gamma`` is any exact exponent that ``in_domain`` accepts.
     """
-    g = _gamma_value(gamma)
-    if g <= 0:
-        raise ValidationError("exponent must be positive")
+    m, n = _exponent_pair(gamma)
     if t == 0 or abs(t) >= 1:
         raise DegenerateInput(f"t={t!r} is outside the punctured unit disk")
+    g = m / n
     t = complex(t)
     return (1 + (g - 1) * t) / (g * math.pi**2 * t * (1 - t) ** 2)
 
 
-def restrict_s0_zero(gamma) -> Fraction | float | None:
-    """The unique zero t = 1/(1 - gamma) of the slice kernel, if interior.
+def restrict_s0_zero(gamma) -> Fraction | None:
+    """The unique zero t = 1/(1 - gamma) = n/(n - m) of the slice kernel.
 
-    For gamma > 2 the zero lies inside the punctured disk and is returned
-    exactly (a Fraction when gamma is exact); for gamma <= 2 the slice
-    kernel never vanishes and None is returned.
+    For gamma = m/n > 2 the zero lies inside the punctured disk and is
+    returned exactly; for gamma <= 2 the slice kernel never vanishes and
+    None is returned.
     """
-    if isinstance(gamma, CoprimePair):
-        gamma = Fraction(gamma.m, gamma.n)
-    if isinstance(gamma, (int, Fraction)):
-        if gamma <= 2:
-            return None
-        return Fraction(1) / (1 - Fraction(gamma))
-    g = float(gamma)
-    if g <= 2:
+    m, n = _exponent_pair(gamma)
+    if m <= 2 * n:
         return None
-    return 1.0 / (1.0 - g)
-
-
-def k1_kernel(z: Point, w: Point) -> complex:
-    """Bergman kernel of the classical Hartogs triangle {|z1| < |z2| < 1}.
-
-    K = t / (pi^2 * (1-t)^2 * (t-s)^2); it never vanishes on the domain.
-    """
-    for point, name in ((z, "z"), (w, "w")):
-        if not in_domain(1, point):
-            raise OutsideDomain(f"{name}={point!r} is not inside the Hartogs triangle")
-    s = z[0] * w[0].conjugate()
-    t = z[1] * w[1].conjugate()
-    shape = (1 - t) ** 2 * (t - s) ** 2
-    if abs(shape) < _DENOM_FLOOR:
-        raise DenominatorVanishes(f"|(1-t)^2 (t-s)^2| = {abs(shape):.3e} underflows")
-    return t / (math.pi**2 * shape)
+    return Fraction(n, n - m)

@@ -153,12 +153,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    @property
-    def leading(self) -> Scalar:
-        if self.is_zero:
-            raise ValidationError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
-
     def valuation(self) -> int:
         """Order of vanishing at 0 (index of first nonzero coefficient)."""
         if self.is_zero:
@@ -173,9 +167,6 @@ class UniPoly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self._coeffs == other._coeffs
-
-    def scale(self, c: Scalar) -> "UniPoly":
-        return UniPoly([c * v for v in self._coeffs])
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero or other.is_zero:
@@ -212,10 +203,6 @@ class UniPoly:
         if any(c != 0 for c in self._coeffs[:e]):
             raise NotDivisible(f"polynomial has a nonzero term below degree {e}")
         return UniPoly(self._coeffs[e:])
-
-    def reverse(self) -> "UniPoly":
-        """Reverse the full coefficient list: x^deg * p(1/x)."""
-        return UniPoly(tuple(reversed(self._coeffs)))
 
     def is_palindromic(self) -> bool:
         """True when the coefficient sequence reads the same both ways."""

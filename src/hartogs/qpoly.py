@@ -13,7 +13,9 @@ Q(1) = m^3.  Its five pieces are the restrictions of the numerator's pieces:
 
 with E(j) = j - level(j) + 1 and kappa = tent_partner(j), j = 0..m-2.
 Reversal swaps q1 with q4 and q2 with q3 while fixing q0, which is exactly
-why Q is palindromic.
+why Q is palindromic.  ``diagonal_poly`` sums the terms straight into Q;
+only ``verify_piece_identities`` builds the pieces apart, to check that
+symmetry.
 
 For the two infinite families with smallest codegree the coefficients have
 closed forms (``family_closed_form``): k = 1 gives pairs (l+1, l) and a
@@ -41,11 +43,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiagonalPoly:
-    """Diagonal polynomial Q with its five construction pieces."""
+    """Diagonal polynomial Q of a coprime pair."""
 
     pair: CoprimePair
     poly: UniPoly
-    pieces: tuple[UniPoly, UniPoly, UniPoly, UniPoly, UniPoly]
 
     @property
     def k(self) -> int:
@@ -61,43 +62,37 @@ class DiagonalPoly:
 
 
 def diagonal_poly(pair: CoprimePair) -> DiagonalPoly:
-    """Restrict the five numerator pieces to the diagonal t = s.
+    """Restrict the kernel numerator to the diagonal t = s.
 
-    A term c s^b1 t^b2 of a piece of P lands on c s^(b1 + b2 - (2n-1)), so
-    each piece of Q is the restriction of the matching piece of P, and Q,
-    their sum, is P(s, s) / s^(2n-1).  The tests compare Q with the
-    restriction of ``numerator_oracle``, which shares no staircase code.
+    A term c s^b1 t^b2 of P lands on c s^(b1 + b2 - (2n-1)), so summing the
+    terms of the five pieces gives Q = P(s, s) / s^(2n-1).  The tests
+    compare Q with the restriction of ``numerator_oracle``, which shares no
+    staircase code.
     """
     shift = 2 * pair.n - 1
-    pieces = [[0] * (2 * pair.k + 1) for _ in range(5)]
-    for piece, (b1, b2), coeff in _numerator_terms(pair):
-        pieces[piece][b1 + b2 - shift] += coeff
-    q = [sum(column) for column in zip(*pieces)]
-    return DiagonalPoly(pair, UniPoly(q), tuple(UniPoly(p) for p in pieces))
+    q = [0] * (2 * pair.k + 1)
+    for _, (b1, b2), coeff in _numerator_terms(pair):
+        q[b1 + b2 - shift] += coeff
+    return DiagonalPoly(pair, UniPoly(q))
 
 
 def verify_piece_identities(dp: DiagonalPoly) -> bool:
-    """Exact reversal symmetry of the pieces.
+    """Exact reversal symmetry of the pieces of Q.
 
-    With k = m - n and rev(p) = s^(2k) p(1/s) taken inside degree 2k:
-    rev fixes q0, swaps q1 <-> q4, and swaps q2 <-> q3.  Together these
+    The five pieces q0..q4 are the diagonal restrictions of the numerator's
+    pieces, as coefficient lists of length 2k + 1.  Reversal inside degree
+    2k fixes q0, swaps q1 <-> q4, and swaps q2 <-> q3.  Together these
     force Q to be palindromic.
     """
-    q0, q1, q2, q3, q4 = dp.pieces
-    two_k = 2 * dp.k
-
-    def rev_in_degree(p: UniPoly) -> UniPoly | None:
-        if p.degree > two_k:
-            return None  # cannot match; forces False
-        coeffs = [0] * (two_k + 1)
-        for e, c in enumerate(p.coeffs):
-            coeffs[two_k - e] = c
-        return UniPoly(coeffs)
-
+    shift = 2 * dp.pair.n - 1
+    pieces = [[0] * (2 * dp.k + 1) for _ in range(5)]
+    for piece, (b1, b2), coeff in _numerator_terms(dp.pair):
+        pieces[piece][b1 + b2 - shift] += coeff
+    q0, q1, q2, q3, q4 = pieces
     return (
-        rev_in_degree(q0) == q0
-        and rev_in_degree(q1) == q4
-        and rev_in_degree(q2) == q3
+        q0[::-1] == q0
+        and q1[::-1] == q4
+        and q2[::-1] == q3
         and dp.poly.is_palindromic()
     )
 

@@ -17,12 +17,12 @@ squarefree results leave as monic ``UniPoly``s.
 * ``sturm_count`` counts distinct real roots in a half-open interval (a, b]
   by the chain of (p, p'), which needs no squarefree p once the roots at
   the endpoints are divided out.
-* ``circle_root_count`` counts unit-circle roots of a palindromic p with
-  multiplicity: strip exact roots at s = +-1, Chebyshev-reduce the even
-  palindromic remainder and count the distinct roots of its image in
-  (-1, 1) with one Sturm chain.  Only a nonzero count runs Yun's
-  squarefree decomposition, to weight each factor's count by its
-  multiplicity.
+* The circle count, ``interior_root_count(p).on_circle``, counts the
+  unit-circle roots of a self-inversive factor with multiplicity: strip
+  exact roots at s = +-1, Chebyshev-reduce the even palindromic remainder
+  and count the distinct roots of its image in (-1, 1) with one Sturm
+  chain.  Only a nonzero count runs Yun's squarefree decomposition, to
+  weight each factor's count by its multiplicity.
 * ``interior_root_count`` produces the full inside/on/outside census.  For
   palindromic p the pairing s <-> 1/s forces inside = outside, so the
   circle count alone gives inside = outside = (deg - on)/2.  Otherwise an
@@ -71,7 +71,6 @@ __all__ = [
     "RootCensus",
     "chebyshev_reduce",
     "sturm_count",
-    "circle_root_count",
     "interior_root_count",
     "numeric_roots",
     "poly_gcd",
@@ -374,13 +373,6 @@ def _circle_count_selfinversive(h: list[int]) -> int:
     for factor, mult in _yun(g):
         weighted += mult * _open_interval_count(factor, -_ONE, _ONE)
     return count + 2 * weighted
-
-
-def circle_root_count(p: UniPoly) -> int:
-    """Roots of a palindromic p on |s| = 1, counted with multiplicity."""
-    if p.is_zero or not p.is_palindromic():
-        raise NotPalindromic("circle_root_count needs a palindromic polynomial")
-    return _circle_count_selfinversive(_primitive(p.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ interior points at which the kernel vanishes:
     w = (sqrt(|s0|), sqrt(|s0|)),
 
 so that z1*conj(w1) = z2*conj(w2) = s0 and K(z, w) is a nonzero multiple
-of s0^(2n-1) Q(s0) = 0.  Which interior root is used is a free choice;
-candidates are ordered deterministically and selected by index.
+of s0^(2n-1) Q(s0) = 0.  The candidates are the interior Aberth roots of
+the squarefree part of Q, real or complex, each polished by one Newton
+refinement.  Which interior root is used is a free choice; candidates are
+ordered deterministically and selected by index.
 
 The scanner walks every coprime pair with m <= m_max and records the exact
 circle and interior root counts of Q.  The conjecture under scan: Q never
@@ -24,21 +26,13 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 from .arith import CoprimePair
 from .domain import interior_margin
 from .errors import InternalMismatch, NoInteriorRoot, ValidationError
 from .kernel import kernel_formula
 from .qpoly import diagonal_poly
-from .roots import (
-    CIRCLE_GUARD,
-    _hom_eval,
-    _primitive,
-    interior_root_count,
-    numeric_roots,
-    squarefree_part,
-)
+from .roots import CIRCLE_GUARD, interior_root_count, numeric_roots, squarefree_part
 
 __all__ = [
     "ZeroWitness",
@@ -83,40 +77,6 @@ class ZeroWitness:
         }
 
 
-def _refine_real_root(ints: list[int], approx: float) -> float:
-    """Exact-sign bisection around a float approximation of a simple root.
-
-    Signs come from the primitive integer multiple ``ints`` of the squarefree
-    part, evaluated in int arithmetic.
-    """
-    width = Fraction(1, 10**6)
-    lo = Fraction(approx) - width
-    hi = Fraction(approx) + width
-    flo, fhi = _hom_eval(ints, lo), _hom_eval(ints, hi)
-    attempts = 0
-    while (flo > 0) == (fhi > 0):
-        width *= 4
-        lo, hi = Fraction(approx) - width, Fraction(approx) + width
-        flo, fhi = _hom_eval(ints, lo), _hom_eval(ints, hi)
-        attempts += 1
-        if attempts > 8:
-            return approx  # no bracket; keep the float root as-is
-    if flo == 0:
-        return float(lo)
-    if fhi == 0:
-        return float(hi)
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        fmid = _hom_eval(ints, mid)
-        if fmid == 0:
-            return float(mid)
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return float((lo + hi) / 2)
-
-
 def _horner_complex(top: list[float], x: complex) -> complex:
     """``UniPoly.__call__`` at a complex point, on float coefficients given
     top degree first."""
@@ -126,13 +86,12 @@ def _horner_complex(top: list[float], x: complex) -> complex:
     return acc
 
 
-def _refine_complex_root(
-    f_top: list[float], df_top: list[float], approx: complex
-) -> complex:
+def _refine_root(f_top: list[float], df_top: list[float], approx: complex) -> complex:
     """Newton polish in double precision at a simple root.
 
     f_top and df_top are the float coefficients of the squarefree part and
-    of its derivative, top degree first.
+    of its derivative, top degree first.  A real start stays on the real
+    axis: every step is then real.
     """
     z = complex(approx)
     for _ in range(60):
@@ -174,11 +133,13 @@ def _mirror_partners(roots: list[complex]) -> list[int]:
 def witness_candidates(pair: CoprimePair) -> list[complex]:
     """Interior roots of Q (distinct, refined), deterministically ordered.
 
-    Refinement runs on the exact squarefree part of Q: interior roots can
-    have even multiplicity (Q for (5,3) is 5(s^2+3s+1)^2), where plain
-    bisection on Q itself would find no sign change.  Q is real, so only
-    real roots and roots above the real axis are refined, and each complex
-    one brings its exact conjugate: the list is closed under conjugation.
+    Every root is refined by one Newton polish on the exact squarefree part
+    of Q: interior roots can have even multiplicity (Q for (5,3) is
+    5(s^2+3s+1)^2), where Newton on Q itself would converge only linearly.
+    Q is real, so a real root is polished from its real part and stays
+    real, and of each complex pair only the root above the real axis is
+    polished and brings its exact conjugate: the list is closed under
+    conjugation.
     Which float roots are real and which form a pair is read off
     ``_mirror_partners``; at (27, 25) a real root comes out of Aberth with
     imaginary part 8e-12.
@@ -193,16 +154,16 @@ def witness_candidates(pair: CoprimePair) -> list[complex]:
         raise InternalMismatch(
             f"census reports interior roots for {pair} but the float finder found none"
         )
-    ints = _primitive(sf.coeffs)
     f_top = [float(c) for c in reversed(sf.coeffs)]
     df_top = [float(c) for c in reversed(sf.derivative().coeffs)]
     refined = []
     for i, j in enumerate(_mirror_partners(interior)):
         if j == i:
-            refined.append(complex(_refine_real_root(ints, interior[i].real)))
+            x = _refine_root(f_top, df_top, complex(interior[i].real)).real
+            refined.append(complex(x))
         elif i < j:
             top = max(interior[i], interior[j], key=lambda r: r.imag)
-            z = _refine_complex_root(f_top, df_top, top)
+            z = _refine_root(f_top, df_top, top)
             refined += [z, z.conjugate()]  # Q is real: conjugates are exact
     return sorted(refined, key=lambda r: (r.real, r.imag))
 

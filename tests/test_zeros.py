@@ -78,6 +78,30 @@ class TestWitnessCandidates:
         assert _mirror_partners([1 + 1e-9j, 1 - 4e-9j]) == [0, 1]
         assert _mirror_partners([0.5 - 2j, 0.3 + 1e-13j, 0.5 + 2.000001j]) == [2, 1, 0]
 
+    @pytest.mark.parametrize(
+        "mn", [(5, 3), (27, 25), (2, 1), (7, 6), (3, 1), (9, 7), (4, 1), (5, 2)]
+    )
+    def test_real_candidates_match_sympy_roots(self, mn):
+        # (5, 3) has a double real root; at (27, 25) Aberth returns a real
+        # root with imaginary part 8e-12.  Every real candidate must be one
+        # of Q's real interior roots, as sympy isolates them, to 1e-14.
+        sympy = pytest.importorskip("sympy")
+        pair = CoprimePair(*mn)
+        found = witness_candidates(pair)
+        mirrored = sorted((s.conjugate() for s in found), key=lambda s: (s.real, s.imag))
+        assert mirrored == found
+        q = diagonal_poly(pair).poly
+        x = sympy.symbols("x")
+        exact = [
+            sympy.N(r, 30)
+            for r in sympy.Poly(q.coeffs[::-1], x).real_roots(multiple=True)
+        ]
+        interior = sorted({r for r in exact if abs(r) < 1})
+        reals = [s.real for s in found if s.imag == 0]
+        assert len(reals) == len(interior)
+        for got, want in zip(reals, interior):
+            assert abs((sympy.Float(got, 30) - want) / want) <= 1e-14
+
     def test_conjugates_come_in_sorted_order(self):
         a, b = witness_candidates(CoprimePair(3, 1))
         assert abs(a - b.conjugate()) < 1e-12
