@@ -69,7 +69,6 @@ from .zeros import (
     ScanRow,
     ZeroWitness,
     coprime_pairs,
-    rows_to_csv,
     scan,
     witness_candidates,
     zero_witness,

@@ -3,9 +3,14 @@
 Subcommands: kernel, qpoly, roots, scan, witness, eval.  Every subcommand
 accepts --output-format {json,csv,text} and an optional --output PATH;
 files are written via a temp file in the target directory followed by an
-atomic rename, so a failed run never leaves a partial file behind.  Each
-``cmd_*`` returns a JSON-able record for json or a list of lines for csv
-and text, built only for the format asked for; ``main`` serializes it.
+atomic rename, so a failed run never leaves a partial file behind.
+
+This is the one module that knows how output looks: the library returns
+exact values and plain records, and each ``cmd_*`` turns them into a
+JSON-able record for json or a list of lines for csv and text, built only
+for the format asked for; ``main`` serializes it.  Exact coefficients are
+printed as decimal strings, so no precision is lost in json.  The float
+root diagnostic of ``roots`` runs here too, and only for json and text.
 
 Exit codes: 0 success (including conjecture findings, which are reported
 but are not errors), 2 validation failure with a one-line diagnostic, 3
@@ -19,9 +24,10 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 from .arith import CoprimePair
-from .errors import HartogsError, InternalMismatch, ValidationError
+from .errors import ConvergenceFailure, HartogsError, InternalMismatch, ValidationError
 from .kernel import (
     eval_kernel,
     kernel_formula,
@@ -29,10 +35,20 @@ from .kernel import (
     series_tail_estimate,
 )
 from .qpoly import diagonal_poly
-from .roots import interior_root_count
-from .zeros import rows_to_csv, scan, zero_witness
+from .roots import (
+    classify_float_roots,
+    interior_root_count,
+    numeric_roots,
+    root_residual,
+)
+from .zeros import scan, zero_witness
 
 __all__ = ["main", "run"]
+
+# scan columns in csv and json order; elapsed_ms and error follow when present
+_SCAN_COLUMNS = (
+    "m", "n", "k", "degree", "circle_count", "interior_count", "conjecture_holds"
+)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -66,7 +82,17 @@ def cmd_kernel(args) -> dict | list[str]:
     pair = CoprimePair(args.m, args.n)
     formula = kernel_formula(pair, verify=args.verify)
     if args.output_format == "json":
-        return formula.to_json_dict()
+        return {
+            "m": pair.m,
+            "n": pair.n,
+            "numerator": {
+                "var": "s,t",
+                "terms": [
+                    [i, j, str(c)] for i, j, c in formula.numerator.sorted_terms()
+                ],
+            },
+            "denominator": formula.denominator_text,
+        }
     if args.output_format == "csv":
         return ["deg_s,deg_t,coeff"] + [
             f"{i},{j},{c}" for i, j, c in formula.numerator.sorted_terms()
@@ -86,7 +112,12 @@ def cmd_qpoly(args) -> dict | list[str]:
     pair = CoprimePair(args.m, args.n)
     dp = diagonal_poly(pair)
     if args.output_format == "json":
-        return dp.to_json_dict()
+        return {
+            "m": pair.m,
+            "n": pair.n,
+            "k": pair.k,
+            "coeffs": [str(c) for c in dp.poly.coeffs],
+        }
     if args.output_format == "csv":
         return ["degree,coeff"] + [f"{e},{c}" for e, c in enumerate(dp.poly.coeffs)]
     return [
@@ -99,10 +130,27 @@ def cmd_qpoly(args) -> dict | list[str]:
 def cmd_roots(args) -> dict | list[str]:
     pair = CoprimePair(args.m, args.n)
     q = diagonal_poly(pair).poly
-    census = interior_root_count(
-        q, with_floats=args.output_format != "csv", tol=args.tol
-    )
-    failed = census.diagnostic_error is not None
+    census = interior_root_count(q)
+    if args.output_format == "csv":
+        return [
+            "inside,on_circle,outside,method",
+            f"{census.inside},{census.on_circle},{census.outside},{census.method}",
+        ]
+    # float diagnostic: never replaces the exact census, only checked against it
+    float_roots = residuals = error = None
+    try:
+        float_roots = numeric_roots(q, tol=args.tol)
+    except ConvergenceFailure as exc:
+        error = str(exc)
+    else:
+        residuals = [root_residual(q, r) for r in float_roots]
+        triple = classify_float_roots(float_roots)
+        exact = (census.inside, census.on_circle, census.outside)
+        if triple != exact:
+            warnings.warn(
+                f"float classification {triple} disagrees with exact census {exact}",
+                RuntimeWarning,
+            )
     if args.output_format == "json":
         return {
             "m": pair.m,
@@ -112,34 +160,50 @@ def cmd_roots(args) -> dict | list[str]:
             "on_circle": census.on_circle,
             "outside": census.outside,
             "method": census.method,
-            "float_roots": None if failed else [[r.real, r.imag] for r in census.float_roots],
-            "float_residuals": None if failed else list(census.float_residuals),
-            "diagnostic_error": census.diagnostic_error,
+            "float_roots": (
+                None if float_roots is None else [[r.real, r.imag] for r in float_roots]
+            ),
+            "float_residuals": residuals,
+            "diagnostic_error": error,
         }
-    if args.output_format == "csv":
-        return [
-            "inside,on_circle,outside,method",
-            f"{census.inside},{census.on_circle},{census.outside},{census.method}",
-        ]
     lines = [
         f"pair: m={pair.m} n={pair.n}  Q degree {q.degree}",
         f"census: inside={census.inside} on_circle={census.on_circle} "
         f"outside={census.outside} (method: {census.method})",
     ]
-    if failed:
-        return lines + [f"float roots (diagnostic) unavailable: {census.diagnostic_error}"]
+    if error is not None:
+        return lines + [f"float roots (diagnostic) unavailable: {error}"]
     lines.append("float roots (diagnostic):")
-    for r, resid in zip(census.float_roots, census.float_residuals):
+    for r, resid in zip(float_roots, residuals):
         lines.append(f"  {_fmt_complex(r)}  |s|={abs(r):.12f}  residual={resid:.2e}")
     return lines
 
 
+def _scan_record(row, timing: bool) -> dict:
+    record = {name: getattr(row, name) for name in _SCAN_COLUMNS}
+    if timing:
+        record["elapsed_ms"] = round(row.elapsed_ms, 3)
+    if row.error is not None:
+        record["error"] = row.error
+    return record
+
+
+def _scan_line(row, timing: bool) -> str:
+    # json's spelling of the bool verdict; counts of 1 and 0 stay digits
+    fields = [str(getattr(row, name)) for name in _SCAN_COLUMNS[:-1]]
+    fields.append("true" if row.conjecture_holds else "false")
+    if timing:
+        fields.append(f"{row.elapsed_ms:.3f}")
+    return ",".join(fields)
+
+
 def cmd_scan(args) -> list:
     rows = scan(args.m_max, k=args.k, workers=args.workers)
-    include_timing = not args.no_timing
+    timing = not args.no_timing
     if args.output_format == "json":
-        return [row.to_json_dict(include_timing) for row in rows]
-    table = rows_to_csv(rows, include_timing).splitlines()
+        return [_scan_record(row, timing) for row in rows]
+    header = ",".join(_SCAN_COLUMNS + (("elapsed_ms",) if timing else ()))
+    table = [header] + [_scan_line(row, timing) for row in rows]
     if args.output_format == "csv":
         return table
     findings = [row for row in rows if not row.conjecture_holds]
@@ -164,7 +228,16 @@ def cmd_witness(args) -> dict | list[str]:
     pair = CoprimePair(args.m, args.n)
     witness = zero_witness(pair, which=args.which)
     if args.output_format == "json":
-        return witness.to_json_dict()
+        return {
+            "m": pair.m,
+            "n": pair.n,
+            "s0": [witness.s0.real, witness.s0.imag],
+            "z": [[c.real, c.imag] for c in witness.z],
+            "w": [[c.real, c.imag] for c in witness.w],
+            "kernel_value": [witness.kernel_value.real, witness.kernel_value.imag],
+            "residual": witness.residual,
+            "margin": witness.margin,
+        }
     if args.output_format == "csv":
         points = [("s0", witness.s0), ("z1", witness.z[0]), ("z2", witness.z[1]),
                   ("w1", witness.w[0]), ("w2", witness.w[1])]
@@ -282,9 +355,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         out = args.func(args)
         if args.output_format == "json":

@@ -20,8 +20,9 @@ series K = sum s^a t^b / ||z1^a z2^b||^2 over allowable exponents, with
     ||z1^a z2^b||^2 = pi^2 * m / ((a+1) * (m(b+1) + n(a+1))),
 
 obtained by polar integration over H; exponents are allowable iff a >= 0
-and m(b+1) + n(a+1) > 0 (b may be negative).  ``KernelFormula.eval`` and
-``series_kernel`` check (z, w) against the domain through one helper.
+and m(b+1) + n(a+1) > 0 (b may be negative).  ``KernelFormula.eval``,
+``series_kernel`` and ``series_tail_estimate`` check (z, w) against the
+domain through one helper.
 
 On the axis slice z1 = w1 = 0 the kernel is ``restrict_s0``, a function of
 t alone, whose exact zero ``restrict_s0_zero`` t = n/(n - m) is interior
@@ -140,14 +141,6 @@ class KernelFormula:
             )
         return self.numerator.eval_complex(s, t) / (m * math.pi**2 * shape)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.pair.m,
-            "n": self.pair.n,
-            "numerator": self.numerator.to_json_dict(),
-            "denominator": self.denominator_text,
-        }
-
 
 def kernel_formula(pair: CoprimePair, verify: bool = False) -> KernelFormula:
     """Build the closed-form kernel; optionally run the oracle cross-check."""
@@ -225,10 +218,12 @@ def series_tail_estimate(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> 
     Terms decay row-wise like eta^a with eta = |s| / |t|^(n/m) < 1 and
     column-wise like |t|^b; the estimate extrapolates the absolute sums of
     the boundary row and column by those ratios.  Diagnostic, not certified.
+    Checks (z, w) and the cutoff as ``series_kernel`` does.
     """
+    s, t = _checked_st(pair, z, w)
+    if cutoff < 0:
+        raise ValidationError("cutoff must be nonnegative")
     m, n = pair
-    s = complex(z[0] * w[0].conjugate())
-    t = complex(z[1] * w[1].conjugate())
     sig, tau = abs(s), abs(t)
     if tau == 0:
         return 0.0

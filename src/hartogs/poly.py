@@ -14,9 +14,9 @@ Two deliberately small types:
   coefficient lists) and ``div_rem``.
 
 Coefficients are arbitrary precision by construction; nothing in this module
-touches floats except the explicit complex/float evaluation helpers.  The
-JSON form of a ``BiPoly`` keeps coefficients as decimal strings so precision
-survives in machine-readable output.
+touches floats except the explicit complex/float evaluation helpers.  Neither
+type has an output format of its own: ``hartogs.cli`` prints coefficients as
+decimal strings, so precision survives in machine-readable output.
 """
 
 from __future__ import annotations
@@ -98,12 +98,6 @@ class BiPoly:
         for (i, j), c in self._terms.items():
             total += float(c) * s**i * t**j
         return total
-
-    def to_json_dict(self) -> dict:
-        return {
-            "var": "s,t",
-            "terms": [[i, j, str(c)] for i, j, c in self.sorted_terms()],
-        }
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -52,14 +52,6 @@ class DiagonalPoly:
     def k(self) -> int:
         return self.pair.k
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.pair.m,
-            "n": self.pair.n,
-            "k": self.k,
-            "coeffs": [str(c) for c in self.poly.coeffs],
-        }
-
 
 def diagonal_poly(pair: CoprimePair) -> DiagonalPoly:
     """Restrict the kernel numerator to the diagonal t = s.

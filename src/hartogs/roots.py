@@ -41,17 +41,18 @@ squarefree results leave as monic ``UniPoly``s.
 iteration with a relative backward-error residual acceptance test.  Where
 |z|^deg would leave the double range it evaluates the reversed polynomial
 at 1/z instead (Bini 1996), and so does ``root_residual`` for |r| > 1;
-both are tested up to degree 398.  Its inside/on/outside classification
-(guard band 1e-9) is cross-checked against the exact census; disagreement
-raises a warning, never a silent fix, and a diagnostic that does not
-converge leaves the exact census standing.
+both are tested up to degree 398.  ``classify_float_roots`` sorts float
+roots into inside/on/outside with the guard band ``CIRCLE_GUARD``.  The
+census itself never runs a float step: the caller that prints float roots
+(``hartogs roots``) compares their classification with the exact census,
+warns on disagreement, never silently fixes it, and keeps the exact census
+when the diagnostic does not converge.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -82,6 +83,8 @@ __all__ = [
 
 CIRCLE_GUARD = 1e-9
 _ONE = Fraction(1)
+# sweep budget of numeric_roots before it raises ConvergenceFailure
+_MAX_SWEEPS = 500
 # numeric_roots evaluates rev p at 1/z where deg * ln|z| exceeds this, i.e.
 # |z|^deg > 1e260, which keeps Horner sums far inside the double range
 _FAR_LOG = 600.0
@@ -484,33 +487,25 @@ def _cayley_disk_count(f: list[int]) -> int:
 
 @dataclass(frozen=True)
 class RootCensus:
-    """Exact inside/on/outside counts, plus optional float diagnostics."""
+    """Exact inside/on/outside counts and the method that certified them."""
 
     inside: int
     on_circle: int
     outside: int
     method: str  # "palindromic_pairing" or "schur_cohn"
-    float_roots: tuple[complex, ...] | None = None
-    float_residuals: tuple[float, ...] | None = None
-    diagnostic_error: str | None = None  # why the float roots are missing
 
     @property
     def degree(self) -> int:
         return self.inside + self.on_circle + self.outside
 
 
-def interior_root_count(
-    p: UniPoly, with_floats: bool = False, tol: float = 1e-12
-) -> RootCensus:
+def interior_root_count(p: UniPoly) -> RootCensus:
     """Exact census of the roots of p relative to the unit circle.
 
     Requires p(0) != 0.  For palindromic p, s -> 1/s pairs the roots inside
     with those outside, multiplicities included, so after the exact circle
     count inside = outside = (deg - on)/2.  Every other p runs the exact
-    Schur-Cohn count.  With ``with_floats`` the Aberth-Ehrlich roots are
-    attached and their guard-band classification is compared against the
-    exact counts (mismatch warns, never silently resolves).  If Aberth does
-    not converge, the exact census is kept and ``diagnostic_error`` says why.
+    Schur-Cohn count.  No float step runs here.
     """
     if p.is_zero or p.degree < 0:
         raise ValidationError("census needs a nonzero polynomial")
@@ -531,23 +526,6 @@ def interior_root_count(
         census = RootCensus(inside, on, n - on - inside, "schur_cohn")
     if census.inside < 0 or census.outside < 0:
         raise InternalMismatch(f"census went negative: {census}")
-    if with_floats and n >= 1:
-        try:
-            roots = numeric_roots(p, tol=tol)
-        except ConvergenceFailure as exc:
-            return replace(census, diagnostic_error=str(exc))
-        resid = tuple(root_residual(p, r) for r in roots)
-        triple = classify_float_roots(roots)
-        if triple != (census.inside, census.on_circle, census.outside):
-            warnings.warn(
-                f"float classification {triple} disagrees with exact census "
-                f"({census.inside}, {census.on_circle}, {census.outside})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        census = replace(
-            census, float_roots=tuple(roots), float_residuals=resid
-        )
     return census
 
 
@@ -576,30 +554,27 @@ def root_residual(p: UniPoly, r: complex) -> float:
     return abs(value) / scale if scale else 0.0
 
 
-def classify_float_roots(
-    roots, guard: float = CIRCLE_GUARD
-) -> tuple[int, int, int]:
-    """(inside, on, outside) counts of float roots with a guard band."""
+def classify_float_roots(roots) -> tuple[int, int, int]:
+    """(inside, on, outside) counts of float roots, guard band CIRCLE_GUARD."""
     inside = on = outside = 0
     for r in roots:
         a = abs(r)
-        if a < 1.0 - guard:
+        if a < 1.0 - CIRCLE_GUARD:
             inside += 1
-        elif a <= 1.0 + guard:
+        elif a <= 1.0 + CIRCLE_GUARD:
             on += 1
         else:
             outside += 1
     return inside, on, outside
 
 
-def numeric_roots(
-    p: UniPoly, tol: float = 1e-12, max_iter: int = 500
-) -> list[complex]:
+def numeric_roots(p: UniPoly, tol: float = 1e-12) -> list[complex]:
     """All complex roots by Aberth-Ehrlich simultaneous iteration.
 
     Converged when every root satisfies the relative backward-error
     residual |p(r)| / sum |c_i||r|^i <= tol; raises ConvergenceFailure if
-    the budget runs out first.  Roots come back sorted by (real, imag).
+    its ``_MAX_SWEEPS`` sweeps run out first.  Roots come back sorted by
+    (real, imag).
 
     Horner's rule at an iterate with |z|^deg beyond 1e260 would come close
     to overflow, so there, as in Bini's Aberth code, the reversed
@@ -647,7 +622,7 @@ def numeric_roots(
             s = s * ay + abs(c)
         return r, s, n * y * r - y * y * dr
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         # far iterates (in practice one or none) go through R at y = 1/z,
         # one at a time; the vectorized pass sees 0 in their place
         far = np.flatnonzero(np.abs(z) > far_radius)
@@ -672,5 +647,5 @@ def numeric_roots(
         denom = np.where(denom == 0, 1e-300, denom)
         z = z - w / denom
     raise ConvergenceFailure(
-        f"Aberth-Ehrlich did not reach residual {tol} in {max_iter} sweeps"
+        f"Aberth-Ehrlich did not reach residual {tol} in {_MAX_SWEEPS} sweeps"
     )

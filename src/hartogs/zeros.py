@@ -17,6 +17,9 @@ circle and interior root counts of Q.  The conjecture under scan: Q never
 vanishes on |s| = 1, hence has exactly k = m - n roots inside the disk.
 A violation is a finding, not an error; it is flagged in the row and the
 scan keeps going.
+
+Witnesses and scan rows are plain records; ``hartogs.cli`` alone decides
+how they are printed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .arith import CoprimePair
 from .domain import interior_margin
@@ -41,8 +44,6 @@ __all__ = [
     "ScanRow",
     "scan",
     "coprime_pairs",
-    "rows_to_csv",
-    "CSV_HEADER",
 ]
 
 Point = tuple[complex, complex]
@@ -63,18 +64,6 @@ class ZeroWitness:
     kernel_value: complex
     residual: float
     margin: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.pair.m,
-            "n": self.pair.n,
-            "s0": [self.s0.real, self.s0.imag],
-            "z": [[c.real, c.imag] for c in self.z],
-            "w": [[c.real, c.imag] for c in self.w],
-            "kernel_value": [self.kernel_value.real, self.kernel_value.imag],
-            "residual": self.residual,
-            "margin": self.margin,
-        }
 
 
 def _horner_complex(top: list[float], x: complex) -> complex:
@@ -149,7 +138,7 @@ def witness_candidates(pair: CoprimePair) -> list[complex]:
     if census.inside == 0:
         raise NoInteriorRoot(f"Q for {pair} has no root inside the unit disk")
     sf = squarefree_part(q)
-    interior = [r for r in numeric_roots(sf, tol=1e-12) if abs(r) < 1.0 - CIRCLE_GUARD]
+    interior = [r for r in numeric_roots(sf) if abs(r) < 1.0 - CIRCLE_GUARD]
     if not interior:
         raise InternalMismatch(
             f"census reports interior roots for {pair} but the float finder found none"
@@ -169,7 +158,12 @@ def witness_candidates(pair: CoprimePair) -> list[complex]:
 
 
 def zero_witness(pair: CoprimePair, which: int = 0) -> ZeroWitness:
-    """Build the kernel-zero witness for the chosen interior root of Q."""
+    """Build the kernel-zero witness for the chosen interior root of Q.
+
+    A root index out of range, or a root whose witness would lie closer to
+    the boundary of H than the margin floor 1e-6, is refused with
+    ValidationError: either is a choice of input, not a defect.
+    """
     candidates = witness_candidates(pair)
     if not 0 <= which < len(candidates):
         raise ValidationError(
@@ -188,15 +182,17 @@ def zero_witness(pair: CoprimePair, which: int = 0) -> ZeroWitness:
             )
     margin = min(interior_margin(pair, z), interior_margin(pair, w))
     if margin < _MARGIN_FLOOR:
-        raise InternalMismatch(f"witness for {pair} is too close to the boundary")
+        raise ValidationError(
+            f"witness for {pair} at root index {which} has interior margin "
+            f"{margin:.3e}, below the floor {_MARGIN_FLOOR:g}; "
+            f"try another root index (--which)"
+        )
     kval = kernel_formula(pair).eval(z, w)
     return ZeroWitness(pair, s0, z, w, kval, abs(kval), margin)
 
 
 # ---------------------------------------------------------------------------
 # conjecture scan
-
-CSV_HEADER = "m,n,k,degree,circle_count,interior_count,conjecture_holds,elapsed_ms"
 
 
 @dataclass(frozen=True)
@@ -212,30 +208,6 @@ class ScanRow:
     conjecture_holds: bool
     elapsed_ms: float
     error: str | None = None
-
-    def csv_line(self, include_timing: bool = True) -> str:
-        fields = [
-            str(self.m),
-            str(self.n),
-            str(self.k),
-            str(self.degree),
-            str(self.circle_count),
-            str(self.interior_count),
-            "true" if self.conjecture_holds else "false",
-        ]
-        if include_timing:
-            fields.append(f"{self.elapsed_ms:.3f}")
-        return ",".join(fields)
-
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        out = asdict(self)
-        if include_timing:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
-        else:
-            del out["elapsed_ms"]
-        if self.error is None:
-            del out["error"]
-        return out
 
 
 def coprime_pairs(m_max: int, k: int | None = None) -> list[CoprimePair]:
@@ -291,9 +263,3 @@ def scan(
             rows = list(pool.map(_scan_pair, pairs, chunksize=8))
     return sorted(rows, key=lambda row: (row.m, row.n))
 
-
-def rows_to_csv(rows: list[ScanRow], include_timing: bool = True) -> str:
-    header = CSV_HEADER if include_timing else CSV_HEADER.rsplit(",", 1)[0]
-    lines = [header]
-    lines.extend(row.csv_line(include_timing) for row in rows)
-    return "\n".join(lines) + "\n"

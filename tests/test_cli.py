@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hartogs import ConvergenceFailure, roots
+from hartogs import BiPoly, ConvergenceFailure, CoprimePair, cli, numerator_effective
 from hartogs.cli import main
 
 
@@ -42,8 +42,14 @@ class TestKernelCommand:
         )
         assert rc == 0
         data = json.loads(out)
+        assert list(data) == ["m", "n", "numerator", "denominator"]
         assert data["m"] == 3 and data["n"] == 2
+        assert data["denominator"] == "3*pi^2*(1-t)^2*(t^2-s^3)^2"
+        assert data["numerator"]["var"] == "s,t"
         assert len(data["numerator"]["terms"]) == 9
+        # coefficients travel as decimal strings, so exact values survive
+        terms = {(i, j): int(c) for i, j, c in data["numerator"]["terms"]}
+        assert BiPoly(terms) == numerator_effective(CoprimePair(3, 2))
 
     def test_rejects_non_coprime(self, capsys):
         rc, out, err = run(capsys, ["kernel", "--m", "4", "--n", "2"])
@@ -89,7 +95,7 @@ class TestRootsCommand:
     def test_csv_skips_float_diagnostic(self, capsys, monkeypatch):
         # CSV prints only the exact census, so Aberth must not run
         calls = []
-        monkeypatch.setattr(roots, "numeric_roots", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "numeric_roots", lambda *a, **k: calls.append(a))
         rc, out, _ = run(
             capsys, ["roots", "--m", "79", "--n", "1", "--output-format", "csv"]
         )
@@ -126,7 +132,7 @@ class TestRootsCommand:
         def fail(p, tol=1e-12):
             raise ConvergenceFailure("Aberth-Ehrlich gave up")
 
-        monkeypatch.setattr(roots, "numeric_roots", fail)
+        monkeypatch.setattr(cli, "numeric_roots", fail)
 
     def test_failed_diagnostic_json(self, capsys, failing_aberth):
         rc, out, _ = run(
@@ -144,6 +150,25 @@ class TestRootsCommand:
         assert "census: inside=2 on_circle=0 outside=2" in out
         assert out.count("Aberth-Ehrlich gave up") == 1
         assert "residual=" not in out
+
+    def test_float_disagreement_warns_and_keeps_exact_census(self, capsys, monkeypatch):
+        # three float roots inside where the exact census proves two
+        fake = [complex(-0.5), complex(-0.5), complex(-0.5), complex(-2.0)]
+        monkeypatch.setattr(cli, "numeric_roots", lambda p, tol=1e-12: fake)
+        for fmt in ("text", "json"):
+            with pytest.warns(RuntimeWarning, match="disagrees") as record:
+                rc, out, _ = run(capsys, ["roots", "--m", "5", "--n", "3",
+                                          "--output-format", fmt])
+            assert rc == 0
+            assert str(record[0].message) == (
+                "float classification (3, 0, 1) disagrees with exact census (2, 0, 2)"
+            )
+            if fmt == "text":
+                assert "census: inside=2 on_circle=0 outside=2" in out
+            else:
+                data = json.loads(out)
+                assert (data["inside"], data["on_circle"], data["outside"]) == (2, 0, 2)
+                assert len(data["float_roots"]) == 4
 
 
 class TestWitnessCommand:
@@ -176,6 +201,14 @@ class TestWitnessCommand:
         rc, _, err = run(capsys, ["witness", "--m", "2", "--n", "1", "--which", "9"])
         assert rc == 2
         assert "out of range" in err
+
+    def test_root_too_near_the_boundary_is_invalid_input(self, capsys):
+        # a refused choice of root exits 2 like any other bad input; exit 3
+        # stays reserved for a failed internal cross-check
+        rc, out, err = run(capsys, ["witness", "--m", "27", "--n", "25", "--which", "1"])
+        assert rc == 2 and out == ""
+        assert err.startswith("invalid input: witness for (27, 25) at root index 1")
+        assert "below the floor 1e-06" in err and "--which" in err
 
 
 class TestEvalCommand:

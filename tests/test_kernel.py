@@ -100,11 +100,6 @@ class TestKernelFormula:
         assert f.verify()
         assert f.denominator_text == "2*pi^2*(1-t)^2*(t^1-s^2)^2"
 
-    def test_json_shape(self):
-        d = kernel_formula(CoprimePair(2, 1)).to_json_dict()
-        assert d["m"] == 2 and d["n"] == 1
-        assert "numerator" in d and "denominator" in d
-
     def test_eval_rejects_outside_points(self):
         pair = CoprimePair(2, 1)
         inside = interior_point(pair, 0.7, (0.0, 0.0))
@@ -155,6 +150,17 @@ class TestSeriesAgreement:
         tails = [series_tail_estimate(pair, z, z, cutoff) for cutoff in (50, 100, 200)]
         assert tails[0] > tails[1] > tails[2] >= 0
         assert tails[2] < 1e-12
+
+    def test_tail_estimate_checks_its_input(self):
+        # the same checks as series_kernel: a point outside H and a negative
+        # cutoff are refused, not estimated as a tiny or zero tail
+        pair = CoprimePair(3, 1)
+        outside = (0.9 + 0j, 0.5 + 0j)  # |z1|^3 = 0.729 > 0.5 = |z2|
+        with pytest.raises(OutsideDomain):
+            series_tail_estimate(pair, outside, outside, 100)
+        inside = interior_point(pair, 0.7, (0.0, 0.0))
+        with pytest.raises(ValidationError, match="cutoff"):
+            series_tail_estimate(pair, inside, inside, -1)
 
 
 class TestMonomialNorms:

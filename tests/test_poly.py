@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -56,13 +55,6 @@ class TestBiPolyBasics:
         # s^2 t + s t -> s^3 + s^2 as a univariate in s
         p = BiPoly({(2, 1): 1, (1, 1): 1})
         assert p.restrict_diagonal() == UniPoly([0, 0, 1, 1])
-
-    def test_json_round_trip(self):
-        # coefficients travel as decimal strings, so exact values survive
-        p = BiPoly({(2, 1): 3, (0, 0): Fraction(1, 2)})
-        data = json.loads(json.dumps(p.to_json_dict()))
-        assert data["var"] == "s,t"
-        assert BiPoly({(i, j): Fraction(c) for i, j, c in data["terms"]}) == p
 
 
 class TestUniPolyBasics:

@@ -87,10 +87,6 @@ class TestStructure:
             )
             assert diagonal_poly(pair).poly == direct
 
-    def test_json_shape(self):
-        d = diagonal_poly(CoprimePair(3, 2)).to_json_dict()
-        assert d == {"m": 3, "n": 2, "k": 1, "coeffs": ["4", "19", "4"]}
-
 
 class TestFamilies:
     def test_family_pair(self):

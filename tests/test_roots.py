@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hartogs import (
-    ConvergenceFailure,
     CoprimePair,
     NotPalindromic,
     UniPoly,
@@ -276,12 +275,6 @@ class TestInteriorRootCount:
             assert c.inside + c.on_circle + c.outside == p.degree
             assert c.degree == p.degree
 
-    def test_with_floats_diagnostics(self):
-        c = interior_root_count(UniPoly([1, 6, 13, 6, 1]), with_floats=True)
-        assert len(c.float_roots) == 4
-        assert all(res < 1e-10 for res in c.float_residuals)
-        assert classify_float_roots(c.float_roots) == (2, 0, 2)
-
     def test_non_palindromic_gcd_computed_once(self, monkeypatch):
         calls = []
         real_gcd = roots._gcd
@@ -294,16 +287,6 @@ class TestInteriorRootCount:
         census = interior_root_count(UniPoly([8, 1, -4, 3, 1, -9, -8]))
         assert (census.inside, census.on_circle, census.outside) == (3, 0, 3)
         assert len(calls) == 1
-
-    def test_failed_diagnostic_keeps_exact_census(self, monkeypatch):
-        def fail(p, tol=1e-12):
-            raise ConvergenceFailure("Aberth-Ehrlich gave up")
-
-        monkeypatch.setattr(roots, "numeric_roots", fail)
-        c = interior_root_count(UniPoly([1, 6, 13, 6, 1]), with_floats=True)
-        assert (c.inside, c.on_circle, c.outside) == (2, 0, 2)
-        assert c.float_roots is None and c.float_residuals is None
-        assert c.diagnostic_error == "Aberth-Ehrlich gave up"
 
     def test_matches_numpy_on_random_battery(self):
         rng = np.random.default_rng(20250825)

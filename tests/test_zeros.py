@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,14 +19,21 @@ from hartogs import (
     in_domain,
     interior_margin,
     interior_root_count,
-    rows_to_csv,
     scan,
     squarefree_part,
     witness_candidates,
     zero_witness,
 )
+from hartogs import cli
 from hartogs.cli import main
-from hartogs.zeros import CSV_HEADER, _mirror_partners
+from hartogs.zeros import _mirror_partners
+
+SCAN_HEADER = "m,n,k,degree,circle_count,interior_count,conjecture_holds"
+
+
+def cli_out(capsys, argv) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
 
 WITNESS_PAIRS = [(2, 1), (3, 2), (3, 1), (5, 3)]
 
@@ -151,9 +159,19 @@ class TestZeroWitness:
         with pytest.raises(ValidationError):
             zero_witness(CoprimePair(2, 1), which=5)
 
-    def test_json_shape(self):
-        d = zero_witness(CoprimePair(2, 1)).to_json_dict()
-        assert set(d) == {"m", "n", "s0", "z", "w", "kernel_value", "residual", "margin"}
+    def test_margin_below_floor_is_refused_as_input(self):
+        # the second real root of Q for (27, 25) lifts to points 5.5e-8 from
+        # the boundary: a choice of root to refuse, not a broken cross-check
+        refusal = "margin 5.502e-08, below the floor 1e-06"
+        with pytest.raises(ValidationError, match=refusal):
+            zero_witness(CoprimePair(27, 25), which=1)
+
+    def test_json_shape(self, capsys):
+        argv = ["witness", "--m", "2", "--n", "1", "--output-format", "json"]
+        d = json.loads(cli_out(capsys, argv))
+        assert list(d) == [
+            "m", "n", "s0", "z", "w", "kernel_value", "residual", "margin"
+        ]
         assert d["m"] == 2 and d["n"] == 1
         assert len(d["z"]) == 2 and len(d["z"][0]) == 2
 
@@ -201,34 +219,35 @@ class TestScan:
         ]
 
     def test_parallel_matches_serial(self):
-        serial = scan(10)
-        parallel = scan(10, workers=2)
-        assert rows_to_csv(serial, include_timing=False) == rows_to_csv(
-            parallel, include_timing=False
-        )
+        def untimed(rows):
+            return [dataclasses.replace(row, elapsed_ms=0.0) for row in rows]
 
-    def test_csv_shape(self):
-        rows = scan(6)
-        text = rows_to_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == len(rows) + 1
-        first = lines[1].split(",")
-        assert first[:7] == ["2", "1", "1", "2", "0", "1", "true"]
-        assert len(first) == 8
+        assert untimed(scan(10)) == untimed(scan(10, workers=2))
 
-    def test_csv_without_timing_is_deterministic(self):
-        rows1 = scan(7)
-        rows2 = scan(7)
-        a = rows_to_csv(rows1, include_timing=False)
-        b = rows_to_csv(rows2, include_timing=False)
-        assert a == b
-        assert a.splitlines()[0] == CSV_HEADER.rsplit(",", 1)[0]
+    def test_csv_shape(self, capsys):
+        out = cli_out(capsys, ["scan", "--m-max", "6", "--output-format", "csv"])
+        lines = out.strip().split("\n")
+        assert lines[0] == SCAN_HEADER + ",elapsed_ms"
+        assert len(lines) == len(scan(6)) + 1
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == 8
+            assert fields[7] == f"{float(fields[7]):.3f}"
+        assert lines[1].split(",")[:7] == ["2", "1", "1", "2", "0", "1", "true"]
 
-    def test_scan60_csv_is_pinned(self):
+    def test_csv_without_timing_is_deterministic(self, capsys):
+        argv = ["scan", "--m-max", "7", "--no-timing", "--output-format", "csv"]
+        a = cli_out(capsys, argv)
+        assert cli_out(capsys, argv) == a
+        lines = a.splitlines()
+        assert lines[0] == SCAN_HEADER
+        assert {len(line.split(",")) for line in lines} == {7}
+
+    def test_scan60_csv_is_pinned(self, capsys):
         # sha256 of this scan as computed with Fraction remainder sequences;
         # the integer census must reproduce it byte for byte
-        csv = rows_to_csv(scan(60), include_timing=False)
+        argv = ["scan", "--m-max", "60", "--no-timing", "--output-format", "csv"]
+        csv = cli_out(capsys, argv)
         assert hashlib.sha256(csv.encode()).hexdigest() == (
             "fc9ccbfa00b6c3030e2cef937e9279d48b89d5191ec19993df897066ff36973d"
         )
@@ -248,10 +267,21 @@ class TestScan:
             "conjecture_holds": True,
         }
 
-    def test_error_rows_serialize(self):
+    def test_error_rows_serialize(self, capsys, monkeypatch):
         row = ScanRow(
             m=9, n=2, k=7, degree=-1, circle_count=-1, interior_count=-1,
-            conjecture_holds=False, elapsed_ms=0.0, error="boom",
+            conjecture_holds=False, elapsed_ms=1.23456, error="boom",
         )
-        assert row.csv_line(include_timing=False) == "9,2,7,-1,-1,-1,false"
-        assert row.to_json_dict()["error"] == "boom"
+        monkeypatch.setattr(cli, "scan", lambda m_max, k=None, workers=None: [row])
+        argv = ["scan", "--m-max", "9", "--no-timing", "--output-format"]
+        csv = cli_out(capsys, argv + ["csv"])
+        assert csv.splitlines() == [SCAN_HEADER, "9,2,7,-1,-1,-1,false"]
+        (record,) = json.loads(cli_out(capsys, argv + ["json"]))
+        assert list(record)[-1] == "error" and record["error"] == "boom"
+        assert record["conjecture_holds"] is False and record["circle_count"] == -1
+        (timed,) = json.loads(cli_out(capsys, argv[:3] + ["--output-format", "json"]))
+        assert list(timed)[-2:] == ["elapsed_ms", "error"]
+        assert timed["elapsed_ms"] == 1.235
+        text = cli_out(capsys, ["scan", "--m-max", "9"])
+        assert "(9,2): circle=-1 interior=-1 error=boom" in text
+        assert text.splitlines()[-1] == "9,2,7,-1,-1,-1,false,1.235"
