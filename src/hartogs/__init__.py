@@ -31,7 +31,6 @@ from .errors import (
     OutsideDomain,
     UnsupportedFamily,
     ValidationError,
-    ZeroConstantTerm,
 )
 from .kernel import (
     KernelFormula,

@@ -304,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, func, summary, pair_args=True):
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, description=summary)
         p.set_defaults(func=func)
         if pair_args:
             p.add_argument("--m", type=int, required=True, help="numerator exponent m")
@@ -330,7 +330,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_roots.add_argument("--tol", type=float, default=1e-12,
                          help="residual target for the float diagnostic roots")
 
-    p_scan = add_command("scan", cmd_scan, "conjecture scan over coprime pairs",
+    p_scan = add_command("scan", cmd_scan,
+                         "conjecture scan over coprime pairs; interior_count is "
+                         "(degree - circle_count)/2 by the reciprocal pairing",
                          pair_args=False)
     p_scan.add_argument("--m-max", type=int, required=True)
     p_scan.add_argument("--k", type=int, default=None, help="only pairs with m - n = k")

@@ -21,10 +21,6 @@ class NotPalindromic(ValidationError):
     """Operation requires a palindromic coefficient sequence."""
 
 
-class ZeroConstantTerm(ValidationError):
-    """Root census requires a nonzero constant term (no roots at 0)."""
-
-
 class OutsideDomain(ValidationError):
     """Evaluation point lies outside the (open) Hartogs triangle."""
 

@@ -23,19 +23,11 @@ squarefree results leave as monic ``UniPoly``s.
   and count the distinct roots of its image in (-1, 1) with one Sturm
   chain.  Only a nonzero count runs Yun's squarefree decomposition, to
   weight each factor's count by its multiplicity.
-* ``interior_root_count`` produces the full inside/on/outside census.  For
-  palindromic p the pairing s <-> 1/s forces inside = outside, so the
-  circle count alone gives inside = outside = (deg - on)/2.  Otherwise an
-  exact Schur-Cohn/Lehmer count runs on the integer lists.  Degenerate
-  steps are resolved without perturbation, by deflating exact circle roots
-  first: the self-inversive factor d = gcd(f, rev f) carries every circle
-  root and every reciprocal pair, d is counted by Cohn's derivative rule (a
-  self-inversive d has as many roots inside as outside, and that number
-  equals the number of roots of d' strictly outside the closed disk), and
-  the cofactor f/d recurses classically.  The one remaining degenerate
-  shape (|a0| = |lead|, gcd(f, rev f) = 1, hence provably no circle roots)
-  is finished by an exact Cayley transform to the half-plane and a
-  Cauchy-index count via Sturm chains.
+* ``interior_root_count`` produces the full inside/on/outside census of a
+  palindromic p, which is the only input it takes (every Q is
+  palindromic); anything else raises ``NotPalindromic``.  The pairing
+  s <-> 1/s forces inside = outside, so the circle count alone gives
+  inside = outside = (deg - on)/2.
 
 ``numeric_roots`` is the float diagnostic: an Aberth-Ehrlich simultaneous
 iteration with a relative backward-error residual acceptance test.  Where
@@ -64,7 +56,6 @@ from .errors import (
     NotDivisible,
     NotPalindromic,
     ValidationError,
-    ZeroConstantTerm,
 )
 from .poly import UniPoly
 
@@ -274,16 +265,6 @@ def _variations_at(chain: list[list[int]], x: Fraction) -> int:
     return _variations([(v > 0) - (v < 0) for v in values])
 
 
-def _variations_at_inf(chain: list[list[int]], direction: int) -> int:
-    signs = []
-    for q in chain:
-        s = 1 if q[-1] > 0 else -1
-        if direction < 0 and len(q) % 2 == 0:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
 def _open_interval_count(p: list[int], a: Fraction, b: Fraction) -> int:
     """Distinct roots of integer p in the open interval (a, b).
 
@@ -379,109 +360,6 @@ def _circle_count_selfinversive(h: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact open-disk counting (Schur-Cohn with exact degenerate handling)
-
-
-def _disk_count(f: list[int], d: list[int] | None = None) -> int:
-    """Roots of integer f in |z| < 1 with multiplicity; requires f(0) != 0.
-
-    Classical Schur-Cohn step: with t = a0*f - lead*rev(f) and
-    delta = t(0) = a0^2 - lead^2, Rouche on |z| = 1 gives
-    inside(f) = inside(t) when delta > 0 and inside(f) = deg - inside(t)
-    when delta < 0, valid because f is circle-root-free at that point.
-    Circle roots and reciprocal pairs are split off first through
-    d = gcd(f, rev f), handled by Cohn's derivative rule; a caller that has
-    already computed that gcd passes it as ``d``.
-    """
-    n = len(f) - 1
-    if n <= 0:
-        return 0
-    rf = f[::-1]
-    if d is None:
-        d = _gcd(f, rf)
-    if len(d) > 1:
-        return _selfinversive_inside(d) + _disk_count(_divexact(f, d))
-    a0, lead = f[0], f[-1]
-    t = _primitive([a0 * x - lead * y for x, y in zip(f, rf)])
-    if not t:
-        raise InternalMismatch("self-inversive input survived the gcd split")
-    delta = t[0]
-    if delta > 0:
-        return _disk_count(t)
-    if delta < 0:
-        return n - _disk_count(t)
-    return _cayley_disk_count(f)
-
-
-def _selfinversive_inside(d: list[int]) -> int:
-    """Inside count of a self-inversive d via Cohn's derivative rule.
-
-    d has equally many roots inside and outside, and that number equals the
-    number of roots of d' strictly outside the closed unit disk, which is
-    the inside count of the reversed derivative.
-    """
-    rdp = _primitive(_derivative(d)[::-1])  # also drops any factor s^v of d'
-    if len(rdp) < 2:
-        return 0
-    return _disk_count(rdp)
-
-
-def _cauchy_index(den: list[int], num: list[int]) -> int:
-    """Cauchy index of num/den over (-inf, +inf) by a generalized Sturm chain.
-
-    The polynomial part of num/den contributes no jumps, so num is first
-    replaced by a positive multiple of num mod den.
-    """
-    if len(num) >= len(den):
-        num = [-c for c in _neg_prem(num, den)]
-        if not num:
-            return 0
-    chain = _sturm_chain(den, num)
-    return _variations_at_inf(chain, -1) - _variations_at_inf(chain, +1)
-
-
-def _cayley_disk_count(f: list[int]) -> int:
-    """Inside count for the degenerate Schur-Cohn shape, no circle roots.
-
-    Maps the disk to the right half-plane by z = (w-1)/(w+1), so
-    F(w) = (w+1)^deg * f((w-1)/(w+1)) has its right-half-plane count r
-    equal to the disk count of f.  Writing F(iy) = A(y) + i B(y), the
-    argument of F(iy) advances by pi per left-half-plane root and -pi per
-    right-half-plane root as y runs over the reals, so the total is
-    pi * (n - 2r).  That advance is a Cauchy index, but which one depends
-    on whether the y^n term lands in A or in B: for even n the real part A
-    dominates at both ends and the advance is -pi * I(B/A), while for odd
-    n the imaginary part dominates and the advance is +pi * I(A/B).
-    """
-    n = len(f) - 1
-    # homogeneous Horner for F = sum_k a_k x^k y^(n-k), x = w - 1, y = w + 1:
-    # multiply by x, then add a_k y^(n-k), carrying the power of y along
-    F, y_pow = [f[-1]], [1]
-    for a in reversed(f[:-1]):
-        F = [prev - cur for cur, prev in zip(F + [0], [0] + F)]
-        y_pow = [prev + cur for cur, prev in zip(y_pow + [0], [0] + y_pow)]
-        F = [x + a * y for x, y in zip(F, y_pow)]
-    if F[-1] == 0:
-        raise InternalMismatch("Cayley transform dropped degree; f(1) = 0?")
-    # i^k sorts the coefficient of w^k into A (k even) or B (k odd)
-    sign = (1, 1, -1, -1)
-    A = _primitive([sign[k % 4] * c if k % 2 == 0 else 0 for k, c in enumerate(F)])
-    B = _primitive([sign[k % 4] * c if k % 2 else 0 for k, c in enumerate(F)])
-    if not A or not B:
-        # F(iy) confined to one axis: roots split evenly across half-planes
-        if n % 2:
-            raise InternalMismatch("axis-symmetric transform with odd degree")
-        return n // 2
-    if n % 2 == 0:
-        doubled = n + _cauchy_index(A, B)
-    else:
-        doubled = n - _cauchy_index(B, A)
-    if doubled % 2:
-        raise InternalMismatch("Cauchy index parity mismatch")
-    return doubled // 2
-
-
-# ---------------------------------------------------------------------------
 # census
 
 
@@ -492,7 +370,7 @@ class RootCensus:
     inside: int
     on_circle: int
     outside: int
-    method: str  # "palindromic_pairing" or "schur_cohn"
+    method: str  # always "palindromic_pairing": the census's one method
 
     @property
     def degree(self) -> int:
@@ -500,30 +378,21 @@ class RootCensus:
 
 
 def interior_root_count(p: UniPoly) -> RootCensus:
-    """Exact census of the roots of p relative to the unit circle.
+    """Exact census of the roots of a palindromic p relative to the unit circle.
 
-    Requires p(0) != 0.  For palindromic p, s -> 1/s pairs the roots inside
-    with those outside, multiplicities included, so after the exact circle
-    count inside = outside = (deg - on)/2.  Every other p runs the exact
-    Schur-Cohn count.  No float step runs here.
+    s -> 1/s pairs the roots inside with those outside, multiplicities
+    included, so after the exact circle count inside = outside =
+    (deg - on)/2.  Any other p (the zero polynomial included) raises
+    NotPalindromic.  No float step runs here.
     """
-    if p.is_zero or p.degree < 0:
-        raise ValidationError("census needs a nonzero polynomial")
-    if p[0] == 0:
-        raise ZeroConstantTerm("census requires a nonzero constant term")
+    if not p.is_palindromic():
+        raise NotPalindromic("census needs a nonzero palindromic polynomial")
     n = p.degree
-    ints = _primitive(p.coeffs)
-    if p.is_palindromic():
-        on = _circle_count_selfinversive(ints)
-        if (n - on) % 2:
-            raise InternalMismatch(f"{n - on} roots off the circle cannot pair up")
-        half = (n - on) // 2
-        census = RootCensus(half, on, half, "palindromic_pairing")
-    else:
-        d = _gcd(ints, ints[::-1])
-        on = _circle_count_selfinversive(d) if len(d) > 1 else 0
-        inside = _disk_count(ints, d)
-        census = RootCensus(inside, on, n - on - inside, "schur_cohn")
+    on = _circle_count_selfinversive(_primitive(p.coeffs))
+    if (n - on) % 2:
+        raise InternalMismatch(f"{n - on} roots off the circle cannot pair up")
+    half = (n - on) // 2
+    census = RootCensus(half, on, half, "palindromic_pairing")
     if census.inside < 0 or census.outside < 0:
         raise InternalMismatch(f"census went negative: {census}")
     return census

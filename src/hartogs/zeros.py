@@ -13,7 +13,8 @@ refinement.  Which interior root is used is a free choice; candidates are
 ordered deterministically and selected by index.
 
 The scanner walks every coprime pair with m <= m_max and records the exact
-circle and interior root counts of Q.  The conjecture under scan: Q never
+circle root count of Q and the interior count (degree - circle)/2 that the
+reciprocal pairing derives from it.  The conjecture under scan: Q never
 vanishes on |s| = 1, hence has exactly k = m - n roots inside the disk.
 A violation is a finding, not an error; it is flagged in the row and the
 scan keeps going.

@@ -90,7 +90,7 @@ class TestRootsCommand:
         assert rc == 0
         lines = out.strip().split("\n")
         assert lines[0] == "inside,on_circle,outside,method"
-        assert lines[1].startswith("2,0,2,")
+        assert lines[1] == "2,0,2,palindromic_pairing"
 
     def test_csv_skips_float_diagnostic(self, capsys, monkeypatch):
         # CSV prints only the exact census, so Aberth must not run

@@ -1,4 +1,4 @@
-"""Exact root localization: Sturm chains, Chebyshev reduction, disk counts."""
+"""Exact root localization: Sturm chains, Chebyshev reduction, the census."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from hartogs import (
     CoprimePair,
     NotPalindromic,
     UniPoly,
-    ZeroConstantTerm,
     chebyshev_reduce,
     classify_float_roots,
     family_closed_form,
@@ -26,9 +25,7 @@ from hartogs import (
     squarefree_part,
     sturm_count,
 )
-from hartogs import roots
 from hartogs.qpoly import diagonal_poly
-from hartogs.roots import _disk_count
 
 
 def poly_from_roots(*roots_and_mults: tuple[int, int]) -> UniPoly:
@@ -37,6 +34,12 @@ def poly_from_roots(*roots_and_mults: tuple[int, int]) -> UniPoly:
         for _ in range(mult):
             out = out * UniPoly([-root, 1])
     return out
+
+
+def mirrored(half) -> UniPoly:
+    """The palindromic polynomial of degree 2 len(half) mirrored from half."""
+    lead = list(half) + [1]
+    return UniPoly(lead[::-1] + lead[1:])
 
 
 def numpy_census(p: UniPoly, guard: float = 1e-9) -> tuple[int, int, int]:
@@ -179,11 +182,9 @@ class TestChebyshevReduce:
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5))
     def test_reduction_identity_on_circle(self, half):
-        # build a palindromic polynomial p of degree 2k, then check
+        # for a palindromic p of degree 2k, check
         # p(e^{i theta}) e^{-ik theta} = g(cos theta) on sample angles
-        lead = half + [1]
-        coeffs = lead[::-1] + lead[1:]
-        p = UniPoly(coeffs[::-1])
+        p = mirrored(half)
         assert p.is_palindromic() and p.degree % 2 == 0
         g = chebyshev_reduce(p)
         k = p.degree // 2
@@ -230,17 +231,9 @@ class TestInteriorRootCount:
         ([5, 30, 55, 30, 5], (2, 0, 2)),  # double roots
         ([1, 6, 10, 6, 1], (1, 2, 1)),  # (s+1)^2 (s^2+4s+1)
         ([2, 3, 2], (0, 2, 0)),
-        ([-1, 3, 1], (1, 0, 1)),  # constant-vs-lead cancellation, delta = 0
-        ([3, -4, 1], (0, 1, 1)),  # root exactly at s = 1
-        ([1, -4, 3], (1, 1, 0)),
         ([1, 1, 1, 1], (0, 3, 0)),
         ([1, 0, 0, 0, 0, 1], (0, 5, 0)),
         ([1, 8, 18, 8, 1], (2, 0, 2)),
-        ([-2, 1], (0, 0, 1)),
-        ([1, -2], (1, 0, 0)),
-        ([1, 1, -1, 1], (1, 0, 2)),
-        ([-1, 0, 1], (0, 2, 0)),  # anti-palindromic (s-1)(s+1)
-        ([8, 1, -4, 3, 1, -9, -8], (3, 0, 3)),  # degenerate Cayley branch
         ([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1], (1, 8, 1)),  # Lehmer
     ]
 
@@ -248,7 +241,25 @@ class TestInteriorRootCount:
     def test_frozen_censuses(self, coeffs, expected):
         census = interior_root_count(UniPoly(coeffs))
         assert (census.inside, census.on_circle, census.outside) == expected
-        assert census.method in {"palindromic_pairing", "schur_cohn"}
+        assert census.method == "palindromic_pairing"
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [-1, 3, 1],
+            [3, -4, 1],  # root exactly at s = 1
+            [1, -4, 3],
+            [-2, 1],
+            [1, -2],
+            [1, 1, -1, 1],
+            [-1, 0, 1],  # anti-palindromic (s-1)(s+1)
+            [8, 1, -4, 3, 1, -9, -8],
+            [0, 1, 1],  # zero constant term
+        ],
+    )
+    def test_rejects_non_palindromic(self, coeffs):
+        with pytest.raises(NotPalindromic):
+            interior_root_count(UniPoly(coeffs))
 
     @pytest.mark.parametrize(
         "coeffs,expected",
@@ -262,11 +273,17 @@ class TestInteriorRootCount:
         census = interior_root_count(UniPoly(coeffs))
         assert (census.inside, census.on_circle, census.outside) == expected
         assert census.method == "palindromic_pairing"
-        assert census.inside == _disk_count(coeffs)  # Schur-Cohn as the oracle
-
-    def test_rejects_zero_constant_term(self):
-        with pytest.raises(ZeroConstantTerm):
-            interior_root_count(UniPoly([0, 1, 1]))
+        # sympy as the oracle: the roots of each irreducible factor are
+        # simple, so 50-digit nroots places each one, counted with multiplicity
+        sympy = pytest.importorskip("sympy")
+        s = sympy.Symbol("s")
+        counts = [0, 0, 0]
+        _, factors = sympy.Poly(coeffs[::-1], s).factor_list()
+        for factor, mult in factors:
+            for r in factor.nroots(n=50):
+                gap = abs(r) - 1
+                counts[0 if gap < -1e-30 else 2 if gap > 1e-30 else 1] += mult
+        assert tuple(counts) == expected
 
     def test_counts_sum_to_degree(self):
         for coeffs, _ in self.CASES:
@@ -275,57 +292,45 @@ class TestInteriorRootCount:
             assert c.inside + c.on_circle + c.outside == p.degree
             assert c.degree == p.degree
 
-    def test_non_palindromic_gcd_computed_once(self, monkeypatch):
-        calls = []
-        real_gcd = roots._gcd
-
-        def counting_gcd(a, b):
-            calls.append((a, b))
-            return real_gcd(a, b)
-
-        monkeypatch.setattr(roots, "_gcd", counting_gcd)
-        census = interior_root_count(UniPoly([8, 1, -4, 3, 1, -9, -8]))
-        assert (census.inside, census.on_circle, census.outside) == (3, 0, 3)
-        assert len(calls) == 1
-
     def test_matches_numpy_on_random_battery(self):
         rng = np.random.default_rng(20250825)
-        # the second shape ties |a0| = |lead|, which mostly ends in the
-        # Cayley-transform branch of the Schur-Cohn recursion
-        for tied_ends in (False, True):
-            checked = 0
+
+        def draw() -> UniPoly:
+            size = int(rng.integers(1, 4))
+            return mirrored(int(c) for c in rng.integers(-9, 10, size=size))
+
+        # the second shape is f^2 g, so that Yun weights f's circle roots;
+        # numpy censuses f and g apart, since it smears a double root
+        for squared in (False, True):
+            checked = with_circle_roots = 0
             while checked < 120:
-                degree = int(rng.integers(1, 8))
-                coeffs = [int(c) for c in rng.integers(-9, 10, size=degree + 1)]
-                if tied_ends:
-                    coeffs[-1] = int(rng.choice([-1, 1])) * coeffs[0]
-                if coeffs[0] == 0 or coeffs[-1] == 0:
+                f, g = draw(), draw()
+                factors = (f, g) if squared else (f,)
+                mods = np.concatenate(
+                    [np.abs(np.roots([float(c) for c in h.coeffs])) for h in factors]
+                )
+                # numpy verdict too close to the circle to trust: a near miss,
+                # or a multiple root (s^2+1)^3 smeared by eps^(1/3) ~ 6e-6
+                near = np.abs(mods - 1)
+                if np.any((near > 1e-9) & (near < 1e-3)):
                     continue
-                p = UniPoly(coeffs)
-                expected = numpy_census(p)
-                mods = np.abs(np.roots([float(c) for c in reversed(coeffs)]))
-                if expected[1] == 0 and np.any(np.abs(mods - 1) < 1e-6):
-                    continue  # numpy verdict too close to the circle to trust
+                if squared:
+                    p = f * f * g
+                    expected = tuple(
+                        2 * a + b for a, b in zip(numpy_census(f), numpy_census(g))
+                    )
+                else:
+                    p, expected = f, numpy_census(f)
                 census = interior_root_count(p)
                 assert (census.inside, census.on_circle, census.outside) == expected
                 checked += 1
+                with_circle_roots += census.on_circle > 0
+            assert with_circle_roots >= 40
 
-    @given(st.lists(st.integers(-9, 9), min_size=2, max_size=7))
-    @settings(max_examples=60)
-    def test_reversal_swaps_inside_outside(self, coeffs):
-        p = UniPoly(coeffs)
-        if p.degree < 1 or p[0] == 0:
-            return
-        c = interior_root_count(p)
-        r = interior_root_count(UniPoly(p.coeffs[::-1]))
-        assert (r.inside, r.on_circle, r.outside) == (c.outside, c.on_circle, c.inside)
-
-    @given(st.lists(st.integers(-9, 9), min_size=2, max_size=7), st.integers(1, 5))
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=4), st.integers(1, 5))
     @settings(max_examples=40)
-    def test_scaling_invariance(self, coeffs, factor):
-        p = UniPoly(coeffs)
-        if p.degree < 1 or p[0] == 0:
-            return
+    def test_scaling_invariance(self, half, factor):
+        p = mirrored(half)
         c = interior_root_count(p)
         d = interior_root_count(UniPoly([factor * c for c in p.coeffs]))
         assert (c.inside, c.on_circle, c.outside) == (d.inside, d.on_circle, d.outside)
@@ -334,10 +339,7 @@ class TestInteriorRootCount:
     @settings(max_examples=60)
     def test_palindromic_balance(self, half):
         # palindromic polynomials pair roots r <-> 1/r, so inside == outside
-        lead = half + [1]
-        coeffs = lead[::-1] + lead[1:]
-        p = UniPoly(coeffs[::-1])
-        c = interior_root_count(p)
+        c = interior_root_count(mirrored(half))
         assert c.inside == c.outside
 
 
