@@ -59,7 +59,7 @@ from .roots import (
     interior_root_count,
     numeric_roots,
     poly_gcd,
-    root_residual,
+    root_residuals,
     squarefree_decomposition,
     squarefree_part,
     sturm_count,

@@ -39,7 +39,7 @@ from .roots import (
     classify_float_roots,
     interior_root_count,
     numeric_roots,
-    root_residual,
+    root_residuals,
 )
 from .zeros import scan, zero_witness
 
@@ -143,7 +143,7 @@ def cmd_roots(args) -> dict | list[str]:
     except ConvergenceFailure as exc:
         error = str(exc)
     else:
-        residuals = [root_residual(q, r) for r in float_roots]
+        residuals = root_residuals(q, float_roots)
         triple = classify_float_roots(float_roots)
         exact = (census.inside, census.on_circle, census.outside)
         if triple != exact:

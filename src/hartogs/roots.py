@@ -30,10 +30,12 @@ squarefree results leave as monic ``UniPoly``s.
   inside = outside = (deg - on)/2.
 
 ``numeric_roots`` is the float diagnostic: an Aberth-Ehrlich simultaneous
-iteration with a relative backward-error residual acceptance test.  Where
-|z|^deg would leave the double range it evaluates the reversed polynomial
-at 1/z instead (Bini 1996), and so does ``root_residual`` for |r| > 1;
-both are tested up to degree 398.  ``classify_float_roots`` sorts float
+iteration with a relative backward-error residual acceptance test, which
+evaluates p, p' and the residual scale of all iterates from one power
+table per sweep.  Where |z|^deg would leave the double range it evaluates
+the reversed polynomial at 1/z instead (Bini 1996), and so does
+``root_residuals`` for |r| > 1, in its own Horner pass vectorized over
+all the roots.  ``classify_float_roots`` sorts float
 roots into inside/on/outside with the guard band ``CIRCLE_GUARD``.  The
 census itself never runs a float step: the caller that prints float roots
 (``hartogs roots``) compares their classification with the exact census,
@@ -68,7 +70,7 @@ __all__ = [
     "poly_gcd",
     "squarefree_part",
     "squarefree_decomposition",
-    "root_residual",
+    "root_residuals",
     "classify_float_roots",
 ]
 
@@ -121,23 +123,46 @@ def _neg_prem(a: list[int], b: list[int]) -> list[int]:
     leading term of r while multiplying it by a positive number, so the
     result is a positive multiple of the negated Euclidean remainder, and
     Sturm signs survive.  b must be nonzero; [] means b divides a.
+
+    When deg a = deg b + 1 = n + 1, as at every step of a normal chain,
+    the two steps fuse into one pass, r_i = lc(b)^2 a_i - q1 b_(i-1) -
+    q0 b_i with q1 = lc(b) a_(n+1) and q0 = lc(b) a_n - a_(n+1) b_(n-1),
+    a positive multiple of the two-step result.  In a primitive remainder
+    sequence lc(a)^2 carries almost all of the content of r (subresultant
+    theory), so d = gcd(lc(a)^2, r_0, r_last) is divided out first when it
+    divides every coefficient, and the full gcd runs on what is left.
     """
-    mul = abs(b[-1])
-    sgn = 1 if b[-1] > 0 else -1
-    low = b[:-1]
-    db = len(low)
-    r = list(a)
-    while len(r) > db:
-        c = sgn * r.pop()  # the cancelled leading term
-        shift = len(r) - db
-        head = r[:shift] if mul == 1 else [mul * x for x in r[:shift]]
-        r = head + [mul * x - c * y for x, y in zip(r[shift:], low)]
-        while r and r[-1] == 0:
-            r.pop()
+    db = len(b) - 1
+    if db == 0:
+        return []  # a nonzero constant divides a
+    if len(a) == db + 2:
+        lb, la = b[-1], a[-1]
+        l2, q1, q0 = lb * lb, lb * la, lb * a[-2] - la * b[-2]
+        r = [l2 * x - q1 * y - q0 * z for x, y, z in zip(a[:db], [0] + b, b)]
+    else:
+        mul = abs(b[-1])
+        sgn = 1 if b[-1] > 0 else -1
+        low = b[:-1]
+        r = list(a)
+        while len(r) > db:
+            c = sgn * r.pop()  # the cancelled leading term
+            shift = len(r) - db
+            head = r[:shift] if mul == 1 else [mul * x for x in r[:shift]]
+            r = head + [mul * x - c * y for x, y in zip(r[shift:], low)]
+            while r and r[-1] == 0:
+                r.pop()
+    while r and r[-1] == 0:
+        r.pop()
     if not r:
         return r
+    d = math.gcd(a[-1] * a[-1], r[0], r[-1])
+    if d > 1:
+        reduced = [x // d for x in r]
+        # floor remainders lie in [0, d): they sum to 0 only if all are 0
+        if d * sum(reduced) == sum(r):
+            r = reduced
     content = math.gcd(*r)
-    return [-x // content for x in r]
+    return [-x // content for x in r] if content > 1 else [-x for x in r]
 
 
 def _divexact(a: list[int], b: list[int]) -> list[int]:
@@ -172,6 +197,8 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
 def _hom_eval(p: list[int], x: Fraction) -> int:
     """den^deg * p(num/den) for x = num/den, den > 0: same sign, exact int."""
     num, den = x.numerator, x.denominator
+    if den == 1 and num in (1, -1):  # the census endpoints: one big-int sum
+        return sum(p) if num == 1 else sum(p[::2]) - sum(p[1::2])
     acc, dpow = 0, 1
     for c in reversed(p):
         acc = acc * num + c * dpow
@@ -402,25 +429,29 @@ def interior_root_count(p: UniPoly) -> RootCensus:
 # float diagnostics
 
 
-def root_residual(p: UniPoly, r: complex) -> float:
-    """Relative backward-error residual |p(r)| / sum_i |c_i| |r|^i.
+def root_residuals(p: UniPoly, roots) -> list[float]:
+    """Relative backward-error residuals |p(r)| / sum_i |c_i| |r|^i.
 
-    For |r| > 1 both sums are taken for rev p at 1/r instead, which divides
-    each by |r|^deg, so neither overflows at large degree.
+    One Horner pass runs vectorized over all the roots.  For |r| > 1 both
+    sums are taken for rev p at 1/r instead, which divides each by |r|^deg,
+    so neither overflows at large degree.
     """
-    coeffs, r = p.coeffs, complex(r)
-    if abs(r) > 1.0:
-        coeffs, r = coeffs[::-1], 1.0 / r
-    value = 0j
-    for c in reversed(coeffs):
-        value = value * r + float(c)
-    scale = 0.0
-    mag = 1.0
-    ar = abs(r)
-    for c in coeffs:
-        scale += abs(float(c)) * mag
-        mag *= ar
-    return abs(value) / scale if scale else 0.0
+    coeffs = np.array([float(c) for c in p.coeffs])
+    r = np.array(roots, dtype=complex)
+    far = np.abs(r) > 1.0
+    y = np.divide(1.0, r, out=r.copy(), where=far)
+    ay = np.abs(y)
+    # column i holds the coefficients, top degree first, of p or of rev p
+    top = np.where(far, coeffs[:, None], coeffs[::-1, None])
+    value = np.zeros_like(y)
+    scale = np.zeros_like(ay)
+    for c in top:
+        value *= y
+        value += c
+        scale *= ay
+        scale += np.abs(c)
+    value = np.abs(value)
+    return np.divide(value, scale, out=np.zeros_like(scale), where=scale > 0).tolist()
 
 
 def classify_float_roots(roots) -> tuple[int, int, int]:
@@ -445,15 +476,20 @@ def numeric_roots(p: UniPoly, tol: float = 1e-12) -> list[complex]:
     its ``_MAX_SWEEPS`` sweeps run out first.  Roots come back sorted by
     (real, imag).
 
-    Horner's rule at an iterate with |z|^deg beyond 1e260 would come close
+    Each sweep fills one n x (n + 1) table with the powers x_i^j of the
+    iterates (``np.cumprod``), so p, p' and the scale sum |c_j||x_i|^j are
+    matrix-vector products; the table then takes |x_i|^j in place, and its
+    first n columns the pairwise 1/(z_i - z_j), so a sweep allocates no
+    n x n array of its own.  A power |z|^j beyond 1e260 would come close
     to overflow, so there, as in Bini's Aberth code, the reversed
     polynomial R = rev p is evaluated at y = 1/z instead, one such iterate
-    at a time, while p runs vectorized over the rest: p/p' = R /
-    (deg*y*R - y^2*R'), and the residual ratio is the same for R at y as
-    for p at z.
-    Tested to converge, with the float census equal to the exact one, on
-    Q for every (m, 1) and (m, m - 2) with m <= 200 (degree up to 398) and
-    every pair with 50 <= m - n <= 100, n <= 12.
+    at a time by a scalar Horner pass, while the table holds powers of 0 in
+    its row: p/p' = R / (deg*y*R - y^2*R'), and the residual ratio is the
+    same for R at y as for p at z.
+    The tests check convergence, and the float census against the exact
+    one, on Q for (78, 5), (79, 1), (99, 4), (101, 1), (120, 1), (160, 1),
+    (200, 1) (degree up to 398), (150, 1), (199, 197), and every 15th of
+    the 376 pairs with 50 <= m - n <= 100, n <= 12.
     """
     if p.degree < 1:
         raise ValidationError("need degree >= 1 to compute roots")
@@ -474,13 +510,6 @@ def numeric_roots(p: UniPoly, tol: float = 1e-12) -> list[complex]:
     angles = 2.0 * math.pi * np.arange(n) / n + 0.4
     z = radius * np.exp(1j * angles)
 
-    def horner(cs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        acc = np.full_like(x, cs[-1])
-        for c in cs[-2::-1]:
-            acc *= x
-            acc += c
-        return acc
-
     def reversed_terms(y: complex) -> tuple[complex, float, complex]:
         # p(z), its scale and p'(z) at z = 1/y, each divided by z^n, from R
         r = dr = 0j
@@ -491,15 +520,20 @@ def numeric_roots(p: UniPoly, tol: float = 1e-12) -> list[complex]:
             s = s * ay + abs(c)
         return r, s, n * y * r - y * y * dr
 
+    table = np.empty((n, n + 1), dtype=complex)  # the one work buffer
+    pairwise = table[:, :n]
     for _ in range(_MAX_SWEEPS):
         # far iterates (in practice one or none) go through R at y = 1/z,
-        # one at a time; the vectorized pass sees 0 in their place
+        # one at a time; the power table sees 0 in their place
         far = np.flatnonzero(np.abs(z) > far_radius)
-        x = z.copy()
-        x[far] = 0.0
-        pv = horner(coeffs, x)
-        scale = horner(abs_coeffs, np.abs(x))
-        dv = horner(dcoeffs, x)
+        table[:, 0] = 1.0
+        table[:, 1:] = z[:, None]
+        table[far, 1:] = 0.0
+        np.cumprod(table, axis=1, out=table)
+        pv = table @ coeffs
+        dv = pairwise @ dcoeffs
+        np.abs(table, out=table)
+        scale = (table @ abs_coeffs).real
         for i in far:
             pv[i], scale[i], dv[i] = reversed_terms(1.0 / complex(z[i]))
         if np.all(np.abs(pv) <= tol * scale):
@@ -509,9 +543,10 @@ def numeric_roots(p: UniPoly, tol: float = 1e-12) -> list[complex]:
             return roots
         dv = np.where(dv == 0, 1e-300, dv)
         w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
+        np.subtract(z[:, None], z[None, :], out=pairwise)
+        np.fill_diagonal(pairwise, np.inf)
+        np.divide(1.0, pairwise, out=pairwise)
+        s = pairwise.sum(axis=1)
         denom = 1.0 - w * s
         denom = np.where(denom == 0, 1e-300, denom)
         z = z - w / denom

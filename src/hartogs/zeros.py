@@ -212,15 +212,20 @@ class ScanRow:
 
 
 def coprime_pairs(m_max: int, k: int | None = None) -> list[CoprimePair]:
-    """All valid pairs with m <= m_max, ordered by (m, n); optional k filter."""
+    """All valid pairs with m <= m_max, ordered by (m, n); optional k filter.
+
+    With k given only the pairs (n + k, n) are visited; gcd(n + k, n) =
+    gcd(k, n), and k < 1 leaves no pair.
+    """
     if m_max < 2:
         raise ValidationError("m_max must be at least 2")
-    out = []
-    for m in range(2, m_max + 1):
-        for n in range(1, m):
-            if math.gcd(m, n) == 1 and (k is None or m - n == k):
-                out.append(CoprimePair(m, n))
-    return out
+    if k is None:
+        return [CoprimePair(m, n) for m in range(2, m_max + 1)
+                for n in range(1, m) if math.gcd(m, n) == 1]
+    if k < 1:
+        return []
+    return [CoprimePair(n + k, n) for n in range(1, m_max - k + 1)
+            if math.gcd(k, n) == 1]
 
 
 def _scan_pair(pair: CoprimePair) -> ScanRow:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hartogs import (
@@ -16,15 +17,17 @@ from hartogs import (
     UniPoly,
     chebyshev_reduce,
     classify_float_roots,
+    coprime_pairs,
     family_closed_form,
     interior_root_count,
     numeric_roots,
     poly_gcd,
-    root_residual,
+    root_residuals,
     squarefree_decomposition,
     squarefree_part,
     sturm_count,
 )
+from hartogs import roots
 from hartogs.qpoly import diagonal_poly
 
 
@@ -163,6 +166,78 @@ class TestAgainstSympy:
         expected = [(self.monic_coeffs(f), mult) for f, mult in factors]
         got = [(list(f.coeffs), mult) for f, mult in squarefree_decomposition(p)]
         assert got == expected
+
+
+@st.composite
+def dividend_divisor(draw):
+    """(a, b) with a = q b + r and r drawn with up to deg b coefficients.
+
+    So the first remainder drops the degree by one, by two or more, or
+    vanishes; the later steps of the sequence are whatever they turn out.
+    """
+    coeff = st.integers(-30, 30)
+    b = draw(st.lists(coeff, min_size=2, max_size=8).filter(lambda c: c[-1] != 0))
+    q = draw(st.lists(coeff, min_size=1, max_size=3).filter(lambda c: c[-1] != 0))
+    r = draw(st.lists(coeff, max_size=len(b) - 1))
+    a = list((UniPoly(q) * UniPoly(b)).coeffs)
+    return [x + y for x, y in zip(a, r + [0] * len(a))], b
+
+
+def negated_remainders(a: list[int], b: list[int]) -> list[UniPoly]:
+    """s_0 = a, s_1 = b, s_(k+1) = -(s_(k-1) mod s_k) over the rationals,
+    down to the last nonzero element."""
+    seq = [UniPoly(a), UniPoly(b)]
+    while True:
+        _, rem = seq[-2].div_rem(seq[-1])
+        if rem.is_zero:
+            break
+        seq.append(UniPoly([-c for c in rem.coeffs]))
+    return seq
+
+
+def is_positive_multiple(ints: list[int], ref: UniPoly) -> bool:
+    if len(ints) != len(ref.coeffs):
+        return False
+    ratio = Fraction(ints[-1]) / ref.coeffs[-1]
+    return ratio > 0 and all(x == ratio * y for x, y in zip(ints, ref.coeffs))
+
+
+class TestRemainderSequence:
+    """The integer remainder sequence against rational Euclidean division."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dividend_divisor())
+    @example(([-1, 0, 1], [1, 1]))  # x + 1 divides x^2 - 1: zero remainder
+    @example(([1, 0, 0, 1], [0, 0, 1]))  # x^3 + 1 mod x^2 = 1: the degree drops by 2
+    @example(([2, -3, 0, 5, 1], [7, 0, -2, 3]))  # a normal chain, every drop 1
+    def test_every_element_is_a_positive_multiple(self, ab):
+        a, b = ab
+        ref = negated_remainders(a, b)
+        # the Sturm chain stops at a constant, the gcd runs on to the end
+        stop = next((i + 1 for i, s in enumerate(ref) if s.degree == 0), len(ref))
+        chain = roots._sturm_chain(a, b)
+        assert len(chain) == stop
+        assert all(is_positive_multiple(c, s) for c, s in zip(chain, ref))
+        g = roots._gcd(roots._primitive(a), roots._primitive(b))
+        assert is_positive_multiple(g, ref[-1])
+
+    def test_census_chains_pinned(self, monkeypatch):
+        # every Sturm chain the census builds for the coprime pairs m <= 40,
+        # as the two-step remainder with a full content gcd produced them
+        chains = []
+        build = roots._sturm_chain
+
+        def recorded(p0, p1):
+            chains.append(build(p0, p1))
+            return chains[-1]
+
+        monkeypatch.setattr(roots, "_sturm_chain", recorded)
+        for pair in coprime_pairs(40):
+            interior_root_count(diagonal_poly(pair).poly)
+        assert len(chains) == 489
+        assert hashlib.sha256(repr(chains).encode()).hexdigest() == (
+            "557bfaeba3ed0b5743e1f1c1886c78d04d6a3dd48d9df8f69a151a965cef0e6d"
+        )
 
 
 class TestChebyshevReduce:
@@ -347,12 +422,49 @@ class TestInteriorRootCount:
         assert c.inside == c.outside
 
 
+FRONTIER_PAIRS = [
+    (n + k, n) for k in range(50, 101) for n in range(1, 13) if math.gcd(k, n) == 1
+]
+
+
+def exact_residual(coeffs, r: complex) -> float:
+    """|p(r)| / sum_i |c_i| |r|^i at the float r, from exact integers.
+
+    r = (a + bi) / d exactly, d a power of two; homogenized Horner gives
+    d^n p(r) as a Gaussian integer.  |r| is in general irrational, so
+    rho ~ 2^64 |a + bi| comes from an integer square root, good to 2^-64
+    relative.
+    """
+    re_, im_ = Fraction(r.real), Fraction(r.imag)
+    d = max(re_.denominator, im_.denominator)
+    a, b = int(re_ * d), int(im_ * d)
+    rho, e = math.isqrt((a * a + b * b) << 128), d << 64
+    x = y = s = 0
+    dpow = epow = 1
+    for c in reversed(coeffs):
+        x, y = x * a - y * b + int(c) * dpow, x * b + y * a
+        s = s * rho + abs(int(c)) * epow
+        dpow *= d
+        epow *= e
+    # |p(r)| = |x + yi| / d^n and the scale is s / (d 2^64)^n
+    return math.sqrt(((x * x + y * y) << (128 * (len(coeffs) - 1))) / (s * s))
+
+
 class TestNumericRoots:
     def test_residuals_small(self):
         p = UniPoly([1, 6, 13, 6, 1])
         roots = numeric_roots(p)
         assert len(roots) == 4
-        assert all(root_residual(p, r) < 1e-12 for r in roots)
+        assert all(res < 1e-12 for res in root_residuals(p, roots))
+
+    @pytest.mark.parametrize("mn", [(5, 3), (41, 3), (101, 1)])
+    def test_residuals_match_exact_evaluation(self, mn):
+        q = diagonal_poly(CoprimePair(*mn)).poly
+        found = numeric_roots(q)
+        assert any(abs(r) > 1 for r in found)  # the rev p path runs too
+        # both are relative residuals, so 1e-12 is relative to the scale
+        for r, got in zip(found, root_residuals(q, found)):
+            assert abs(got - exact_residual(q.coeffs, r)) <= 1e-12
 
     def test_zero_roots_via_valuation(self):
         assert numeric_roots(UniPoly([0, 0, -2, 1])) == [0j, 0j, (2 + 0j)]
@@ -378,15 +490,20 @@ class TestNumericRoots:
 
 
     # degree 146..398: |z|^deg leaves the double range for the outer roots,
-    # so Aberth and the residual evaluate rev p at 1/z there
+    # so Aberth and the residual evaluate rev p at 1/z there; then every 15th
+    # of the 376 pairs with 50 <= m - n <= 100, n <= 12 (the benchmark's
+    # frontier range), then (150, 1) and the last (m, m - 2), (199, 197)
     @pytest.mark.parametrize(
-        "mn", [(78, 5), (79, 1), (99, 4), (101, 1), (120, 1), (160, 1), (200, 1)]
+        "mn",
+        [(78, 5), (79, 1), (99, 4), (101, 1), (120, 1), (160, 1), (200, 1)]
+        + FRONTIER_PAIRS[::15]
+        + [(150, 1), (199, 197)],
     )
     def test_converges_at_the_size_frontier(self, mn):
         q = diagonal_poly(CoprimePair(*mn)).poly
         found = numeric_roots(q)
         assert len(found) == q.degree
-        residuals = [root_residual(q, r) for r in found]
+        residuals = root_residuals(q, found)
         assert all(math.isfinite(res) and res < 1e-10 for res in residuals)
         census = interior_root_count(q)
         assert classify_float_roots(found) == (

@@ -191,6 +191,14 @@ class TestCoprimePairs:
         k2 = coprime_pairs(10, k=2)
         assert all(p.m - p.n == 2 and p.m % 2 == 1 for p in k2)
 
+    def test_k_enumeration_equals_filtered_pairs(self):
+        # codegrees out of range (k < 1, k >= m_max) leave no pair
+        for m_max in range(2, 61):
+            everything = coprime_pairs(m_max)
+            for k in range(-1, m_max + 2):
+                expected = [p for p in everything if p.m - p.n == k]
+                assert coprime_pairs(m_max, k) == expected, (m_max, k)
+
     def test_rejects_tiny_m_max(self):
         with pytest.raises(ValidationError):
             coprime_pairs(1)
