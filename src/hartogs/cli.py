@@ -139,7 +139,7 @@ def cmd_roots(args) -> dict | list[str]:
     # float diagnostic: never replaces the exact census, only checked against it
     float_roots = residuals = error = None
     try:
-        float_roots = numeric_roots(q, tol=args.tol)
+        float_roots = numeric_roots(q)
     except ConvergenceFailure as exc:
         error = str(exc)
     else:
@@ -326,9 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_command("qpoly", cmd_qpoly, "diagonal polynomial Q")
 
-    p_roots = add_command("roots", cmd_roots, "exact root census of Q")
-    p_roots.add_argument("--tol", type=float, default=1e-12,
-                         help="residual target for the float diagnostic roots")
+    add_command("roots", cmd_roots, "exact root census of Q")
 
     p_scan = add_command("scan", cmd_scan,
                          "conjecture scan over coprime pairs; interior_count is "

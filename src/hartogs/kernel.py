@@ -20,7 +20,10 @@ series K = sum s^a t^b / ||z1^a z2^b||^2 over allowable exponents, with
     ||z1^a z2^b||^2 = pi^2 * m / ((a+1) * (m(b+1) + n(a+1))),
 
 obtained by polar integration over H; exponents are allowable iff a >= 0
-and m(b+1) + n(a+1) > 0 (b may be negative).  ``KernelFormula.eval``,
+and m(b+1) + n(a+1) > 0 (b may be negative).  The weight of a row is linear
+in b, so ``series_kernel`` sums every row at once from two prefix sums, of
+t^i and i*t^i, that all rows share, each row scaled by an exp prefactor
+that keeps its powers of s and t in range.  ``KernelFormula.eval``,
 ``series_kernel`` and ``series_tail_estimate`` check (z, w) against the
 domain through one helper.
 
@@ -171,19 +174,23 @@ def monomial_norm_sq(pair: CoprimePair, a: int, b: int) -> Fraction:
     return Fraction(m, (a + 1) * weight)
 
 
-def _row_bounds(pair: CoprimePair, a: int, cutoff: int) -> tuple[int, int]:
-    """Allowable b-range [b_min, cutoff] for fixed a: m(b+1)+n(a+1) >= 1."""
+def _row_starts(pair: CoprimePair, a, cutoff: int):
+    """Least b with m(b+1) + n(a+1) >= 1 in each row a, clipped at -cutoff."""
     m, n = pair
-    b_min = -((n * (a + 1) - 1) // m) - 1
-    return max(b_min, -cutoff), cutoff
+    return np.maximum(-((n * (a + 1) - 1) // m) - 1, -cutoff)
 
 
 def series_kernel(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> complex:
     """Kernel by monomial series, truncated to |a|, |b| <= cutoff.
 
-    Rows are summed with a single complex exponential prefactor
-    exp(a*log s + b_min*log t) so that no intermediate power over- or
-    underflows even though t^b grows for negative b.
+    Row a runs over b = b0 + i, i = 0..cutoff - b0, with weight
+    (a+1)(c0 + m*i) / (pi^2 m) and c0 = m(b0+1) + n(a+1), so it sums to
+
+        exp(a*log s + b0*log t) * (a+1) * (c0*G0 + m*G1) / (pi^2 m),
+
+    where G0 and G1 are the prefix sums of t^i and i*t^i up to i =
+    cutoff - b0, shared by all rows.  The complex exponential prefactor
+    keeps every power in range even though t^b grows for negative b.
     """
     s, t = _checked_st(pair, z, w)
     if cutoff < 0:
@@ -193,23 +200,17 @@ def series_kernel(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> complex
     if t == 0:
         # impossible for interior points: membership forces |z2| > 0
         raise DegenerateInput("t = 0 has no allowable series rows")
-    log_t = np.log(complex(t))
-    log_s = np.log(complex(s)) if s != 0 else None
-    total = 0.0 + 0.0j
-    inv_pi2m = 1.0 / (math.pi**2 * m)
-    t_powers = t ** np.arange(2 * cutoff + 1)  # every row spans <= 2*cutoff+1 b
-    for a in range(cutoff + 1):
-        if s == 0 and a > 0:
-            break
-        b_lo, b_hi = _row_bounds(pair, a, cutoff)
-        if b_lo > b_hi:
-            continue
-        prefactor = np.exp((a * log_s if log_s is not None else 0.0) + b_lo * log_t)
-        b = np.arange(b_lo, b_hi + 1)
-        powers = prefactor * t_powers[: b.size]
-        weights = (a + 1) * (m * (b + 1) + n * (a + 1)) * inv_pi2m
-        total += complex(np.sum(powers * weights))
-    return total
+    a = np.arange(cutoff + 1 if s != 0 else 1)  # s = 0 leaves the a = 0 row
+    b0 = _row_starts(pair, a, cutoff)
+    i = np.arange(2 * cutoff + 1)
+    t_powers = t**i
+    g0, g1 = np.cumsum(t_powers), np.cumsum(i * t_powers)
+    last = cutoff - b0
+    log_sa = a * np.log(s) if s != 0 else 0.0
+    prefactor = np.exp(log_sa + b0 * np.log(t))
+    c0 = m * (b0 + 1) + n * (a + 1)
+    rows = prefactor * (a + 1) * (c0 * g0[last] + m * g1[last])
+    return complex(np.sum(rows)) / (math.pi**2 * m)
 
 
 def series_tail_estimate(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> float:
@@ -229,25 +230,18 @@ def series_tail_estimate(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> 
         return 0.0
     eta = sig / tau ** (n / m)
     inv_pi2m = 1.0 / (math.pi**2 * m)
-
-    def row_abs(a: int) -> float:
-        b_lo, b_hi = _row_bounds(pair, a, cutoff)
-        if b_lo > b_hi:
-            return 0.0
-        b = np.arange(b_lo, b_hi + 1)
-        powers = np.exp(a * math.log(sig) + b.astype(float) * math.log(tau))
-        weights = (a + 1) * (m * (b + 1) + n * (a + 1)) * inv_pi2m
-        return float(np.sum(np.abs(powers * weights)))
-
-    col = 0.0
-    for a in range(cutoff + 1):
-        if sig == 0 and a > 0:
-            break
-        weight = (a + 1) * (m * (cutoff + 1) + n * (a + 1)) * inv_pi2m
-        col += sig**a * tau ** (cutoff + 1) * weight
+    # column b = cutoff + 1 over the rows a, weight m(cutoff+1) + n(a+1)
+    a = np.arange(cutoff + 1 if sig > 0 else 1)
+    col_weights = (a + 1) * (m * (cutoff + 1) + n * (a + 1)) * inv_pi2m
+    col = float(np.sum(sig**a * tau ** (cutoff + 1) * col_weights))
     tail = col / max(1.0 - tau, 1e-12)
     if sig > 0 and eta < 1.0:
-        tail += row_abs(cutoff) * eta / (1.0 - eta)
+        # row a = cutoff over its allowable b
+        b = np.arange(_row_starts(pair, cutoff, cutoff), cutoff + 1)
+        row_weights = (cutoff + 1) * (m * (b + 1) + n * (cutoff + 1)) * inv_pi2m
+        powers = np.exp(cutoff * math.log(sig) + b * math.log(tau))
+        row = float(np.sum(powers * row_weights))
+        tail += row * eta / (1.0 - eta)
     return tail
 
 

@@ -48,10 +48,6 @@ class DiagonalPoly:
     pair: CoprimePair
     poly: UniPoly
 
-    @property
-    def k(self) -> int:
-        return self.pair.k
-
 
 def diagonal_poly(pair: CoprimePair) -> DiagonalPoly:
     """Restrict the kernel numerator to the diagonal t = s.
@@ -68,7 +64,7 @@ def diagonal_poly(pair: CoprimePair) -> DiagonalPoly:
     return DiagonalPoly(pair, UniPoly(q))
 
 
-def verify_piece_identities(dp: DiagonalPoly) -> bool:
+def verify_piece_identities(pair: CoprimePair) -> bool:
     """Exact reversal symmetry of the pieces of Q.
 
     The five pieces q0..q4 are the diagonal restrictions of the numerator's
@@ -76,16 +72,16 @@ def verify_piece_identities(dp: DiagonalPoly) -> bool:
     2k fixes q0, swaps q1 <-> q4, and swaps q2 <-> q3.  Together these
     force Q to be palindromic.
     """
-    shift = 2 * dp.pair.n - 1
-    pieces = [[0] * (2 * dp.k + 1) for _ in range(5)]
-    for piece, (b1, b2), coeff in _numerator_terms(dp.pair):
+    shift = 2 * pair.n - 1
+    pieces = [[0] * (2 * pair.k + 1) for _ in range(5)]
+    for piece, (b1, b2), coeff in _numerator_terms(pair):
         pieces[piece][b1 + b2 - shift] += coeff
     q0, q1, q2, q3, q4 = pieces
     return (
         q0[::-1] == q0
         and q1[::-1] == q4
         and q2[::-1] == q3
-        and dp.poly.is_palindromic()
+        and diagonal_poly(pair).poly.is_palindromic()
     )
 
 

@@ -78,6 +78,8 @@ CIRCLE_GUARD = 1e-9
 _ONE = Fraction(1)
 # sweep budget of numeric_roots before it raises ConvergenceFailure
 _MAX_SWEEPS = 500
+# relative backward error at which numeric_roots stops
+_TOL = 1e-12
 # numeric_roots evaluates rev p at 1/z where deg * ln|z| exceeds this, i.e.
 # |z|^deg > 1e260, which keeps Horner sums far inside the double range
 _FAR_LOG = 600.0
@@ -468,13 +470,20 @@ def classify_float_roots(roots) -> tuple[int, int, int]:
     return inside, on, outside
 
 
-def numeric_roots(p: UniPoly, tol: float = 1e-12) -> list[complex]:
+def numeric_roots(p: UniPoly) -> list[complex]:
     """All complex roots by Aberth-Ehrlich simultaneous iteration.
 
     Converged when every root satisfies the relative backward-error
-    residual |p(r)| / sum |c_i||r|^i <= tol; raises ConvergenceFailure if
+    residual |p(r)| / sum |c_i||r|^i <= _TOL; raises ConvergenceFailure if
     its ``_MAX_SWEEPS`` sweeps run out first.  Roots come back sorted by
     (real, imag).
+
+    The residual, like ``root_residuals`` (the CLI's ``float_residuals``),
+    is a backward error, not a distance to the exact root: the copies of a
+    root of multiplicity mu are accurate only to about _TOL^(1/mu), for a
+    double root sqrt(1e-12) = 1e-6 relative.  For Q(5, 3) =
+    5(s^2 + 3s + 1)^2 the residuals are near 1e-13, yet each copy lies
+    0.9e-6 to 1.0e-6 relative (0.4e-6 to 2.4e-6 absolute) from its root.
 
     Each sweep fills one n x (n + 1) table with the powers x_i^j of the
     iterates (``np.cumprod``), so p, p' and the scale sum |c_j||x_i|^j are
@@ -536,7 +545,7 @@ def numeric_roots(p: UniPoly, tol: float = 1e-12) -> list[complex]:
         scale = (table @ abs_coeffs).real
         for i in far:
             pv[i], scale[i], dv[i] = reversed_terms(1.0 / complex(z[i]))
-        if np.all(np.abs(pv) <= tol * scale):
+        if np.all(np.abs(pv) <= _TOL * scale):
             roots = found + sorted(
                 (complex(r) for r in z), key=lambda r: (r.real, r.imag)
             )
@@ -551,5 +560,5 @@ def numeric_roots(p: UniPoly, tol: float = 1e-12) -> list[complex]:
         denom = np.where(denom == 0, 1e-300, denom)
         z = z - w / denom
     raise ConvergenceFailure(
-        f"Aberth-Ehrlich did not reach residual {tol} in {_MAX_SWEEPS} sweeps"
+        f"Aberth-Ehrlich did not reach residual {_TOL} in {_MAX_SWEEPS} sweeps"
     )

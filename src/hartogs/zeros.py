@@ -258,14 +258,13 @@ def scan(
 ) -> list[ScanRow]:
     """Census every coprime pair with m <= m_max; rows ordered by (m, n).
 
-    The row order and all mathematical columns are identical regardless of
-    worker count; only elapsed_ms varies run to run.
+    Rows come in the (m, n) order of ``coprime_pairs``, which ``pool.map``
+    keeps, so the row order and all mathematical columns are identical
+    regardless of worker count; only elapsed_ms varies run to run.
     """
     pairs = coprime_pairs(m_max, k)
     if workers is None or workers <= 1:
-        rows = [_scan_pair(pair) for pair in pairs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_pair, pairs, chunksize=8))
-    return sorted(rows, key=lambda row: (row.m, row.n))
+        return [_scan_pair(pair) for pair in pairs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_scan_pair, pairs, chunksize=8))
 

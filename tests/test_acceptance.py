@@ -77,12 +77,11 @@ def test_criterion_03_palindromicity_and_pieces(acceptance_report):
     ok = False
     try:
         for pair in coprime_pairs(40):
-            dp = diagonal_poly(pair)
-            q = dp.poly
+            q = diagonal_poly(pair).poly
             assert q.degree == 2 * pair.k
             assert q.is_palindromic()
             assert all(c > 0 for c in q.coeffs)
-            assert verify_piece_identities(dp)
+            assert verify_piece_identities(pair)
         ok = True
     finally:
         acceptance_report(

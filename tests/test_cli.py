@@ -129,7 +129,7 @@ class TestRootsCommand:
 
     @pytest.fixture
     def failing_aberth(self, monkeypatch):
-        def fail(p, tol=1e-12):
+        def fail(p):
             raise ConvergenceFailure("Aberth-Ehrlich gave up")
 
         monkeypatch.setattr(cli, "numeric_roots", fail)
@@ -154,7 +154,7 @@ class TestRootsCommand:
     def test_float_disagreement_warns_and_keeps_exact_census(self, capsys, monkeypatch):
         # three float roots inside where the exact census proves two
         fake = [complex(-0.5), complex(-0.5), complex(-0.5), complex(-2.0)]
-        monkeypatch.setattr(cli, "numeric_roots", lambda p, tol=1e-12: fake)
+        monkeypatch.setattr(cli, "numeric_roots", lambda p: fake)
         for fmt in ("text", "json"):
             with pytest.warns(RuntimeWarning, match="disagrees") as record:
                 rc, out, _ = run(capsys, ["roots", "--m", "5", "--n", "3",

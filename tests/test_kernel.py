@@ -151,6 +151,56 @@ class TestSeriesAgreement:
         assert tails[0] > tails[1] > tails[2] >= 0
         assert tails[2] < 1e-12
 
+    def test_series_and_tail_against_plain_loops(self):
+        # the reference sums monomial by monomial with the exact norms; the
+        # tail reference is the estimate's formula written out term by term
+        def weight(pair, a, b):
+            return 1.0 / (math.pi**2 * float(monomial_norm_sq(pair, a, b)))
+
+        def allowable(pair, a, b):
+            return pair.m * (b + 1) + pair.n * (a + 1) > 0
+
+        def series_by_loops(pair, s, t, cutoff):
+            return sum(
+                s**a * t**b * weight(pair, a, b)
+                for a in range(cutoff + 1)
+                for b in range(-cutoff, cutoff + 1)
+                if allowable(pair, a, b)
+            )
+
+        def tail_by_loops(pair, s, t, cutoff):
+            m, n = pair
+            sig, tau = abs(s), abs(t)
+            rows = range(cutoff + 1) if sig > 0 else range(1)
+            # the estimate weighs the column |t|^(cutoff+1) with b = cutoff
+            col = sum(sig**a * tau ** (cutoff + 1) * weight(pair, a, cutoff)
+                      for a in rows)
+            tail = col / max(1.0 - tau, 1e-12)
+            eta = sig / tau ** (n / m)
+            if sig > 0 and eta < 1.0:
+                row = sum(sig**cutoff * tau**b * weight(pair, cutoff, b)
+                          for b in range(-cutoff, cutoff + 1)
+                          if allowable(pair, cutoff, b))
+                tail += row * eta / (1.0 - eta)
+            return tail
+
+        # (5, 4) at cutoff 3 clips its rows a >= 3 at b = -cutoff
+        for pair in PAIRS + [CoprimePair(5, 4), CoprimePair(7, 2)]:
+            w = interior_point(pair, 0.65, (-0.4, 1.3))
+            for z in (
+                interior_point(pair, 0.7, (0.5, -0.2)),
+                (0j, 0.7 * cmath.exp(0.3j)),  # z1 = 0: s = 0, only the row a = 0
+            ):
+                s, t = z[0] * w[0].conjugate(), z[1] * w[1].conjugate()
+                for cutoff in (0, 1, 3, 60):
+                    want = series_by_loops(pair, s, t, cutoff)
+                    got = series_kernel(pair, z, w, cutoff)
+                    assert abs(got - want) <= 1e-12 * abs(want), (pair, z, cutoff)
+                for cutoff in (0, 5, 50):
+                    want = tail_by_loops(pair, s, t, cutoff)
+                    got = series_tail_estimate(pair, z, w, cutoff)
+                    assert got == pytest.approx(want, rel=1e-12), (pair, z, cutoff)
+
     def test_tail_estimate_checks_its_input(self):
         # the same checks as series_kernel: a point outside H and a negative
         # cutoff are refused, not estimated as a tiny or zero tail
