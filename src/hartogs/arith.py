@@ -97,26 +97,26 @@ def tent_arg(pair: CoprimePair, b1: int, b2: int) -> int:
     return m * b2 + n * b1 + m + n - 1 - 2 * m * n
 
 
-def tent(m: int, beta: int) -> int:
+def tent(m: int, beta):
     """Coefficient of x^beta in ((1 - x^m)/(1 - x))^2.
 
     The coefficients form a triangular tent: beta + 1 going up for
     0 <= beta <= m-1, then 2m - 1 - beta going down for m <= beta <= 2m-2,
-    and 0 everywhere else.
+    and 0 everywhere else, i.e. max(0, m - |beta - (m-1)|).  The formula
+    has no branch, so an integer array beta gives the tent elementwise; an
+    int beta gives an int.
     """
-    if 0 <= beta <= m - 1:
-        return beta + 1
-    if m <= beta <= 2 * m - 2:
-        return 2 * m - 1 - beta
-    return 0
+    height = m - abs(beta - (m - 1))
+    return (height + abs(height)) // 2
 
 
-def numerator_coeff(pair: CoprimePair, b1: int, b2: int) -> int:
+def numerator_coeff(pair: CoprimePair, b1, b2):
     """Kernel numerator coefficient at s^b1 t^b2: a product of two tents.
 
     Equals tent(m, b1) * tent(m, tent_arg(b1, b2)); nonzero only inside the
     rectangle 0 <= b1 <= 2m-2, 0 <= b2 <= 2n, and nonzero for exactly
-    4m - 3 exponent pairs.
+    4m - 3 exponent pairs.  Like ``tent`` it takes int or integer-array
+    exponents and returns an int for ints.
     """
     return tent(pair.m, b1) * tent(pair.m, tent_arg(pair, b1, b2))
 

@@ -9,9 +9,10 @@ exactly 4m - 3 terms.  Two constructions of P are implemented:
 
 * ``numerator_effective`` assembles the five structured pieces indexed by
   the staircase functions of :mod:`hartogs.arith` in O(m) time;
-* ``numerator_oracle`` walks the full exponent rectangle
-  0 <= b1 <= 2m-2, 0 <= b2 <= 2n and takes the tent-product coefficient of
-  every cell, a brute-force double sum used as the cross-check oracle.
+* ``numerator_oracle`` takes the tent-product coefficient of every cell of
+  the full exponent rectangle 0 <= b1 <= 2m-2, 0 <= b2 <= 2n in one numpy
+  pass over the rectangle's index arrays, a brute-force sum that shares no
+  staircase code, used as the cross-check oracle.
 
 The two must agree exactly; ``KernelFormula.verify`` and the test suite
 enforce this.  A third, analytically independent route sums the monomial
@@ -104,15 +105,17 @@ def numerator_effective(pair: CoprimePair) -> BiPoly:
 
 
 def numerator_oracle(pair: CoprimePair) -> BiPoly:
-    """Kernel numerator by brute force over the full exponent rectangle."""
+    """Kernel numerator by brute force over the full exponent rectangle.
+
+    ``numerator_coeff`` runs once, on the (2m-1) x (2n+1) index arrays of
+    the whole rectangle; the nonzero cells leave as Python ints.
+    """
     m, n = pair
-    terms: dict[tuple[int, int], int] = {}
-    for b1 in range(2 * m - 1):
-        for b2 in range(2 * n + 1):
-            c = numerator_coeff(pair, b1, b2)
-            if c:
-                terms[(b1, b2)] = c
-    return BiPoly(terms)
+    b1, b2 = np.indices((2 * m - 1, 2 * n + 1))
+    coeffs = numerator_coeff(pair, b1, b2)
+    cells = np.nonzero(coeffs)
+    keys = zip(b1[cells].tolist(), b2[cells].tolist())
+    return BiPoly(dict(zip(keys, coeffs[cells].tolist())))
 
 
 @dataclass(frozen=True)
@@ -230,9 +233,9 @@ def series_tail_estimate(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> 
         return 0.0
     eta = sig / tau ** (n / m)
     inv_pi2m = 1.0 / (math.pi**2 * m)
-    # column b = cutoff + 1 over the rows a, weight m(cutoff+1) + n(a+1)
+    # column b = cutoff + 1 over the rows a, weight m(cutoff+2) + n(a+1)
     a = np.arange(cutoff + 1 if sig > 0 else 1)
-    col_weights = (a + 1) * (m * (cutoff + 1) + n * (a + 1)) * inv_pi2m
+    col_weights = (a + 1) * (m * (cutoff + 2) + n * (a + 1)) * inv_pi2m
     col = float(np.sum(sig**a * tau ** (cutoff + 1) * col_weights))
     tail = col / max(1.0 - tau, 1e-12)
     if sig > 0 and eta < 1.0:

@@ -23,6 +23,13 @@ squarefree results leave as monic ``UniPoly``s.
   and count the distinct roots of its image in (-1, 1) with one Sturm
   chain.  Only a nonzero count runs Yun's squarefree decomposition, to
   weight each factor's count by its multiplicity.
+* The same chain decides ``interior_root_count(p).squarefree``: it ends in
+  gcd(g, g'), a constant iff g is squarefree.  Write p = (s - 1)^a
+  (s + 1)^b h with h(+-1) != 0, so g(+-1) != 0 too.  Every root s0 of h
+  has s0 not in {0, +-1}, where phi(s) = (s + 1/s)/2 has phi'(s0) =
+  (1 - s0^-2)/2 != 0, so the multiplicity of s0 in h equals that of
+  phi(s0) in g.  Hence p is squarefree iff a <= 1, b <= 1 and the chain
+  ends in a constant, with no second gcd.
 * ``interior_root_count`` produces the full inside/on/outside census of a
   palindromic p, which is the only input it takes (every Q is
   palindromic); anything else raises ``NotPalindromic``.  The pairing
@@ -363,29 +370,36 @@ def chebyshev_reduce(p: UniPoly) -> UniPoly:
     return UniPoly(_chebyshev(p.coeffs))
 
 
-def _circle_count_selfinversive(h: list[int]) -> int:
-    """Unit-circle roots (with multiplicity) of integer h with rev(h) = +-h.
+def _circle_count_selfinversive(h: list[int]) -> tuple[int, bool]:
+    """(unit-circle roots with multiplicity, squarefree?) of integer h with
+    rev(h) = +-h.
 
     Strips exact roots at s = +-1, then counts the distinct roots of the
     Chebyshev image g of the surviving even palindromic part inside (-1, 1)
-    with one Sturm chain.  Only when that count is nonzero does Yun's
-    decomposition run, to weight each root by its multiplicity; every root
-    found is doubled (a conjugate pair per x).
+    with one Sturm chain of (g, g').  Only when that count is nonzero does
+    Yun's decomposition run, to weight each root by its multiplicity; every
+    root found is doubled (a conjugate pair per x).  The same chain ends in
+    gcd(g, g'), so h is squarefree iff s = +-1 are at most simple roots and
+    the chain ends in a constant (see the module docstring).
     """
     h, at_one = _strip_root(h, _ONE)
     h, at_minus_one = _strip_root(h, -_ONE)
     count = at_one + at_minus_one
+    simple_ends = at_one <= 1 and at_minus_one <= 1
     if len(h) == 1:
-        return count
+        return count, simple_ends
     if h != h[::-1]:
         raise InternalMismatch("expected a self-inversive factor")
     g = _primitive(_chebyshev(h))
-    if _open_interval_count(g, -_ONE, _ONE) == 0:
-        return count
+    # g(+-1) = +-h(+-1) != 0 after the strip: the chain needs no strip of its own
+    chain = _sturm_chain(g, _derivative(g))
+    squarefree = simple_ends and len(chain[-1]) == 1
+    if _variations_at(chain, -_ONE) == _variations_at(chain, _ONE):
+        return count, squarefree
     weighted = 0
     for factor, mult in _yun(g):
         weighted += mult * _open_interval_count(factor, -_ONE, _ONE)
-    return count + 2 * weighted
+    return count + 2 * weighted, squarefree
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +414,8 @@ class RootCensus:
     on_circle: int
     outside: int
     method: str  # always "palindromic_pairing": the census's one method
+    # no repeated root, read off the circle count's own Sturm chain
+    squarefree: bool
 
     @property
     def degree(self) -> int:
@@ -411,17 +427,18 @@ def interior_root_count(p: UniPoly) -> RootCensus:
 
     s -> 1/s pairs the roots inside with those outside, multiplicities
     included, so after the exact circle count inside = outside =
-    (deg - on)/2.  Any other p (the zero polynomial included) raises
-    NotPalindromic.  No float step runs here.
+    (deg - on)/2.  The census also says whether p is squarefree, read off
+    the circle count's Sturm chain.  Any other p (the zero polynomial
+    included) raises NotPalindromic.  No float step runs here.
     """
     if not p.is_palindromic():
         raise NotPalindromic("census needs a nonzero palindromic polynomial")
     n = p.degree
-    on = _circle_count_selfinversive(_primitive(p.coeffs))
+    on, squarefree = _circle_count_selfinversive(_primitive(p.coeffs))
     if (n - on) % 2:
         raise InternalMismatch(f"{n - on} roots off the circle cannot pair up")
     half = (n - on) // 2
-    census = RootCensus(half, on, half, "palindromic_pairing")
+    census = RootCensus(half, on, half, "palindromic_pairing", squarefree)
     if census.inside < 0 or census.outside < 0:
         raise InternalMismatch(f"census went negative: {census}")
     return census

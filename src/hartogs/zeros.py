@@ -30,11 +30,13 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .arith import CoprimePair
 from .domain import interior_margin
 from .errors import InternalMismatch, NoInteriorRoot, ValidationError
 from .kernel import kernel_formula
+from .poly import UniPoly
 from .qpoly import diagonal_poly
 from .roots import CIRCLE_GUARD, interior_root_count, numeric_roots, squarefree_part
 
@@ -126,6 +128,8 @@ def witness_candidates(pair: CoprimePair) -> list[complex]:
     Every root is refined by one Newton polish on the exact squarefree part
     of Q: interior roots can have even multiplicity (Q for (5,3) is
     5(s^2+3s+1)^2), where Newton on Q itself would converge only linearly.
+    When the census finds Q squarefree, that part is monic Q, exactly what
+    ``squarefree_part`` would return, so no second gcd runs.
     Q is real, so a real root is polished from its real part and stays
     real, and of each complex pair only the root above the real axis is
     polished and brings its exact conjugate: the list is closed under
@@ -138,7 +142,11 @@ def witness_candidates(pair: CoprimePair) -> list[complex]:
     census = interior_root_count(q)
     if census.inside == 0:
         raise NoInteriorRoot(f"Q for {pair} has no root inside the unit disk")
-    sf = squarefree_part(q)
+    if census.squarefree:
+        lead = q.coeffs[-1]
+        sf = UniPoly([Fraction(c, lead) for c in q.coeffs])
+    else:
+        sf = squarefree_part(q)
     interior = [r for r in numeric_roots(sf) if abs(r) < 1.0 - CIRCLE_GUARD]
     if not interior:
         raise InternalMismatch(

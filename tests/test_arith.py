@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -111,6 +112,22 @@ class TestTent:
         assert tent(1, 0) == 1
         assert tent(1, 1) == 0
 
+    def test_pieces_scalar_and_elementwise(self):
+        # the branch-free formula against the three pieces of the definition;
+        # an int gives an int, an integer array the same values elementwise
+        for m in range(1, 15):
+            betas = list(range(-3, 2 * m + 2))
+            for b in betas:
+                if 0 <= b <= m - 1:
+                    want = b + 1
+                elif m <= b <= 2 * m - 2:
+                    want = 2 * m - 1 - b
+                else:
+                    want = 0
+                got = tent(m, b)
+                assert type(got) is int and got == want, (m, b)
+            assert tent(m, np.array(betas)).tolist() == [tent(m, b) for b in betas]
+
     def test_symmetry(self):
         for m in range(1, 12):
             for b in range(2 * m - 1):
@@ -130,6 +147,12 @@ class TestTent:
             for b2 in range(2 * p.n + 1):
                 expected = tent(p.m, b1) * tent(p.m, tent_arg(p, b1, b2))
                 assert numerator_coeff(p, b1, b2) == expected
+        b1, b2 = np.indices((2 * p.m - 1, 2 * p.n + 1))
+        grid = numerator_coeff(p, b1, b2)
+        assert grid.tolist() == [
+            [numerator_coeff(p, i, j) for j in range(2 * p.n + 1)]
+            for i in range(2 * p.m - 1)
+        ]
 
 
 class TestIndexIdentities:

@@ -17,6 +17,7 @@ from hartogs import (
     KernelFormula,
     OutsideDomain,
     ValidationError,
+    coprime_pairs,
     eval_kernel,
     in_domain,
     interior_margin,
@@ -66,11 +67,24 @@ class TestNumerator:
         assert numerator_effective(CoprimePair(3, 2)) == expected
 
     def test_oracle_equality_small(self):
-        for m in range(2, 13):
-            for n in range(1, m):
-                if math.gcd(m, n) == 1:
-                    pair = CoprimePair(m, n)
-                    assert numerator_effective(pair) == numerator_oracle(pair)
+        for pair in coprime_pairs(60):
+            assert numerator_effective(pair) == numerator_oracle(pair), pair
+
+    def test_oracle_holds_python_ints(self):
+        # the array pass must not leak numpy integers into the exact BiPoly
+        for pair in PAIRS + [CoprimePair(41, 3)]:
+            terms = numerator_oracle(pair).terms
+            assert len(terms) == 4 * pair.m - 3
+            for (b1, b2), c in terms.items():
+                assert type(b1) is int and type(b2) is int and type(c) is int
+
+    def test_verify_catches_one_changed_coefficient(self):
+        pair = CoprimePair(7, 3)
+        terms = numerator_effective(pair).terms
+        for key in sorted(terms):
+            for delta in (1, -1):
+                changed = terms | {key: terms[key] + delta}
+                assert not KernelFormula(pair, BiPoly(changed)).verify(), (key, delta)
 
     def test_term_count_and_degrees(self):
         for pair in PAIRS:
@@ -172,8 +186,8 @@ class TestSeriesAgreement:
             m, n = pair
             sig, tau = abs(s), abs(t)
             rows = range(cutoff + 1) if sig > 0 else range(1)
-            # the estimate weighs the column |t|^(cutoff+1) with b = cutoff
-            col = sum(sig**a * tau ** (cutoff + 1) * weight(pair, a, cutoff)
+            # the column |t|^(cutoff+1) is weighed with its own b = cutoff + 1
+            col = sum(sig**a * tau ** (cutoff + 1) * weight(pair, a, cutoff + 1)
                       for a in rows)
             tail = col / max(1.0 - tau, 1e-12)
             eta = sig / tau ** (n / m)
@@ -200,6 +214,15 @@ class TestSeriesAgreement:
                     want = tail_by_loops(pair, s, t, cutoff)
                     got = series_tail_estimate(pair, z, w, cutoff)
                     assert got == pytest.approx(want, rel=1e-12), (pair, z, cutoff)
+
+    def test_tail_estimate_column_weight_21_cutoff_0(self):
+        # z1 = 0 leaves the column alone: the single term |t|^1 of row a = 0
+        # has weight m(b+1) + n(a+1) = 2*2 + 1 = 5 at b = cutoff + 1 = 1
+        pair = CoprimePair(2, 1)
+        z, w = (0j, 0.5 + 0j), (0j, 0.6 + 0j)
+        tau = 0.3
+        want = tau * 5 / (math.pi**2 * 2) / (1 - tau)
+        assert series_tail_estimate(pair, z, w, 0) == pytest.approx(want, rel=1e-15)
 
     def test_tail_estimate_checks_its_input(self):
         # the same checks as series_kernel: a point outside H and a negative

@@ -422,6 +422,51 @@ class TestInteriorRootCount:
         assert c.inside == c.outside
 
 
+# palindromic building blocks: (s+1), (s-1)^2, and mirrored quadratics and
+# quartics, with roots on, inside and outside the circle
+PALINDROMIC_FACTORS = st.one_of(
+    st.sampled_from([UniPoly([1, 1]), UniPoly([1, -2, 1])]),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=2).map(mirrored),
+)
+
+
+@st.composite
+def palindromic_products(draw) -> UniPoly:
+    """A product of palindromic factors, some of them repeated."""
+    p = UniPoly([draw(st.sampled_from([1, 2, -3]))])
+    for factor in draw(st.lists(PALINDROMIC_FACTORS, min_size=1, max_size=4)):
+        for _ in range(draw(st.integers(1, 3))):
+            p = p * factor
+    return p
+
+
+class TestSquarefreeFlag:
+    """``interior_root_count(p).squarefree`` against ``squarefree_part``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(palindromic_products())
+    @example(UniPoly([1, 2, 1]))  # (s+1)^2
+    @example(UniPoly([1, -2, 1]))  # (s-1)^2
+    @example(UniPoly([1, 0, -2, 0, 1]))  # (s-1)^2 (s+1)^2
+    @example(UniPoly([1, 4, 1]) * UniPoly([1, 1]))  # simple roots at -1
+    @example(UniPoly([1, 6, 11, 6, 1]))  # (s^2+3s+1)^2: repeated interior root
+    @example(UniPoly([1, 2, 3, 2, 1]))  # (s^2+s+1)^2: repeated circle roots
+    @example(UniPoly([7]))
+    def test_matches_squarefree_part(self, p):
+        census = interior_root_count(p)
+        assert census.squarefree == (squarefree_part(p).degree == p.degree)
+
+    def test_only_53_repeats_a_root(self):
+        # Q for every coprime pair with m <= 60 is squarefree except (5, 3),
+        # where Q = 5(s^2 + 3s + 1)^2
+        repeated = [
+            (pair.m, pair.n)
+            for pair in coprime_pairs(60)
+            if not interior_root_count(diagonal_poly(pair).poly).squarefree
+        ]
+        assert repeated == [(5, 3)]
+
+
 FRONTIER_PAIRS = [
     (n + k, n) for k in range(50, 101) for n in range(1, 13) if math.gcd(k, n) == 1
 ]

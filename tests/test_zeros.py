@@ -24,7 +24,7 @@ from hartogs import (
     witness_candidates,
     zero_witness,
 )
-from hartogs import cli
+from hartogs import cli, roots, zeros
 from hartogs.cli import main
 from hartogs.zeros import _mirror_partners
 
@@ -71,6 +71,45 @@ class TestWitnessCandidates:
             # one candidate per distinct interior root: no pair split or lost
             sf = squarefree_part(diagonal_poly(pair).poly)
             assert len(found) == interior_root_count(sf).inside, pair
+
+    def test_no_second_gcd_on_squarefree_q(self, monkeypatch):
+        # the census's Sturm chain already says Q is squarefree: the witness
+        # path then runs no integer gcd at all; only (5, 3) takes the
+        # squarefree_part branch
+        calls = {"_gcd": 0, "squarefree_part": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(roots, "_gcd")
+        counted(zeros, "squarefree_part")
+        for mn in [(2, 1), (3, 1), (7, 2), (27, 25), (41, 3)]:
+            witness_candidates(CoprimePair(*mn))
+        assert calls == {"_gcd": 0, "squarefree_part": 0}
+        witness_candidates(CoprimePair(5, 3))
+        assert calls["squarefree_part"] == 1 and calls["_gcd"] > 0
+
+    def test_monic_q_gives_the_squarefree_part_candidates(self, monkeypatch):
+        # a census that denies squarefreeness sends every pair through
+        # squarefree_part(q); the candidates must not change by one bit
+        def bits(pair):
+            return [(z.real.hex(), z.imag.hex()) for z in witness_candidates(pair)]
+
+        fast = {pair: bits(pair) for pair in coprime_pairs(30)}
+        census = zeros.interior_root_count
+        monkeypatch.setattr(
+            zeros,
+            "interior_root_count",
+            lambda q: dataclasses.replace(census(q), squarefree=False),
+        )
+        for pair, found in fast.items():
+            assert bits(pair) == found, pair
 
     def test_real_root_with_float_noise_stays_real(self):
         # Aberth leaves imaginary parts of ~1e-12 on real roots of these Q
