@@ -13,8 +13,8 @@ printed as decimal strings, so no precision is lost in json.  The float
 root diagnostic of ``roots`` runs here too, and only for json and text.
 
 Exit codes: 0 success (including conjecture findings, which are reported
-but are not errors), 2 validation failure with a one-line diagnostic, 3
-internal cross-check mismatch.
+but are not errors), 2 validation failure or an --output path that cannot
+be written, with a one-line diagnostic, 3 internal cross-check mismatch.
 """
 
 from __future__ import annotations
@@ -366,7 +366,6 @@ def main(argv: list[str] | None = None) -> int:
             text = json.dumps(out, indent=2) + "\n"
         else:
             text = "\n".join(out) + "\n"
-        _write_output(text, args.output)
     except InternalMismatch as exc:
         print(f"internal mismatch: {exc}", file=sys.stderr)
         return 3
@@ -375,6 +374,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except HartogsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        _write_output(text, args.output)
+    except OSError as exc:  # a missing directory, a directory as the path, ...
+        reason = exc.strerror or exc
+        print(f"error: cannot write {args.output}: {reason}", file=sys.stderr)
         return 2
     return 0
 

@@ -4,10 +4,13 @@ Everything that claims a count is proven in exact arithmetic, and every
 exact algorithm runs on primitive integer coefficient lists (ascending
 degree).  Two integer steps carry all the division: a sign-preserving
 primitive pseudo-remainder (``_neg_prem``, after Collins and Brown & Traub)
-for gcds and Sturm chains, and an exact quotient (``_divexact``), integral
-by Gauss's lemma because every divisor is primitive.  Public names convert
-once at the boundary: ``_primitive`` on the way in, and the gcd and
-squarefree results leave as monic ``UniPoly``s.
+and an exact quotient (``_divexact``), integral by Gauss's lemma because
+every divisor is primitive.  ``_neg_prem`` runs in one loop only,
+``_sturm_chain``: the chain of (a, b) is their primitive remainder
+sequence and ends in gcd(a, b), so that one sequence serves every Sturm
+count, every gcd and every multiplicity.  Public names convert once at
+the boundary: ``_primitive`` on the way in, and the gcd and squarefree
+results leave as monic ``UniPoly``s.
 
 * ``chebyshev_reduce`` turns a palindromic p of degree 2k into a degree-k
   polynomial g with p(e^(i theta)) * e^(-ik theta) = g(cos theta), via the
@@ -17,14 +20,22 @@ squarefree results leave as monic ``UniPoly``s.
 * ``sturm_count`` counts distinct real roots in a half-open interval (a, b]
   by the chain of (p, p'), which needs no squarefree p once the roots at
   the endpoints are divided out.
+* Multiplicities come from successive gcds.  A root of multiplicity mu in
+  d has multiplicity mu - 1 in gcd(d, d'), so in the tower d_0 = d,
+  d_i = gcd(d_(i-1), d_(i-1)') it lies in d_0, ..., d_(mu-1) and in no
+  later d_i.  ``squarefree_decomposition`` reads the factors off the
+  quotients e_i = d_(i-1) / d_i, the product of the factors of
+  multiplicity >= i, as g_i = e_i / e_(i+1).
 * The circle count, ``interior_root_count(p).on_circle``, counts the
-  unit-circle roots of a self-inversive factor with multiplicity: strip
-  exact roots at s = +-1, Chebyshev-reduce the even palindromic remainder
-  and count the distinct roots of its image in (-1, 1) with one Sturm
-  chain.  Only a nonzero count runs Yun's squarefree decomposition, to
-  weight each factor's count by its multiplicity.
-* The same chain decides ``interior_root_count(p).squarefree``: it ends in
-  gcd(g, g'), a constant iff g is squarefree.  Write p = (s - 1)^a
+  unit-circle roots of p with multiplicity: strip exact roots at s = +-1,
+  Chebyshev-reduce the even palindromic remainder h to g and count the
+  distinct roots of g in (-1, 1) with one Sturm chain of (g, g').  Only a
+  nonzero count goes on down the tower of g, each d_i the last element of
+  the chain before it, until a level counts no root; the sum of the
+  counts weights each root by its multiplicity.  Every d_i divides g, so
+  it is nonzero at +-1 and no chain needs a strip of its own.
+* The first chain also decides ``interior_root_count(p).squarefree``: it
+  ends in gcd(g, g'), a constant iff g is squarefree.  Write p = (s - 1)^a
   (s + 1)^b h with h(+-1) != 0, so g(+-1) != 0 too.  Every root s0 of h
   has s0 not in {0, +-1}, where phi(s) = (s + 1/s)/2 has phi'(s0) =
   (1 - s0^-2)/2 != 0, so the multiplicity of s0 in h equals that of
@@ -55,7 +66,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 
 import numpy as np
 
@@ -197,10 +207,8 @@ def _divexact(a: list[int], b: list[int]) -> list[int]:
 
 
 def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of integer lists by the primitive remainder sequence."""
-    while b:
-        a, b = b, _neg_prem(a, b)
-    return _primitive(a)
+    """Primitive gcd of integer lists: the last element of their chain."""
+    return _sturm_chain(a, b)[-1] if b else _primitive(a)
 
 
 def _hom_eval(p: list[int], x: Fraction) -> int:
@@ -243,37 +251,23 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     return _monic(_divexact(ints, _gcd(ints, _derivative(ints))))
 
 
-def _yun(p: list[int]) -> list[tuple[list[int], int]]:
-    """Yun decomposition of a nonconstant integer p: [(g_i, i)], g_i primitive.
-
-    Each pass divides c and d by the same primitive gcd, so both stay
-    integral (Gauss) and keep one common rational factor against the monic
-    recurrence, which the step d <- d - c' needs.
-    """
-    out: list[tuple[list[int], int]] = []
-    c, d = p, _derivative(p)
-    a = _gcd(c, d)
-    i = 0
-    while True:
-        c, d = _divexact(c, a), _divexact(d, a)
-        if len(c) == 1:
-            return out
-        d = [x - y for x, y in zip_longest(d, _derivative(c), fillvalue=0)]
-        while d and d[-1] == 0:
-            d.pop()
-        a = _gcd(c, d)
-        i += 1
-        if len(a) > 1:
-            out.append((a, i))
-
-
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun decomposition: [(g_i, i)] with monic p = prod g_i^i, g_i squarefree."""
+    """[(g_i, i)] with monic p = prod g_i^i, each g_i squarefree.
+
+    g_i = e_i / e_(i+1) with e_i = d_(i-1) / d_i, from the tower of
+    successive gcds d_i of p (see the module docstring).
+    """
     if p.is_zero:
         raise ValidationError("zero polynomial has no squarefree decomposition")
-    if p.degree == 0:
-        return []
-    return [(_monic(g), mult) for g, mult in _yun(_primitive(p.coeffs))]
+    tower = [_primitive(p.coeffs)]
+    while len(tower[-1]) > 1:
+        tower.append(_gcd(tower[-1], _derivative(tower[-1])))
+    e = [_divexact(d, nxt) for d, nxt in zip(tower, tower[1:])] + [[1]]
+    return [
+        (_monic(_divexact(hi, lo)), i)
+        for i, (hi, lo) in enumerate(zip(e, e[1:]), 1)
+        if len(hi) > len(lo)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -301,37 +295,28 @@ def _variations_at(chain: list[list[int]], x: Fraction) -> int:
     return _variations([(v > 0) - (v < 0) for v in values])
 
 
-def _open_interval_count(p: list[int], a: Fraction, b: Fraction) -> int:
-    """Distinct roots of integer p in the open interval (a, b).
-
-    p need not be squarefree: once roots at the endpoints are divided out,
-    the chain of (p, p') ends in gcd(p, p'), which is nonzero at a and b,
-    and dividing the whole chain by it changes no sign variation there.
-    """
-    for endpoint in (a, b):
-        p = _strip_root(p, endpoint)[0]
-    if len(p) < 2:
-        return 0
-    chain = _sturm_chain(p, _derivative(p))
-    return _variations_at(chain, a) - _variations_at(chain, b)
-
-
 def sturm_count(p: UniPoly, a, b) -> int:
     """Distinct real roots of p in (a, b], exact over the rationals.
 
     Multiplicities do not affect the count; the endpoints are handled by
-    explicit evaluation.
+    explicit evaluation.  p need not be squarefree: once roots at the
+    endpoints are divided out, the chain of (p, p') ends in gcd(p, p'),
+    which is nonzero at a and b, and dividing the whole chain by it changes
+    no sign variation there.
     """
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValidationError(f"need a < b, got a={a}, b={b}")
     if p.is_zero:
         raise ValidationError("cannot count roots of the zero polynomial")
-    if p.degree == 0:
-        return 0
     ints = _primitive(p.coeffs)
-    at_b = _hom_eval(ints, b) == 0
-    return _open_interval_count(ints, a, b) + at_b
+    at_b = int(_hom_eval(ints, b) == 0)
+    for endpoint in (a, b):
+        ints = _strip_root(ints, endpoint)[0]
+    if len(ints) < 2:
+        return at_b
+    chain = _sturm_chain(ints, _derivative(ints))
+    return _variations_at(chain, a) - _variations_at(chain, b) + at_b
 
 
 # ---------------------------------------------------------------------------
@@ -370,38 +355,6 @@ def chebyshev_reduce(p: UniPoly) -> UniPoly:
     return UniPoly(_chebyshev(p.coeffs))
 
 
-def _circle_count_selfinversive(h: list[int]) -> tuple[int, bool]:
-    """(unit-circle roots with multiplicity, squarefree?) of integer h with
-    rev(h) = +-h.
-
-    Strips exact roots at s = +-1, then counts the distinct roots of the
-    Chebyshev image g of the surviving even palindromic part inside (-1, 1)
-    with one Sturm chain of (g, g').  Only when that count is nonzero does
-    Yun's decomposition run, to weight each root by its multiplicity; every
-    root found is doubled (a conjugate pair per x).  The same chain ends in
-    gcd(g, g'), so h is squarefree iff s = +-1 are at most simple roots and
-    the chain ends in a constant (see the module docstring).
-    """
-    h, at_one = _strip_root(h, _ONE)
-    h, at_minus_one = _strip_root(h, -_ONE)
-    count = at_one + at_minus_one
-    simple_ends = at_one <= 1 and at_minus_one <= 1
-    if len(h) == 1:
-        return count, simple_ends
-    if h != h[::-1]:
-        raise InternalMismatch("expected a self-inversive factor")
-    g = _primitive(_chebyshev(h))
-    # g(+-1) = +-h(+-1) != 0 after the strip: the chain needs no strip of its own
-    chain = _sturm_chain(g, _derivative(g))
-    squarefree = simple_ends and len(chain[-1]) == 1
-    if _variations_at(chain, -_ONE) == _variations_at(chain, _ONE):
-        return count, squarefree
-    weighted = 0
-    for factor, mult in _yun(g):
-        weighted += mult * _open_interval_count(factor, -_ONE, _ONE)
-    return count + 2 * weighted, squarefree
-
-
 # ---------------------------------------------------------------------------
 # census
 
@@ -425,16 +378,35 @@ class RootCensus:
 def interior_root_count(p: UniPoly) -> RootCensus:
     """Exact census of the roots of a palindromic p relative to the unit circle.
 
+    The circle count and the squarefree flag come from one Sturm chain on
+    the Chebyshev image g (see the module docstring); only circle roots
+    walk down the successive gcds of g to weight them by multiplicity.
     s -> 1/s pairs the roots inside with those outside, multiplicities
     included, so after the exact circle count inside = outside =
-    (deg - on)/2.  The census also says whether p is squarefree, read off
-    the circle count's Sturm chain.  Any other p (the zero polynomial
-    included) raises NotPalindromic.  No float step runs here.
+    (deg - on)/2.  Any other p (the zero polynomial included) raises
+    NotPalindromic.  No float step runs here.
     """
     if not p.is_palindromic():
         raise NotPalindromic("census needs a nonzero palindromic polynomial")
     n = p.degree
-    on, squarefree = _circle_count_selfinversive(_primitive(p.coeffs))
+    h, at_one = _strip_root(_primitive(p.coeffs), _ONE)
+    h, at_minus_one = _strip_root(h, -_ONE)
+    on = at_one + at_minus_one
+    squarefree = at_one <= 1 and at_minus_one <= 1
+    if len(h) > 1:
+        if h != h[::-1]:
+            raise InternalMismatch("expected a self-inversive factor")
+        # g(+-1) = +-h(+-1) != 0 after the strip, so no chain needs a strip
+        g = _primitive(_chebyshev(h))
+        chain = _sturm_chain(g, _derivative(g))
+        squarefree = squarefree and len(chain[-1]) == 1
+        # each x in (-1, 1) is a conjugate pair on the circle
+        while found := _variations_at(chain, -_ONE) - _variations_at(chain, _ONE):
+            on += 2 * found
+            d = chain[-1]  # the next gcd in the tower
+            if len(d) == 1:
+                break
+            chain = _sturm_chain(d, _derivative(d))
     if (n - on) % 2:
         raise InternalMismatch(f"{n - on} roots off the circle cannot pair up")
     half = (n - on) // 2

@@ -241,6 +241,28 @@ class TestEvalCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "m, n, z1", [(3, 1, "1e200"), (2001, 2000, "2"), (2, 1, "1e155j")]
+    )
+    def test_far_outside_point_is_a_one_line_refusal(self, capsys, m, n, z1):
+        # |z1|^m leaves the double range; the check refuses before the power
+        rc, out, err = run(
+            capsys,
+            ["eval", "--m", str(m), "--n", str(n), "--z1", z1, "--z2", "0.5"],
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("invalid input: z=") and "is not inside H_(" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_denominator_underflow_exits_2(self, capsys):
+        # t^100 = 1e-200 squares to 0.0, so the closed form cannot divide by it
+        rc, out, err = run(
+            capsys, ["eval", "--m", "101", "--n", "100", "--z1", "0", "--z2", "0.01"]
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and "underflows" in err
+        assert err.count("\n") == 1
+
 
 class TestScanCommand:
     def test_csv_deterministic_without_timing(self, capsys):
@@ -313,3 +335,18 @@ class TestFileOutput:
         assert "stale" not in text
         # no leftover temp files from the atomic replace
         assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
+
+    @pytest.mark.parametrize("missing_dir", [True, False])
+    def test_unwritable_path_is_a_one_line_error(self, capsys, tmp_path, missing_dir):
+        # a file in a directory that does not exist, or the directory itself
+        path = tmp_path / "absent" / "q.json" if missing_dir else tmp_path
+        rc, out, err = run(
+            capsys,
+            ["qpoly", "--m", "2", "--n", "1", "--output-format", "json",
+             "--output", str(path)],
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        # nothing written, and no .hartogs-*.tmp left behind
+        assert list(tmp_path.iterdir()) == []

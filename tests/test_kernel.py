@@ -13,6 +13,7 @@ from hartogs import (
     BiPoly,
     CoprimePair,
     DegenerateInput,
+    DenominatorVanishes,
     InternalMismatch,
     KernelFormula,
     OutsideDomain,
@@ -122,6 +123,14 @@ class TestKernelFormula:
             eval_kernel(pair, outside, inside)
         with pytest.raises(OutsideDomain):
             eval_kernel(pair, inside, outside)
+
+    def test_eval_refuses_an_underflowing_denominator(self):
+        # z = w = (0, 0.01) is inside H_(101/100), but t^100 = 1e-200 squares
+        # to 0.0, so the closed form has nothing to divide by
+        formula = kernel_formula(CoprimePair(101, 100))
+        z = (0j, 0.01 + 0j)
+        with pytest.raises(DenominatorVanishes, match="underflows"):
+            formula.eval(z, z)
 
     def test_conjugate_symmetry(self):
         pair = CoprimePair(3, 2)
@@ -337,6 +346,23 @@ class TestDomain:
             min(0.6 - 0.25, 1 - 0.6)
         )
         assert interior_margin(2, (0.9, 0.5)) < 0
+
+    @pytest.mark.parametrize(
+        "gamma, z, margin",
+        [
+            # |z1|^m leaves the double range: margin -inf
+            (3, (1e200, 0.5), -math.inf),
+            ((2001, 2000), (2.0, 0.5), -math.inf),
+            (2, (1e155j, 0.5), -math.inf),
+            (2, (1e155, 1e200), -math.inf),
+            # |z2|^n alone leaves it: the 1 - |z2| slack decides
+            ((1, 2000), (0.5, 2.0), -1.0),
+        ],
+    )
+    def test_overflowing_power_is_outside(self, gamma, z, margin):
+        # an outside verdict and a margin, not an OverflowError
+        assert not in_domain(gamma, z)
+        assert interior_margin(gamma, z) == margin
 
     def test_margin_positive_iff_inside(self):
         pts = [(0.5, 0.6), (0.9, 0.5), (0.1, 0.99), (0.1, 1.01)]

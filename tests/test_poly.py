@@ -144,8 +144,8 @@ class TestUniPolyProperties:
 
     @given(unipolys(min_degree=1), unipolys(min_degree=1), unipolys(min_degree=1))
     def test_div_rem_divides_squarefree_part_and_gcd(self, a, b, c):
-        # rational long division checks the integer-list Yun and remainder
-        # sequences, with which it shares no code
+        # rational long division checks the squarefree part and the gcd, both
+        # read off the integer remainder sequence, with which it shares no code
         p = a * a * b
         sf = squarefree_part(p)
         assert sf.degree <= p.degree - a.degree

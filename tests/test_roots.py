@@ -161,6 +161,7 @@ class TestAgainstSympy:
 
     @settings(max_examples=60, deadline=None)
     @given(integer_polys())
+    @example(poly_from_roots((1, 1), (2, 4)))  # multiplicities 2 and 3 absent
     def test_squarefree_decomposition(self, p):
         _, factors = self.to_sympy(p).sqf_list()
         expected = [(self.monic_coeffs(f), mult) for f, mult in factors]
@@ -287,8 +288,13 @@ class TestCircleRootCount:
             ([1, 8, 18, 8, 1], 0),  # (s^2+4s+1)^2
             ([1, 0, -2, 0, 1], 4),  # (s-1)^2 (s+1)^2
             ([1, 0, 2, 0, 1], 4),  # (s^2+1)^2 with multiplicity
-            ([1, 2, 3, 2, 1], 4),  # (s^2+s+1)^2: Yun weights the double roots
+            ([1, 2, 3, 2, 1], 4),  # (s^2+s+1)^2: gcd(g, g') counts them again
             ([1, 6, 11, 6, 1], 0),  # (s^2+3s+1)^2: non-squarefree image, none
+            # multiplicity >= 3: each root is counted once per gcd it lies in
+            ([1, 0, 3, 0, 3, 0, 1], 6),  # (s^2+1)^3
+            ([1, 3, 6, 7, 6, 3, 1], 6),  # (s^2+s+1)^3
+            ([1, 3, 5, 7, 7, 5, 3, 1], 7),  # (s+1)^3 (s^2+1)^2
+            ([1, -1, 0, -3, 3, 0, 3, -3, 0, -1, 1], 10),  # (s-1)^4 (s^2+s+1)^3
         ],
     )
     def test_frozen(self, coeffs, expected):
@@ -344,6 +350,7 @@ class TestInteriorRootCount:
             ([1, 2, 3, 2, 1], (0, 4, 0)),  # (s^2+s+1)^2
             ([1, 4, 5, 4, 1], (1, 2, 1)),  # (s^2+s+1)(s^2+3s+1)
             ([1, 5, 8, 5, 1], (1, 2, 1)),  # (s+1)^2 (s^2+3s+1)
+            ([1, 6, 16, 28, 33, 28, 16, 6, 1], (1, 6, 1)),  # (s^2+s+1)^3 (s^2+3s+1)
         ],
     )
     def test_palindromic_pairing_with_circle_roots(self, coeffs, expected):
@@ -378,7 +385,8 @@ class TestInteriorRootCount:
             size = int(rng.integers(1, 4))
             return mirrored(int(c) for c in rng.integers(-9, 10, size=size))
 
-        # the second shape is f^2 g, so that Yun weights f's circle roots;
+        # the second shape is f^2 g, so that the census walks down to
+        # gcd(g, g') to weight f's circle roots;
         # numpy censuses f and g apart, since it smears a double root
         for squared in (False, True):
             checked = with_circle_roots = 0
