@@ -29,7 +29,6 @@ from .errors import (
     NotDivisible,
     NotPalindromic,
     OutsideDomain,
-    UnsupportedFamily,
     ValidationError,
 )
 from .kernel import (
@@ -39,8 +38,6 @@ from .kernel import (
     monomial_norm_sq,
     numerator_effective,
     numerator_oracle,
-    restrict_s0,
-    restrict_s0_zero,
     series_kernel,
     series_tail_estimate,
 )
@@ -48,8 +45,6 @@ from .poly import BiPoly, UniPoly
 from .qpoly import (
     DiagonalPoly,
     diagonal_poly,
-    family_closed_form,
-    family_pair,
     verify_piece_identities,
 )
 from .roots import (

@@ -335,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--m-max", type=int, required=True)
     p_scan.add_argument("--k", type=int, default=None, help="only pairs with m - n = k")
     p_scan.add_argument("--workers", type=int, default=None,
-                        help="process pool size")
+                        help="process pool size, at most the CPU count")
     p_scan.add_argument("--no-timing", action="store_true",
                         help="omit elapsed_ms for byte-reproducible output")
 

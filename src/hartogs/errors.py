@@ -29,10 +29,6 @@ class DegenerateInput(ValidationError):
     """Evaluation point sits on a removed locus (t = 0 or |t| >= 1)."""
 
 
-class UnsupportedFamily(ValidationError):
-    """Closed-form coefficients only exist for codegrees k = 1 and k = 2."""
-
-
 class NoInteriorRoot(HartogsError):
     """No root inside the unit disk; a kernel zero witness cannot be built."""
 

@@ -27,11 +27,6 @@ t^i and i*t^i, that all rows share, each row scaled by an exp prefactor
 that keeps its powers of s and t in range.  ``KernelFormula.eval``,
 ``series_kernel`` and ``series_tail_estimate`` check (z, w) against the
 domain through one helper.
-
-On the axis slice z1 = w1 = 0 the kernel is ``restrict_s0``, a function of
-t alone, whose exact zero ``restrict_s0_zero`` t = n/(n - m) is interior
-exactly when gamma = m/n > 2; the tests check that the closed form
-vanishes there.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import CoprimePair, level, numerator_coeff, tent_partner
-from .domain import _exponent_pair, in_domain
+from .domain import in_domain
 from .errors import (
     DegenerateInput,
     DenominatorVanishes,
@@ -62,8 +57,6 @@ __all__ = [
     "series_kernel",
     "series_tail_estimate",
     "monomial_norm_sq",
-    "restrict_s0",
-    "restrict_s0_zero",
 ]
 
 Point = tuple[complex, complex]
@@ -247,30 +240,3 @@ def series_tail_estimate(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> 
         tail += row * eta / (1.0 - eta)
     return tail
 
-
-def restrict_s0(gamma, t: complex) -> complex:
-    """Kernel restricted to the slice z1 = w1 = 0, as a function of t.
-
-    Equals (1 + (gamma - 1) t) / (gamma * pi^2 * t * (1 - t)^2) on the
-    punctured disk 0 < |t| < 1; raises DegenerateInput off that set.
-    ``gamma`` is any exact exponent that ``in_domain`` accepts.
-    """
-    m, n = _exponent_pair(gamma)
-    if t == 0 or abs(t) >= 1:
-        raise DegenerateInput(f"t={t!r} is outside the punctured unit disk")
-    g = m / n
-    t = complex(t)
-    return (1 + (g - 1) * t) / (g * math.pi**2 * t * (1 - t) ** 2)
-
-
-def restrict_s0_zero(gamma) -> Fraction | None:
-    """The unique zero t = 1/(1 - gamma) = n/(n - m) of the slice kernel.
-
-    For gamma = m/n > 2 the zero lies inside the punctured disk and is
-    returned exactly; for gamma <= 2 the slice kernel never vanishes and
-    None is returned.
-    """
-    m, n = _exponent_pair(gamma)
-    if m <= 2 * n:
-        return None
-    return Fraction(n, n - m)

@@ -1,4 +1,4 @@
-"""Diagonal restriction of the kernel numerator and its closed families.
+"""Diagonal restriction of the kernel numerator.
 
 Setting t = s in the kernel numerator P and dividing by the exact factor
 s^(2n-1) yields the diagonal polynomial Q of degree 2k, k = m - n.  Q has
@@ -16,19 +16,13 @@ Reversal swaps q1 with q4 and q2 with q3 while fixing q0, which is exactly
 why Q is palindromic.  ``diagonal_poly`` sums the terms straight into Q;
 only ``verify_piece_identities`` builds the pieces apart, to check that
 symmetry.
-
-For the two infinite families with smallest codegree the coefficients have
-closed forms (``family_closed_form``): k = 1 gives pairs (l+1, l) and a
-quadratic, k = 2 gives pairs (2l+1, 2l-1) and a quartic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import CoprimePair
-from .errors import InternalMismatch, UnsupportedFamily, ValidationError
 from .kernel import _numerator_terms
 from .poly import UniPoly
 
@@ -36,8 +30,6 @@ __all__ = [
     "DiagonalPoly",
     "diagonal_poly",
     "verify_piece_identities",
-    "family_closed_form",
-    "family_pair",
 ]
 
 
@@ -84,42 +76,3 @@ def verify_piece_identities(pair: CoprimePair) -> bool:
         and diagonal_poly(pair).poly.is_palindromic()
     )
 
-
-def family_pair(k: int, ell: int) -> CoprimePair:
-    """The l-th pair in the codegree-k family (k = 1 or 2 only)."""
-    if ell < 1:
-        raise ValidationError(f"family index must be >= 1, got {ell}")
-    if k == 1:
-        return CoprimePair(ell + 1, ell)
-    if k == 2:
-        return CoprimePair(2 * ell + 1, 2 * ell - 1)
-    raise UnsupportedFamily(f"no closed family for codegree k={k}")
-
-
-def family_closed_form(k: int, ell: int) -> UniPoly:
-    """Closed-form diagonal polynomial for the codegree-1 and -2 families.
-
-    k = 1, pair (l+1, l):
-        Q = a0 (1 + s^2) + a1 s,
-        a0 = l(l+1)(l+2)/6,  a1 = (l+1)(2l^2+4l+3)/3.
-    k = 2, pair (2l+1, 2l-1):
-        Q = a0 (1 + s^4) + a1 (s + s^3) + a2 s^2,
-        a0 = l(l+1)(2l+1)/6,  a1 = l(l+1)(2l+1),  a2 = (2l+1)(5l^2+5l+3)/3.
-
-    All divisions are exact over the integers; that exactness is asserted.
-    """
-    family_pair(k, ell)  # validates k and ell
-    if k == 1:
-        a0 = Fraction(ell * (ell + 1) * (ell + 2), 6)
-        a1 = Fraction((ell + 1) * (2 * ell * ell + 4 * ell + 3), 3)
-        for name, val in (("a0", a0), ("a1", a1)):
-            if val.denominator != 1:
-                raise InternalMismatch(f"{name} is not an integer for l={ell}")
-        return UniPoly([int(a0), int(a1), int(a0)])
-    a0 = Fraction(ell * (ell + 1) * (2 * ell + 1), 6)
-    a1 = Fraction(ell * (ell + 1) * (2 * ell + 1), 1)
-    a2 = Fraction((2 * ell + 1) * (5 * ell * ell + 5 * ell + 3), 3)
-    for name, val in (("a0", a0), ("a1", a1), ("a2", a2)):
-        if val.denominator != 1:
-            raise InternalMismatch(f"{name} is not an integer for l={ell}")
-    return UniPoly([int(a0), int(a1), int(a2), int(a1), int(a0)])

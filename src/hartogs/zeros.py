@@ -26,6 +26,7 @@ how they are printed.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -253,7 +254,7 @@ def _scan_pair(pair: CoprimePair) -> ScanRow:
             holds,
             elapsed,
         )
-    except Exception as exc:  # pragma: no cover - per-pair failure marker
+    except Exception as exc:  # per-pair failure marker
         elapsed = (time.perf_counter() - start) * 1000.0
         return ScanRow(
             pair.m, pair.n, pair.k, -1, -1, -1, False, elapsed,
@@ -268,10 +269,13 @@ def scan(
 
     Rows come in the (m, n) order of ``coprime_pairs``, which ``pool.map``
     keeps, so the row order and all mathematical columns are identical
-    regardless of worker count; only elapsed_ms varies run to run.
+    regardless of worker count; only elapsed_ms varies run to run.  The
+    pool never exceeds the pair count or the CPU count, since the executor
+    forks all its workers at the first submit.
     """
     pairs = coprime_pairs(m_max, k)
-    if workers is None or workers <= 1:
+    workers = min(workers or 1, len(pairs), os.cpu_count() or 1)
+    if workers <= 1:
         return [_scan_pair(pair) for pair in pairs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_scan_pair, pairs, chunksize=8))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from scipy.integrate import dblquad
@@ -20,8 +21,6 @@ from hartogs import (
     coprime_pairs,
     diagonal_poly,
     eval_kernel,
-    family_closed_form,
-    family_pair,
     interior_root_count,
     monomial_norm_sq,
     numerator_effective,
@@ -94,10 +93,20 @@ def test_criterion_03_palindromicity_and_pieces(acceptance_report):
 def test_criterion_04_closed_families(acceptance_report):
     ok = False
     try:
+        # the closed forms as exact Fractions: equal to Q's ints only if
+        # every division is exact
         for ell in range(1, 101):
-            for k in (1, 2):
-                pair = family_pair(k, ell)
-                assert diagonal_poly(pair).poly == family_closed_form(k, ell)
+            # k = 1, pair (l+1, l): a0 (1 + s^2) + a1 s
+            a0 = Fraction(ell * (ell + 1) * (ell + 2), 6)
+            a1 = Fraction((ell + 1) * (2 * ell * ell + 4 * ell + 3), 3)
+            q1 = diagonal_poly(CoprimePair(ell + 1, ell)).poly
+            assert q1 == UniPoly([a0, a1, a0])
+            # k = 2, pair (2l+1, 2l-1): a0 (1 + s^4) + a1 (s + s^3) + a2 s^2
+            a0 = Fraction(ell * (ell + 1) * (2 * ell + 1), 6)
+            a1 = 6 * a0
+            a2 = Fraction((2 * ell + 1) * (5 * ell * ell + 5 * ell + 3), 3)
+            q2 = diagonal_poly(CoprimePair(2 * ell + 1, 2 * ell - 1)).poly
+            assert q2 == UniPoly([a0, a1, a2, a1, a0])
         assert diagonal_poly(CoprimePair(2, 1)).poly == UniPoly([1, 6, 1])
         assert diagonal_poly(CoprimePair(3, 1)).poly == UniPoly([1, 6, 13, 6, 1])
         ok = True
@@ -114,9 +123,11 @@ def test_criterion_05_family_root_counts(acceptance_report):
     try:
         start = time.perf_counter()
         for ell in range(1, 101):
-            c1 = interior_root_count(family_closed_form(1, ell))
+            c1 = interior_root_count(diagonal_poly(CoprimePair(ell + 1, ell)).poly)
             assert (c1.inside, c1.on_circle) == (1, 0)
-            c2 = interior_root_count(family_closed_form(2, ell))
+            c2 = interior_root_count(
+                diagonal_poly(CoprimePair(2 * ell + 1, 2 * ell - 1)).poly
+            )
             assert (c2.inside, c2.on_circle) == (2, 0)
         assert chebyshev_reduce(UniPoly([1, 6, 13, 6, 1])) == UniPoly([11, 12, 4])
         elapsed = time.perf_counter() - start
@@ -134,10 +145,11 @@ def test_criterion_06_limit_roots(acceptance_report):
     ok = False
     try:
         limit = -2 + math.sqrt(3)
-        q1 = family_closed_form(1, 10**4)
+        ell = 10**4
+        q1 = diagonal_poly(CoprimePair(ell + 1, ell)).poly
         (root1,) = [r for r in numeric_roots(q1) if abs(r) < 1]
         assert abs(root1 - limit) < 1e-3
-        q2 = family_closed_form(2, 10**4)
+        q2 = diagonal_poly(CoprimePair(2 * ell + 1, 2 * ell - 1)).poly
         inner = sorted(
             (r for r in numeric_roots(q2) if abs(r) < 1), key=lambda r: r.real
         )

@@ -1,4 +1,4 @@
-"""Closed-form kernel, series oracle, monomial norms, domain predicates."""
+"""Closed-form kernel, series oracle, slice-kernel oracle, monomial norms, domain predicates."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from scipy.integrate import dblquad
 from hartogs import (
     BiPoly,
     CoprimePair,
-    DegenerateInput,
     DenominatorVanishes,
     InternalMismatch,
     KernelFormula,
@@ -26,8 +25,6 @@ from hartogs import (
     monomial_norm_sq,
     numerator_effective,
     numerator_oracle,
-    restrict_s0,
-    restrict_s0_zero,
     series_kernel,
     series_tail_estimate,
 )
@@ -285,35 +282,48 @@ class TestMonomialNorms:
         assert err < 1e-6
 
 
+def restrict_s0(pair: CoprimePair, t: complex) -> complex:
+    """Slice-kernel oracle: K on z1 = w1 = 0 as a function of t = z2 conj(w2).
+
+    With gamma = m/n, (1 + (gamma - 1) t) / (gamma pi^2 t (1 - t)^2) on the
+    punctured disk 0 < |t| < 1.
+    """
+    g = pair.m / pair.n
+    t = complex(t)
+    return (1 + (g - 1) * t) / (g * math.pi**2 * t * (1 - t) ** 2)
+
+
+def restrict_s0_zero(pair: CoprimePair) -> Fraction | None:
+    """The slice kernel's only zero t = n/(n - m); inside the disk iff m > 2n."""
+    m, n = pair
+    return Fraction(n, n - m) if m > 2 * n else None
+
+
 class TestSlices:
     def test_frozen_value(self):
         # gamma = 2 slice at t = 0.25 (z2 = w2 = 0.5 on the axis)
-        assert restrict_s0(2, 0.25) == pytest.approx(0.45031637174372346, rel=1e-13)
+        assert restrict_s0(CoprimePair(2, 1), 0.25) == pytest.approx(
+            0.45031637174372346, rel=1e-13
+        )
 
     def test_matches_full_kernel_on_axis(self):
         pair = CoprimePair(2, 1)
         z = w = (0j, 0.5 + 0j)
-        gamma = Fraction(pair.m, pair.n)
         t = (z[1] * w[1].conjugate()).real
         assert eval_kernel(pair, z, w).real == pytest.approx(
-            restrict_s0(gamma, t).real, rel=1e-12
+            restrict_s0(pair, t).real, rel=1e-12
         )
 
     def test_zero_location(self):
-        assert restrict_s0_zero(3) == Fraction(-1, 2)
-        assert restrict_s0_zero(Fraction(5, 2)) == Fraction(-2, 3)
-        assert restrict_s0_zero(2) is None
-        assert restrict_s0_zero(Fraction(3, 2)) is None
+        assert restrict_s0_zero(CoprimePair(3, 1)) == Fraction(-1, 2)
+        assert restrict_s0_zero(CoprimePair(5, 2)) == Fraction(-2, 3)
+        assert restrict_s0_zero(CoprimePair(2, 1)) is None
+        assert restrict_s0_zero(CoprimePair(3, 2)) is None
 
     def test_zero_is_actually_a_zero(self):
-        t0 = restrict_s0_zero(3)
-        assert abs(restrict_s0(3, complex(t0))) < 1e-15
-
-    def test_degenerate_input(self):
-        with pytest.raises(DegenerateInput):
-            restrict_s0(3, 0.0)
-        with pytest.raises(DegenerateInput):
-            restrict_s0(3, 1.0)
+        pair = CoprimePair(3, 1)
+        t0 = restrict_s0_zero(pair)
+        assert abs(restrict_s0(pair, complex(t0))) < 1e-15
 
     @pytest.mark.parametrize("pair", [CoprimePair(3, 1), CoprimePair(5, 2)])
     def test_slice_zero_is_a_zero_of_the_closed_form(self, pair):
@@ -324,40 +334,46 @@ class TestSlices:
         assert value == 0
 
 
+H2 = CoprimePair(2, 1)
+
+
+def _gamma_id(value):
+    """Name an integer exponent m/1 by m; other values keep pytest's ids."""
+    if isinstance(value, CoprimePair) and value.n == 1:
+        return str(value.m)
+    return None
+
+
 class TestDomain:
     def test_membership(self):
-        assert in_domain(2, (0.5, 0.6))
-        assert not in_domain(2, (0.9, 0.5))
-        assert not in_domain(2, (0.5, 1.0))
-        assert in_domain(Fraction(5, 3), (0.5, 0.6)) == (0.5**5 < 0.6**3)
-
-    def test_accepts_pair_and_tuple(self):
-        z = (0.3 + 0.1j, 0.8j)
-        assert in_domain(CoprimePair(3, 2), z) == in_domain((3, 2), z)
-        assert in_domain(Fraction(3, 2), z) == in_domain((3, 2), z)
+        assert in_domain(H2, (0.5, 0.6))
+        assert not in_domain(H2, (0.9, 0.5))
+        assert not in_domain(H2, (0.5, 1.0))
+        assert in_domain(CoprimePair(5, 3), (0.5, 0.6)) == (0.5**5 < 0.6**3)
 
     def test_origin_axis(self):
         # z1 = 0 is inside whenever 0 < |z2| < 1
-        assert in_domain(2, (0j, 0.5))
-        assert not in_domain(2, (0j, 0.0))
+        assert in_domain(H2, (0j, 0.5))
+        assert not in_domain(H2, (0j, 0.0))
 
     def test_interior_margin(self):
-        assert interior_margin(2, (0.5, 0.6)) == pytest.approx(
+        assert interior_margin(H2, (0.5, 0.6)) == pytest.approx(
             min(0.6 - 0.25, 1 - 0.6)
         )
-        assert interior_margin(2, (0.9, 0.5)) < 0
+        assert interior_margin(H2, (0.9, 0.5)) < 0
 
     @pytest.mark.parametrize(
         "gamma, z, margin",
         [
             # |z1|^m leaves the double range: margin -inf
-            (3, (1e200, 0.5), -math.inf),
-            ((2001, 2000), (2.0, 0.5), -math.inf),
-            (2, (1e155j, 0.5), -math.inf),
-            (2, (1e155, 1e200), -math.inf),
+            (CoprimePair(3, 1), (1e200, 0.5), -math.inf),
+            (CoprimePair(2001, 2000), (2.0, 0.5), -math.inf),
+            (H2, (1e155j, 0.5), -math.inf),
+            (H2, (1e155, 1e200), -math.inf),
             # |z2|^n alone leaves it: the 1 - |z2| slack decides
-            ((1, 2000), (0.5, 2.0), -1.0),
+            (CoprimePair(2001, 2000), (0.5, 2.0), -1.0),
         ],
+        ids=_gamma_id,
     )
     def test_overflowing_power_is_outside(self, gamma, z, margin):
         # an outside verdict and a margin, not an OverflowError
@@ -368,7 +384,7 @@ class TestDomain:
         pts = [(0.5, 0.6), (0.9, 0.5), (0.1, 0.99), (0.1, 1.01)]
         for pt in pts:
             z = (complex(pt[0]), complex(pt[1]))
-            assert (interior_margin(2, z) > 0) == in_domain(2, z)
+            assert (interior_margin(H2, z) > 0) == in_domain(H2, z)
 
 
 class TestVerifiedConstruction:

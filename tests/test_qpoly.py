@@ -1,20 +1,16 @@
-"""Diagonal restriction Q_{m,n}: palindromicity, pieces, closed families."""
+"""Diagonal restriction Q_{m,n}: palindromicity, pieces, the k = 1, 2 families."""
 
 from __future__ import annotations
 
 import math
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hartogs import (
     CoprimePair,
     UniPoly,
-    UnsupportedFamily,
     diagonal_poly,
-    family_closed_form,
-    family_pair,
     numerator_oracle,
     verify_piece_identities,
 )
@@ -87,37 +83,26 @@ class TestStructure:
 
 
 class TestFamilies:
-    def test_family_pair(self):
-        assert family_pair(1, 1) == CoprimePair(2, 1)
-        assert family_pair(1, 7) == CoprimePair(8, 7)
-        assert family_pair(2, 1) == CoprimePair(3, 1)
-        assert family_pair(2, 4) == CoprimePair(9, 7)
-
-    def test_unsupported_family(self):
-        with pytest.raises(UnsupportedFamily):
-            family_closed_form(3, 1)
-        with pytest.raises(UnsupportedFamily):
-            family_pair(0, 1)
-
     def test_k1_frozen(self):
-        # alpha0 (1 + s^2) + alpha1 s with
+        # pairs (l+1, l): alpha0 (1 + s^2) + alpha1 s with
         # alpha0 = l(l+1)(l+2)/6, alpha1 = (l+1)(2l^2+4l+3)/3
-        assert family_closed_form(1, 1) == UniPoly([1, 6, 1])
-        assert family_closed_form(1, 2) == UniPoly([4, 19, 4])
-        assert family_closed_form(1, 3) == UniPoly([10, 44, 10])
+        assert diagonal_poly(CoprimePair(2, 1)).poly == UniPoly([1, 6, 1])
+        assert diagonal_poly(CoprimePair(3, 2)).poly == UniPoly([4, 19, 4])
+        assert diagonal_poly(CoprimePair(4, 3)).poly == UniPoly([10, 44, 10])
 
     def test_k2_frozen(self):
-        # alpha0 (1 + s^4) + 6 alpha0 (s + s^3) + alpha2 s^2 with
-        # alpha0 = l(l+1)(2l+1)/6, alpha2 = (2l+1)(5l^2+5l+3)/3
-        assert family_closed_form(2, 1) == UniPoly([1, 6, 13, 6, 1])
-        assert family_closed_form(2, 2) == UniPoly([5, 30, 55, 30, 5])
-        assert family_closed_form(2, 3) == UniPoly([14, 84, 147, 84, 14])
+        # pairs (2l+1, 2l-1): alpha0 (1 + s^4) + 6 alpha0 (s + s^3) + alpha2 s^2
+        # with alpha0 = l(l+1)(2l+1)/6, alpha2 = (2l+1)(5l^2+5l+3)/3
+        assert diagonal_poly(CoprimePair(3, 1)).poly == UniPoly([1, 6, 13, 6, 1])
+        assert diagonal_poly(CoprimePair(5, 3)).poly == UniPoly([5, 30, 55, 30, 5])
+        assert diagonal_poly(CoprimePair(7, 5)).poly == UniPoly(
+            [14, 84, 147, 84, 14]
+        )
 
     @given(st.integers(1, 60), st.sampled_from([1, 2]))
     def test_agrees_with_construction(self, ell, k):
-        pair = family_pair(k, ell)
-        assert diagonal_poly(pair).poly == family_closed_form(k, ell)
-
-    def test_rejects_bad_ell(self):
-        with pytest.raises(Exception):
-            family_pair(1, 0)
+        # family pairs up to m = 121, past the m <= 30 sweep above, against
+        # the restriction of the brute-force numerator
+        pair = CoprimePair(k * ell + 1, k * ell + 1 - k)
+        direct = numerator_oracle(pair).restrict_diagonal().shift_down(2 * pair.n - 1)
+        assert diagonal_poly(pair).poly == direct

@@ -18,7 +18,6 @@ from hartogs import (
     chebyshev_reduce,
     classify_float_roots,
     coprime_pairs,
-    family_closed_form,
     interior_root_count,
     numeric_roots,
     poly_gcd,
@@ -564,13 +563,21 @@ class TestNumericRoots:
         )
 
 
+def _k1(ell: int) -> UniPoly:
+    return diagonal_poly(CoprimePair(ell + 1, ell)).poly
+
+
+def _k2(ell: int) -> UniPoly:
+    return diagonal_poly(CoprimePair(2 * ell + 1, 2 * ell - 1)).poly
+
+
 class TestFamilyLimits:
     def test_k1_root_approaches_limit(self):
         # the interior root of the k=1 family tends to -2 + sqrt(3)
         limit = -2 + math.sqrt(3)
         prev_gap = None
         for ell in (10, 100, 1000):
-            q = family_closed_form(1, ell)
+            q = _k1(ell)
             interior = [r for r in numeric_roots(q) if abs(r) < 1]
             assert len(interior) == 1
             gap = abs(interior[0] - limit)
@@ -580,7 +587,7 @@ class TestFamilyLimits:
         assert prev_gap < 1e-4
 
     def test_k2_roots_approach_limits(self):
-        q = family_closed_form(2, 1000)
+        q = _k2(1000)
         interior = sorted(
             (r for r in numeric_roots(q) if abs(r) < 1), key=lambda r: r.real
         )
@@ -590,13 +597,13 @@ class TestFamilyLimits:
 
     def test_family_censuses(self):
         for ell in (1, 7, 40):
-            c1 = interior_root_count(family_closed_form(1, ell))
+            c1 = interior_root_count(_k1(ell))
             assert (c1.inside, c1.on_circle, c1.outside) == (1, 0, 1)
-            c2 = interior_root_count(family_closed_form(2, ell))
+            c2 = interior_root_count(_k2(ell))
             assert (c2.inside, c2.on_circle, c2.outside) == (2, 0, 2)
 
     def test_k1_interior_root_interval(self):
         # exact bracketing: the interior root sits in (-1, 0) for every ell
         for ell in (1, 5, 25):
-            q = family_closed_form(1, ell)
+            q = _k1(ell)
             assert sturm_count(q, -1, 0) == 1

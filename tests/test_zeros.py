@@ -166,12 +166,11 @@ class TestZeroWitness:
     def test_points_are_interior(self, mn):
         pair = CoprimePair(*mn)
         w = zero_witness(pair)
-        gamma = (pair.m, pair.n)
-        assert in_domain(gamma, w.z)
-        assert in_domain(gamma, w.w)
+        assert in_domain(pair, w.z)
+        assert in_domain(pair, w.w)
         assert w.margin > 1e-6
         assert w.margin == pytest.approx(
-            min(interior_margin(gamma, w.z), interior_margin(gamma, w.w))
+            min(interior_margin(pair, w.z), interior_margin(pair, w.w))
         )
 
     def test_witness_reproduces_s0(self):
@@ -332,3 +331,56 @@ class TestScan:
         text = cli_out(capsys, ["scan", "--m-max", "9"])
         assert "(9,2): circle=-1 interior=-1 error=boom" in text
         assert text.splitlines()[-1] == "9,2,7,-1,-1,-1,false,1.235"
+
+    def test_failed_pair_gets_the_failure_marker(self, monkeypatch):
+        def untimed(rows):
+            return [dataclasses.replace(row, elapsed_ms=0.0) for row in rows]
+
+        expected = untimed(scan(8))
+        failing = diagonal_poly(CoprimePair(5, 3)).poly
+        census = zeros.interior_root_count
+
+        def census_failing_on_53(q):
+            if q == failing:
+                raise ArithmeticError("injected")
+            return census(q)
+
+        monkeypatch.setattr(zeros, "interior_root_count", census_failing_on_53)
+        rows = untimed(scan(8))
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            if (row.m, row.n) != (5, 3):
+                assert row == want
+                continue
+            assert (row.k, row.degree, row.circle_count, row.interior_count) == (
+                2, -1, -1, -1
+            )
+            assert row.conjecture_holds is False
+            assert row.error == "ArithmeticError: injected"
+
+    def test_pool_never_exceeds_pairs_or_cpus(self, monkeypatch):
+        # a recording stand-in for the executor: no process is started
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(zeros, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(zeros.os, "cpu_count", lambda: 4)
+        serial = scan(8)
+        assert [r.m for r in scan(8, workers=100_000)] == [r.m for r in serial]
+        assert [r.m for r in scan(3, workers=100_000)] == [2, 3, 3]
+        assert sizes == [4, 3]
+        monkeypatch.setattr(zeros.os, "cpu_count", lambda: None)
+        scan(8, workers=100_000)
+        assert sizes == [4, 3]
