@@ -218,9 +218,11 @@ def cmd_scan(args) -> list:
             + (f" error={row.error}" if row.error else "")
             for row in findings
         )
-    else:
+    elif rows:
         lines.append("conjecture holds on every scanned pair "
                      "(circle count 0, interior count k)")
+    else:
+        lines.append("no coprime pair was scanned, so nothing was checked")
     return lines + table
 
 

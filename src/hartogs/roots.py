@@ -8,15 +8,23 @@ and an exact quotient (``_divexact``), integral by Gauss's lemma because
 every divisor is primitive.  ``_neg_prem`` runs in one loop only,
 ``_sturm_chain``: the chain of (a, b) is their primitive remainder
 sequence and ends in gcd(a, b), so that one sequence serves every Sturm
-count, every gcd and every multiplicity.  Public names convert once at
-the boundary: ``_primitive`` on the way in, and the gcd and squarefree
+count, every gcd and every multiplicity.  Its one basis-dependent piece
+is the multiply-by-x map: the monomial shift by default, and in the
+census the Chebyshev map 2x T_0 = 2 T_1, 2x T_i = T_(i+1) + T_(i-1),
+which keeps the leading coordinate.  Public names convert once at the
+boundary: ``_primitive`` on the way in, and the gcd and squarefree
 results leave as monic ``UniPoly``s.
 
-* ``chebyshev_reduce`` turns a palindromic p of degree 2k into a degree-k
-  polynomial g with p(e^(i theta)) * e^(-ik theta) = g(cos theta), via the
-  exact Chebyshev recurrence; unit-circle roots of p correspond to roots of
+* A palindromic h of degree 2k has h(e^(i theta)) e^(-ik theta) = h_k +
+  sum_j 2 h_(k+j) cos(j theta) = g(cos theta), so g = h_k T_0 + sum_j
+  2 h_(k+j) T_j: the census reads g's Chebyshev coordinates straight off
+  h and never leaves them.  Unit-circle roots of h correspond to roots of
   g in [-1, 1] (interior x doubles into a conjugate pair, x = +-1 maps to
-  the single roots s = +-1).
+  the single roots s = +-1).  A Chebyshev chain is evaluated at +-1 only,
+  where T_j(+-1) = (+-1)^j gives the same sums as monomial coordinates.
+  ``chebyshev_reduce`` builds g in monomial coordinates by the T_j
+  recurrence; the census does not call it, and the tests hold the
+  census's coordinates to it as their independent oracle.
 * ``sturm_count`` counts distinct real roots in a half-open interval (a, b]
   by the chain of (p, p'), which needs no squarefree p once the roots at
   the endpoints are divided out.
@@ -28,12 +36,13 @@ results leave as monic ``UniPoly``s.
   multiplicity >= i, as g_i = e_i / e_(i+1).
 * The circle count, ``interior_root_count(p).on_circle``, counts the
   unit-circle roots of p with multiplicity: strip exact roots at s = +-1,
-  Chebyshev-reduce the even palindromic remainder h to g and count the
-  distinct roots of g in (-1, 1) with one Sturm chain of (g, g').  Only a
-  nonzero count goes on down the tower of g, each d_i the last element of
-  the chain before it, until a level counts no root; the sum of the
-  counts weights each root by its multiplicity.  Every d_i divides g, so
-  it is nonzero at +-1 and no chain needs a strip of its own.
+  read g off the even palindromic remainder h and count the distinct
+  roots of g in (-1, 1) with one Sturm chain of (g, 2g'), 2g' from the
+  backward recurrence e_(i-1) = e_(i+1) + 2i c_i on g's coordinates.
+  Only a nonzero count goes on down the tower of g, each d_i the last
+  element of the chain before it, until a level counts no root; the sum
+  of the counts weights each root by its multiplicity.  Every d_i divides
+  g, so it is nonzero at +-1 and no chain needs a strip of its own.
 * The first chain also decides ``interior_root_count(p).squarefree``: it
   ends in gcd(g, g'), a constant iff g is squarefree.  Write p = (s - 1)^a
   (s + 1)^b h with h(+-1) != 0, so g(+-1) != 0 too.  Every root s0 of h
@@ -135,39 +144,73 @@ def _derivative(p: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _neg_prem(a: list[int], b: list[int]) -> list[int]:
+def _times_x(b: list[int]) -> list[int]:
+    """x * b in monomial coordinates."""
+    return [0] + b
+
+
+def _times_2x(b: list[int]) -> list[int]:
+    """2x * b in Chebyshev coordinates: 2x T_0 = 2 T_1, 2x T_i = T_(i+1) + T_(i-1).
+
+    The top coordinate stays lc(b), and T_i has a positive leading
+    monomial coefficient, so leading terms cancel as in monomial
+    coordinates.
+    """
+    r = [x + y for x, y in zip([0] + b, b[1:] + [0, 0])]
+    r[1] += b[0]
+    return r
+
+
+def _chebyshev_derivative(c: list[int]) -> list[int]:
+    """2g' in Chebyshev coordinates for g = sum c_i T_i of degree >= 1.
+
+    The backward recurrence e_(i-1) = e_(i+1) + 2i c_i gives g' =
+    e_0 / 2 + sum_(i>=1) e_i T_i, so 2g' = [e_0, 2 e_1, 2 e_2, ...].
+    """
+    n = len(c) - 1
+    e = [0] * (n + 2)
+    for i in range(n, 0, -1):
+        e[i - 1] = e[i + 1] + 2 * i * c[i]
+    return [e[0]] + [2 * x for x in e[1:n]]
+
+
+def _neg_prem(a: list[int], b: list[int], times_x=_times_x) -> list[int]:
     """Primitive part of -(a mod b), by a sign-preserving pseudo-remainder.
 
-    Each step r <- |lc b| * r - sgn(lc b) * lc(r) * x^delta * b cancels the
+    a and b are coordinates in one basis, and ``times_x`` is the basis's
+    multiply-by-x map up to a positive factor that keeps lc(b): the
+    monomial shift ``_times_x`` or the Chebyshev ``_times_2x``.  Each step
+    r <- |lc b| * r - sgn(lc b) * lc(r) * times_x^delta(b) cancels the
     leading term of r while multiplying it by a positive number, so the
     result is a positive multiple of the negated Euclidean remainder, and
     Sturm signs survive.  b must be nonzero; [] means b divides a.
 
     When deg a = deg b + 1 = n + 1, as at every step of a normal chain,
-    the two steps fuse into one pass, r_i = lc(b)^2 a_i - q1 b_(i-1) -
-    q0 b_i with q1 = lc(b) a_(n+1) and q0 = lc(b) a_n - a_(n+1) b_(n-1),
-    a positive multiple of the two-step result.  In a primitive remainder
-    sequence lc(a)^2 carries almost all of the content of r (subresultant
-    theory), so d = gcd(lc(a)^2, r_0, r_last) is divided out first when it
-    divides every coefficient, and the full gcd runs on what is left.
+    the two steps fuse into one pass, r_i = lc(b)^2 a_i - q1 xb_i -
+    q0 b_i with xb = times_x(b), q1 = lc(b) a_(n+1) and q0 = lc(b) a_n -
+    a_(n+1) xb_n, a positive multiple of the two-step result.  In a
+    primitive remainder sequence lc(a)^2 carries almost all of the content
+    of r (subresultant theory), so d = gcd(lc(a)^2, r_0, r_last) is
+    divided out first when it divides every coefficient, and the full gcd
+    runs on what is left.
     """
     db = len(b) - 1
     if db == 0:
         return []  # a nonzero constant divides a
     if len(a) == db + 2:
-        lb, la = b[-1], a[-1]
-        l2, q1, q0 = lb * lb, lb * la, lb * a[-2] - la * b[-2]
-        r = [l2 * x - q1 * y - q0 * z for x, y, z in zip(a[:db], [0] + b, b)]
+        lb, la, xb = b[-1], a[-1], times_x(b)
+        l2, q1, q0 = lb * lb, lb * la, lb * a[-2] - la * xb[-2]
+        r = [l2 * x - q1 * y - q0 * z for x, y, z in zip(a[:db], xb, b)]
     else:
         mul = abs(b[-1])
         sgn = 1 if b[-1] > 0 else -1
-        low = b[:-1]
+        powers = [b]  # times_x^delta(b), one more coordinate per delta
         r = list(a)
         while len(r) > db:
             c = sgn * r.pop()  # the cancelled leading term
-            shift = len(r) - db
-            head = r[:shift] if mul == 1 else [mul * x for x in r[:shift]]
-            r = head + [mul * x - c * y for x, y in zip(r[shift:], low)]
+            while len(powers) <= len(r) - db:
+                powers.append(times_x(powers[-1]))
+            r = [mul * x - c * y for x, y in zip(r, powers[len(r) - db])]
             while r and r[-1] == 0:
                 r.pop()
     while r and r[-1] == 0:
@@ -214,7 +257,7 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
 def _hom_eval(p: list[int], x: Fraction) -> int:
     """den^deg * p(num/den) for x = num/den, den > 0: same sign, exact int."""
     num, den = x.numerator, x.denominator
-    if den == 1 and num in (1, -1):  # the census endpoints: one big-int sum
+    if den == 1 and num in (1, -1):  # the census's strip at +-1: one big-int sum
         return sum(p) if num == 1 else sum(p[::2]) - sum(p[1::2])
     acc, dpow = 0, 1
     for c in reversed(p):
@@ -274,25 +317,41 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
 # Sturm chains
 
 
-def _sturm_chain(p0: list[int], p1: list[int]) -> list[list[int]]:
-    """Negated-remainder chain starting (p0, p1), nonzero p1, positive scaling."""
+def _sturm_chain(
+    p0: list[int], p1: list[int], times_x=_times_x
+) -> list[list[int]]:
+    """Negated-remainder chain starting (p0, p1), nonzero p1, positive scaling.
+
+    p0, p1 and every element share one basis, whose multiply-by-x map is
+    ``times_x`` (see ``_neg_prem``).
+    """
     chain = [_primitive(p0), _primitive(p1)]
     while len(chain[-1]) > 1:
-        r = _neg_prem(chain[-2], chain[-1])
+        r = _neg_prem(chain[-2], chain[-1], times_x)
         if not r:
             break
         chain.append(r)
     return chain
 
 
-def _variations(signs: list[int]) -> int:
-    signs = [s for s in signs if s != 0]
+def _variations(values) -> int:
+    """Sign changes along a sequence of numbers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
     return sum(1 for prev, cur in zip(signs, signs[1:]) if prev != cur)
 
 
 def _variations_at(chain: list[list[int]], x: Fraction) -> int:
-    values = (_hom_eval(q, x) for q in chain)
-    return _variations([(v > 0) - (v < 0) for v in values])
+    return _variations(_hom_eval(q, x) for q in chain)
+
+
+def _circle_variations(chain: list[list[int]]) -> int:
+    """V(-1) - V(1) of a chain in Chebyshev coordinates.
+
+    T_i(+-1) = (+-1)^i, so with e and o the sums of the even and the odd
+    coordinates an element takes e + o at 1 and e - o at -1.
+    """
+    ends = [(sum(q[::2]), sum(q[1::2])) for q in chain]
+    return _variations(e - o for e, o in ends) - _variations(e + o for e, o in ends)
 
 
 def sturm_count(p: UniPoly, a, b) -> int:
@@ -323,9 +382,24 @@ def sturm_count(p: UniPoly, a, b) -> int:
 # circle counting
 
 
-def _chebyshev(c) -> list:
-    """Chebyshev image of the palindromic coefficient list c (even degree)."""
-    k = (len(c) - 1) // 2
+def chebyshev_reduce(p: UniPoly) -> UniPoly:
+    """Degree-k image g of a palindromic degree-2k polynomial.
+
+    Writing p(e^(i theta)) e^(-ik theta) = c_k + sum_j 2 c_(k+j) cos(j theta)
+    and substituting cos(j theta) = T_j(x) yields g with
+    p(e^(i theta)) e^(-ik theta) = g(cos theta); algebraically
+    p(s) = s^k * g((s + 1/s)/2), so every root pair (r, 1/r) of p lands on
+    the single root (r + 1/r)/2 of g, and |s| = 1 corresponds to x in [-1, 1].
+    The T_j come from their recurrence T_(j+1) = 2x T_j - T_(j-1).  The
+    census keeps g in Chebyshev coordinates instead; this function is the
+    oracle its tests check those coordinates against.
+    """
+    if p.is_zero or not p.is_palindromic():
+        raise NotPalindromic("chebyshev_reduce needs a palindromic polynomial")
+    if p.degree % 2 != 0:
+        raise NotPalindromic("chebyshev_reduce needs even degree")
+    c = p.coeffs
+    k = p.degree // 2
     g = [c[k]] + [0] * k
     t_prev, t_cur = [1], [0, 1]
     for j in range(1, k + 1):
@@ -336,23 +410,7 @@ def _chebyshev(c) -> list:
         for i, t in enumerate(t_prev):
             t_next[i] -= t
         t_prev, t_cur = t_cur, t_next
-    return g
-
-
-def chebyshev_reduce(p: UniPoly) -> UniPoly:
-    """Degree-k image g of a palindromic degree-2k polynomial.
-
-    Writing p(e^(i theta)) e^(-ik theta) = c_k + sum_j 2 c_(k+j) cos(j theta)
-    and substituting cos(j theta) = T_j(x) yields g with
-    p(e^(i theta)) e^(-ik theta) = g(cos theta); algebraically
-    p(s) = s^k * g((s + 1/s)/2), so every root pair (r, 1/r) of p lands on
-    the single root (r + 1/r)/2 of g, and |s| = 1 corresponds to x in [-1, 1].
-    """
-    if p.is_zero or not p.is_palindromic():
-        raise NotPalindromic("chebyshev_reduce needs a palindromic polynomial")
-    if p.degree % 2 != 0:
-        raise NotPalindromic("chebyshev_reduce needs even degree")
-    return UniPoly(_chebyshev(p.coeffs))
+    return UniPoly(g)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +437,8 @@ def interior_root_count(p: UniPoly) -> RootCensus:
     """Exact census of the roots of a palindromic p relative to the unit circle.
 
     The circle count and the squarefree flag come from one Sturm chain on
-    the Chebyshev image g (see the module docstring); only circle roots
+    the Chebyshev image g, run in Chebyshev coordinates and evaluated at
+    +-1 only (see the module docstring); only circle roots
     walk down the successive gcds of g to weight them by multiplicity.
     s -> 1/s pairs the roots inside with those outside, multiplicities
     included, so after the exact circle count inside = outside =
@@ -396,17 +455,19 @@ def interior_root_count(p: UniPoly) -> RootCensus:
     if len(h) > 1:
         if h != h[::-1]:
             raise InternalMismatch("expected a self-inversive factor")
-        # g(+-1) = +-h(+-1) != 0 after the strip, so no chain needs a strip
-        g = _primitive(_chebyshev(h))
-        chain = _sturm_chain(g, _derivative(g))
+        # g's Chebyshev coordinates, read off h; h(+-1) = (+-1)^k g(+-1)
+        # is nonzero after the strip, so no chain needs a strip
+        k = len(h) // 2
+        g = [h[k]] + [2 * c for c in h[k + 1 :]]
+        chain = _sturm_chain(g, _chebyshev_derivative(g), _times_2x)
         squarefree = squarefree and len(chain[-1]) == 1
         # each x in (-1, 1) is a conjugate pair on the circle
-        while found := _variations_at(chain, -_ONE) - _variations_at(chain, _ONE):
+        while found := _circle_variations(chain):
             on += 2 * found
             d = chain[-1]  # the next gcd in the tower
             if len(d) == 1:
                 break
-            chain = _sturm_chain(d, _derivative(d))
+            chain = _sturm_chain(d, _chebyshev_derivative(d), _times_2x)
     if (n - on) % 2:
         raise InternalMismatch(f"{n - on} roots off the circle cannot pair up")
     half = (n - on) // 2

@@ -271,8 +271,11 @@ def scan(
     keeps, so the row order and all mathematical columns are identical
     regardless of worker count; only elapsed_ms varies run to run.  The
     pool never exceeds the pair count or the CPU count, since the executor
-    forks all its workers at the first submit.
+    forks all its workers at the first submit.  ``workers=None`` runs
+    serially; a count below 1 raises ValidationError.
     """
+    if workers is not None and workers < 1:
+        raise ValidationError(f"need workers >= 1, got {workers}")
     pairs = coprime_pairs(m_max, k)
     workers = min(workers or 1, len(pairs), os.cpu_count() or 1)
     if workers <= 1:

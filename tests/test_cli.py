@@ -293,6 +293,20 @@ class TestScanCommand:
         assert rc == 0
         assert "conjecture holds on every scanned pair" in out
 
+    def test_text_summary_of_an_empty_scan(self, capsys):
+        # m <= 5 has no pair with m - n = 9: nothing holds, nothing fails
+        rc, out, _ = run(capsys, ["scan", "--m-max", "5", "--k", "9"])
+        assert rc == 0
+        assert "scanned 0 coprime pairs" in out
+        assert "no coprime pair was scanned" in out
+        assert "conjecture holds" not in out
+
+    def test_rejects_fewer_than_one_worker(self, capsys):
+        rc, out, err = run(capsys, ["scan", "--m-max", "5", "--workers", "-3"])
+        assert rc == 2
+        assert out == ""
+        assert "workers" in err
+
     def test_workers_flag_same_rows(self, capsys):
         rc1, out1, _ = run(
             capsys,

@@ -168,9 +168,24 @@ class TestAgainstSympy:
         assert got == expected
 
 
+def monomial_product(q: list[int], b: list[int]) -> list[int]:
+    return list((UniPoly(q) * UniPoly(b)).coeffs)
+
+
+def chebyshev_product(q: list[int], b: list[int]) -> list[int]:
+    """2 q b in Chebyshev coordinates, from 2 T_i T_j = T_(i+j) + T_|i-j|."""
+    out = [0] * (len(q) + len(b) - 1)
+    for i, x in enumerate(q):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+            out[abs(i - j)] += x * y
+    return out
+
+
 @st.composite
-def dividend_divisor(draw):
-    """(a, b) with a = q b + r and r drawn with up to deg b coefficients.
+def dividend_divisor(draw, product=monomial_product):
+    """(a, b) with a = q b + r (times 2 in Chebyshev coordinates) and r
+    drawn with up to deg b coefficients.
 
     So the first remainder drops the degree by one, by two or more, or
     vanishes; the later steps of the sequence are whatever they turn out.
@@ -179,7 +194,7 @@ def dividend_divisor(draw):
     b = draw(st.lists(coeff, min_size=2, max_size=8).filter(lambda c: c[-1] != 0))
     q = draw(st.lists(coeff, min_size=1, max_size=3).filter(lambda c: c[-1] != 0))
     r = draw(st.lists(coeff, max_size=len(b) - 1))
-    a = list((UniPoly(q) * UniPoly(b)).coeffs)
+    a = product(q, b)
     return [x + y for x, y in zip(a, r + [0] * len(a))], b
 
 
@@ -193,6 +208,12 @@ def negated_remainders(a: list[int], b: list[int]) -> list[UniPoly]:
             break
         seq.append(UniPoly([-c for c in rem.coeffs]))
     return seq
+
+
+def from_chebyshev(a: list[int]) -> UniPoly:
+    """2 * sum a_i T_i in monomial coordinates, by ``chebyshev_reduce`` of
+    the palindrome with middle coefficient 2 a_0 and a_j on either side."""
+    return chebyshev_reduce(UniPoly(a[:0:-1] + [2 * a[0]] + a[1:]))
 
 
 def is_positive_multiple(ints: list[int], ref: UniPoly) -> bool:
@@ -221,15 +242,39 @@ class TestRemainderSequence:
         g = roots._gcd(roots._primitive(a), roots._primitive(b))
         assert is_positive_multiple(g, ref[-1])
 
+    @settings(max_examples=150, deadline=None)
+    @given(dividend_divisor(chebyshev_product))
+    @example(([1, 0, 1], [0, 1]))  # T_1 divides T_2 + T_0 = 2x^2: zero remainder
+    # T_4 + T_2 + T_1 mod T_3 = T_1, a drop by 2; then T_3 mod T_1 runs the
+    # general loop to a zero remainder
+    @example(([0, 1, 1, 0, 1], [0, 0, 0, 1]))
+    @example(([1, 1, 0, 1], [0, 0, 1]))  # T_3 + T_1 + T_0 mod T_2 = 1: a drop by 2
+    @example(([2, -3, 0, 5, 1], [7, 0, -2, 3]))  # a normal chain, every drop 1
+    def test_chebyshev_elements_are_positive_multiples(self, ab):
+        # the census's remainder path: the same loop in Chebyshev coordinates
+        a, b = ab
+        ref = negated_remainders(
+            list(from_chebyshev(a).coeffs), list(from_chebyshev(b).coeffs)
+        )
+        stop = next((i + 1 for i, s in enumerate(ref) if s.degree == 0), len(ref))
+        chain = roots._sturm_chain(a, b, roots._times_2x)
+        assert len(chain) == stop
+        assert all(
+            is_positive_multiple(list(from_chebyshev(c).coeffs), s)
+            for c, s in zip(chain, ref)
+        )
+
     def test_census_chains_pinned(self, monkeypatch):
         # every Sturm chain the census builds for the coprime pairs m <= 40,
-        # as the two-step remainder with a full content gcd produced them
+        # in the primitive monomial form the two-step remainder with a full
+        # content gcd produced; the census runs them in Chebyshev coordinates
         chains = []
         build = roots._sturm_chain
 
-        def recorded(p0, p1):
-            chains.append(build(p0, p1))
-            return chains[-1]
+        def recorded(*args):
+            chain = build(*args)
+            chains.append([roots._primitive(from_chebyshev(q).coeffs) for q in chain])
+            return chain
 
         monkeypatch.setattr(roots, "_sturm_chain", recorded)
         for pair in coprime_pairs(40):
@@ -273,31 +318,61 @@ class TestChebyshevReduce:
 
 class TestCircleRootCount:
     # the census's on-circle count runs the exact Chebyshev/Sturm circle count
-    @pytest.mark.parametrize(
-        "coeffs,expected",
-        [
-            ([1, 2, 1], 2),  # (s+1)^2
-            ([1, -2, 1], 2),  # (s-1)^2
-            ([1, 0, 1], 2),  # s^2 + 1
-            ([1, 4, 1], 0),
-            ([1, 6, 1], 0),
-            ([2, 3, 2], 2),
-            ([1, 0, 0, 0, 0, 1], 5),  # s^5 + 1
-            ([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1], 8),  # Lehmer
-            ([1, 8, 18, 8, 1], 0),  # (s^2+4s+1)^2
-            ([1, 0, -2, 0, 1], 4),  # (s-1)^2 (s+1)^2
-            ([1, 0, 2, 0, 1], 4),  # (s^2+1)^2 with multiplicity
-            ([1, 2, 3, 2, 1], 4),  # (s^2+s+1)^2: gcd(g, g') counts them again
-            ([1, 6, 11, 6, 1], 0),  # (s^2+3s+1)^2: non-squarefree image, none
-            # multiplicity >= 3: each root is counted once per gcd it lies in
-            ([1, 0, 3, 0, 3, 0, 1], 6),  # (s^2+1)^3
-            ([1, 3, 6, 7, 6, 3, 1], 6),  # (s^2+s+1)^3
-            ([1, 3, 5, 7, 7, 5, 3, 1], 7),  # (s+1)^3 (s^2+1)^2
-            ([1, -1, 0, -3, 3, 0, 3, -3, 0, -1, 1], 10),  # (s-1)^4 (s^2+s+1)^3
-        ],
-    )
+    CASES = [
+        ([1, 2, 1], 2),  # (s+1)^2
+        ([1, -2, 1], 2),  # (s-1)^2
+        ([1, 0, 1], 2),  # s^2 + 1
+        ([1, 4, 1], 0),
+        ([1, 6, 1], 0),
+        ([2, 3, 2], 2),
+        ([1, 0, 0, 0, 0, 1], 5),  # s^5 + 1
+        ([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1], 8),  # Lehmer
+        ([1, 8, 18, 8, 1], 0),  # (s^2+4s+1)^2
+        ([1, 0, -2, 0, 1], 4),  # (s-1)^2 (s+1)^2
+        ([1, 0, 2, 0, 1], 4),  # (s^2+1)^2 with multiplicity
+        ([1, 2, 3, 2, 1], 4),  # (s^2+s+1)^2: gcd(g, g') counts them again
+        ([1, 6, 11, 6, 1], 0),  # (s^2+3s+1)^2: non-squarefree image, none
+        # multiplicity >= 3: each root is counted once per gcd it lies in
+        ([1, 0, 3, 0, 3, 0, 1], 6),  # (s^2+1)^3
+        ([1, 3, 6, 7, 6, 3, 1], 6),  # (s^2+s+1)^3
+        ([1, 3, 5, 7, 7, 5, 3, 1], 7),  # (s+1)^3 (s^2+1)^2
+        ([1, -1, 0, -3, 3, 0, 3, -3, 0, -1, 1], 10),  # (s-1)^4 (s^2+s+1)^3
+    ]
+
+    @pytest.mark.parametrize("coeffs,expected", CASES)
     def test_frozen(self, coeffs, expected):
         assert interior_root_count(UniPoly(coeffs)).on_circle == expected
+
+    def test_census_coordinates_match_chebyshev_reduce(self, monkeypatch):
+        # chebyshev_reduce is the census's oracle: the coordinates of g that
+        # the census reads off h, and of 2g', convert to chebyshev_reduce(h)
+        # and twice its derivative; every gcd d in the tower pairs with 2d'
+        inputs = [q for q, _ in self.CASES]
+        inputs += [list(diagonal_poly(pair).poly.coeffs) for pair in coprime_pairs(30)]
+        calls = []
+        build = roots._sturm_chain
+
+        def recorded(p0, p1, *args):
+            calls.append((from_chebyshev(p0), from_chebyshev(p1)))
+            return build(p0, p1, *args)
+
+        monkeypatch.setattr(roots, "_sturm_chain", recorded)
+        two = UniPoly([2])
+        for coeffs in inputs:
+            h = UniPoly(coeffs)  # with the roots at s = +-1 divided out
+            for root in (1, -1):
+                while h.degree > 0 and h(root) == 0:
+                    h = h.div_rem(UniPoly([-root, 1]))[0]
+            calls.clear()
+            interior_root_count(UniPoly(coeffs))
+            if h.degree == 0:
+                assert not calls
+                continue
+            g = chebyshev_reduce(UniPoly(roots._primitive(h.coeffs)))
+            assert calls[0][0] == two * g
+            for d, dd in calls:
+                assert dd == two * d.derivative()
+        assert len(inputs) == 17 + 277
 
 
 class TestInteriorRootCount:

@@ -270,6 +270,11 @@ class TestScan:
 
         assert untimed(scan(10)) == untimed(scan(10, workers=2))
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValidationError, match="workers"):
+            scan(5, workers=workers)
+
     def test_csv_shape(self, capsys):
         out = cli_out(capsys, ["scan", "--m-max", "6", "--output-format", "csv"])
         lines = out.strip().split("\n")
