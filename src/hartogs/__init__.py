@@ -16,7 +16,6 @@ from .arith import (
     tent,
     tent_arg,
     tent_partner,
-    verify_index_identities,
 )
 from .domain import in_domain, interior_margin
 from .errors import (
@@ -26,7 +25,6 @@ from .errors import (
     HartogsError,
     InternalMismatch,
     NoInteriorRoot,
-    NotDivisible,
     NotPalindromic,
     OutsideDomain,
     ValidationError,
@@ -42,11 +40,7 @@ from .kernel import (
     series_tail_estimate,
 )
 from .poly import BiPoly, UniPoly
-from .qpoly import (
-    DiagonalPoly,
-    diagonal_poly,
-    verify_piece_identities,
-)
+from .qpoly import DiagonalPoly, diagonal_poly
 from .roots import (
     RootCensus,
     chebyshev_reduce,

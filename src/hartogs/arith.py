@@ -9,10 +9,12 @@ has a rational closed form whose numerator is an integer polynomial in
 s = z1*conj(w1) and t = z2*conj(w2).  Which monomials appear, and with what
 coefficients, is controlled by two integer staircase functions (`level` and
 `tent_partner`) and by the triangular "tent" coefficients of
-((1 - x^m)/(1 - x))^2.
+((1 - x^m)/(1 - x))^2.  The staircase places the pieces of
+``numerator_effective``; the tents alone fill ``numerator_oracle``.
 
 Everything in this module is exact integer arithmetic; floats are never
-used.  Ceiling division is the exact integer operation, not a float round.
+used (``tent`` and ``numerator_coeff`` also take integer index arrays).
+Ceiling division is the exact integer operation, not a float round.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "tent_arg",
     "tent",
     "numerator_coeff",
-    "verify_index_identities",
 ]
 
 
@@ -119,27 +120,3 @@ def numerator_coeff(pair: CoprimePair, b1, b2):
     exponents and returns an int for ints.
     """
     return tent(pair.m, b1) * tent(pair.m, tent_arg(pair, b1, b2))
-
-
-def verify_index_identities(pair: CoprimePair) -> bool:
-    """Check the structural identities of level and tent_partner.
-
-    Shift identities, checked for 0 <= j <= 2m-2:
-        level(j + m) = level(j) + n
-        tent_partner(j + m) = tent_partner(j)
-    Pairing identities, checked for 0 <= j <= m-2:
-        level(j) + level(m-2-j) = n + 1
-        tent_partner(j) + tent_partner(m-2-j) = m - 2
-    """
-    m, n = pair
-    for j in range(2 * m - 1):
-        if level(pair, j + m) != level(pair, j) + n:
-            return False
-        if tent_partner(pair, j + m) != tent_partner(pair, j):
-            return False
-    for j in range(m - 1):
-        if level(pair, j) + level(pair, m - 2 - j) != n + 1:
-            return False
-        if tent_partner(pair, j) + tent_partner(pair, m - 2 - j) != m - 2:
-            return False
-    return True

@@ -9,12 +9,14 @@ This is the one module that knows how output looks: the library returns
 exact values and plain records, and each ``cmd_*`` turns them into a
 JSON-able record for json or a list of lines for csv and text, built only
 for the format asked for; ``main`` serializes it.  Exact coefficients are
-printed as decimal strings, so no precision is lost in json.  The float
-root diagnostic of ``roots`` runs here too, and only for json and text.
+printed as decimal strings, so no precision is lost in json; ``_fmt_poly``
+prints P and Q in text.  The float root diagnostic of ``roots`` runs here
+too, and only for json and text.
 
 Exit codes: 0 success (including conjecture findings, which are reported
-but are not errors), 2 validation failure or an --output path that cannot
-be written, with a one-line diagnostic, 3 internal cross-check mismatch.
+but are not errors); 2 for a ``ValidationError`` (bad input), any other
+package error, or an --output path that cannot be written, each with a
+one-line diagnostic; 3 for an ``InternalMismatch``, a broken invariant.
 """
 
 from __future__ import annotations
@@ -78,6 +80,16 @@ def _fmt_complex(value: complex) -> str:
     return f"{value.real:.17g}{value.imag:+.17g}j"
 
 
+def _fmt_poly(terms) -> str:
+    """((i, j), c) pairs as c*s^i*t^j + ...; drops c = 1 and zero exponents."""
+
+    def mono(exponents, c) -> str:
+        powers = [v if e == 1 else f"{v}^{e}" for v, e in zip("st", exponents) if e]
+        return "*".join(([str(c)] if c != 1 or not powers else []) + powers)
+
+    return " + ".join(mono(e, c) for e, c in terms) or "0"
+
+
 def cmd_kernel(args) -> dict | list[str]:
     pair = CoprimePair(args.m, args.n)
     formula = kernel_formula(pair, verify=args.verify)
@@ -100,7 +112,7 @@ def cmd_kernel(args) -> dict | list[str]:
     lines = [
         f"pair: m={pair.m} n={pair.n} (k={pair.k})",
         f"numerator terms: {formula.numerator.num_terms} (expected {4 * pair.m - 3})",
-        f"P(s,t) = {formula.numerator}",
+        f"P(s,t) = {_fmt_poly(sorted(formula.numerator.terms.items()))}",
         f"denominator: {formula.denominator_text}",
     ]
     if args.verify:
@@ -122,7 +134,7 @@ def cmd_qpoly(args) -> dict | list[str]:
         return ["degree,coeff"] + [f"{e},{c}" for e, c in enumerate(dp.poly.coeffs)]
     return [
         f"pair: m={pair.m} n={pair.n} (k={pair.k})",
-        f"Q(s) = {dp.poly}",
+        f"Q(s) = {_fmt_poly(((e,), c) for e, c in enumerate(dp.poly.coeffs) if c)}",
         f"palindromic: {dp.poly.is_palindromic()}  Q(1) = {dp.poly(1)} = m^3",
     ]
 
@@ -371,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalMismatch as exc:
         print(f"internal mismatch: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError) as exc:
+    except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except HartogsError as exc:

@@ -2,7 +2,8 @@
 
 The exponent m/n comes as a ``CoprimePair``, so the defining inequality is
 checked as |z1|^m < |z2|^n, using only integer powers of float magnitudes
-and avoiding fractional exponents entirely.
+and avoiding fractional exponents entirely.  ``interior_margin`` owns that
+check, overflow included; ``in_domain`` is its sign.
 """
 
 from __future__ import annotations
@@ -14,14 +15,6 @@ from .arith import CoprimePair
 __all__ = ["in_domain", "interior_margin"]
 
 Point = tuple[complex, complex]
-
-
-def in_domain(pair: CoprimePair, z: Point) -> bool:
-    """True when z lies strictly inside {|z1|^(m/n) < |z2| < 1}."""
-    m, n = pair
-    a1, a2 = abs(z[0]), abs(z[1])
-    # |z1|^m < |z2|^n < 1 needs |z1| < 1, which also keeps |z1|^m finite
-    return a2 < 1.0 and a1 < 1.0 and a1**m < a2**n
 
 
 def _power(a: float, k: int) -> float:
@@ -46,3 +39,8 @@ def interior_margin(pair: CoprimePair, z: Point) -> float:
     if p1 == math.inf:
         return -math.inf
     return min(_power(a2, n) - p1, 1.0 - a2)
+
+
+def in_domain(pair: CoprimePair, z: Point) -> bool:
+    """True when z lies strictly inside: a positive (so not NaN) margin."""
+    return interior_margin(pair, z) > 0

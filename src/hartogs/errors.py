@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: validation failures (bad input) exit
-with 2, internal cross-check failures exit with 3.
+Each type means one thing.  The CLI exits 2 on a ``ValidationError`` (bad
+input) and on any other ``HartogsError`` (this input cannot be computed),
+and 3 on an ``InternalMismatch`` (a broken invariant of the program).
 """
 
 
@@ -13,10 +14,6 @@ class ValidationError(HartogsError, ValueError):
     """Caller-supplied input violates a precondition."""
 
 
-class NotDivisible(ValidationError):
-    """Monomial division requested where a lower-order term survives."""
-
-
 class NotPalindromic(ValidationError):
     """Operation requires a palindromic coefficient sequence."""
 
@@ -26,7 +23,7 @@ class OutsideDomain(ValidationError):
 
 
 class DegenerateInput(ValidationError):
-    """Evaluation point sits on a removed locus (t = 0 or |t| >= 1)."""
+    """Interior point whose t = z2*conj(w2) underflows to 0: no series rows."""
 
 
 class NoInteriorRoot(HartogsError):
@@ -42,4 +39,4 @@ class ConvergenceFailure(HartogsError):
 
 
 class InternalMismatch(HartogsError):
-    """Two independent computations of the same object disagree."""
+    """Two independent computations disagree, or an exact division fails."""

@@ -16,15 +16,16 @@ Two deliberately small types:
 Coefficients are arbitrary precision by construction; nothing in this module
 touches floats except the explicit complex/float evaluation helpers.  Neither
 type has an output format of its own: ``hartogs.cli`` prints coefficients as
-decimal strings, so precision survives in machine-readable output.
+decimal strings, so precision survives in machine-readable output, and
+writes the text monomials c*s^i*t^j itself from ``terms`` and ``coeffs``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
-from .errors import NotDivisible, ValidationError
+from .errors import ValidationError
 
 Scalar = Union[int, Fraction]
 
@@ -65,10 +66,6 @@ class BiPoly:
     def num_terms(self) -> int:
         return len(self._terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def coeff(self, i: int, j: int) -> Scalar:
         return self._terms.get((i, j), 0)
 
@@ -98,26 +95,6 @@ class BiPoly:
         for (i, j), c in self._terms.items():
             total += float(c) * s**i * t**j
         return total
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-
-        def mono(i: int, j: int, c: Scalar) -> str:
-            parts = []
-            if c != 1 or (i == 0 and j == 0):
-                parts.append(str(c))
-            if i == 1:
-                parts.append("s")
-            elif i > 1:
-                parts.append(f"s^{i}")
-            if j == 1:
-                parts.append("t")
-            elif j > 1:
-                parts.append(f"t^{j}")
-            return "*".join(parts)
-
-        return " + ".join(mono(i, j, c) for i, j, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"BiPoly({self._terms!r})"
@@ -153,12 +130,6 @@ class UniPoly:
             raise ValidationError("zero polynomial has no valuation")
         return next(i for i, c in enumerate(self._coeffs) if c != 0)
 
-    def __getitem__(self, i: int) -> Scalar:
-        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
-
-    def __iter__(self) -> Iterator[Scalar]:
-        return iter(self._coeffs)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self._coeffs == other._coeffs
 
@@ -189,13 +160,13 @@ class UniPoly:
         return UniPoly([i * c for i, c in enumerate(self._coeffs)][1:])
 
     def shift_down(self, e: int) -> "UniPoly":
-        """Divide by x^e exactly; raises NotDivisible if a low term survives."""
+        """Divide by x^e exactly; raises ValidationError if a low term survives."""
         if e < 0:
             raise ValidationError(f"shift_down needs e >= 0, got {e}")
         if self.is_zero or e == 0:
             return self
         if any(c != 0 for c in self._coeffs[:e]):
-            raise NotDivisible(f"polynomial has a nonzero term below degree {e}")
+            raise ValidationError(f"polynomial has a nonzero term below degree {e}")
         return UniPoly(self._coeffs[e:])
 
     def is_palindromic(self) -> bool:
@@ -220,20 +191,6 @@ class UniPoly:
                 for j, d in enumerate(den):
                     rem[i + j] -= factor * d
         return UniPoly(quo), UniPoly(rem)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                var = "s" if e == 1 else f"s^{e}"
-                parts.append(var if c == 1 else f"{c}*{var}")
-        return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self._coeffs)!r})"

@@ -13,9 +13,8 @@ Q(1) = m^3.  Its five pieces are the restrictions of the numerator's pieces:
 
 with E(j) = j - level(j) + 1 and kappa = tent_partner(j), j = 0..m-2.
 Reversal swaps q1 with q4 and q2 with q3 while fixing q0, which is exactly
-why Q is palindromic.  ``diagonal_poly`` sums the terms straight into Q;
-only ``verify_piece_identities`` builds the pieces apart, to check that
-symmetry.
+why Q is palindromic.  ``diagonal_poly`` sums the terms straight into Q
+and never builds the pieces apart; the tests do, to check that symmetry.
 """
 
 from __future__ import annotations
@@ -26,11 +25,7 @@ from .arith import CoprimePair
 from .kernel import _numerator_terms
 from .poly import UniPoly
 
-__all__ = [
-    "DiagonalPoly",
-    "diagonal_poly",
-    "verify_piece_identities",
-]
+__all__ = ["DiagonalPoly", "diagonal_poly"]
 
 
 @dataclass(frozen=True)
@@ -54,25 +49,3 @@ def diagonal_poly(pair: CoprimePair) -> DiagonalPoly:
     for _, (b1, b2), coeff in _numerator_terms(pair):
         q[b1 + b2 - shift] += coeff
     return DiagonalPoly(pair, UniPoly(q))
-
-
-def verify_piece_identities(pair: CoprimePair) -> bool:
-    """Exact reversal symmetry of the pieces of Q.
-
-    The five pieces q0..q4 are the diagonal restrictions of the numerator's
-    pieces, as coefficient lists of length 2k + 1.  Reversal inside degree
-    2k fixes q0, swaps q1 <-> q4, and swaps q2 <-> q3.  Together these
-    force Q to be palindromic.
-    """
-    shift = 2 * pair.n - 1
-    pieces = [[0] * (2 * pair.k + 1) for _ in range(5)]
-    for piece, (b1, b2), coeff in _numerator_terms(pair):
-        pieces[piece][b1 + b2 - shift] += coeff
-    q0, q1, q2, q3, q4 = pieces
-    return (
-        q0[::-1] == q0
-        and q1[::-1] == q4
-        and q2[::-1] == q3
-        and diagonal_poly(pair).poly.is_palindromic()
-    )
-

@@ -81,7 +81,6 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     InternalMismatch,
-    NotDivisible,
     NotPalindromic,
     ValidationError,
 )
@@ -232,7 +231,7 @@ def _divexact(a: list[int], b: list[int]) -> list[int]:
 
     By Gauss's lemma that quotient has integer coefficients, so every step
     of the long division divides exactly; a step that cannot, or a
-    surviving remainder, raises NotDivisible.
+    surviving remainder, is a broken invariant and raises InternalMismatch.
     """
     lead, width = b[-1], len(b)
     r = list(a)
@@ -240,12 +239,12 @@ def _divexact(a: list[int], b: list[int]) -> list[int]:
     for i in range(len(q) - 1, -1, -1):
         c, rem = divmod(r[i + width - 1], lead)
         if rem:
-            raise NotDivisible("integer long division left a fraction")
+            raise InternalMismatch("integer long division left a fraction")
         q[i] = c
         if c:
             r[i : i + width] = [x - c * y for x, y in zip(r[i : i + width], b)]
     if any(r[: width - 1]):
-        raise NotDivisible("polynomial division left a remainder")
+        raise InternalMismatch("polynomial division left a remainder")
     return q
 
 
@@ -288,8 +287,6 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     """Monic product of the distinct irreducible factors of p."""
     if p.is_zero:
         raise ValidationError("zero polynomial has no squarefree part")
-    if p.degree == 0:
-        return UniPoly([1])
     ints = _primitive(p.coeffs)
     return _monic(_divexact(ints, _gcd(ints, _derivative(ints))))
 

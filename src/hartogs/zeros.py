@@ -272,10 +272,12 @@ def scan(
     regardless of worker count; only elapsed_ms varies run to run.  The
     pool never exceeds the pair count or the CPU count, since the executor
     forks all its workers at the first submit.  ``workers=None`` runs
-    serially; a count below 1 raises ValidationError.
+    serially; workers or k below 1 raise ValidationError.
     """
     if workers is not None and workers < 1:
         raise ValidationError(f"need workers >= 1, got {workers}")
+    if k is not None and k < 1:
+        raise ValidationError(f"need k >= 1, got {k}")
     pairs = coprime_pairs(m_max, k)
     workers = min(workers or 1, len(pairs), os.cpu_count() or 1)
     if workers <= 1:

@@ -28,10 +28,9 @@ from hartogs import (
     numeric_roots,
     scan,
     series_kernel,
-    verify_index_identities,
-    verify_piece_identities,
     zero_witness,
 )
+from identity_checks import verify_index_identities, verify_piece_identities
 
 WITNESS_PAIRS = [CoprimePair(2, 1), CoprimePair(3, 2), CoprimePair(3, 1), CoprimePair(5, 3)]
 PROVEN_KS = {1, 2, 3, 4, 6}

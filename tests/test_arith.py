@@ -19,8 +19,8 @@ from hartogs import (
     tent,
     tent_arg,
     tent_partner,
-    verify_index_identities,
 )
+from identity_checks import verify_index_identities
 
 
 def _coprime_pairs(m_max: int) -> list[CoprimePair]:

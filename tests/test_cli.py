@@ -307,6 +307,12 @@ class TestScanCommand:
         assert out == ""
         assert "workers" in err
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_rejects_a_codegree_below_one(self, capsys, k):
+        rc, out, err = run(capsys, ["scan", "--m-max", "5", "--k", k])
+        assert (rc, out) == (2, "")
+        assert err == f"invalid input: need k >= 1, got {k}\n"
+
     def test_workers_flag_same_rows(self, capsys):
         rc1, out1, _ = run(
             capsys,

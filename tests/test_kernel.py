@@ -12,6 +12,7 @@ from scipy.integrate import dblquad
 from hartogs import (
     BiPoly,
     CoprimePair,
+    DegenerateInput,
     DenominatorVanishes,
     InternalMismatch,
     KernelFormula,
@@ -192,10 +193,13 @@ class TestSeriesAgreement:
             m, n = pair
             sig, tau = abs(s), abs(t)
             rows = range(cutoff + 1) if sig > 0 else range(1)
-            # the column |t|^(cutoff+1) is weighed with its own b = cutoff + 1
-            col = sum(sig**a * tau ** (cutoff + 1) * weight(pair, a, cutoff + 1)
-                      for a in rows)
-            tail = col / max(1.0 - tau, 1e-12)
+            gap = max(1.0 - tau, 1e-12)
+            # each row's columns b >= cutoff + 1: the weight of b = cutoff + 1
+            # over 1 - tau, plus the growth m(b - cutoff - 1) of the weight
+            tail = sum(sig**a * tau ** (cutoff + 1)
+                       * (weight(pair, a, cutoff + 1) / gap
+                          + (a + 1) * tau / (math.pi**2 * gap**2))
+                       for a in rows)
             eta = sig / tau ** (n / m)
             if sig > 0 and eta < 1.0:
                 row = sum(sig**cutoff * tau**b * weight(pair, cutoff, b)
@@ -222,13 +226,36 @@ class TestSeriesAgreement:
                     assert got == pytest.approx(want, rel=1e-12), (pair, z, cutoff)
 
     def test_tail_estimate_column_weight_21_cutoff_0(self):
-        # z1 = 0 leaves the column alone: the single term |t|^1 of row a = 0
-        # has weight m(b+1) + n(a+1) = 2*2 + 1 = 5 at b = cutoff + 1 = 1
+        # z1 = 0 leaves the row a = 0 alone: its terms |t|^b, b >= 1, have
+        # weight m(b+1) + n(a+1) = 5 + 2(b-1), which sums to
+        # tau (5/(1-tau) + 2 tau/(1-tau)^2)
         pair = CoprimePair(2, 1)
         z, w = (0j, 0.5 + 0j), (0j, 0.6 + 0j)
         tau = 0.3
-        want = tau * 5 / (math.pi**2 * 2) / (1 - tau)
+        want = tau * (5 / (1 - tau) + 2 * tau / (1 - tau) ** 2) / (math.pi**2 * 2)
         assert series_tail_estimate(pair, z, w, 0) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "gamma, z1", [(CoprimePair(3, 1), 0.1), (CoprimePair(2, 1), 0.3),
+                      (CoprimePair(5, 3), 0.2)],
+    )
+    @pytest.mark.parametrize("z2", [0.99, 0.999, 0.9999999999])
+    def test_tail_estimate_matches_the_true_tail_near_the_edge(self, gamma, z1, z2):
+        # real positive s and t: every term is positive, so the truncation
+        # error is the tail itself, and the rows past the cutoff are tiny
+        z = (complex(z1), complex(z2))
+        missed = abs(eval_kernel(gamma, z, z) - series_kernel(gamma, z, z, 400))
+        assert series_tail_estimate(gamma, z, z, 400) == pytest.approx(missed, rel=1e-3)
+
+    def test_underflowing_t_is_degenerate_for_both_series_routes(self):
+        # z2 = 1e-200 is inside, but t = |z2|^2 underflows to 0
+        pair = CoprimePair(2, 1)
+        z = (0j, 1e-200 + 0j)
+        assert in_domain(pair, z)
+        with pytest.raises(DegenerateInput, match="t = 0"):
+            series_kernel(pair, z, z, 10)
+        with pytest.raises(DegenerateInput, match="t = 0"):
+            series_tail_estimate(pair, z, z, 10)
 
     def test_tail_estimate_checks_its_input(self):
         # the same checks as series_kernel: a point outside H and a negative
@@ -372,6 +399,10 @@ class TestDomain:
             (H2, (1e155, 1e200), -math.inf),
             # |z2|^n alone leaves it: the 1 - |z2| slack decides
             (CoprimePair(2001, 2000), (0.5, 2.0), -1.0),
+            # an infinite coordinate
+            (H2, (math.inf, 0.5), -math.inf),
+            (H2, (-math.inf, 0.5), -math.inf),
+            (H2, (0.5, math.inf), -math.inf),
         ],
         ids=_gamma_id,
     )
@@ -379,6 +410,14 @@ class TestDomain:
         # an outside verdict and a margin, not an OverflowError
         assert not in_domain(gamma, z)
         assert interior_margin(gamma, z) == margin
+
+    @pytest.mark.parametrize(
+        "z", [(math.nan, 0.5), (0.5, math.nan), (complex(0.1, math.nan), 0.5)]
+    )
+    def test_nan_is_outside(self, z):
+        # the margin is NaN, which is not positive
+        assert math.isnan(interior_margin(H2, z))
+        assert not in_domain(H2, z)
 
     def test_margin_positive_iff_inside(self):
         pts = [(0.5, 0.6), (0.9, 0.5), (0.1, 0.99), (0.1, 1.01)]

@@ -12,8 +12,8 @@ from hartogs import (
     UniPoly,
     diagonal_poly,
     numerator_oracle,
-    verify_piece_identities,
 )
+from identity_checks import verify_piece_identities
 
 
 def _coprime_pairs(m_max: int) -> list[CoprimePair]:

@@ -275,6 +275,12 @@ class TestScan:
         with pytest.raises(ValidationError, match="workers"):
             scan(5, workers=workers)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_rejects_a_codegree_below_one(self, k):
+        # no coprime pair has k = m - n < 1; coprime_pairs alone returns []
+        with pytest.raises(ValidationError, match="k >= 1"):
+            scan(5, k=k)
+
     def test_csv_shape(self, capsys):
         out = cli_out(capsys, ["scan", "--m-max", "6", "--output-format", "csv"])
         lines = out.strip().split("\n")
