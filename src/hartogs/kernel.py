@@ -180,10 +180,10 @@ def monomial_norm_sq(pair: CoprimePair, a: int, b: int) -> Fraction:
     return Fraction(m, (a + 1) * weight)
 
 
-def _row_starts(pair: CoprimePair, a, cutoff: int):
-    """Least b with m(b+1) + n(a+1) >= 1 in each row a, clipped at -cutoff."""
+def _row_starts(pair: CoprimePair, a):
+    """Least allowable b, the least with m(b+1) + n(a+1) >= 1, in each row a."""
     m, n = pair
-    return np.maximum(-((n * (a + 1) - 1) // m) - 1, -cutoff)
+    return -((n * (a + 1) - 1) // m) - 1
 
 
 def series_kernel(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> complex:
@@ -201,7 +201,7 @@ def series_kernel(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> complex
     s, t = _series_st(pair, z, w, cutoff)
     m, n = pair
     a = np.arange(cutoff + 1 if s != 0 else 1)  # s = 0 leaves the a = 0 row
-    b0 = _row_starts(pair, a, cutoff)
+    b0 = np.maximum(_row_starts(pair, a), -cutoff)
     i = np.arange(2 * cutoff + 1)
     t_powers = t**i
     g0, g1 = np.cumsum(t_powers), np.cumsum(i * t_powers)
@@ -214,24 +214,36 @@ def series_kernel(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> complex
 
 
 def series_tail_estimate(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> float:
-    """Estimate of the truncation tail: columns summed, rows extrapolated.
+    """Absolute sum of the terms that ``series_kernel`` drops, in closed form.
 
-    Each kept row a sums its absolute terms over b >= B = cutoff + 1 in
-    closed form, with tau = |t| and C = n(a+1):
+    With sigma = |s|, tau = |t| and the row weight (a+1)(m(b+1) + n(a+1)),
+    over pi^2 m, two blocks are summed:
 
-        sum_b tau^b (C + m(b+1)) = tau^B [(C + m(B+1))/(1-tau) + m tau/(1-tau)^2],
+    * the kept rows a <= cutoff over their columns b >= B = cutoff + 1,
+      with C = n(a+1):
 
-    exact for real positive s and t.  The rows a > cutoff are a
-    dominant-ratio heuristic: the boundary row's absolute sum times
-    eta/(1 - eta), eta = |s| / tau^(n/m) < 1.  Near eta = 1 it runs low: for
-    (3, 1) at z = w = (0.79, 0.5), eta = 0.99, it is 18 % below the true
-    tail at cutoff 400 and 72 % at cutoff 50.  Diagnostic, not certified.
-    Checks its input as ``series_kernel`` does.
+          sum_b tau^b (C + m(b+1)) = tau^B [(C + m(B+1))/(1-tau) + m tau/(1-tau)^2];
+
+    * the rows a > cutoff over all their allowable b >= b0(a), each of
+      which sums to sigma^a tau^b0 (a+1) (c0/(1-tau) + m tau/(1-tau)^2)
+      with c0 = m(b0+1) + n(a+1).  b0(a + m) = b0(a) - n and c0(a + m) =
+      c0(a), so row a + m is row a times x = eta^m, eta = sigma /
+      tau^(n/m) < 1, with a + 1 advanced by m; the rows a = r + jm, j >= 0,
+      of each of the m residues r = cutoff + 1, ..., cutoff + m sum to
+      row(r) / (r + 1) * ((r + 1)/(1-x) + m x/(1-x)^2).
+
+    For real positive s and t every term is positive, so this is the
+    truncation error itself, save the terms b < -cutoff of kept rows that
+    ``series_kernel`` also clips (only where (m - n) cutoff < n).  For
+    (3, 1) at z = w = (0.79, 0.5), eta = 0.99, it matches |closed - series|
+    within 5e-14 relative at cutoffs 50, 100 and 400, where the boundary
+    row's eta/(1 - eta) extrapolation it replaces ran 72 %, 50 % and 18 %
+    low.  For complex s and t it is an upper bound on the error, by the
+    triangle inequality.  Checks its input as ``series_kernel`` does.
     """
     s, t = _series_st(pair, z, w, cutoff)
     m, n = pair
     sig, tau = abs(s), abs(t)
-    eta = sig / tau ** (n / m)
     inv_pi2m = 1.0 / (math.pi**2 * m)
     gap = max(1.0 - tau, 1e-12)
     # columns b >= cutoff + 1 of the rows a: the constant and growing weights
@@ -239,12 +251,15 @@ def series_tail_estimate(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> 
     row_scale = (a + 1) * sig**a * tau ** (cutoff + 1) * inv_pi2m
     const = float(np.sum(row_scale * (m * (cutoff + 2) + n * (a + 1))))
     tail = const / gap + float(np.sum(row_scale)) * m * tau / gap**2
-    if sig > 0 and eta < 1.0:
-        # row a = cutoff over its allowable b
-        b = np.arange(_row_starts(pair, cutoff, cutoff), cutoff + 1)
-        row_weights = (cutoff + 1) * (m * (b + 1) + n * (cutoff + 1)) * inv_pi2m
-        powers = np.exp(cutoff * math.log(sig) + b * math.log(tau))
-        row = float(np.sum(powers * row_weights))
-        tail += row * eta / (1.0 - eta)
+    log_x = m * math.log(sig) - n * math.log(tau) if sig > 0 else 0.0
+    if log_x < 0.0:
+        # the rows a > cutoff, by residue mod m
+        x, one_minus_x = math.exp(log_x), -math.expm1(log_x)
+        r = np.arange(cutoff + 1, cutoff + m + 1)
+        b0 = _row_starts(pair, r)
+        c0 = m * (b0 + 1) + n * (r + 1)
+        power = np.exp(r * math.log(sig) + b0 * math.log(tau))
+        columns = (c0 / gap + m * tau / gap**2) * inv_pi2m
+        weights = (r + 1) / one_minus_x + m * x / one_minus_x**2
+        tail += float(np.sum(power * columns * weights))
     return tail
-

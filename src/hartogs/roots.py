@@ -57,13 +57,18 @@ results leave as monic ``UniPoly``s.
   inside = outside = (deg - on)/2.
 
 ``numeric_roots`` is the float diagnostic: an Aberth-Ehrlich simultaneous
-iteration with a relative backward-error residual acceptance test, which
-evaluates p, p' and the residual scale of all iterates from one power
-table per sweep.  Where |z|^deg would leave the double range it evaluates
-the reversed polynomial at 1/z instead (Bini 1996), and so does
-``root_residuals`` for |r| > 1, in its own Horner pass vectorized over
-all the roots.  ``classify_float_roots`` sorts float
-roots into inside/on/outside with the guard band ``CIRCLE_GUARD``.  The
+iteration with a relative backward-error residual acceptance test.  Its
+iterates start on the moduli of the Newton polygon of p, each inner start
+beside an outer one, and an iterate that passes the test stops moving
+(Bini 1996; Bini & Fiorentino's MPSolve), so a sweep evaluates p, p' and
+the residual scale of the live iterates only, from one power table.
+Where |z|^deg would leave the double range it evaluates the reversed
+polynomial at 1/z instead, and so does ``root_residuals`` for |r| > 1,
+in its own Horner pass vectorized over all the roots.  The roots leave as
+exact conjugate pairs and exact reals, matched by ``_mirror_partners``,
+the one owner of the real/pair decision for float roots.
+``classify_float_roots`` sorts float roots into inside/on/outside with
+the guard band ``CIRCLE_GUARD``.  The
 census itself never runs a float step: the caller that prints float roots
 (``hartogs roots``) compares their classification with the exact census,
 warns on disagreement, never silently fixes it, and keeps the exact census
@@ -108,6 +113,8 @@ _TOL = 1e-12
 # numeric_roots evaluates rev p at 1/z where deg * ln|z| exceeds this, i.e.
 # |z|^deg > 1e260, which keeps Horner sums far inside the double range
 _FAR_LOG = 600.0
+# rows of mirror distances _mirror_partners takes at a time
+_PAIR_ROWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -517,31 +524,138 @@ def classify_float_roots(roots) -> tuple[int, int, int]:
     return inside, on, outside
 
 
+def _aberth_starts(abs_coeffs: np.ndarray) -> np.ndarray:
+    """Aberth's starting points, on the moduli of the Newton polygon (Bini 1996).
+
+    The upper convex hull of the points (j, log|c_j|), zero coefficients
+    left out, has vertices i0 < i1 < ...; an edge from i0 to i1 gives
+    i1 - i0 moduli (|c_i0| / |c_i1|)^(1/(i1 - i0)).  The j-th smallest and
+    the j-th largest modulus go to neighbouring angles of 2 pi k / n + 0.4,
+    so that each start inside the unit circle has a partner outside, as
+    each root r of a palindromic Q has 1/r.  abs_coeffs must be nonzero at
+    both ends.
+    """
+    hull: list[tuple[int, float]] = []
+    for j, c in enumerate(abs_coeffs.tolist()):
+        if c == 0:
+            continue
+        y = math.log(c)
+        while len(hull) > 1:
+            (j0, y0), (j1, y1) = hull[-2], hull[-1]
+            if (y1 - y0) * (j - j0) > (y - y0) * (j1 - j0):
+                break  # (j1, y1) lies above the chord from (j0, y0) to (j, y)
+            hull.pop()
+        hull.append((j, y))
+    # the slopes fall along an upper hull, so the moduli come out ascending
+    edges = list(zip(hull, hull[1:]))
+    moduli = np.repeat(
+        [math.exp((y0 - y1) / (j1 - j0)) for (j0, y0), (j1, y1) in edges],
+        [j1 - j0 for (j0, _), (j1, _) in edges],
+    )
+    n = moduli.size
+    order = np.empty(n, dtype=int)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = n - 1 - np.arange(n // 2)
+    return moduli[order] * np.exp(1j * (2.0 * math.pi * np.arange(n) / n + 0.4))
+
+
+def _mirror_partners(roots) -> list[int]:
+    """partner[i] = j when float roots i and j are one conjugate pair, and
+    partner[i] = i when root i is real.
+
+    Roots of a real polynomial are mirror images of one another across the
+    real axis up to float noise.  Pairs are matched greedily, nearest first,
+    on the distance |r_j - conj(r_i)|, which is symmetric in i and j and is
+    2|Im r_i| for i = j.  Both members of a pair are classified by that one
+    distance, so every root gets exactly one role.  A vectorized pass first
+    settles every i and j that are each other's strictly nearest: no edge
+    of either is shorter, so the greedy order would match them too, and
+    only the roots it leaves go through the greedy loop.
+    """
+    x, y = np.real(roots), np.imag(roots)
+    n = x.size
+    nearest = np.empty(n, dtype=int)
+    strict = np.empty(n, dtype=bool)
+    # dist[i, j] = |r_j - conj r_i| = hypot(x_i - x_j, y_i + y_j), one block
+    # of rows at a time, so that no n x n array is built
+    for lo in range(0, n, _PAIR_ROWS):
+        rows = slice(lo, lo + _PAIR_ROWS)
+        dist = np.hypot(np.subtract.outer(x[rows], x), np.add.outer(y[rows], y))
+        near = dist.argmin(axis=1)
+        least = dist[np.arange(near.size), near]
+        nearest[rows] = near
+        strict[rows] = (dist == least[:, None]).sum(axis=1) == 1
+    idx = np.arange(n)
+    mutual = strict & strict[nearest] & (nearest[nearest] == idx)
+    partner = np.where(mutual, nearest, -1)
+    rest = np.flatnonzero(~mutual).tolist()
+    edges = sorted(
+        (math.hypot(x[i] - x[j], y[i] + y[j]), i, j)
+        for a, i in enumerate(rest)
+        for j in rest[a:]
+    )
+    for _, i, j in edges:
+        if partner[i] < 0 and partner[j] < 0:
+            partner[i], partner[j] = j, i
+    return partner.tolist()
+
+
+def _exact_pairs(roots: list[complex]) -> list[complex]:
+    """Roots sorted by (real, imag), each conjugate pair exact, the rest real.
+
+    A pair becomes its member above the real axis and that member's
+    conjugate.  The non-real roots of a real polynomial come in conjugate
+    pairs, so a root without a partner is real, and it keeps its real part
+    only, which lies no farther from a real root than the root itself.
+    """
+    out = []
+    for i, j in enumerate(_mirror_partners(roots)):
+        if j == i:
+            out.append(complex(roots[i].real))
+        elif i < j:
+            upper = max(roots[i], roots[j], key=lambda r: r.imag)
+            out += [upper, upper.conjugate()]
+    return sorted(out, key=lambda r: (r.real, r.imag))
+
+
 def numeric_roots(p: UniPoly) -> list[complex]:
     """All complex roots by Aberth-Ehrlich simultaneous iteration.
 
-    Converged when every root satisfies the relative backward-error
-    residual |p(r)| / sum |c_i||r|^i <= _TOL; raises ConvergenceFailure if
-    its ``_MAX_SWEEPS`` sweeps run out first.  Roots come back sorted by
-    (real, imag).
+    An iterate is converged once it satisfies the relative backward-error
+    residual |p(r)| / sum |c_i||r|^i <= _TOL, and from then on it stays
+    where it is: later sweeps evaluate and correct only the live iterates,
+    while the frozen ones stay in every Aberth sum (as in Bini &
+    Fiorentino's MPSolve).  ConvergenceFailure is raised if the
+    ``_MAX_SWEEPS`` sweeps run out before every iterate is frozen.  The
+    iterates start on the moduli of the Newton polygon, inner and outer
+    side by side (``_aberth_starts``): Q(3, 1) and s^2 + 6s + 1 converge
+    in 5 and 4 sweeps, the last of them the check, where starts on one
+    circle took 32 and 37.  The roots are paired by ``_mirror_partners``:
+    each conjugate pair comes back as its member above the real axis and
+    that member's exact conjugate, so the order of a pair never rests on
+    float noise, and a root without a partner comes back real.  Roots come
+    back sorted by (real, imag).
 
     The residual, like ``root_residuals`` (the CLI's ``float_residuals``),
     is a backward error, not a distance to the exact root: the copies of a
     root of multiplicity mu are accurate only to about _TOL^(1/mu), for a
     double root sqrt(1e-12) = 1e-6 relative.  For Q(5, 3) =
-    5(s^2 + 3s + 1)^2 the residuals are near 1e-13, yet each copy lies
-    0.9e-6 to 1.0e-6 relative (0.4e-6 to 2.4e-6 absolute) from its root.
+    5(s^2 + 3s + 1)^2 the residuals are 3e-13 to 6e-13, yet each copy lies
+    1.5e-6 to 2.0e-6 relative (0.8e-6 to 4.0e-6 absolute) from its root:
+    a copy stops as soon as its residual passes.
 
-    Each sweep fills one n x (n + 1) table with the powers x_i^j of the
-    iterates (``np.cumprod``), so p, p' and the scale sum |c_j||x_i|^j are
-    matrix-vector products; the table then takes |x_i|^j in place, and its
-    first n columns the pairwise 1/(z_i - z_j), so a sweep allocates no
-    n x n array of its own.  A power |z|^j beyond 1e260 would come close
-    to overflow, so there, as in Bini's Aberth code, the reversed
-    polynomial R = rev p is evaluated at y = 1/z instead, one such iterate
-    at a time by a scalar Horner pass, while the table holds powers of 0 in
-    its row: p/p' = R / (deg*y*R - y^2*R'), and the residual ratio is the
-    same for R at y as for p at z.
+    The coefficients are divided by max |c_i| exactly before the one
+    rounding to double, so any positive multiple of p gives the same roots.
+    Each sweep fills the first rows of one n x (n + 1) table with the
+    powers x_i^j of the live iterates (``np.cumprod``), so p, p' and the
+    scale sum |c_j||x_i|^j are matrix-vector products; those rows then take
+    |x_i|^j in place, and their first n columns the 1/(z_i - z_j) of each
+    live i against every j, so a sweep allocates no n x n array of its own.
+    A power |z|^j beyond 1e260 would come close to overflow, so there, as
+    in Bini's Aberth code, the reversed polynomial R = rev p is evaluated
+    at y = 1/z instead, one such iterate at a time by a scalar Horner pass,
+    while the table holds powers of 0 in its row: p/p' = R / (deg*y*R -
+    y^2*R'), and the residual ratio is the same for R at y as for p at z.
     The tests check convergence, and the float census against the exact
     one, on Q for (78, 5), (79, 1), (99, 4), (101, 1), (120, 1), (160, 1),
     (200, 1) (degree up to 398), (150, 1), (199, 197), and every 15th of
@@ -555,16 +669,13 @@ def numeric_roots(p: UniPoly) -> list[complex]:
     n = q.degree
     if n == 0:
         return found
-    coeffs = np.array([float(c) for c in q.coeffs], dtype=np.float64)
-    coeffs /= np.max(np.abs(coeffs))
+    top = max(abs(c) for c in q.coeffs)
+    coeffs = np.array([float(c / top) for c in q.coeffs])
     dcoeffs = coeffs[1:] * np.arange(1, n + 1)
     abs_coeffs = np.abs(coeffs)
     rev_top = coeffs.tolist()  # R = rev p, top degree first
     far_radius = math.exp(_FAR_LOG / n)
-
-    radius = (abs(coeffs[0]) / abs(coeffs[-1])) ** (1.0 / n)
-    angles = 2.0 * math.pi * np.arange(n) / n + 0.4
-    z = radius * np.exp(1j * angles)
+    z = _aberth_starts(abs_coeffs)
 
     def reversed_terms(y: complex) -> tuple[complex, float, complex]:
         # p(z), its scale and p'(z) at z = 1/y, each divided by z^n, from R
@@ -577,35 +688,37 @@ def numeric_roots(p: UniPoly) -> list[complex]:
         return r, s, n * y * r - y * y * dr
 
     table = np.empty((n, n + 1), dtype=complex)  # the one work buffer
-    pairwise = table[:, :n]
+    live = np.arange(n)  # the iterates that still move
     for _ in range(_MAX_SWEEPS):
+        zl = z[live]
+        rows = table[: live.size]
         # far iterates (in practice one or none) go through R at y = 1/z,
         # one at a time; the power table sees 0 in their place
-        far = np.flatnonzero(np.abs(z) > far_radius)
-        table[:, 0] = 1.0
-        table[:, 1:] = z[:, None]
-        table[far, 1:] = 0.0
-        np.cumprod(table, axis=1, out=table)
-        pv = table @ coeffs
-        dv = pairwise @ dcoeffs
-        np.abs(table, out=table)
-        scale = (table @ abs_coeffs).real
+        far = np.flatnonzero(np.abs(zl) > far_radius)
+        rows[:, 0] = 1.0
+        rows[:, 1:] = zl[:, None]
+        rows[far, 1:] = 0.0
+        np.cumprod(rows, axis=1, out=rows)
+        pv = rows @ coeffs
+        dv = rows[:, :n] @ dcoeffs
+        np.abs(rows, out=rows)
+        scale = (rows @ abs_coeffs).real
         for i in far:
-            pv[i], scale[i], dv[i] = reversed_terms(1.0 / complex(z[i]))
-        if np.all(np.abs(pv) <= _TOL * scale):
-            roots = found + sorted(
-                (complex(r) for r in z), key=lambda r: (r.real, r.imag)
-            )
-            return roots
+            pv[i], scale[i], dv[i] = reversed_terms(1.0 / complex(zl[i]))
+        moving = np.abs(pv) > _TOL * scale
+        if not moving.any():
+            return found + _exact_pairs(z.tolist())
+        live, zl, pv, dv = live[moving], zl[moving], pv[moving], dv[moving]
+        pairwise = table[: live.size, :n]
         dv = np.where(dv == 0, 1e-300, dv)
         w = pv / dv
-        np.subtract(z[:, None], z[None, :], out=pairwise)
-        np.fill_diagonal(pairwise, np.inf)
+        np.subtract(zl[:, None], z[None, :], out=pairwise)
+        pairwise[np.arange(live.size), live] = np.inf
         np.divide(1.0, pairwise, out=pairwise)
         s = pairwise.sum(axis=1)
         denom = 1.0 - w * s
         denom = np.where(denom == 0, 1e-300, denom)
-        z = z - w / denom
+        z[live] = zl - w / denom
     raise ConvergenceFailure(
         f"Aberth-Ehrlich did not reach residual {_TOL} in {_MAX_SWEEPS} sweeps"
     )

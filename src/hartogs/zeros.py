@@ -31,13 +31,11 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import CoprimePair
 from .domain import interior_margin
 from .errors import InternalMismatch, NoInteriorRoot, ValidationError
 from .kernel import kernel_formula
-from .poly import UniPoly
 from .qpoly import diagonal_poly
 from .roots import CIRCLE_GUARD, interior_root_count, numeric_roots, squarefree_part
 
@@ -101,68 +99,44 @@ def _refine_root(f_top: list[float], df_top: list[float], approx: complex) -> co
     return z
 
 
-def _mirror_partners(roots: list[complex]) -> list[int]:
-    """partner[i] = j when float roots i and j are one conjugate pair, and
-    partner[i] = i when root i is real.
-
-    Roots of a real polynomial are mirror images of one another across the
-    real axis up to float noise.  Pairs are matched greedily, nearest first,
-    on the distance |r_j - conj(r_i)|, which is symmetric in i and j and is
-    2|Im r_i| for i = j.  Both members of a pair are classified by that one
-    distance, so every root gets exactly one role.
-    """
-    dist = sorted(
-        (abs(roots[j] - roots[i].conjugate()), i, j)
-        for i in range(len(roots))
-        for j in range(i, len(roots))
-    )
-    partner = [-1] * len(roots)
-    for _, i, j in dist:
-        if partner[i] < 0 and partner[j] < 0:
-            partner[i], partner[j] = j, i
-    return partner
-
-
 def witness_candidates(pair: CoprimePair) -> list[complex]:
     """Interior roots of Q (distinct, refined), deterministically ordered.
 
     Every root is refined by one Newton polish on the exact squarefree part
     of Q: interior roots can have even multiplicity (Q for (5,3) is
     5(s^2+3s+1)^2), where Newton on Q itself would converge only linearly.
-    When the census finds Q squarefree, that part is monic Q, exactly what
-    ``squarefree_part`` would return, so no second gcd runs.
-    Q is real, so a real root is polished from its real part and stays
-    real, and of each complex pair only the root above the real axis is
-    polished and brings its exact conjugate: the list is closed under
-    conjugation.
-    Which float roots are real and which form a pair is read off
-    ``_mirror_partners``; at (27, 25) a real root comes out of Aberth with
-    imaginary part 8e-12.
+    When the census finds Q squarefree, Q's own int coefficients serve, so
+    no second gcd runs: ``numeric_roots`` divides them by max |c_i| and the
+    polish by the leading one, each exactly before one rounding, which
+    gives the floats that the monic ``squarefree_part`` would give.
+    Q is real, and ``numeric_roots`` returns its roots as exact reals and
+    exact conjugate pairs (at (27, 25) Aberth leaves a real root with
+    imaginary part 8e-12, which its pairing drops).  A real root is
+    polished on the real axis and stays real, and of each pair only the
+    root above the axis is polished and brings its exact conjugate: the
+    list is closed under conjugation.
     """
     q = diagonal_poly(pair).poly
     census = interior_root_count(q)
     if census.inside == 0:
         raise NoInteriorRoot(f"Q for {pair} has no root inside the unit disk")
-    if census.squarefree:
-        lead = q.coeffs[-1]
-        sf = UniPoly([Fraction(c, lead) for c in q.coeffs])
-    else:
-        sf = squarefree_part(q)
+    sf = q if census.squarefree else squarefree_part(q)
     interior = [r for r in numeric_roots(sf) if abs(r) < 1.0 - CIRCLE_GUARD]
     if not interior:
         raise InternalMismatch(
             f"census reports interior roots for {pair} but the float finder found none"
         )
-    f_top = [float(c) for c in reversed(sf.coeffs)]
-    df_top = [float(c) for c in reversed(sf.derivative().coeffs)]
+    # one rounding of each coefficient over the leading one: the same floats
+    # for Q's ints as for its monic copy
+    lead = sf.coeffs[-1]
+    f_top = [float(c / lead) for c in reversed(sf.coeffs)]
+    df_top = [float(c / lead) for c in reversed(sf.derivative().coeffs)]
     refined = []
-    for i, j in enumerate(_mirror_partners(interior)):
-        if j == i:
-            x = _refine_root(f_top, df_top, complex(interior[i].real)).real
-            refined.append(complex(x))
-        elif i < j:
-            top = max(interior[i], interior[j], key=lambda r: r.imag)
-            z = _refine_root(f_top, df_top, top)
+    for r in interior:
+        if r.imag == 0:
+            refined.append(complex(_refine_root(f_top, df_top, r).real))
+        elif r.imag > 0:
+            z = _refine_root(f_top, df_top, r)
             refined += [z, z.conjugate()]  # Q is real: conjugates are exact
     return sorted(refined, key=lambda r: (r.real, r.imag))
 

@@ -190,7 +190,6 @@ class TestSeriesAgreement:
             )
 
         def tail_by_loops(pair, s, t, cutoff):
-            m, n = pair
             sig, tau = abs(s), abs(t)
             rows = range(cutoff + 1) if sig > 0 else range(1)
             gap = max(1.0 - tau, 1e-12)
@@ -200,12 +199,21 @@ class TestSeriesAgreement:
                        * (weight(pair, a, cutoff + 1) / gap
                           + (a + 1) * tau / (math.pi**2 * gap**2))
                        for a in rows)
-            eta = sig / tau ** (n / m)
-            if sig > 0 and eta < 1.0:
-                row = sum(sig**cutoff * tau**b * weight(pair, cutoff, b)
-                          for b in range(-cutoff, cutoff + 1)
-                          if allowable(pair, cutoff, b))
-                tail += row * eta / (1.0 - eta)
+            # the rows a > cutoff term by term over all allowable b >= -a - 1,
+            # each row and the rows until they add less than 1e-17
+            a = cutoff + 1
+            while sig > 0:
+                row, b = 0.0, -a - 1
+                while True:
+                    term = sig**a * tau**b * weight(pair, a, b) if allowable(pair, a, b) else 0.0
+                    row += term
+                    if b > 0 and term <= 1e-17 * row:
+                        break
+                    b += 1
+                tail += row
+                if row <= 1e-17 * tail:
+                    break
+                a += 1
             return tail
 
         # (5, 4) at cutoff 3 clips its rows a >= 3 at b = -cutoff
@@ -234,6 +242,16 @@ class TestSeriesAgreement:
         tau = 0.3
         want = tau * (5 / (1 - tau) + 2 * tau / (1 - tau) ** 2) / (math.pi**2 * 2)
         assert series_tail_estimate(pair, z, w, 0) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("cutoff", [50, 100, 400])
+    def test_tail_estimate_is_the_true_tail_near_eta_one(self, cutoff):
+        # (3, 1) at z = w = (0.79, 0.5): eta = 0.99, so the rows past the
+        # cutoff carry most of the tail; every term is positive, so the
+        # truncation error is the tail itself
+        pair = CoprimePair(3, 1)
+        z = (0.79 + 0j, 0.5 + 0j)
+        missed = abs(eval_kernel(pair, z, z) - series_kernel(pair, z, z, cutoff))
+        assert series_tail_estimate(pair, z, z, cutoff) == pytest.approx(missed, rel=1e-6)
 
     @pytest.mark.parametrize(
         "gamma, z1", [(CoprimePair(3, 1), 0.1), (CoprimePair(2, 1), 0.3),

@@ -27,6 +27,7 @@ from hartogs import (
     sturm_count,
 )
 from hartogs import roots
+from hartogs.roots import _mirror_partners
 from hartogs.qpoly import diagonal_poly
 
 
@@ -606,6 +607,49 @@ class TestNumericRoots:
         exact = [-3 - 2 * math.sqrt(2), -3 + 2 * math.sqrt(2)]
         assert roots[0].real == pytest.approx(exact[0], rel=1e-12)
         assert roots[1].real == pytest.approx(exact[1], rel=1e-12)
+
+    def test_mirror_partners_give_each_root_one_role(self):
+        # 1 + 1e-9j and 1 - 4e-9j lie 3e-9 from each other's mirror image,
+        # nearer than the second one's own mirror, farther than the first's:
+        # both stay real rather than one real and one half of a pair
+        assert _mirror_partners([1 + 1e-9j, 1 - 4e-9j]) == [0, 1]
+        assert _mirror_partners([0.5 - 2j, 0.3 + 1e-13j, 0.5 + 2.000001j]) == [2, 1, 0]
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            UniPoly([1, 6, 13, 6, 1]),  # Q(3, 1)
+            UniPoly([1, 6, 1]),  # Q(2, 1)
+            UniPoly([-1, 1000]) * UniPoly([-1, 1]) * UniPoly([-1000, 1]),
+        ],
+        ids=["Q31", "Q21", "spread"],
+    )
+    def test_converges_within_eight_sweeps(self, monkeypatch, p):
+        # starts on the unit circle needed 32, 37 and 38 sweeps here
+        monkeypatch.setattr(roots, "_MAX_SWEEPS", 8)
+        found = numeric_roots(p)
+        assert len(found) == p.degree
+        assert max(root_residuals(p, found)) <= roots._TOL
+
+    def test_starts_on_the_newton_polygon(self):
+        starts = roots._aberth_starts(np.array([1.0, 6.0, 13.0, 6.0, 1.0]))
+        assert sorted(np.abs(starts)) == pytest.approx([1 / 6, 6 / 13, 13 / 6, 6], rel=1e-14)
+        # a zero coefficient and two equal moduli still give two distinct starts
+        a, b = roots._aberth_starts(np.array([2.0, 0.0, 1.0]))
+        assert abs(a) == pytest.approx(math.sqrt(2), rel=1e-14)
+        assert abs(b) == pytest.approx(math.sqrt(2), rel=1e-14)
+        assert abs(a - b) > 1
+
+    @pytest.mark.parametrize("mn", [(5, 3), (41, 3), (101, 1)])
+    def test_conjugate_pairs_are_exact(self, mn):
+        q = diagonal_poly(CoprimePair(*mn)).poly
+        found = numeric_roots(q)
+        nonreal = [r for r in found if r.imag != 0]
+        assert nonreal
+        assert sorted(nonreal, key=lambda r: (r.real, r.imag)) == sorted(
+            (r.conjugate() for r in nonreal), key=lambda r: (r.real, r.imag)
+        )
+        assert max(root_residuals(q, found)) <= roots._TOL
 
     def test_matches_numpy(self):
         p = UniPoly([3, -2, 0, 5, 1, -7])

@@ -26,7 +26,6 @@ from hartogs import (
 )
 from hartogs import cli, roots, zeros
 from hartogs.cli import main
-from hartogs.zeros import _mirror_partners
 
 SCAN_HEADER = "m,n,k,degree,circle_count,interior_count,conjecture_holds"
 
@@ -117,13 +116,6 @@ class TestWitnessCandidates:
             found = witness_candidates(CoprimePair(*mn))
             assert len(found) == 2
             assert all(s.imag == 0 for s in found)
-
-    def test_mirror_partners_give_each_root_one_role(self):
-        # 1 + 1e-9j and 1 - 4e-9j lie 3e-9 from each other's mirror image,
-        # nearer than the second one's own mirror, farther than the first's:
-        # both stay real rather than one real and one half of a pair
-        assert _mirror_partners([1 + 1e-9j, 1 - 4e-9j]) == [0, 1]
-        assert _mirror_partners([0.5 - 2j, 0.3 + 1e-13j, 0.5 + 2.000001j]) == [2, 1, 0]
 
     @pytest.mark.parametrize(
         "mn", [(5, 3), (27, 25), (2, 1), (7, 6), (3, 1), (9, 7), (4, 1), (5, 2)]
