@@ -199,8 +199,9 @@ class TestSeriesAgreement:
                        * (weight(pair, a, cutoff + 1) / gap
                           + (a + 1) * tau / (math.pi**2 * gap**2))
                        for a in rows)
-            # the rows a > cutoff term by term over all allowable b >= -a - 1,
-            # each row and the rows until they add less than 1e-17
+            # the rows a > cutoff term by term over all allowable b >= -a - 1:
+            # a row ends once a term adds less than 1e-17 of it, and the
+            # rows end once a row adds less than 1e-17 of the tail
             a = cutoff + 1
             while sig > 0:
                 row, b = 0.0, -a - 1
