@@ -187,10 +187,12 @@ def _row_starts(pair: CoprimePair, a):
 
 
 def series_kernel(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> complex:
-    """Kernel by monomial series, truncated to |a|, |b| <= cutoff.
+    """Kernel by monomial series, truncated to a <= cutoff and b <= cutoff.
 
-    Row a runs over b = b0 + i, i = 0..cutoff - b0, with weight
-    (a+1)(c0 + m*i) / (pi^2 m) and c0 = m(b0+1) + n(a+1), so it sums to
+    Row a runs over every allowable b up to the cutoff, b = b0 + i with
+    b0 = b0(a) its least allowable b and i = 0..cutoff - b0.  Term i has
+    weight (a+1)(c0 + m*i) / (pi^2 m) with c0 = m(b0+1) + n(a+1), so the
+    row sums to
 
         exp(a*log s + b0*log t) * (a+1) * (c0*G0 + m*G1) / (pi^2 m),
 
@@ -201,8 +203,8 @@ def series_kernel(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> complex
     s, t = _series_st(pair, z, w, cutoff)
     m, n = pair
     a = np.arange(cutoff + 1 if s != 0 else 1)  # s = 0 leaves the a = 0 row
-    b0 = np.maximum(_row_starts(pair, a), -cutoff)
-    i = np.arange(2 * cutoff + 1)
+    b0 = _row_starts(pair, a)
+    i = np.arange(cutoff - b0[-1] + 1)  # b0 falls with a: the last row is longest
     t_powers = t**i
     g0, g1 = np.cumsum(t_powers), np.cumsum(i * t_powers)
     last = cutoff - b0
@@ -233,8 +235,7 @@ def series_tail_estimate(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> 
       row(r) / (r + 1) * ((r + 1)/(1-x) + m x/(1-x)^2).
 
     For real positive s and t every term is positive, so this is the
-    truncation error itself, save the terms b < -cutoff of kept rows that
-    ``series_kernel`` also clips (only where (m - n) cutoff < n).  For
+    truncation error itself.  For
     (3, 1) at z = w = (0.79, 0.5), eta = 0.99, it matches |closed - series|
     within 5e-14 relative at cutoffs 50, 100 and 400, where the boundary
     row's eta/(1 - eta) extrapolation it replaces ran 72 %, 50 % and 18 %

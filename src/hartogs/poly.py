@@ -124,12 +124,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def valuation(self) -> int:
-        """Order of vanishing at 0 (index of first nonzero coefficient)."""
-        if self.is_zero:
-            raise ValidationError("zero polynomial has no valuation")
-        return next(i for i, c in enumerate(self._coeffs) if c != 0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self._coeffs == other._coeffs
 

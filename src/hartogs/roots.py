@@ -61,10 +61,11 @@ iteration with a relative backward-error residual acceptance test.  Its
 iterates start on the moduli of the Newton polygon of p, each inner start
 beside an outer one, and an iterate that passes the test stops moving
 (Bini 1996; Bini & Fiorentino's MPSolve), so a sweep evaluates p, p' and
-the residual scale of the live iterates only, from one power table.
-Where |z|^deg would leave the double range it evaluates the reversed
-polynomial at 1/z instead, and so does ``root_residuals`` for |r| > 1,
-in its own Horner pass vectorized over all the roots.  The roots leave as
+the residual scale of the live iterates only.  Every float value of p
+comes from ``_power_rows``: one row of powers per point, z^j where |z| <=
+1 and z^j / z^deg where |z| > 1, so no entry exceeds 1 in modulus at any
+degree.  ``root_residuals`` evaluates through the same rows, so a
+returned root reads the residual it was accepted at.  The roots leave as
 exact conjugate pairs and exact reals, matched by ``_mirror_partners``,
 the one owner of the real/pair decision for float roots.
 ``classify_float_roots`` sorts float roots into inside/on/outside with
@@ -110,9 +111,6 @@ _ONE = Fraction(1)
 _MAX_SWEEPS = 500
 # relative backward error at which numeric_roots stops
 _TOL = 1e-12
-# numeric_roots evaluates rev p at 1/z where deg * ln|z| exceeds this, i.e.
-# |z|^deg > 1e260, which keeps Horner sums far inside the double range
-_FAR_LOG = 600.0
 # rows of mirror distances _mirror_partners takes at a time
 _PAIR_ROWS = 32
 
@@ -485,29 +483,58 @@ def interior_root_count(p: UniPoly) -> RootCensus:
 # float diagnostics
 
 
+def _float_coeffs(p: UniPoly) -> np.ndarray:
+    """p's coefficients over max |c_i|, each divided exactly before its one
+    rounding, so any positive multiple of p gives the same floats."""
+    top = max(abs(c) for c in p.coeffs)
+    return np.array([float(c / top) for c in p.coeffs])
+
+
+def _power_rows(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fill one row of powers per point, scaled to modulus at most 1.
+
+    The row of a point x holds 1, x, ..., x^deg where |x| <= 1, and y^deg,
+    ..., y, 1 with y = 1/x, i.e. x^j / x^deg, where |x| > 1; deg + 1 is the
+    width of rows.  With c the coefficients of p, row @ c and row[:deg] @
+    (j c_j) are p(x) and p'(x) and |row| @ |c| is sum_j |c_j| |x|^j, all
+    three times the same factor (1 or x^-deg), so the Newton step p/p' and
+    the residual ratio are p's own at any degree.  The points with |x| <= 1
+    take the first rows, so that each kind of row is one block and one
+    ``np.cumprod``: rows[i] belongs to z[order[i]], and order is returned.
+    """
+    order = np.argsort(np.abs(z) > 1.0, kind="stable")
+    z = z[order]
+    k = int(np.count_nonzero(np.abs(z) <= 1.0))
+    inner, outer = rows[:k], rows[k:, ::-1]  # outer columns run y^0, y^1, ...
+    inner[:, 0] = outer[:, 0] = 1.0
+    inner[:, 1:] = z[:k, None]
+    outer[:, 1:] = 1.0 / z[k:, None]
+    np.cumprod(inner, axis=1, out=inner)
+    np.cumprod(outer, axis=1, out=outer)
+    return order
+
+
 def root_residuals(p: UniPoly, roots) -> list[float]:
     """Relative backward-error residuals |p(r)| / sum_i |c_i| |r|^i.
 
-    One Horner pass runs vectorized over all the roots.  For |r| > 1 both
-    sums are taken for rev p at 1/r instead, which divides each by |r|^deg,
-    so neither overflows at large degree.
+    Both sums come from the rows of ``_power_rows`` and the coefficients of
+    ``_float_coeffs``, the arithmetic ``numeric_roots`` tests its iterates
+    with, so each of its roots reads the residual it was accepted at, and
+    neither sum overflows at any degree.
     """
-    coeffs = np.array([float(c) for c in p.coeffs])
+    if p.is_zero:
+        raise ValidationError("the zero polynomial has no residuals")
+    coeffs = _float_coeffs(p)
     r = np.array(roots, dtype=complex)
-    far = np.abs(r) > 1.0
-    y = np.divide(1.0, r, out=r.copy(), where=far)
-    ay = np.abs(y)
-    # column i holds the coefficients, top degree first, of p or of rev p
-    top = np.where(far, coeffs[:, None], coeffs[::-1, None])
-    value = np.zeros_like(y)
-    scale = np.zeros_like(ay)
-    for c in top:
-        value *= y
-        value += c
-        scale *= ay
-        scale += np.abs(c)
-    value = np.abs(value)
-    return np.divide(value, scale, out=np.zeros_like(scale), where=scale > 0).tolist()
+    rows = np.empty((r.size, coeffs.size), dtype=complex)
+    order = _power_rows(r, rows)
+    value = np.abs(rows @ coeffs)
+    np.abs(rows, out=rows)
+    scale = (rows @ np.abs(coeffs)).real
+    out = np.empty(r.size)
+    # p(r) == 0 reads 0 even where the scale is 0 too; a NaN stays NaN
+    out[order] = np.divide(value, scale, out=np.zeros_like(scale), where=value != 0)
+    return out.tolist()
 
 
 def classify_float_roots(roots) -> tuple[int, int, int]:
@@ -644,70 +671,42 @@ def numeric_roots(p: UniPoly) -> list[complex]:
     1.5e-6 to 2.0e-6 relative (0.8e-6 to 4.0e-6 absolute) from its root:
     a copy stops as soon as its residual passes.
 
-    The coefficients are divided by max |c_i| exactly before the one
-    rounding to double, so any positive multiple of p gives the same roots.
-    Each sweep fills the first rows of one n x (n + 1) table with the
-    powers x_i^j of the live iterates (``np.cumprod``), so p, p' and the
-    scale sum |c_j||x_i|^j are matrix-vector products; those rows then take
-    |x_i|^j in place, and their first n columns the 1/(z_i - z_j) of each
-    live i against every j, so a sweep allocates no n x n array of its own.
-    A power |z|^j beyond 1e260 would come close to overflow, so there, as
-    in Bini's Aberth code, the reversed polynomial R = rev p is evaluated
-    at y = 1/z instead, one such iterate at a time by a scalar Horner pass,
-    while the table holds powers of 0 in its row: p/p' = R / (deg*y*R -
-    y^2*R'), and the residual ratio is the same for R at y as for p at z.
-    The tests check convergence, and the float census against the exact
-    one, on Q for (78, 5), (79, 1), (99, 4), (101, 1), (120, 1), (160, 1),
-    (200, 1) (degree up to 398), (150, 1), (199, 197), and every 15th of
+    p must have p(0) != 0, as ``_aberth_starts`` needs both end
+    coefficients nonzero; a root at 0 is refused with ValidationError.
+    The coefficients come from ``_float_coeffs``, so any positive multiple
+    of p gives the same roots.  Each sweep fills the first rows of one
+    n x (n + 1) table with the rows of ``_power_rows`` of the live
+    iterates, so p, p' and the scale are matrix-vector products at any
+    degree; those rows then take their moduli in place, and their first n
+    columns the 1/(z_i - z_j) of each live i against every j, so a sweep
+    allocates no n x n array of its own.  The tests check convergence, and
+    the float census against the exact one, on Q for (78, 5), (79, 1),
+    (99, 4), (101, 1), (120, 1), (160, 1), (200, 1), (150, 1), (199, 197),
+    (301, 1), (401, 1) and (401, 3) (degree up to 800), and every 15th of
     the 376 pairs with 50 <= m - n <= 100, n <= 12.
     """
     if p.degree < 1:
         raise ValidationError("need degree >= 1 to compute roots")
-    v = p.valuation()
-    found: list[complex] = [0j] * v
-    q = p.shift_down(v) if v else p
-    n = q.degree
-    if n == 0:
-        return found
-    top = max(abs(c) for c in q.coeffs)
-    coeffs = np.array([float(c / top) for c in q.coeffs])
+    if p.coeffs[0] == 0:
+        raise ValidationError("numeric_roots needs p(0) != 0; divide out the root at 0")
+    n = p.degree
+    coeffs = _float_coeffs(p)
     dcoeffs = coeffs[1:] * np.arange(1, n + 1)
     abs_coeffs = np.abs(coeffs)
-    rev_top = coeffs.tolist()  # R = rev p, top degree first
-    far_radius = math.exp(_FAR_LOG / n)
     z = _aberth_starts(abs_coeffs)
-
-    def reversed_terms(y: complex) -> tuple[complex, float, complex]:
-        # p(z), its scale and p'(z) at z = 1/y, each divided by z^n, from R
-        r = dr = 0j
-        s, ay = 0.0, abs(y)
-        for c in rev_top:
-            dr = dr * y + r
-            r = r * y + c
-            s = s * ay + abs(c)
-        return r, s, n * y * r - y * y * dr
-
     table = np.empty((n, n + 1), dtype=complex)  # the one work buffer
     live = np.arange(n)  # the iterates that still move
     for _ in range(_MAX_SWEEPS):
-        zl = z[live]
         rows = table[: live.size]
-        # far iterates (in practice one or none) go through R at y = 1/z,
-        # one at a time; the power table sees 0 in their place
-        far = np.flatnonzero(np.abs(zl) > far_radius)
-        rows[:, 0] = 1.0
-        rows[:, 1:] = zl[:, None]
-        rows[far, 1:] = 0.0
-        np.cumprod(rows, axis=1, out=rows)
+        live = live[_power_rows(z[live], rows)]  # row i is iterate live[i]
+        zl = z[live]
         pv = rows @ coeffs
         dv = rows[:, :n] @ dcoeffs
         np.abs(rows, out=rows)
         scale = (rows @ abs_coeffs).real
-        for i in far:
-            pv[i], scale[i], dv[i] = reversed_terms(1.0 / complex(zl[i]))
-        moving = np.abs(pv) > _TOL * scale
+        moving = ~(np.abs(pv) <= _TOL * scale)  # a NaN never passes
         if not moving.any():
-            return found + _exact_pairs(z.tolist())
+            return _exact_pairs(z.tolist())
         live, zl, pv, dv = live[moving], zl[moving], pv[moving], dv[moving]
         pairwise = table[: live.size, :n]
         dv = np.where(dv == 0, 1e-300, dv)

@@ -182,10 +182,11 @@ class TestSeriesAgreement:
             return pair.m * (b + 1) + pair.n * (a + 1) > 0
 
         def series_by_loops(pair, s, t, cutoff):
+            # n < m, so no b < -a - 1 is allowable in row a
             return sum(
                 s**a * t**b * weight(pair, a, b)
                 for a in range(cutoff + 1)
-                for b in range(-cutoff, cutoff + 1)
+                for b in range(-a - 1, cutoff + 1)
                 if allowable(pair, a, b)
             )
 
@@ -217,7 +218,7 @@ class TestSeriesAgreement:
                 a += 1
             return tail
 
-        # (5, 4) at cutoff 3 clips its rows a >= 3 at b = -cutoff
+        # (5, 4) at cutoff 3 has allowable b < -cutoff in its rows a >= 3
         for pair in PAIRS + [CoprimePair(5, 4), CoprimePair(7, 2)]:
             w = interior_point(pair, 0.65, (-0.4, 1.3))
             for z in (
@@ -233,6 +234,17 @@ class TestSeriesAgreement:
                     want = tail_by_loops(pair, s, t, cutoff)
                     got = series_tail_estimate(pair, z, w, cutoff)
                     assert got == pytest.approx(want, rel=1e-12), (pair, z, cutoff)
+
+    @pytest.mark.parametrize(
+        "gamma, cutoff", [(CoprimePair(27, 25), 2), (CoprimePair(5, 4), 3)]
+    )
+    def test_tail_estimate_is_the_true_tail_at_small_cutoffs(self, gamma, cutoff):
+        # (m - n) cutoff < n: rows a <= cutoff have allowable b < -cutoff,
+        # which the series sums too, so at real positive points, where every
+        # term is positive, the estimate is the whole truncation error
+        z = (0.3 + 0j, 0.9 + 0j)
+        missed = abs(eval_kernel(gamma, z, z) - series_kernel(gamma, z, z, cutoff))
+        assert series_tail_estimate(gamma, z, z, cutoff) == pytest.approx(missed, rel=1e-12)
 
     def test_tail_estimate_column_weight_21_cutoff_0(self):
         # z1 = 0 leaves the row a = 0 alone: its terms |t|^b, b >= 1, have

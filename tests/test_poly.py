@@ -69,10 +69,6 @@ class TestUniPolyBasics:
         assert z.degree == -1
         assert UniPoly([0, 0]).is_zero
 
-    def test_valuation(self):
-        assert UniPoly([0, 0, 3, 1]).valuation() == 2
-        assert UniPoly([5]).valuation() == 0
-
     def test_call_exact(self):
         p = UniPoly([1, 6, 1])
         assert p(Fraction(1, 2)) == Fraction(17, 4)

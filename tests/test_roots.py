@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hartogs import (
+    ConvergenceFailure,
     CoprimePair,
     NotPalindromic,
     UniPoly,
+    ValidationError,
     chebyshev_reduce,
     classify_float_roots,
     coprime_pairs,
@@ -589,13 +592,61 @@ class TestNumericRoots:
     def test_residuals_match_exact_evaluation(self, mn):
         q = diagonal_poly(CoprimePair(*mn)).poly
         found = numeric_roots(q)
-        assert any(abs(r) > 1 for r in found)  # the rev p path runs too
+        assert any(abs(r) > 1 for r in found)  # the rows over z^deg run too
         # both are relative residuals, so 1e-12 is relative to the scale
         for r, got in zip(found, root_residuals(q, found)):
             assert abs(got - exact_residual(q.coeffs, r)) <= 1e-12
 
-    def test_zero_roots_via_valuation(self):
-        assert numeric_roots(UniPoly([0, 0, -2, 1])) == [0j, 0j, (2 + 0j)]
+    def test_degenerate_residuals(self):
+        # a NaN root reads NaN, not 0: a root the evaluation cannot read
+        # never looks converged
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            (got,) = root_residuals(UniPoly([1, 1]), [complex("nan")])
+        assert math.isnan(got)
+        assert root_residuals(UniPoly([0, 1]), [0j]) == [0.0]  # 0 / 0: an exact root
+        with pytest.raises(ValidationError, match="zero polynomial"):
+            root_residuals(UniPoly([]), [1j])
+
+    def test_a_nan_iterate_never_passes(self, monkeypatch):
+        # a NaN residual compares false both ways, so it must read as moving
+        monkeypatch.setattr(roots, "_MAX_SWEEPS", 3)
+        monkeypatch.setattr(roots, "_aberth_starts", lambda c: np.array([complex("nan"), 1j]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ConvergenceFailure):
+                numeric_roots(UniPoly([1, 0, 1]))
+
+    def test_refuses_a_root_at_zero(self):
+        # every caller sends p(0) != 0: Q(0) > 0, and so is the constant
+        # term of its squarefree part
+        with pytest.raises(ValidationError, match=r"p\(0\) != 0"):
+            numeric_roots(UniPoly([0, 0, -2, 1]))
+
+    def test_every_residual_passes_the_acceptance_test(self):
+        # root_residuals evaluates through the rows the sweep accepted each
+        # root with: Q(91, 12) has a pair that a second evaluator read at
+        # 1.00003e-12; then every 15th pair with m <= 100
+        pairs = [CoprimePair(91, 12)] + coprime_pairs(100)[::15]
+        over = []
+        for pair in pairs:
+            q = diagonal_poly(pair).poly
+            worst = max(root_residuals(q, numeric_roots(q)))
+            if worst > roots._TOL:
+                over.append((pair, worst))
+        assert over == []
+
+    def test_outer_rows_hold_descending_powers(self):
+        # p != rev p, with roots of modulus 1e-3, 2 and 1e3: a row of powers
+        # of 1/z in ascending order would evaluate rev p at the outer ones
+        p = UniPoly([-1, 1000]) * UniPoly([1000, 1]) * UniPoly([-2, 1]) * UniPoly([4, 0, 1])
+        found = numeric_roots(p)
+        exact = [-1000, 1e-3, -2j, 2j, 2]
+        assert len(found) == len(exact)
+        for r in exact:
+            assert min(abs(f - r) for f in found) <= 1e-12 * abs(r)
+        assert max(root_residuals(p, found)) <= roots._TOL
+        for r, got in zip(found, root_residuals(p, found)):
+            assert abs(got - exact_residual(p.coeffs, r)) <= 1e-15
 
     def test_sorted_output(self):
         roots = numeric_roots(UniPoly([2, 0, 1]))  # +- i sqrt(2)
@@ -660,10 +711,10 @@ class TestNumericRoots:
             assert min(abs(a - b) for b in ref) < 1e-8
 
 
-    # degree 146..398: |z|^deg leaves the double range for the outer roots,
-    # so Aberth and the residual evaluate rev p at 1/z there; then every 15th
-    # of the 376 pairs with 50 <= m - n <= 100, n <= 12 (the benchmark's
-    # frontier range), then (150, 1) and the last (m, m - 2), (199, 197)
+    # degree 146..398, where plain powers |z|^deg of the outer roots reach
+    # 1e178 to 1e917; then every 15th of the 376 pairs with 50 <= m - n
+    # <= 100, n <= 12 (the benchmark's frontier range), then (150, 1) and
+    # the last (m, m - 2), (199, 197)
     @pytest.mark.parametrize(
         "mn",
         [(78, 5), (79, 1), (99, 4), (101, 1), (120, 1), (160, 1), (200, 1)]
@@ -680,6 +731,18 @@ class TestNumericRoots:
         assert classify_float_roots(found) == (
             census.inside, census.on_circle, census.outside
         )
+
+
+    # degree 600..800; the exact census takes 5-20 s each there, so its
+    # triple, (m - n, 0, m - n) from interior_root_count, is written out
+    @pytest.mark.parametrize("mn", [(301, 1), (401, 1), (401, 3)])
+    def test_converges_at_degree_600_to_800(self, mn):
+        q = diagonal_poly(CoprimePair(*mn)).poly
+        found = numeric_roots(q)
+        assert len(found) == q.degree
+        assert max(root_residuals(q, found)) <= roots._TOL
+        k = mn[0] - mn[1]
+        assert classify_float_roots(found) == (k, 0, k)
 
 
 def _k1(ell: int) -> UniPoly:
