@@ -33,7 +33,6 @@ from .kernel import (
     KernelFormula,
     eval_kernel,
     kernel_formula,
-    monomial_norm_sq,
     numerator_effective,
     numerator_oracle,
     series_kernel,

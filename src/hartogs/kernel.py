@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -56,7 +55,6 @@ __all__ = [
     "eval_kernel",
     "series_kernel",
     "series_tail_estimate",
-    "monomial_norm_sq",
 ]
 
 Point = tuple[complex, complex]
@@ -164,20 +162,6 @@ def kernel_formula(pair: CoprimePair, verify: bool = False) -> KernelFormula:
 def eval_kernel(pair: CoprimePair, z: Point, w: Point) -> complex:
     """Closed-form K(z, w); raises OutsideDomain / DenominatorVanishes."""
     return kernel_formula(pair).eval(z, w)
-
-
-def monomial_norm_sq(pair: CoprimePair, a: int, b: int) -> Fraction:
-    """Exact squared Bergman-space norm of z1^a z2^b over pi^2.
-
-    Returns ||z1^a z2^b||^2 / pi^2 = m / ((a+1)(m(b+1) + n(a+1))) as an
-    exact Fraction; raises ValidationError when the monomial is not
-    square-integrable (a < 0 or m(b+1) + n(a+1) <= 0).
-    """
-    m, n = pair
-    weight = m * (b + 1) + n * (a + 1)
-    if a < 0 or weight <= 0:
-        raise ValidationError(f"monomial z1^{a} z2^{b} is not allowable")
-    return Fraction(m, (a + 1) * weight)
 
 
 def _row_starts(pair: CoprimePair, a):

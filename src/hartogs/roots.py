@@ -8,7 +8,11 @@ and an exact quotient (``_divexact``), integral by Gauss's lemma because
 every divisor is primitive.  ``_neg_prem`` runs in one loop only,
 ``_sturm_chain``: the chain of (a, b) is their primitive remainder
 sequence and ends in gcd(a, b), so that one sequence serves every Sturm
-count, every gcd and every multiplicity.  Its one basis-dependent piece
+count, every gcd and every multiplicity.  The loop carries the contents
+of the subresultants along, one small integer per step, and so knows a
+divisor of each pseudo-remainder ahead of it, about lc(a)^2; on large
+steps (``_EXACT_BITS``) it forms only the quotient, by exact 2-adic
+division (``_exact_quotient``).  Its one basis-dependent piece
 is the multiply-by-x map: the monomial shift by default, and in the
 census the Chebyshev map 2x T_0 = 2 T_1, 2x T_i = T_(i+1) + T_(i-1),
 which keeps the leading coordinate.  Public names convert once at the
@@ -113,6 +117,10 @@ _MAX_SWEEPS = 500
 _TOL = 1e-12
 # rows of mirror distances _mirror_partners takes at a time
 _PAIR_ROWS = 32
+# deg b * bits(lc a) from which a remainder step divides 2-adically: the
+# 2-adic step pays a fixed cost per step and saves a little per coordinate,
+# and on the census chains of deg Q <= 240 it was the faster one from here on
+_EXACT_BITS = 6000
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +186,9 @@ def _chebyshev_derivative(c: list[int]) -> list[int]:
     return [e[0]] + [2 * x for x in e[1:n]]
 
 
-def _neg_prem(a: list[int], b: list[int], times_x=_times_x) -> list[int]:
-    """Primitive part of -(a mod b), by a sign-preserving pseudo-remainder.
+def _neg_prem(a: list[int], b: list[int], times_x, d: int) -> tuple[list[int], int]:
+    """Primitive part of -(a mod b), by a sign-preserving pseudo-remainder,
+    and the content of that remainder over d.
 
     a and b are coordinates in one basis, and ``times_x`` is the basis's
     multiply-by-x map up to a positive factor that keeps lc(b): the
@@ -192,19 +201,26 @@ def _neg_prem(a: list[int], b: list[int], times_x=_times_x) -> list[int]:
     When deg a = deg b + 1 = n + 1, as at every step of a normal chain,
     the two steps fuse into one pass, r_i = lc(b)^2 a_i - q1 xb_i -
     q0 b_i with xb = times_x(b), q1 = lc(b) a_(n+1) and q0 = lc(b) a_n -
-    a_(n+1) xb_n, a positive multiple of the two-step result.  In a
-    primitive remainder sequence lc(a)^2 carries almost all of the content
-    of r (subresultant theory), so d = gcd(lc(a)^2, r_0, r_last) is
-    divided out first when it divides every coefficient, and the full gcd
-    runs on what is left.
+    a_(n+1) xb_n: the pseudo-remainder prem(a, b) itself.  There d > 1 is
+    a divisor of every r_i that ``_sturm_chain`` predicts by the
+    subresultant theorem, about lc(a)^2, so r has about three times the
+    bits of r / d.  Once deg b times the bits of lc(a) reaches
+    ``_EXACT_BITS``, only r / d is formed, 2-adically by
+    ``_exact_quotient``; below, r is formed whole, and its content must be
+    a multiple of d.  A d that does not divide is a broken invariant and
+    raises InternalMismatch.  d = 1 predicts nothing: the first step of a
+    normal run and any step that drops the degree by more than one.
     """
     db = len(b) - 1
     if db == 0:
-        return []  # a nonzero constant divides a
+        return [], 0  # a nonzero constant divides a
     if len(a) == db + 2:
         lb, la, xb = b[-1], a[-1], times_x(b)
         l2, q1, q0 = lb * lb, lb * la, lb * a[-2] - la * xb[-2]
-        r = [l2 * x - q1 * y - q0 * z for x, y, z in zip(a[:db], xb, b)]
+        if d > 1 and db * la.bit_length() >= _EXACT_BITS:
+            r, d = _exact_quotient(l2, q1, q0, a, xb, b, d), 1  # r is over d
+        else:
+            r = [l2 * x - q1 * y - q0 * z for x, y, z in zip(a[:db], xb, b)]
     else:
         mul = abs(b[-1])
         sgn = 1 if b[-1] > 0 else -1
@@ -220,15 +236,60 @@ def _neg_prem(a: list[int], b: list[int], times_x=_times_x) -> list[int]:
     while r and r[-1] == 0:
         r.pop()
     if not r:
-        return r
-    d = math.gcd(a[-1] * a[-1], r[0], r[-1])
-    if d > 1:
-        reduced = [x // d for x in r]
-        # floor remainders lie in [0, d): they sum to 0 only if all are 0
-        if d * sum(reduced) == sum(r):
-            r = reduced
+        return r, 0
     content = math.gcd(*r)
-    return [-x // content for x in r] if content > 1 else [-x for x in r]
+    if content % d:
+        raise InternalMismatch("the predicted divisor does not divide the remainder")
+    return ([-x // content for x in r] if content > 1 else [-x for x in r]), content // d
+
+
+def _inverse_mod_2k(odd: int, k: int) -> int:
+    """odd^-1 mod 2^k for an odd int, by Newton doubling x <- x (2 - odd x).
+
+    odd * odd = 1 mod 8 starts it at 3 bits, and each step doubles the bits.
+    """
+    x, bits = odd & 7, 3
+    while bits < k:
+        bits = min(2 * bits, k)
+        mask = (1 << bits) - 1
+        x = x * (2 - (odd & mask) * x) & mask
+    return x & ((1 << k) - 1)
+
+
+def _exact_quotient(l2, q1, q0, a, xb, b, d) -> list[int]:
+    """(l2 a_i - q1 xb_i - q0 b_i) / d for i < deg b, for a d > 1 that
+    divides each of them, computed 2-adically (Jebelean 1993).
+
+    |a|, |xb| and |b| being the largest moduli of their coordinates, each
+    quotient lies in [-top, top] with top = (l2 |a| + |q1| |xb| + |q0| |b|)
+    // d, so it is its own symmetric residue mod 2^w for w = bits(top) + 1.
+    With d = 2^v o, o odd, and l2, q1, q0 times o^-1 mod 2^(w + v), the
+    quotient is bits v .. w + v - 1 of the folded sum: three products of
+    the quotient's size per coordinate, where the sum itself takes three
+    of twice that size and a long division by d.  Where d does not divide,
+    the residues are garbage, so the even and the odd coordinate sums (the
+    values at +-1 in either basis, the only points a Sturm chain is read
+    at) are checked exactly, and a mismatch raises InternalMismatch.
+    """
+    n = len(b) - 1
+    top = (
+        l2 * max(max(a), -min(a))
+        + abs(q1) * max(max(xb), -min(xb))
+        + abs(q0) * max(max(b), -min(b))
+    ) // d
+    w = top.bit_length() + 1
+    v = (d & -d).bit_length() - 1
+    k = w + v
+    mask = (1 << k) - 1
+    inv = _inverse_mod_2k(d >> v, k)
+    f2, f1, f0 = l2 * inv & mask, q1 * inv & mask, q0 * inv & mask
+    half, full = 1 << (w - 1), 1 << w
+    q = [(f2 * x - f1 * y - f0 * z & mask) >> v for x, y, z in zip(a[:n], xb, b)]
+    q = [x - full if x >= half else x for x in q]
+    for s in (slice(0, None, 2), slice(1, None, 2)):
+        if d * sum(q[s]) != l2 * sum(a[s]) - q1 * sum(xb[s]) - q0 * sum(b[s]):
+            raise InternalMismatch("2-adic quotient fails its check at +-1")
+    return q
 
 
 def _divexact(a: list[int], b: list[int]) -> list[int]:
@@ -325,14 +386,53 @@ def _sturm_chain(
     """Negated-remainder chain starting (p0, p1), nonzero p1, positive scaling.
 
     p0, p1 and every element share one basis, whose multiply-by-x map is
-    ``times_x`` (see ``_neg_prem``).
+    ``times_x`` (see ``_neg_prem``).  Every element p_i is primitive, and
+    each step divides its pseudo-remainder by a divisor that the
+    fundamental theorem of subresultants guarantees (Collins 1967, Brown &
+    Traub 1971).  In a normal run, every degree drop 1, starting at
+    S_0 = p_0 and S_1 = p_1, the subresultants are S_2 = prem(S_0, S_1)
+    and S_(i+1) = prem(S_(i-1), S_i) / lc(S_(i-1))^2, integral, and
+    S_i = C_i p_i.  prem(alpha a, beta b) = alpha beta^2 prem(a, b), so the
+    fused value raw_i = prem(p_(i-1), p_i) of ``_neg_prem`` has content
+
+        la^2 |C_(i-1) C_(i+1)| / C_i^2,    la = lc(p_(i-1)).
+
+    With X = la^2 |C_(i-1)|, Y = C_i^2 and g = gcd(X, Y): content * (Y/g)
+    = (X/g) |C_(i+1)| with X/g and Y/g coprime, so d = X/g divides raw_i,
+    and |C_(i+1)| = kappa Y/g with kappa the content of raw_i / d, one
+    integer update per step; d takes nearly all of lc(a)^2 (1478 of its
+    1483 bits on average over every 4th pair with deg Q 100 to 200).  In
+    Chebyshev coordinates the theorem holds for G(y) = 2 g(y/2), y = 2x,
+    whose leading coefficient is g's top coordinate and in which the fused
+    value is prem in y (``_times_2x`` is the multiplication by y).  There
+    too C_i is an integer: S_i is an integer combination of the
+    times_x^j(p_0) and times_x^j(p_1), whose coordinates are integers.
+
+    The first step of a run predicts nothing (S_2 = prem(S_0, S_1)), and
+    a step that drops the degree by more than one leaves the normal case
+    the theorem is used in, so both divide by d = 1; after such a step a
+    new run starts at the two elements it leaves, both primitive.
     """
     chain = [_primitive(p0), _primitive(p1)]
+    prev = cur = 0  # |C_(i-1)|, |C_i|; 0 starts a normal run
     while len(chain[-1]) > 1:
-        r = _neg_prem(chain[-2], chain[-1], times_x)
+        a, b = chain[-2], chain[-1]
+        normal = len(a) == len(b) + 1
+        d = 1
+        if normal and cur:
+            x = a[-1] * a[-1] * prev
+            g = math.gcd(x, cur * cur)
+            d = x // g
+        r, content = _neg_prem(a, b, times_x, d)
         if not r:
             break
         chain.append(r)
+        if not normal:
+            prev = cur = 0
+        elif cur:
+            prev, cur = cur, content * (cur * cur // g)
+        else:
+            prev, cur = 1, content
     return chain
 
 

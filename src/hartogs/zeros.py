@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .arith import CoprimePair
@@ -256,6 +255,8 @@ def scan(
     workers = min(workers or 1, len(pairs), os.cpu_count() or 1)
     if workers <= 1:
         return [_scan_pair(pair) for pair in pairs]
+    from concurrent.futures import ProcessPoolExecutor  # only the pool pays for it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_scan_pair, pairs, chunksize=8))
 

@@ -22,7 +22,6 @@ from hartogs import (
     diagonal_poly,
     eval_kernel,
     interior_root_count,
-    monomial_norm_sq,
     numerator_effective,
     numerator_oracle,
     numeric_roots,
@@ -31,6 +30,7 @@ from hartogs import (
     zero_witness,
 )
 from identity_checks import verify_index_identities, verify_piece_identities
+from norm_oracle import monomial_norm_sq
 
 WITNESS_PAIRS = [CoprimePair(2, 1), CoprimePair(3, 2), CoprimePair(3, 1), CoprimePair(5, 3)]
 PROVEN_KS = {1, 2, 3, 4, 6}

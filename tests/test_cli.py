@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hartogs
 from hartogs import BiPoly, ConvergenceFailure, CoprimePair, cli, numerator_effective
 from hartogs.cli import main
 
@@ -328,6 +333,16 @@ class TestScanCommand:
     def test_rejects_bad_m_max(self, capsys):
         rc, _, err = run(capsys, ["scan", "--m-max", "1"])
         assert rc == 2
+
+    def test_start_up_leaves_the_process_pool_unimported(self):
+        # only scan --workers N > 1 uses the pool, so no command pays its import
+        code = "import sys, hartogs.cli; print('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(hartogs.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout
+        assert out == "False\n"
 
 
 class TestFileOutput:

@@ -23,12 +23,12 @@ from hartogs import (
     in_domain,
     interior_margin,
     kernel_formula,
-    monomial_norm_sq,
     numerator_effective,
     numerator_oracle,
     series_kernel,
     series_tail_estimate,
 )
+from norm_oracle import monomial_norm_sq
 
 PAIRS = [CoprimePair(2, 1), CoprimePair(3, 2), CoprimePair(3, 1), CoprimePair(5, 3)]
 

@@ -288,6 +288,134 @@ class TestRemainderSequence:
             "557bfaeba3ed0b5743e1f1c1886c78d04d6a3dd48d9df8f69a151a965cef0e6d"
         )
 
+    def test_frontier_chains_pinned(self, monkeypatch):
+        # every census chain of every 15th pair with 50 <= m - n <= 100,
+        # n <= 12, and of (201, 100), most steps above the 2-adic crossover,
+        # as the floor-division steps built them
+        chains = []
+        build = roots._sturm_chain
+
+        def recorded(*args):
+            chains.append(build(*args))
+            return chains[-1]
+
+        monkeypatch.setattr(roots, "_sturm_chain", recorded)
+        for mn in FRONTIER_PAIRS[::15] + [(201, 100)]:
+            interior_root_count(diagonal_poly(CoprimePair(*mn)).poly)
+        assert len(chains) == 27
+        assert hashlib.sha256(repr(chains).encode()).hexdigest() == (
+            "4dbf23166588f79666448a905c4030a9e2666d7cf83dfed03ed6565130ac44a5"
+        )
+
+
+def in_y(a: list[int]) -> UniPoly:
+    """2 sum a_i T_i(y/2) in monomial coordinates of y = 2x; its leading
+    coefficient is a's top coordinate."""
+    coeffs = from_chebyshev(a).coeffs
+    return UniPoly([Fraction(c, 2**j) for j, c in enumerate(coeffs)])
+
+
+def subresultant_contents(chain: list[list[int]], to_poly) -> list[Fraction]:
+    """|C_i| with S_i = C_i to_poly(chain[i]) for the subresultants S_0, S_1,
+    S_2 = prem(S_0, S_1), S_(i+1) = prem(S_(i-1), S_i) / lc(S_(i-1))^2 of
+    a normal chain, over the rationals."""
+    s = [to_poly(chain[0]), to_poly(chain[1])]
+    for i in range(1, len(chain) - 1):
+        lb = s[-1].coeffs[-1]
+        rem = s[-2].div_rem(s[-1])[1]
+        div = Fraction(s[-2].coeffs[-1]) ** 2 if i > 1 else 1
+        s.append(UniPoly([Fraction(lb * lb * c) / div for c in rem.coeffs]))
+    return [abs(Fraction(x.coeffs[-1]) / to_poly(p).coeffs[-1]) for x, p in zip(s, chain)]
+
+
+MONOMIAL_8 = [3, -1, 4, 1, -5, 9, -2, 6, 5]
+# odd first coordinate, the others even: in_y gives it the content 2, and
+# the C_i are integers all the same
+CHEBYSHEV_7 = [3, -8, 4, 2, -6, 10, 4, 6]
+
+
+class TestTwoAdicRemainderSequence:
+    """TestRemainderSequence's oracles with every predicted division taken
+    2-adically, and the predicted divisors themselves."""
+
+    @pytest.fixture(autouse=True)
+    def every_step_two_adic(self, monkeypatch):
+        monkeypatch.setattr(roots, "_EXACT_BITS", 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dividend_divisor())
+    @example(([-1, 0, 1], [1, 1]))  # x + 1 divides x^2 - 1: zero remainder
+    @example(([1, 0, 0, 1], [0, 0, 1]))  # x^3 + 1 mod x^2 = 1: the degree drops by 2
+    @example(([2, -3, 0, 5, 1], [7, 0, -2, 3]))  # a normal chain, every drop 1
+    def test_every_element_is_a_positive_multiple(self, ab):
+        a, b = ab
+        ref = negated_remainders(a, b)
+        stop = next((i + 1 for i, s in enumerate(ref) if s.degree == 0), len(ref))
+        chain = roots._sturm_chain(a, b)
+        assert len(chain) == stop
+        assert all(is_positive_multiple(c, s) for c, s in zip(chain, ref))
+        g = roots._gcd(roots._primitive(a), roots._primitive(b))
+        assert is_positive_multiple(g, ref[-1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(dividend_divisor(chebyshev_product))
+    @example(([1, 0, 1], [0, 1]))  # T_1 divides T_2 + T_0 = 2x^2: zero remainder
+    @example(([0, 1, 1, 0, 1], [0, 0, 0, 1]))  # a drop by 2, then the general loop
+    @example(([1, 1, 0, 1], [0, 0, 1]))  # T_3 + T_1 + T_0 mod T_2 = 1: a drop by 2
+    @example(([2, -3, 0, 5, 1], [7, 0, -2, 3]))  # a normal chain, every drop 1
+    def test_chebyshev_elements_are_positive_multiples(self, ab):
+        a, b = ab
+        ref = negated_remainders(
+            list(from_chebyshev(a).coeffs), list(from_chebyshev(b).coeffs)
+        )
+        stop = next((i + 1 for i, s in enumerate(ref) if s.degree == 0), len(ref))
+        chain = roots._sturm_chain(a, b, roots._times_2x)
+        assert len(chain) == stop
+        assert all(
+            is_positive_multiple(list(from_chebyshev(c).coeffs), s)
+            for c, s in zip(chain, ref)
+        )
+
+    @pytest.mark.parametrize(
+        "a, b, times_x, to_poly",
+        [
+            ([2, -3, 0, 5, 1], [7, 0, -2, 3], roots._times_x, UniPoly),
+            (MONOMIAL_8, roots._derivative(MONOMIAL_8), roots._times_x, UniPoly),
+            ([2, -3, 0, 5, 1], [7, 0, -2, 3], roots._times_2x, in_y),
+            (
+                CHEBYSHEV_7,
+                roots._chebyshev_derivative(CHEBYSHEV_7),
+                roots._times_2x,
+                in_y,
+            ),
+        ],
+    )
+    def test_divisors_are_the_subresultant_prediction(
+        self, monkeypatch, a, b, times_x, to_poly
+    ):
+        # each step past the first divides by la^2 C_(i-1) / gcd(., C_i^2),
+        # the C_i read off subresultants computed over the rationals
+        divisors = []
+        step = roots._neg_prem
+
+        def recorded(a, b, times_x, d):
+            divisors.append(d)
+            return step(a, b, times_x, d)
+
+        monkeypatch.setattr(roots, "_neg_prem", recorded)
+        chain = roots._sturm_chain(a, b, times_x)
+        assert len(chain[-1]) == 1
+        assert all(len(p) == len(q) + 1 for p, q in zip(chain, chain[1:]))
+        c = subresultant_contents(chain, to_poly)
+        assert all(x.denominator == 1 for x in c)
+        c = [int(x) for x in c]
+        expected = [1]
+        for i in range(2, len(chain) - 1):
+            x = chain[i - 1][-1] ** 2 * c[i - 1]
+            expected.append(x // math.gcd(x, c[i] ** 2))
+        assert divisors == expected
+        assert max(divisors) > 1
+
 
 class TestChebyshevReduce:
     def test_frozen_q31(self):

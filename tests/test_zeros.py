@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -378,7 +379,7 @@ class TestScan:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(zeros, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(zeros.os, "cpu_count", lambda: 4)
         serial = scan(8)
         assert [r.m for r in scan(8, workers=100_000)] == [r.m for r in serial]
