@@ -44,6 +44,7 @@ from .roots import (
     RootCensus,
     chebyshev_reduce,
     classify_float_roots,
+    interior_float_roots,
     interior_root_count,
     numeric_roots,
     poly_gcd,

@@ -14,10 +14,10 @@ Two deliberately small types:
   coefficient lists) and ``div_rem``.
 
 Coefficients are arbitrary precision by construction; nothing in this module
-touches floats except the explicit complex/float evaluation helpers.  Neither
-type has an output format of its own: ``hartogs.cli`` prints coefficients as
-decimal strings, so precision survives in machine-readable output, and
-writes the text monomials c*s^i*t^j itself from ``terms`` and ``coeffs``.
+touches floats except ``BiPoly.eval_complex``.  Neither type has an output
+format of its own: ``hartogs.cli`` prints coefficients as decimal strings, so
+precision survives in machine-readable output, and writes the text monomials
+c*s^i*t^j itself from ``terms`` and ``coeffs``.
 """
 
 from __future__ import annotations
@@ -138,17 +138,13 @@ class UniPoly:
                 out[i + j] += a * b
         return UniPoly(out)
 
-    def __call__(self, x):
-        """Horner evaluation; exact for int/Fraction x, float otherwise."""
-        if isinstance(x, (int, Fraction)):
-            acc: Scalar = 0
-            for c in reversed(self._coeffs):
-                acc = acc * x + c
-            return _as_scalar(Fraction(acc)) if self._coeffs else 0
-        acc = 0j if isinstance(x, complex) else 0.0
+    def __call__(self, x: Scalar) -> Scalar:
+        """Exact Horner evaluation; a float x raises ValidationError."""
+        x = _as_scalar(x)
+        acc: Scalar = 0
         for c in reversed(self._coeffs):
-            acc = acc * x + float(c)
-        return acc
+            acc = acc * x + c
+        return _as_scalar(Fraction(acc))
 
     def derivative(self) -> "UniPoly":
         return UniPoly([i * c for i, c in enumerate(self._coeffs)][1:])

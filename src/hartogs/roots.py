@@ -66,14 +66,17 @@ iterates start on the moduli of the Newton polygon of p, each inner start
 beside an outer one, and an iterate that passes the test stops moving
 (Bini 1996; Bini & Fiorentino's MPSolve), so a sweep evaluates p, p' and
 the residual scale of the live iterates only.  Every float value of p
-comes from ``_power_rows``: one row of powers per point, z^j where |z| <=
-1 and z^j / z^deg where |z| > 1, so no entry exceeds 1 in modulus at any
-degree.  ``root_residuals`` evaluates through the same rows, so a
+there comes from ``_power_rows``: one row of powers per point, z^j where
+|z| <= 1 and z^j / z^deg where |z| > 1, so no entry exceeds 1 in modulus
+at any degree.  ``root_residuals`` evaluates through the same rows, so a
 returned root reads the residual it was accepted at.  The roots leave as
 exact conjugate pairs and exact reals, matched by ``_mirror_partners``,
 the one owner of the real/pair decision for float roots.
 ``classify_float_roots`` sorts float roots into inside/on/outside with
-the guard band ``CIRCLE_GUARD``.  The
+the guard band ``CIRCLE_GUARD``, and ``interior_float_roots``, the
+witness's root finder, keeps those inside it and polishes them by Newton
+on p and p' from Horner's rule, the module's one other float evaluation
+of p (its docstring says why not the power rows).  The
 census itself never runs a float step: the caller that prints float roots
 (``hartogs roots``) compares their classification with the exact census,
 warns on disagreement, never silently fixes it, and keeps the exact census
@@ -83,6 +86,7 @@ when the diagnostic does not converge.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,6 +110,7 @@ __all__ = [
     "squarefree_part",
     "squarefree_decomposition",
     "root_residuals",
+    "interior_float_roots",
     "classify_float_roots",
 ]
 
@@ -117,6 +122,8 @@ _MAX_SWEEPS = 500
 _TOL = 1e-12
 # rows of mirror distances _mirror_partners takes at a time
 _PAIR_ROWS = 32
+# the spacing of doubles at 1, for the stop of interior_float_roots' polish
+_EPS = sys.float_info.epsilon
 # deg b * bits(lc a) from which a remainder step divides 2-adically: the
 # 2-adic step pays a fixed cost per step and saves a little per coordinate,
 # and on the census chains of deg Q <= 240 it was the faster one from here on
@@ -131,16 +138,14 @@ def _primitive(coeffs) -> list[int]:
     """Scale by a positive rational to integer coefficients with content 1.
 
     Positive scaling preserves signs everywhere, which is what Sturm-chain
-    bookkeeping needs.  Trailing zeros are dropped, so the zero polynomial
-    comes back as [].
+    bookkeeping needs.  coeffs must be empty (the zero polynomial, which
+    comes back as []) or end in a nonzero entry, as a ``UniPoly``'s do.
     """
     den = 1
     for c in coeffs:
         if isinstance(c, Fraction):
             den = math.lcm(den, c.denominator)
     ints = [int(c * den) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
     content = math.gcd(*ints)
     return [c // content for c in ints] if content > 1 else ints
 
@@ -196,7 +201,8 @@ def _neg_prem(a: list[int], b: list[int], times_x, d: int) -> tuple[list[int], i
     r <- |lc b| * r - sgn(lc b) * lc(r) * times_x^delta(b) cancels the
     leading term of r while multiplying it by a positive number, so the
     result is a positive multiple of the negated Euclidean remainder, and
-    Sturm signs survive.  b must be nonzero; [] means b divides a.
+    Sturm signs survive.  b must have degree >= 1, as every divisor in
+    ``_sturm_chain`` has; [] means b divides a.
 
     When deg a = deg b + 1 = n + 1, as at every step of a normal chain,
     the two steps fuse into one pass, r_i = lc(b)^2 a_i - q1 xb_i -
@@ -212,8 +218,6 @@ def _neg_prem(a: list[int], b: list[int], times_x, d: int) -> tuple[list[int], i
     normal run and any step that drops the degree by more than one.
     """
     db = len(b) - 1
-    if db == 0:
-        return [], 0  # a nonzero constant divides a
     if len(a) == db + 2:
         lb, la, xb = b[-1], a[-1], times_x(b)
         l2, q1, q0 = lb * lb, lb * la, lb * a[-2] - la * xb[-2]
@@ -601,6 +605,8 @@ def _power_rows(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     the residual ratio are p's own at any degree.  The points with |x| <= 1
     take the first rows, so that each kind of row is one block and one
     ``np.cumprod``: rows[i] belongs to z[order[i]], and order is returned.
+    ``interior_float_roots`` polishes by Horner instead, which its
+    docstring shows to be the more accurate of the two at the roots.
     """
     order = np.argsort(np.abs(z) > 1.0, kind="stable")
     z = z[order]
@@ -635,6 +641,52 @@ def root_residuals(p: UniPoly, roots) -> list[float]:
     # p(r) == 0 reads 0 even where the scale is 0 too; a NaN stays NaN
     out[order] = np.divide(value, scale, out=np.zeros_like(scale), where=value != 0)
     return out.tolist()
+
+
+def interior_float_roots(p: UniPoly) -> list[complex]:
+    """The float roots of a squarefree p with |r| < 1 - CIRCLE_GUARD, each
+    polished by Newton, closed under conjugation and sorted by (real, imag).
+
+    ``numeric_roots`` gives exact reals and exact conjugate pairs, so only
+    roots on or above the real axis are polished: a real start stays real,
+    and a root above the axis brings its exact conjugate.  p is squarefree
+    because Newton converges only linearly at a multiple root.  Each step
+    takes p and p' from one Horner pass over the coefficients of p / lc(p),
+    each divided exactly before its one rounding, top degree first; the
+    polish stops after 60 steps, at p' = 0, at a step that leaves z where
+    it is, or at a step within two double spacings of z.
+
+    Horner and lc(p) are more accurate here than the arithmetic of
+    ``numeric_roots``.  Over the 11,822 interior roots on or above the
+    real axis of the 1,101 coprime pairs with m <= 60, against 40-digit
+    roots, ``_power_rows`` left 1.6 times Horner's rounding noise at the
+    roots (median |p| 1.65e-17 against 1.01e-17 of the residual scale) and
+    polished to relative errors of median 3.2e-16 and worst 2.1e-14, where
+    Horner reaches 2.1e-16 and 7.4e-15; ``_float_coeffs``' scaling by
+    max |c_i| gives 2.2e-16 and 7.7e-15.
+    """
+    lead = p.coeffs[-1]
+    top = [float(c / lead) for c in reversed(p.coeffs)]
+    out = []
+    for z in numeric_roots(p):
+        if abs(z) >= 1.0 - CIRCLE_GUARD or z.imag < 0:
+            continue
+        real = z.imag == 0
+        for _ in range(60):
+            pz = dz = 0j
+            for c in top:
+                dz = dz * z + pz
+                pz = pz * z + c
+            if dz == 0:
+                break
+            step = pz / dz
+            if z - step == z:
+                break  # a fixed point: every later pass would repeat this step
+            z -= step
+            if abs(step) <= 2 * _EPS * abs(z):
+                break  # within two double spacings of z: rounding noise from here
+        out += [complex(z.real)] if real else [z, z.conjugate()]
+    return sorted(out, key=lambda r: (r.real, r.imag))
 
 
 def classify_float_roots(roots) -> tuple[int, int, int]:

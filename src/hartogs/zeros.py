@@ -8,9 +8,9 @@ interior points at which the kernel vanishes:
 
 so that z1*conj(w1) = z2*conj(w2) = s0 and K(z, w) is a nonzero multiple
 of s0^(2n-1) Q(s0) = 0.  The candidates are the interior Aberth roots of
-the squarefree part of Q, real or complex, each polished by one Newton
-refinement.  Which interior root is used is a free choice; candidates are
-ordered deterministically and selected by index.
+the squarefree part of Q, real or complex, each polished by Newton in
+``hartogs.roots``.  Which interior root is used is a free choice;
+candidates are ordered deterministically and selected by index.
 
 The scanner walks every coprime pair with m <= m_max and records the exact
 circle root count of Q and the interior count (degree - circle)/2 that the
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import time
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ from .domain import interior_margin
 from .errors import InternalMismatch, NoInteriorRoot, ValidationError
 from .kernel import kernel_formula
 from .qpoly import diagonal_poly
-from .roots import CIRCLE_GUARD, interior_root_count, numeric_roots, squarefree_part
+from .roots import interior_float_roots, interior_root_count, squarefree_part
 
 __all__ = [
     "ZeroWitness",
@@ -50,7 +49,6 @@ __all__ = [
 Point = tuple[complex, complex]
 
 _PSI_TOL = 1e-14
-_EPS = sys.float_info.epsilon
 _MARGIN_FLOOR = 1e-6
 
 
@@ -67,77 +65,25 @@ class ZeroWitness:
     margin: float
 
 
-def _horner_complex(top: list[float], x: complex) -> complex:
-    """``UniPoly.__call__`` at a complex point, on float coefficients given
-    top degree first."""
-    acc = 0j
-    for c in top:
-        acc = acc * x + c
-    return acc
-
-
-def _refine_root(f_top: list[float], df_top: list[float], approx: complex) -> complex:
-    """Newton polish in double precision at a simple root.
-
-    f_top and df_top are the float coefficients of the squarefree part and
-    of its derivative, top degree first.  A real start stays on the real
-    axis: every step is then real.
-    """
-    z = complex(approx)
-    for _ in range(60):
-        fz = _horner_complex(f_top, z)
-        dz = _horner_complex(df_top, z)
-        if dz == 0:
-            break
-        step = fz / dz
-        if z - step == z:
-            break  # a fixed point: every later pass would repeat this step
-        z -= step
-        if abs(step) <= 2 * _EPS * abs(z):
-            break  # within two double spacings of z: rounding noise from here
-    return z
-
-
 def witness_candidates(pair: CoprimePair) -> list[complex]:
-    """Interior roots of Q (distinct, refined), deterministically ordered.
+    """Interior roots of Q (distinct, polished), deterministically ordered.
 
-    Every root is refined by one Newton polish on the exact squarefree part
-    of Q: interior roots can have even multiplicity (Q for (5,3) is
-    5(s^2+3s+1)^2), where Newton on Q itself would converge only linearly.
-    When the census finds Q squarefree, Q's own int coefficients serve, so
-    no second gcd runs: ``numeric_roots`` divides them by max |c_i| and the
-    polish by the leading one, each exactly before one rounding, which
-    gives the floats that the monic ``squarefree_part`` would give.
-    Q is real, and ``numeric_roots`` returns its roots as exact reals and
-    exact conjugate pairs (at (27, 25) Aberth leaves a real root with
-    imaginary part 8e-12, which its pairing drops).  A real root is
-    polished on the real axis and stays real, and of each pair only the
-    root above the axis is polished and brings its exact conjugate: the
-    list is closed under conjugation.
+    ``interior_float_roots`` finds and polishes them on the exact
+    squarefree part of Q: interior roots can have even multiplicity (Q for
+    (5,3) is 5(s^2+3s+1)^2), where Newton on Q itself would converge only
+    linearly.  When the census finds Q squarefree, Q's own int
+    coefficients serve, so no second gcd runs.
     """
     q = diagonal_poly(pair).poly
     census = interior_root_count(q)
     if census.inside == 0:
         raise NoInteriorRoot(f"Q for {pair} has no root inside the unit disk")
-    sf = q if census.squarefree else squarefree_part(q)
-    interior = [r for r in numeric_roots(sf) if abs(r) < 1.0 - CIRCLE_GUARD]
-    if not interior:
+    candidates = interior_float_roots(q if census.squarefree else squarefree_part(q))
+    if not candidates:
         raise InternalMismatch(
             f"census reports interior roots for {pair} but the float finder found none"
         )
-    # one rounding of each coefficient over the leading one: the same floats
-    # for Q's ints as for its monic copy
-    lead = sf.coeffs[-1]
-    f_top = [float(c / lead) for c in reversed(sf.coeffs)]
-    df_top = [float(c / lead) for c in reversed(sf.derivative().coeffs)]
-    refined = []
-    for r in interior:
-        if r.imag == 0:
-            refined.append(complex(_refine_root(f_top, df_top, r).real))
-        elif r.imag > 0:
-            z = _refine_root(f_top, df_top, r)
-            refined += [z, z.conjugate()]  # Q is real: conjugates are exact
-    return sorted(refined, key=lambda r: (r.real, r.imag))
+    return candidates
 
 
 def zero_witness(pair: CoprimePair, which: int = 0) -> ZeroWitness:

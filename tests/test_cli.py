@@ -21,6 +21,18 @@ def run(capsys, args):
     return rc, captured.out, captured.err
 
 
+def json_out(capsys, args):
+    rc, out, _ = run(capsys, args + ["--output-format", "json"])
+    assert rc == 0
+    return json.loads(out)
+
+
+def csv_lines(capsys, args) -> list[list[str]]:
+    rc, out, _ = run(capsys, args + ["--output-format", "csv"])
+    assert rc == 0
+    return [line.split(",") for line in out.strip().split("\n")]
+
+
 class TestKernelCommand:
     def test_text_output(self, capsys):
         rc, out, _ = run(capsys, ["kernel", "--m", "2", "--n", "1"])
@@ -31,6 +43,14 @@ class TestKernelCommand:
     def test_verify_flag(self, capsys):
         rc, out, _ = run(capsys, ["kernel", "--m", "7", "--n", "4", "--verify"])
         assert rc == 0
+
+    def test_verify_mismatch_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            hartogs.kernel, "numerator_oracle", lambda pair: BiPoly({(0, 0): 1})
+        )
+        rc, out, err = run(capsys, ["kernel", "--m", "5", "--n", "3", "--verify"])
+        assert rc == 3 and out == ""
+        assert err.startswith("internal mismatch: effective numerator disagrees")
 
     def test_csv_output(self, capsys):
         rc, out, _ = run(
@@ -85,6 +105,13 @@ class TestQpolyCommand:
             "k": 2,
             "coeffs": ["5", "30", "55", "30", "5"],
         }
+
+
+    def test_csv_matches_json(self, capsys):
+        header, *rows = csv_lines(capsys, ["qpoly", "--m", "5", "--n", "3"])
+        assert header == ["degree", "coeff"]
+        data = json_out(capsys, ["qpoly", "--m", "5", "--n", "3"])
+        assert rows == [[str(e), c] for e, c in enumerate(data["coeffs"])]
 
 
 class TestRootsCommand:
@@ -202,6 +229,23 @@ class TestWitnessCommand:
         assert rc0 == 0
         assert json.loads(out0)["s0"][1] > 0  # second candidate: positive imag part
 
+    def test_csv_matches_json(self, capsys):
+        args = ["witness", "--m", "3", "--n", "1", "--which", "1"]
+        header, fields = csv_lines(capsys, args)
+        points = ["s0", "z1", "z2", "w1", "w2"]
+        assert header == ["m", "n"] + [
+            f"{p}_{part}" for p in points for part in ("re", "im")
+        ] + ["residual", "margin"]
+        data = json_out(capsys, args)
+        values = dict(zip(header, fields))
+        assert (int(values["m"]), int(values["n"])) == (data["m"], data["n"])
+        # 17 significant digits give every coordinate back exactly
+        coords = [data["s0"]] + data["z"] + data["w"]
+        for p, (re, im) in zip(points, coords):
+            assert float(values[f"{p}_re"]) == re and float(values[f"{p}_im"]) == im
+        assert float(values["residual"]) == pytest.approx(data["residual"], rel=1e-3)
+        assert float(values["margin"]) == pytest.approx(data["margin"], rel=1e-6)
+
     def test_which_out_of_range(self, capsys):
         rc, _, err = run(capsys, ["witness", "--m", "2", "--n", "1", "--which", "9"])
         assert rc == 2
@@ -227,6 +271,27 @@ class TestEvalCommand:
         assert "closed form: 0.48138696790047208" in out
         rel = float(out.strip().split("relative difference:")[1])
         assert rel < 1e-10
+
+    def test_json_and_csv_agree(self, capsys):
+        args = ["eval", "--m", "3", "--n", "2", "--z1", "0.1+0.2j", "--z2", "0.7j",
+                "--w1", "0.1-0.1j", "--w2", "0.6", "--cutoff", "200"]
+        data = json_out(capsys, args)
+        assert list(data) == ["m", "n", "z", "w", "closed_form", "series", "cutoff",
+                              "tail_estimate", "relative_difference"]
+        assert (data["m"], data["n"], data["cutoff"]) == (3, 2, 200)
+        assert data["z"] == [[0.1, 0.2], [0.0, 0.7]]
+        assert data["w"] == [[0.1, -0.1], [0.6, 0.0]]
+        header, fields = csv_lines(capsys, args)
+        assert header == ["closed_re", "closed_im", "series_re", "series_im",
+                          "cutoff", "tail_estimate", "relative_difference"]
+        values = dict(zip(header, fields))
+        assert [float(values["closed_re"]), float(values["closed_im"])] == data[
+            "closed_form"
+        ]
+        assert [float(values["series_re"]), float(values["series_im"])] == data["series"]
+        assert int(values["cutoff"]) == data["cutoff"]
+        for name in ("tail_estimate", "relative_difference"):
+            assert float(values[name]) == pytest.approx(data[name], rel=1e-3)
 
     def test_complex_arguments(self, capsys):
         rc, out, _ = run(

@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from hartogs import (
     ConvergenceFailure,
     CoprimePair,
+    InternalMismatch,
     NotPalindromic,
     UniPoly,
     ValidationError,
     chebyshev_reduce,
     classify_float_roots,
     coprime_pairs,
+    interior_float_roots,
     interior_root_count,
     numeric_roots,
     poly_gcd,
@@ -230,6 +232,20 @@ def is_positive_multiple(ints: list[int], ref: UniPoly) -> bool:
 class TestRemainderSequence:
     """The integer remainder sequence against rational Euclidean division."""
 
+    @pytest.fixture(params=[6000, 0], ids=["floor", "2-adic"])
+    def exact_bits(self, request, monkeypatch):
+        # 0 takes every predicted division 2-adically
+        monkeypatch.setattr(roots, "_EXACT_BITS", request.param)
+        return request.param
+
+    def test_a_divisor_that_divides_nothing_raises(self, exact_bits):
+        # 1000003 divides no remainder of this normal pair: floor division
+        # finds it in the content, the 2-adic quotient in its check at +-1
+        message = "does not divide" if exact_bits else "fails its check at"
+        with pytest.raises(InternalMismatch, match=message):
+            roots._neg_prem([2, -3, 0, 5, 1], [7, 0, -2, 3], roots._times_x, 1000003)
+
+    @pytest.mark.usefixtures("exact_bits")
     @settings(max_examples=150, deadline=None)
     @given(dividend_divisor())
     @example(([-1, 0, 1], [1, 1]))  # x + 1 divides x^2 - 1: zero remainder
@@ -246,6 +262,7 @@ class TestRemainderSequence:
         g = roots._gcd(roots._primitive(a), roots._primitive(b))
         assert is_positive_multiple(g, ref[-1])
 
+    @pytest.mark.usefixtures("exact_bits")
     @settings(max_examples=150, deadline=None)
     @given(dividend_divisor(chebyshev_product))
     @example(([1, 0, 1], [0, 1]))  # T_1 divides T_2 + T_0 = 2x^2: zero remainder
@@ -335,46 +352,11 @@ CHEBYSHEV_7 = [3, -8, 4, 2, -6, 10, 4, 6]
 
 
 class TestTwoAdicRemainderSequence:
-    """TestRemainderSequence's oracles with every predicted division taken
-    2-adically, and the predicted divisors themselves."""
+    """The predicted divisors, every predicted division taken 2-adically."""
 
     @pytest.fixture(autouse=True)
     def every_step_two_adic(self, monkeypatch):
         monkeypatch.setattr(roots, "_EXACT_BITS", 0)
-
-    @settings(max_examples=150, deadline=None)
-    @given(dividend_divisor())
-    @example(([-1, 0, 1], [1, 1]))  # x + 1 divides x^2 - 1: zero remainder
-    @example(([1, 0, 0, 1], [0, 0, 1]))  # x^3 + 1 mod x^2 = 1: the degree drops by 2
-    @example(([2, -3, 0, 5, 1], [7, 0, -2, 3]))  # a normal chain, every drop 1
-    def test_every_element_is_a_positive_multiple(self, ab):
-        a, b = ab
-        ref = negated_remainders(a, b)
-        stop = next((i + 1 for i, s in enumerate(ref) if s.degree == 0), len(ref))
-        chain = roots._sturm_chain(a, b)
-        assert len(chain) == stop
-        assert all(is_positive_multiple(c, s) for c, s in zip(chain, ref))
-        g = roots._gcd(roots._primitive(a), roots._primitive(b))
-        assert is_positive_multiple(g, ref[-1])
-
-    @settings(max_examples=150, deadline=None)
-    @given(dividend_divisor(chebyshev_product))
-    @example(([1, 0, 1], [0, 1]))  # T_1 divides T_2 + T_0 = 2x^2: zero remainder
-    @example(([0, 1, 1, 0, 1], [0, 0, 0, 1]))  # a drop by 2, then the general loop
-    @example(([1, 1, 0, 1], [0, 0, 1]))  # T_3 + T_1 + T_0 mod T_2 = 1: a drop by 2
-    @example(([2, -3, 0, 5, 1], [7, 0, -2, 3]))  # a normal chain, every drop 1
-    def test_chebyshev_elements_are_positive_multiples(self, ab):
-        a, b = ab
-        ref = negated_remainders(
-            list(from_chebyshev(a).coeffs), list(from_chebyshev(b).coeffs)
-        )
-        stop = next((i + 1 for i, s in enumerate(ref) if s.degree == 0), len(ref))
-        chain = roots._sturm_chain(a, b, roots._times_2x)
-        assert len(chain) == stop
-        assert all(
-            is_positive_multiple(list(from_chebyshev(c).coeffs), s)
-            for c, s in zip(chain, ref)
-        )
 
     @pytest.mark.parametrize(
         "a, b, times_x, to_poly",
@@ -441,10 +423,9 @@ class TestChebyshevReduce:
         g = chebyshev_reduce(p)
         k = p.degree // 2
         for theta in (0.3, 1.1, 2.9):
-            lhs = p(complex(math.cos(theta), math.sin(theta))) * complex(
-                math.cos(-k * theta), math.sin(-k * theta)
-            )
-            rhs = g(math.cos(theta))
+            lhs = np.polyval(p.coeffs[::-1], complex(math.cos(theta), math.sin(theta)))
+            lhs *= complex(math.cos(-k * theta), math.sin(-k * theta))
+            rhs = np.polyval(g.coeffs[::-1], math.cos(theta))
             assert abs(lhs - rhs) < 1e-9 * (1 + abs(rhs))
 
 
@@ -786,6 +767,21 @@ class TestNumericRoots:
         exact = [-3 - 2 * math.sqrt(2), -3 + 2 * math.sqrt(2)]
         assert roots[0].real == pytest.approx(exact[0], rel=1e-12)
         assert roots[1].real == pytest.approx(exact[1], rel=1e-12)
+
+    def test_classify_float_roots_guard_band(self):
+        # moduli 1 and 1 +- 5e-10 lie inside the guard band of 1e-9
+        assert classify_float_roots([1.0, 1 + 5e-10, (1 - 5e-10) * 1j]) == (0, 3, 0)
+        assert classify_float_roots([1 - 2e-9, -1 - 2e-9]) == (1, 0, 1)
+
+    def test_interior_float_roots(self):
+        # 4s^2 + s + 1 has a conjugate pair of modulus 1/2, s^2 + s + 4 of 2
+        low, high = interior_float_roots(UniPoly([1, 1, 4]))
+        assert high == low.conjugate() and high.imag > 0
+        assert high == pytest.approx(complex(-1, math.sqrt(15)) / 8, rel=1e-15)
+        assert interior_float_roots(UniPoly([4, 1, 1])) == []
+        (real,) = interior_float_roots(UniPoly([1, 6, 1]))
+        assert real.imag == 0
+        assert real.real == pytest.approx(-3 + 2 * math.sqrt(2), rel=1e-15)
 
     def test_mirror_partners_give_each_root_one_role(self):
         # 1 + 1e-9j and 1 - 4e-9j lie 3e-9 from each other's mirror image,

@@ -111,6 +111,18 @@ class TestWitnessCandidates:
         for pair, found in fast.items():
             assert bits(pair) == found, pair
 
+    def test_candidates_pinned(self):
+        # float.hex of every candidate of every coprime pair with m <= 40, as
+        # the polish with a separate Horner pass for Q' left them
+        bits = [
+            [(z.real.hex(), z.imag.hex()) for z in witness_candidates(pair)]
+            for pair in coprime_pairs(40)
+        ]
+        assert sum(map(len, bits)) == 6554
+        assert hashlib.sha256(repr(bits).encode()).hexdigest() == (
+            "c7bb3bc851f8baf65f36f6025ddc3ff3d1662fe82005430b8b9b1f4bbbadf648"
+        )
+
     def test_real_root_with_float_noise_stays_real(self):
         # Aberth leaves imaginary parts of ~1e-12 on real roots of these Q
         for mn in [(27, 25), (37, 35)]:
