@@ -17,6 +17,7 @@ Exit codes: 0 success (including conjecture findings, which are reported
 but are not errors); 2 for a ``ValidationError`` (bad input), any other
 package error, or an --output path that cannot be written, each with a
 one-line diagnostic; 3 for an ``InternalMismatch``, a broken invariant.
+``scan`` records a pair whose census raised in that pair's row and exits 0.
 """
 
 from __future__ import annotations
@@ -93,27 +94,25 @@ def _fmt_poly(terms) -> str:
 def cmd_kernel(args) -> dict | list[str]:
     pair = CoprimePair(args.m, args.n)
     formula = kernel_formula(pair, verify=args.verify)
+    terms = sorted(formula.numerator.terms.items())  # by (deg_s, deg_t)
+    denominator = f"{pair.m}*pi^2*(1-t)^2*(t^{pair.n}-s^{pair.m})^2"
     if args.output_format == "json":
         return {
             "m": pair.m,
             "n": pair.n,
             "numerator": {
                 "var": "s,t",
-                "terms": [
-                    [i, j, str(c)] for i, j, c in formula.numerator.sorted_terms()
-                ],
+                "terms": [[i, j, str(c)] for (i, j), c in terms],
             },
-            "denominator": formula.denominator_text,
+            "denominator": denominator,
         }
     if args.output_format == "csv":
-        return ["deg_s,deg_t,coeff"] + [
-            f"{i},{j},{c}" for i, j, c in formula.numerator.sorted_terms()
-        ]
+        return ["deg_s,deg_t,coeff"] + [f"{i},{j},{c}" for (i, j), c in terms]
     lines = [
         f"pair: m={pair.m} n={pair.n} (k={pair.k})",
-        f"numerator terms: {formula.numerator.num_terms} (expected {4 * pair.m - 3})",
-        f"P(s,t) = {_fmt_poly(sorted(formula.numerator.terms.items()))}",
-        f"denominator: {formula.denominator_text}",
+        f"numerator terms: {len(terms)} (expected {4 * pair.m - 3})",
+        f"P(s,t) = {_fmt_poly(terms)}",
+        f"denominator: {denominator}",
     ]
     if args.verify:
         lines.append("verified: effective construction matches the oracle")
@@ -218,7 +217,10 @@ def cmd_scan(args) -> list:
     table = [header] + [_scan_line(row, timing) for row in rows]
     if args.output_format == "csv":
         return table
-    findings = [row for row in rows if not row.conjecture_holds]
+    # a pair whose census raised was not checked, so it is no finding
+    failed = [row for row in rows if row.error is not None]
+    checked = [row for row in rows if row.error is None]
+    findings = [row for row in checked if not row.conjecture_holds]
     lines = [
         f"scanned {len(rows)} coprime pairs with m <= {args.m_max}"
         + (f", k = {args.k}" if args.k is not None else "")
@@ -227,14 +229,16 @@ def cmd_scan(args) -> list:
         lines.append(f"FINDINGS: {len(findings)} pair(s) violate the conjecture:")
         lines.extend(
             f"  ({row.m},{row.n}): circle={row.circle_count} interior={row.interior_count}"
-            + (f" error={row.error}" if row.error else "")
             for row in findings
         )
-    elif rows:
-        lines.append("conjecture holds on every scanned pair "
-                     "(circle count 0, interior count k)")
-    else:
+    elif checked:
+        lines.append(f"conjecture holds on every {'checked' if failed else 'scanned'} "
+                     "pair (circle count 0, interior count k)")
+    elif not failed:
         lines.append("no coprime pair was scanned, so nothing was checked")
+    if failed:
+        lines.append(f"FAILED: {len(failed)} pair(s) not checked, their census raised:")
+        lines.extend(f"  ({row.m},{row.n}): {row.error}" for row in failed)
     return lines + table
 
 

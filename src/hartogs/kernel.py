@@ -126,11 +126,6 @@ class KernelFormula:
     pair: CoprimePair
     numerator: BiPoly
 
-    @property
-    def denominator_text(self) -> str:
-        m, n = self.pair
-        return f"{m}*pi^2*(1-t)^2*(t^{n}-s^{m})^2"
-
     def verify(self) -> bool:
         """Cross-check the numerator against the brute-force oracle."""
         return self.numerator == numerator_oracle(self.pair) and (

@@ -66,13 +66,6 @@ class BiPoly:
     def num_terms(self) -> int:
         return len(self._terms)
 
-    def coeff(self, i: int, j: int) -> Scalar:
-        return self._terms.get((i, j), 0)
-
-    def sorted_terms(self) -> list[tuple[int, int, Scalar]]:
-        """Terms in canonical order: lexicographic by (deg_s, deg_t)."""
-        return [(i, j, self._terms[(i, j)]) for i, j in sorted(self._terms)]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self._terms == other._terms
 

@@ -534,10 +534,6 @@ class RootCensus:
     # no repeated root, read off the circle count's own Sturm chain
     squarefree: bool
 
-    @property
-    def degree(self) -> int:
-        return self.inside + self.on_circle + self.outside
-
 
 def interior_root_count(p: UniPoly) -> RootCensus:
     """Exact census of the roots of a palindromic p relative to the unit circle.
@@ -653,8 +649,8 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
     because Newton converges only linearly at a multiple root.  Each step
     takes p and p' from one Horner pass over the coefficients of p / lc(p),
     each divided exactly before its one rounding, top degree first; the
-    polish stops after 60 steps, at p' = 0, at a step that leaves z where
-    it is, or at a step within two double spacings of z.
+    polish stops after 60 steps, at p' = 0, or at a step within two double
+    spacings of z, which includes every step that leaves z where it is.
 
     Horner and lc(p) are more accurate here than the arithmetic of
     ``numeric_roots``.  Over the 11,822 interior roots on or above the
@@ -680,8 +676,6 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
             if dz == 0:
                 break
             step = pz / dz
-            if z - step == z:
-                break  # a fixed point: every later pass would repeat this step
             z -= step
             if abs(step) <= 2 * _EPS * abs(z):
                 break  # within two double spacings of z: rounding noise from here

@@ -40,6 +40,10 @@ class TestCeilDiv:
         assert ceil_div(0, 5) == 0
         assert ceil_div(1, 7) == 1
 
+    def test_nonpositive_divisor_refused(self):
+        with pytest.raises(ValidationError, match="positive divisor"):
+            ceil_div(1, 0)
+
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
     def test_matches_fraction_ceil(self, a, b):
         assert ceil_div(a, b) == math.ceil(Fraction(a, b))

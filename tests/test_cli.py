@@ -303,6 +303,12 @@ class TestEvalCommand:
         rel = float(out.strip().split("relative difference:")[1])
         assert rel < 1e-9
 
+    def test_unparsable_complex_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--m", "2", "--n", "1", "--z1", "1+", "--z2", "0.5"])
+        assert exc.value.code == 2
+        assert "cannot parse complex number '1+'" in capsys.readouterr().err
+
     def test_outside_point_rejected(self, capsys):
         rc, _, err = run(
             capsys,

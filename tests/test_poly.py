@@ -29,20 +29,11 @@ class TestBiPolyBasics:
     def test_zero_coefficients_dropped(self):
         p = BiPoly({(0, 0): 1, (1, 1): 0})
         assert p.num_terms == 1
-        assert p.coeff(1, 1) == 0
+        assert p.terms.get((1, 1), 0) == 0
 
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValidationError):
             BiPoly({(-1, 0): 1})
-
-    def test_sorted_terms_order(self):
-        p = BiPoly({(1, 0): 1, (0, 2): 2, (0, 0): 3, (1, 1): 4})
-        assert [term[:2] for term in p.sorted_terms()] == [
-            (0, 0),
-            (0, 2),
-            (1, 0),
-            (1, 1),
-        ]
 
     def test_eval_exact_and_complex_agree(self):
         p = BiPoly({(2, 1): 3, (1, 0): -2, (0, 0): 7})
@@ -89,6 +80,9 @@ class TestUniPolyBasics:
         assert UniPoly([0, 0, 1, 2]).shift_down(2) == p
         with pytest.raises(ValidationError):
             p.shift_down(1)
+        with pytest.raises(ValidationError, match="e >= 0"):
+            p.shift_down(-1)
+        assert p.shift_down(0) is p
 
     def test_reverse_and_palindromic(self):
         p = UniPoly([1, 6, 1])
@@ -109,6 +103,10 @@ class TestUniPolyBasics:
         q, r = p.div_rem(d)
         assert q == UniPoly([1, 1])
         assert r.is_zero
+
+    def test_div_rem_by_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            UniPoly([1, 1]).div_rem(UniPoly())
 
     def test_div_exact_raises_on_remainder(self):
         assert _divexact([-2, 1, 1], [-1, 1]) == [2, 1]

@@ -209,6 +209,21 @@ class TestZeroWitness:
         with pytest.raises(ValidationError, match=refusal):
             zero_witness(CoprimePair(27, 25), which=1)
 
+    def test_no_interior_root_exits_2(self, capsys, monkeypatch):
+        census = zeros.interior_root_count
+        monkeypatch.setattr(
+            zeros,
+            "interior_root_count",
+            lambda q: dataclasses.replace(census(q), inside=0),
+        )
+        assert main(["witness", "--m", "2", "--n", "1"]) == 2
+        assert "no root inside the unit disk" in capsys.readouterr().err
+
+    def test_float_finder_finding_nothing_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(zeros, "interior_float_roots", lambda p: [])
+        assert main(["witness", "--m", "2", "--n", "1"]) == 3
+        assert capsys.readouterr().err.startswith("internal mismatch:")
+
     def test_json_shape(self, capsys):
         argv = ["witness", "--m", "2", "--n", "1", "--output-format", "json"]
         d = json.loads(cli_out(capsys, argv))
@@ -345,8 +360,23 @@ class TestScan:
         assert list(timed)[-2:] == ["elapsed_ms", "error"]
         assert timed["elapsed_ms"] == 1.235
         text = cli_out(capsys, ["scan", "--m-max", "9"])
-        assert "(9,2): circle=-1 interior=-1 error=boom" in text
         assert text.splitlines()[-1] == "9,2,7,-1,-1,-1,false,1.235"
+        # a failed pair is listed on its own, never as a finding
+        failed = ["FAILED: 1 pair(s) not checked, their census raised:", "  (9,2): boom"]
+        assert "FINDINGS" not in text and text.splitlines()[1:3] == failed
+        holds = ScanRow(m=3, n=1, k=2, degree=4, circle_count=0, interior_count=2,
+                        conjecture_holds=True, elapsed_ms=0.5)
+        violates = dataclasses.replace(holds, m=4, circle_count=2, interior_count=1,
+                                       conjecture_holds=False)
+        for rows, verdict in [
+            ([holds, row], ["conjecture holds on every checked pair "
+                            "(circle count 0, interior count k)"]),
+            ([holds, violates, row], ["FINDINGS: 1 pair(s) violate the conjecture:",
+                                      "  (4,1): circle=2 interior=1"]),
+        ]:
+            monkeypatch.setattr(cli, "scan", lambda m_max, k=None, workers=None: rows)
+            text = cli_out(capsys, ["scan", "--m-max", "9", "--no-timing"])
+            assert text.splitlines()[1:-len(rows)] == verdict + failed + [SCAN_HEADER]
 
     def test_failed_pair_gets_the_failure_marker(self, monkeypatch):
         def untimed(rows):
