@@ -49,6 +49,7 @@ from .roots import (
     numeric_roots,
     poly_gcd,
     root_residuals,
+    spectral_certificate,
     squarefree_decomposition,
     squarefree_part,
     sturm_count,

@@ -11,7 +11,8 @@ JSON-able record for json or a list of lines for csv and text, built only
 for the format asked for; ``main`` serializes it.  Exact coefficients are
 printed as decimal strings, so no precision is lost in json; ``_fmt_poly``
 prints P and Q in text.  The float root diagnostic of ``roots`` runs here
-too, and only for json and text.
+too, for json and text, and for csv from k = ``_CSV_CERTIFICATE_K`` on; its
+roots build the spectral certificate that the exact census checks.
 
 Exit codes: 0 success (including conjecture findings, which are reported
 but are not errors); 2 for a ``ValidationError`` (bad input), any other
@@ -43,11 +44,19 @@ from .roots import (
     interior_root_count,
     numeric_roots,
     root_residuals,
+    spectral_certificate,
 )
 from .zeros import scan, zero_witness
 
 __all__ = ["main", "run"]
 
+# k = m - n from which csv runs Aberth to certify the census.  The chain's
+# time over that of Aberth, the certificate and its check (best of 3 per
+# pair, median over n <= 12) read 0.82-0.92 at k = 45-49, 0.99 at k = 50,
+# 1.04 at 51 and 1.12 at 52, 1.7 at 70 and 2.9 at 100.  Below it csv runs
+# no float step, which also keeps Aberth's and the FFT's memory out of a
+# process that only ever asks for csv at small k
+_CSV_CERTIFICATE_K = 50
 # scan columns in csv and json order; elapsed_ms and error follow when present
 _SCAN_COLUMNS = (
     "m", "n", "k", "degree", "circle_count", "interior_count", "conjecture_holds"
@@ -141,19 +150,25 @@ def cmd_qpoly(args) -> dict | list[str]:
 def cmd_roots(args) -> dict | list[str]:
     pair = CoprimePair(args.m, args.n)
     q = diagonal_poly(pair).poly
-    census = interior_root_count(q)
-    if args.output_format == "csv":
+    csv = args.output_format == "csv"
+    # float diagnostic: never replaces the exact census, only checked against
+    # it; its roots choose the certificate, which the census checks exactly
+    float_roots = certificate = error = None
+    if not csv or pair.k >= _CSV_CERTIFICATE_K:
+        try:
+            float_roots = numeric_roots(q)
+        except ConvergenceFailure as exc:
+            error = str(exc)
+        else:
+            certificate = spectral_certificate(q, float_roots)
+    census = interior_root_count(q, certificate)
+    if csv:
         return [
             "inside,on_circle,outside,method",
             f"{census.inside},{census.on_circle},{census.outside},{census.method}",
         ]
-    # float diagnostic: never replaces the exact census, only checked against it
-    float_roots = residuals = error = None
-    try:
-        float_roots = numeric_roots(q)
-    except ConvergenceFailure as exc:
-        error = str(exc)
-    else:
+    residuals = None
+    if float_roots is not None:
         residuals = root_residuals(q, float_roots)
         triple = classify_float_roots(float_roots)
         exact = (census.inside, census.on_circle, census.outside)
@@ -171,6 +186,7 @@ def cmd_roots(args) -> dict | list[str]:
             "on_circle": census.on_circle,
             "outside": census.outside,
             "method": census.method,
+            "margin_lo": census.margin_lo,
             "float_roots": (
                 None if float_roots is None else [[r.real, r.imag] for r in float_roots]
             ),
@@ -181,6 +197,8 @@ def cmd_roots(args) -> dict | list[str]:
         f"pair: m={pair.m} n={pair.n}  Q degree {q.degree}",
         f"census: inside={census.inside} on_circle={census.on_circle} "
         f"outside={census.outside} (method: {census.method})",
+        f"margin_lo: {census.margin_lo} (proven lower bound on min |Q| / Q(1) "
+        "on the circle; None where the chain counted)",
     ]
     if error is not None:
         return lines + [f"float roots (diagnostic) unavailable: {error}"]

@@ -59,6 +59,24 @@ results leave as monic ``UniPoly``s.
   palindromic); anything else raises ``NotPalindromic``.  The pairing
   s <-> 1/s forces inside = outside, so the circle count alone gives
   inside = outside = (deg - on)/2.
+* ``interior_root_count(p, certificate)`` first checks a Fejer-Riesz
+  certificate (Fejer and Riesz 1916; rounded in floats, then checked
+  exactly, as in Peyrl & Parrilo 2008).  For the primitive q of p, of
+  degree 2k, top = max |q_i|, an integer vector f of length k + 1 and
+  b >= 0, let R = 2^(2b) q - top f rev(f) with rev(f)(s) = s^k f(1/s).
+  On s = e^(i theta), e^(-ik theta) (f rev f)(s) = |f(s)|^2 since f is
+  real, and R is palindromic, so
+
+      2^(2b) e^(-ik theta) q(s) = R_k + 2 sum_(j>=1) R_(k+j) cos(j theta)
+                                  + top |f(s)|^2 >= margin,
+
+  margin = R_k - 2 sum_(j>=1) |R_(k+j)| (``_spectral_margin``, one
+  Kronecker-packed product).  margin > 0 puts no root of q on the circle,
+  so the pairing leaves k inside and k outside, and margin / (2^(2b) q(1))
+  is a proven lower bound on min |q(s)| / q(1) over the circle.  The
+  certificate says nothing about repeated roots, so that census leaves
+  ``squarefree`` unexamined (None).  A margin <= 0 proves nothing, and the
+  chain counts as if no certificate had been given.
 
 ``numeric_roots`` is the float diagnostic: an Aberth-Ehrlich simultaneous
 iteration with a relative backward-error residual acceptance test.  Its
@@ -76,11 +94,14 @@ the one owner of the real/pair decision for float roots.
 the guard band ``CIRCLE_GUARD``, and ``interior_float_roots``, the
 witness's root finder, keeps those inside it and polishes them by Newton
 on p and p' from Horner's rule, the module's one other float evaluation
-of p (its docstring says why not the power rows).  The
-census itself never runs a float step: the caller that prints float roots
-(``hartogs roots``) compares their classification with the exact census,
-warns on disagreement, never silently fixes it, and keeps the exact census
-when the diagnostic does not converge.
+of p (its docstring says why not the power rows).
+``spectral_certificate`` rounds the spectral factor of the float roots
+into a certificate (f, b) for the census.  The census itself never runs a
+float step: floats only choose f, so a poor f makes the margin fail and
+never makes it pass.  The caller that prints float roots (``hartogs
+roots``) compares their classification with the exact census, warns on
+disagreement, never silently fixes it, and keeps the exact census when the
+diagnostic does not converge.
 """
 
 from __future__ import annotations
@@ -106,6 +127,7 @@ __all__ = [
     "sturm_count",
     "interior_root_count",
     "numeric_roots",
+    "spectral_certificate",
     "poly_gcd",
     "squarefree_part",
     "squarefree_decomposition",
@@ -530,15 +552,83 @@ class RootCensus:
     inside: int
     on_circle: int
     outside: int
-    method: str  # always "palindromic_pairing": the census's one method
-    # no repeated root, read off the circle count's own Sturm chain
-    squarefree: bool
+    # "spectral": a certificate's positive margin proved no root on the
+    # circle; "palindromic_pairing": the Sturm chain counted the circle
+    # roots.  Either way the pairing gives inside = outside
+    method: str
+    # no repeated root, read off the circle count's own Sturm chain; None
+    # on the spectral path, which does not examine multiplicity
+    squarefree: bool | None
+    # margin / (2^(2b) q(1)) rounded toward 0 on the spectral path: a proven
+    # lower bound on min |p(s)| / p(1) over the circle; None on the chain
+    margin_lo: float | None = None
 
 
-def interior_root_count(p: UniPoly) -> RootCensus:
+def _autocorrelation(f: list[int]) -> list[int]:
+    """[sum_i f_i f_(i+j) for j = 0..k], coefficients k..2k of f rev(f).
+
+    One Kronecker-packed product: f and rev(f) go into integers with slots
+    of w bits, and a bias of 2^(w-1) added to every slot of the product
+    makes each slot hold coefficient + 2^(w-1) in [0, 2^w), since every
+    coefficient has modulus at most (k + 1) max|f_i|^2 < 2^(w-2).  So the
+    slots read off the bytes of the sum with no carry between them.
+    """
+    k = len(f) - 1
+    bound = (k + 1) * max(abs(x) for x in f) ** 2
+    size = (bound.bit_length() + 9) // 8  # bytes per slot
+    w = 8 * size
+    half = 1 << (w - 1)
+    packed = sum(x << (w * i) for i, x in enumerate(f))
+    packed_rev = sum(x << (w * i) for i, x in enumerate(reversed(f)))
+    slots = 2 * k + 1
+    bias = half * ((1 << (w * slots)) - 1) // ((1 << w) - 1)
+    data = (packed * packed_rev + bias).to_bytes(slots * size, "little")
+    return [
+        int.from_bytes(data[n * size : (n + 1) * size], "little") - half
+        for n in range(k, slots)
+    ]
+
+
+def _spectral_margin(q: list[int], top: int, f: list[int], b: int) -> int:
+    """R_k - 2 sum_(j>=1) |R_(k+j)| for R = 2^(2b) q - top f rev(f).
+
+    q has degree 2k and f length k + 1; R is palindromic, so its upper
+    half is all of it.  See the module docstring for what a positive value
+    proves.
+    """
+    k = len(f) - 1
+    r = [(x << 2 * b) - top * y for x, y in zip(q[k:], _autocorrelation(f))]
+    return r[0] - 2 * sum(abs(x) for x in r[1:])
+
+
+def _spectral_census(q: list[int], f: list[int], b: int) -> RootCensus | None:
+    """(k, 0, k) for a primitive palindromic q of degree 2k when the
+    certificate (f, b) has a positive margin, else None.
+
+    f of another length than k + 1, or b < 0, certifies nothing either.
+    """
+    k = len(f) - 1
+    if len(q) != 2 * k + 1 or b < 0:
+        return None
+    margin = _spectral_margin(q, max(abs(x) for x in q), f, b)
+    if margin <= 0:
+        return None
+    # margin > 0 puts T(0) = q(1) above 0; round the bound toward 0
+    bound = Fraction(margin, sum(q) << 2 * b)
+    lo = float(bound)
+    if lo > bound:
+        lo = math.nextafter(lo, 0.0)
+    return RootCensus(k, 0, k, "spectral", None, lo)
+
+
+def interior_root_count(p: UniPoly, certificate=None) -> RootCensus:
     """Exact census of the roots of a palindromic p relative to the unit circle.
 
-    The circle count and the squarefree flag come from one Sturm chain on
+    A ``certificate`` (f, b), as ``spectral_certificate`` builds it, is
+    checked first: a positive integer margin proves the census (k, 0, k)
+    with method "spectral" (see the module docstring).  Without one, or
+    where its margin is not positive, the circle count and the squarefree
+    flag come from one Sturm chain on
     the Chebyshev image g, run in Chebyshev coordinates and evaluated at
     +-1 only (see the module docstring); only circle roots
     walk down the successive gcds of g to weight them by multiplicity.
@@ -550,7 +640,12 @@ def interior_root_count(p: UniPoly) -> RootCensus:
     if not p.is_palindromic():
         raise NotPalindromic("census needs a nonzero palindromic polynomial")
     n = p.degree
-    h, at_one = _strip_root(_primitive(p.coeffs), _ONE)
+    ints = _primitive(p.coeffs)
+    if certificate is not None:
+        census = _spectral_census(ints, *certificate)
+        if census is not None:
+            return census
+    h, at_one = _strip_root(ints, _ONE)
     h, at_minus_one = _strip_root(h, -_ONE)
     on = at_one + at_minus_one
     squarefree = at_one <= 1 and at_minus_one <= 1
@@ -681,6 +776,88 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
                 break  # within two double spacings of z: rounding noise from here
         out += [complex(z.real)] if real else [z, z.conjugate()]
     return sorted(out, key=lambda r: (r.real, r.imag))
+
+
+def _spectral_factor(q: list[int], top: int, roots) -> tuple[list[int], int] | None:
+    """f and b for ``_spectral_margin``, from the float roots of q, or None.
+
+    With c = q / top and T(theta) = c_k + 2 sum_j c_(k+j) cos(j theta), the
+    spectral factor F of T - eps (Fejer and Riesz) is sqrt(a) prod(s - rho)
+    over the k roots rho of c - eps s^k inside the circle, a = c_2k /
+    prod(-rho) > 0, so that F rev(F) = c - eps s^k; f = rint(2^b F).  Steps:
+
+    * refuse unless exactly k of the roots lie inside the circle;
+    * eps = T_min / 4, with T_min the least T on an rfft grid of
+      max(4096, 2^ceil(log2 8k)) points and at the argument of each inside
+      root, where the grid alone misses the dips;
+    * rho: at most 10 Newton steps on c - eps s^k from the inside roots, p
+      and p' from ``_power_rows``, until no step moves a root by more than
+      ``_TOL`` relative (Newton squares the error, so the step after that
+      would be rounding noise);
+    * F from its values at the N = 2^ceil(log2(k + 2)) roots of unity, each
+      a sum of logs, and one FFT: multiplying k roots out fails from
+      k ~ 100;
+    * b = 52 - e with max|F| = m 2^e, 1/2 <= m < 1, so f has 52 bits.
+
+    Floats only choose f: a poor f makes the margin fail, never pass.  The
+    float side refuses on any non-finite value instead of warning.
+    """
+    k = (len(q) - 1) // 2
+    z = np.asarray(roots, dtype=complex)
+    inside = z[np.abs(z) < 1.0]
+    if inside.size != k:
+        return None
+    c = np.array([x / top for x in q])
+    v = np.concatenate(([c[k]], 2.0 * c[k + 1 :]))  # T = sum_j v_j cos(j theta)
+    with np.errstate(all="ignore"):
+        grid = np.fft.rfft(v, max(4096, 1 << (8 * k - 1).bit_length())).real
+        dips = np.cos(np.outer(np.angle(inside), np.arange(k + 1))) @ v
+        eps = 0.25 * min(grid.min(), dips.min())
+        if not 0 < eps < math.inf:
+            return None
+        shifted = c.copy()
+        shifted[k] -= eps
+        dshifted = shifted[1:] * np.arange(1, 2 * k + 1)
+        rho = inside
+        rows = np.empty((k, 2 * k + 1), dtype=complex)
+        for _ in range(10):
+            order = _power_rows(rho, rows)
+            step = np.empty(k, dtype=complex)
+            step[order] = (rows @ shifted) / (rows[:, :-1] @ dshifted)
+            rho = rho - step
+            if not (np.abs(step) > _TOL * np.abs(rho)).any():
+                break  # the next step is rounding noise; a NaN is refused below
+        if not (np.abs(rho) < 1.0).all():
+            return None
+        phase = np.prod(-rho / np.abs(rho))  # prod(-rho) / |prod(rho)|
+        if not phase.real * c[-1] > 0:
+            return None  # a < 0, or c_2k rounded to 0
+        log_root_a = 0.5 * (math.log(abs(c[-1])) - np.log(np.abs(rho)).sum())
+        size = 1 << (k + 1).bit_length()
+        unity = np.exp(2j * math.pi * np.arange(size) / size)
+        values = np.exp(log_root_a + np.log(unity[:, None] - rho).sum(axis=1))
+        F = (np.fft.fft(values) / size).real[: k + 1]
+        if not np.isfinite(F).all():
+            return None
+        b = 52 - math.frexp(float(np.abs(F).max()))[1]
+        if b < 0:
+            return None
+        return np.rint(np.ldexp(F, b)).astype(np.int64).tolist(), b
+
+
+def spectral_certificate(p: UniPoly, roots) -> tuple[list[int], int] | None:
+    """A certificate (f, b) for ``interior_root_count``, built from float
+    roots of p (those of ``numeric_roots``), or None where none is found.
+
+    p must be palindromic of degree 2k >= 2 for the certificate to mean
+    anything; any other degree gives None.  The census checks the
+    certificate exactly, so a None here, or an f the check refuses, only
+    leaves the census to the Sturm chain.
+    """
+    if p.degree < 2 or p.degree % 2:
+        return None
+    q = _primitive(p.coeffs)
+    return _spectral_factor(q, max(abs(x) for x in q), roots)
 
 
 def classify_float_roots(roots) -> tuple[int, int, int]:

@@ -8,10 +8,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hartogs
-from hartogs import BiPoly, ConvergenceFailure, CoprimePair, cli, numerator_effective
+from hartogs import (
+    BiPoly,
+    ConvergenceFailure,
+    CoprimePair,
+    cli,
+    diagonal_poly,
+    numerator_effective,
+    numeric_roots,
+)
 from hartogs.cli import main
 
 
@@ -124,16 +133,75 @@ class TestRootsCommand:
         assert lines[0] == "inside,on_circle,outside,method"
         assert lines[1] == "2,0,2,palindromic_pairing"
 
-    def test_csv_skips_float_diagnostic(self, capsys, monkeypatch):
-        # CSV prints only the exact census, so Aberth must not run
+    @pytest.fixture
+    def aberth_calls(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "numeric_roots", lambda *a, **k: calls.append(a))
+
+        def counted(p):
+            calls.append(p.degree)
+            return numeric_roots(p)
+
+        monkeypatch.setattr(cli, "numeric_roots", counted)
+        return calls
+
+    def test_csv_below_the_crossover_runs_no_float_step(self, capsys, aberth_calls):
+        k = cli._CSV_CERTIFICATE_K - 1
+        rc, out, _ = run(
+            capsys, ["roots", "--m", str(k + 1), "--n", "1", "--output-format", "csv"]
+        )
+        assert rc == 0
+        assert out.strip().split("\n")[1] == f"{k},0,{k},palindromic_pairing"
+        assert aberth_calls == []
+
+    def test_csv_above_the_crossover_is_certified(self, capsys, aberth_calls):
         rc, out, _ = run(
             capsys, ["roots", "--m", "79", "--n", "1", "--output-format", "csv"]
         )
         assert rc == 0
+        assert out.strip().split("\n") == [
+            "inside,on_circle,outside,method", "78,0,78,spectral"
+        ]
+        assert aberth_calls == [156]
+
+    def test_json_runs_aberth_once(self, capsys, aberth_calls):
+        data = json_out(capsys, ["roots", "--m", "79", "--n", "1"])
+        assert aberth_calls == [156]
+        assert data["method"] == "spectral"
+        assert (data["inside"], data["on_circle"], data["outside"]) == (78, 0, 78)
+
+    def test_csv_census_survives_a_failed_aberth(self, capsys, monkeypatch):
+        # no roots, no certificate: the chain counts and csv still exits 0
+        def fail(p):
+            raise ConvergenceFailure("Aberth-Ehrlich gave up")
+
+        monkeypatch.setattr(cli, "numeric_roots", fail)
+        rc, out, err = run(
+            capsys, ["roots", "--m", "79", "--n", "1", "--output-format", "csv"]
+        )
+        assert rc == 0 and err == ""
         assert out.strip().split("\n")[1] == "78,0,78,palindromic_pairing"
-        assert calls == []
+
+    @pytest.mark.parametrize("mn", [(3, 1), (41, 3), (107, 12)])
+    def test_margin_lo_bounds_the_grid_minimum(self, capsys, mn):
+        # a proven lower bound on min |Q(e^(i theta))| / Q(1): positive, and
+        # no larger than the least value on a 4096-point grid
+        data = json_out(capsys, ["roots", "--m", str(mn[0]), "--n", str(mn[1])])
+        coeffs = np.array([float(c) for c in diagonal_poly(CoprimePair(*mn)).poly.coeffs])
+        grid = np.abs(np.polynomial.polynomial.polyval(
+            np.exp(2j * np.pi * np.arange(4096) / 4096), coeffs
+        ))
+        assert data["method"] == "spectral"
+        assert 0 < data["margin_lo"] <= grid.min() / coeffs.sum()
+        rc, out, _ = run(capsys, ["roots", "--m", str(mn[0]), "--n", str(mn[1])])
+        assert f"margin_lo: {data['margin_lo']} " in out
+
+    def test_margin_lo_is_null_on_the_chain_path(self, capsys):
+        # (5, 3) has double roots, which the certificate refuses
+        data = json_out(capsys, ["roots", "--m", "5", "--n", "3"])
+        assert data["method"] == "palindromic_pairing"
+        assert data["margin_lo"] is None
+        rc, out, _ = run(capsys, ["roots", "--m", "5", "--n", "3"])
+        assert "margin_lo: None " in out
 
     def test_text_includes_float_diagnostics(self, capsys):
         rc, out, _ = run(capsys, ["roots", "--m", "2", "--n", "1"])

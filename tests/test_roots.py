@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -676,6 +677,129 @@ class TestSquarefreeFlag:
 FRONTIER_PAIRS = [
     (n + k, n) for k in range(50, 101) for n in range(1, 13) if math.gcd(k, n) == 1
 ]
+
+
+def margin_oracle(q: list[int], top: int, f: list[int], b: int) -> int:
+    """R_k - 2 sum_j |R_(k+j)| for R = 2^(2b) q - top f rev(f), the product
+    by ``UniPoly``'s schoolbook loop rather than a packed integer."""
+    k = len(f) - 1
+    frf = (UniPoly(f) * UniPoly(f[::-1])).coeffs  # f_0, f_k != 0: full degree
+    r = [2 ** (2 * b) * x - top * y for x, y in zip(q, frf)]
+    return r[k] - 2 * sum(abs(x) for x in r[k + 1 :])
+
+
+def q_of(m: int, n: int) -> UniPoly:
+    return diagonal_poly(CoprimePair(m, n)).poly
+
+
+def certified(p: UniPoly) -> roots.RootCensus:
+    """The census of p with the certificate built from its Aberth roots."""
+    return interior_root_count(p, roots.spectral_certificate(p, numeric_roots(p)))
+
+
+def triple(census: roots.RootCensus) -> tuple[int, int, int]:
+    return census.inside, census.on_circle, census.outside
+
+
+class TestSpectralCertificate:
+    """The Fejer-Riesz certificate: floats choose f, one integer margin decides."""
+
+    def test_margin_matches_the_schoolbook_oracle(self):
+        # signed, asymmetric f with up to 53 bits, so that a lost factor 2, a
+        # lost abs or f f in place of f rev(f) each changes the margin
+        rng = np.random.default_rng(7)
+        for k, bits in [(1, 3), (2, 8), (5, 20), (30, 53), (72, 53), (95, 52)]:
+            half = [int(x) for x in rng.integers(-(2**bits), 2**bits, size=k + 1)]
+            q = half[:0:-1] + half
+            f = [int(x) for x in rng.integers(-(2**bits), 2**bits, size=k + 1)]
+            f[0], f[-1] = f[0] or 1, f[-1] or -1
+            top, b = max(abs(x) for x in q), int(rng.integers(0, 60))
+            assert roots._spectral_margin(q, top, f, b) == margin_oracle(q, top, f, b)
+
+    def test_margin_by_hand(self):
+        # 4 (1 + 3s + s^2) - 3 (1 + s)^2 = 1 + 6s + s^2: margin 6 - 2 * 1
+        assert roots._spectral_margin([1, 3, 1], 3, [1, 1], 1) == 4
+        # 4 (1 + 3s + s^2) - 3 (2 - s)(-1 + 2s) = 10 - 3s + 10 s^2: -3 - 2 * 10
+        assert roots._spectral_margin([1, 3, 1], 3, [2, -1], 1) == -23
+
+    def test_zero_margin_is_refused(self):
+        # T = 4 + 2 cos(theta) + 2 cos(3 theta) >= 0 vanishes only at pi, so
+        # p = s^6 + s^4 + 4 s^3 + s^2 + 1 has a double root at -1; with f = 0
+        # the margin is 4 - 2 (1 + 1) = 0, which proves nothing
+        p = UniPoly([1, 0, 1, 4, 1, 0, 1])
+        assert roots._spectral_margin(p.coeffs, 4, [0] * 4, 0) == 0
+        census = interior_root_count(p, ([0] * 4, 0))
+        assert triple(census) == (2, 2, 2)
+        assert census.method == "palindromic_pairing"
+        assert census.margin_lo is None
+
+    @pytest.mark.parametrize(
+        "p,expected",
+        [
+            (UniPoly([1, -1, 1]) * UniPoly([1, 3, 1]), (1, 2, 1)),
+            (UniPoly([1, 2, 1]), (0, 2, 0)),
+            (q_of(5, 3), (2, 0, 2)),  # 5 (s^2 + 3s + 1)^2: double roots
+        ],
+    )
+    def test_refused_inputs_are_counted_by_the_chain(self, p, expected):
+        census = certified(p)
+        assert census.method == "palindromic_pairing"
+        assert census == interior_root_count(p)
+        assert triple(census) == expected
+
+    def test_garbage_never_certifies(self):
+        # with roots on the circle no f can pass; on Q(79, 1), where a good f
+        # passes, zeros and random vectors still do not
+        rng = random.Random(5)
+        circle = [UniPoly([1, -1, 1]) * UniPoly([1, 3, 1]), UniPoly([1, 2, 1]),
+                  q_of(41, 3) * UniPoly([1, 1, 1])]
+        for p in circle + [q_of(79, 1)]:
+            k = p.degree // 2
+            chain = interior_root_count(p)
+            garbage = [([0] * (k + 1), 0), ([0] * (k + 1), 60)] + [
+                ([rng.randrange(-(2**52), 2**52) for _ in range(k + 1)], rng.randrange(80))
+                for _ in range(20)
+            ]
+            for certificate in garbage:
+                assert interior_root_count(p, certificate) == chain
+        # a certificate of Q(41, 3) itself cannot prove Q(41, 3)(s^2 + s + 1)
+        f, b = roots.spectral_certificate(q_of(41, 3), numeric_roots(q_of(41, 3)))
+        assert interior_root_count(circle[2], (f + [0, 0], b)) == interior_root_count(
+            circle[2]
+        )
+
+    def test_malformed_certificates_prove_nothing(self):
+        q = q_of(11, 1)
+        f, b = roots.spectral_certificate(q, numeric_roots(q))
+        assert interior_root_count(q, (f, b)).method == "spectral"
+        for bad in [(f[:-1], b), (f + [0], b), (f, -1), ([], 0)]:
+            assert interior_root_count(q, bad).method == "palindromic_pairing"
+
+    @pytest.mark.parametrize("p", [UniPoly([3]), UniPoly([1, 1]), UniPoly([1, 2, 2, 1])])
+    def test_no_certificate_for_odd_or_zero_degree(self, p):
+        assert roots.spectral_certificate(p, numeric_roots(p) if p.degree else []) is None
+
+    def test_agrees_with_the_chain(self):
+        # every coprime pair with m <= 60 and every 15th frontier pair: the
+        # certified census equals the chain's, and only (5, 3) is refused
+        refused = []
+        for mn in [(p.m, p.n) for p in coprime_pairs(60)] + FRONTIER_PAIRS[::15]:
+            q = q_of(*mn)
+            census = certified(q)
+            assert triple(census) == triple(interior_root_count(q)), mn
+            if census.method != "spectral":
+                refused.append(mn)
+            else:
+                assert census.squarefree is None
+                assert 0 < census.margin_lo < 1
+        assert refused == [(5, 3)]
+
+    def test_margin_lo_rounds_toward_zero(self):
+        q = roots._primitive(q_of(41, 3).coeffs)
+        f, b = roots.spectral_certificate(q_of(41, 3), numeric_roots(q_of(41, 3)))
+        exact = Fraction(roots._spectral_margin(q, max(q), f, b), sum(q) << 2 * b)
+        lo = interior_root_count(q_of(41, 3), (f, b)).margin_lo
+        assert lo <= exact < math.nextafter(lo, math.inf)
 
 
 def exact_residual(coeffs, r: complex) -> float:
