@@ -57,6 +57,7 @@ __all__ = ["main", "run"]
 # no float step, which also keeps Aberth's and the FFT's memory out of a
 # process that only ever asks for csv at small k
 _CSV_CERTIFICATE_K = 50
+
 # scan columns in csv and json order; elapsed_ms and error follow when present
 _SCAN_COLUMNS = (
     "m", "n", "k", "degree", "circle_count", "interior_count", "conjecture_holds"

@@ -797,7 +797,8 @@ class TestSpectralCertificate:
     def test_margin_lo_rounds_toward_zero(self):
         q = roots._primitive(q_of(41, 3).coeffs)
         f, b = roots.spectral_certificate(q_of(41, 3), numeric_roots(q_of(41, 3)))
-        exact = Fraction(roots._spectral_margin(q, max(q), f, b), sum(q) << 2 * b)
+        top = max(abs(x) for x in q)
+        exact = Fraction(roots._spectral_margin(q, top, f, b), sum(q) << 2 * b)
         lo = interior_root_count(q_of(41, 3), (f, b)).margin_lo
         assert lo <= exact < math.nextafter(lo, math.inf)
 
