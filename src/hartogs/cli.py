@@ -51,12 +51,12 @@ from .zeros import scan, zero_witness
 __all__ = ["main", "run"]
 
 # k = m - n from which csv runs Aberth to certify the census.  The chain's
-# time over that of Aberth, the certificate and its check (best of 3 per
-# pair, median over n <= 12) read 0.82-0.92 at k = 45-49, 0.99 at k = 50,
-# 1.04 at 51 and 1.12 at 52, 1.7 at 70 and 2.9 at 100.  Below it csv runs
-# no float step, which also keeps Aberth's and the FFT's memory out of a
+# time over that of Aberth, the certificate and its check (CPU time, best
+# of 3 per pair, median over n <= 12) read 0.82-0.92 at k = 36-39, 0.92-1.03
+# at k = 40, 1.06-1.09 at 41 and 1.2-1.6 at 43-48.  Below it csv runs no
+# float step, which also keeps Aberth's and the FFT's memory out of a
 # process that only ever asks for csv at small k
-_CSV_CERTIFICATE_K = 50
+_CSV_CERTIFICATE_K = 41
 
 # scan columns in csv and json order; elapsed_ms and error follow when present
 _SCAN_COLUMNS = (

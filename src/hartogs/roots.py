@@ -83,13 +83,17 @@ iteration with a relative backward-error residual acceptance test.  Its
 iterates start on the moduli of the Newton polygon of p, each inner start
 beside an outer one, and an iterate that passes the test stops moving
 (Bini 1996; Bini & Fiorentino's MPSolve), so a sweep evaluates p, p' and
-the residual scale of the live iterates only.  Every float value of p
-there comes from ``_power_rows``: one row of powers per point, z^j where
-|z| <= 1 and z^j / z^deg where |z| > 1, so no entry exceeds 1 in modulus
-at any degree.  ``root_residuals`` evaluates through the same rows, so a
-returned root reads the residual it was accepted at.  The roots leave as
-exact conjugate pairs and exact reals, matched by ``_mirror_partners``,
-the one owner of the real/pair decision for float roots.
+the residual scale of the live iterates only.  For a palindromic p of
+degree 2k, p(s) = s^(2k) p(1/s) closes the roots under s -> 1/s, so only
+the k inner starts are iterated, and their reciprocals stand in for the
+other k roots in every Aberth sum and in the result.  Every float value
+of p there comes from ``_power_rows``: one row of powers per point, z^j
+where |z| <= 1 and z^j / z^deg where |z| > 1, so no entry exceeds 1 in
+modulus at any degree.  ``root_residuals`` evaluates through the same
+rows, so a returned root reads the residual it was accepted at.  The
+roots leave as exact conjugate pairs and exact reals, matched by
+``_mirror_partners``, the one owner of the real/pair decision for float
+roots.
 ``classify_float_roots`` sorts float roots into inside/on/outside with
 the guard band ``CIRCLE_GUARD``, and ``interior_float_roots``, the
 witness's root finder, keeps those inside it and polishes them by Newton
@@ -702,12 +706,15 @@ def _power_rows(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     order = np.argsort(np.abs(z) > 1.0, kind="stable")
     z = z[order]
     k = int(np.count_nonzero(np.abs(z) <= 1.0))
-    inner, outer = rows[:k], rows[k:, ::-1]  # outer columns run y^0, y^1, ...
-    inner[:, 0] = outer[:, 0] = 1.0
+    inner = rows[:k]
+    inner[:, 0] = 1.0
     inner[:, 1:] = z[:k, None]
-    outer[:, 1:] = 1.0 / z[k:, None]
     np.cumprod(inner, axis=1, out=inner)
-    np.cumprod(outer, axis=1, out=outer)
+    if k < z.size:  # most sweeps of a palindromic p have no outer point
+        outer = rows[k:, ::-1]  # outer columns run y^0, y^1, ...
+        outer[:, 0] = 1.0
+        outer[:, 1:] = 1.0 / z[k:, None]
+        np.cumprod(outer, axis=1, out=outer)
     return order
 
 
@@ -778,13 +785,14 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
     return sorted(out, key=lambda r: (r.real, r.imag))
 
 
-def _spectral_factor(q: list[int], top: int, roots) -> tuple[list[int], int] | None:
+def _spectral_factor(c: np.ndarray, roots) -> tuple[list[int], int] | None:
     """f and b for ``_spectral_margin``, from the float roots of q, or None.
 
-    With c = q / top and T(theta) = c_k + 2 sum_j c_(k+j) cos(j theta), the
-    spectral factor F of T - eps (Fejer and Riesz) is sqrt(a) prod(s - rho)
-    over the k roots rho of c - eps s^k inside the circle, a = c_2k /
-    prod(-rho) > 0, so that F rev(F) = c - eps s^k; f = rint(2^b F).  Steps:
+    With c = q / max |q_i|, the coefficients of ``_float_coeffs``, and
+    T(theta) = c_k + 2 sum_j c_(k+j) cos(j theta), the spectral factor F
+    of T - eps (Fejer and Riesz) is sqrt(a) prod(s - rho) over the k roots
+    rho of c - eps s^k inside the circle, a = c_2k / prod(-rho) > 0, so
+    that F rev(F) = c - eps s^k; f = rint(2^b F).  Steps:
 
     * refuse unless exactly k of the roots lie inside the circle;
     * eps = T_min / 4, with T_min the least T on an rfft grid of
@@ -794,20 +802,22 @@ def _spectral_factor(q: list[int], top: int, roots) -> tuple[list[int], int] | N
       and p' from ``_power_rows``, until no step moves a root by more than
       ``_TOL`` relative (Newton squares the error, so the step after that
       would be rounding noise);
-    * F from its values at the N = 2^ceil(log2(k + 2)) roots of unity, each
-      a sum of logs, and one FFT: multiplying k roots out fails from
-      k ~ 100;
+    * F from its values sqrt(a) prod(omega - rho) at the N =
+      2^ceil(log2(k + 2)) roots of unity omega, one product each, and one
+      FFT: multiplying k roots out into coefficients fails from k ~ 100.
+      |omega - rho| < 2, and sqrt(a) = F_k <= 1 since sum F_i^2 = c_k -
+      eps < 1, so each value stays below 2^k in modulus, finite for
+      k <= 1000; past that a value may overflow to inf, and F is refused;
     * b = 52 - e with max|F| = m 2^e, 1/2 <= m < 1, so f has 52 bits.
 
     Floats only choose f: a poor f makes the margin fail, never pass.  The
     float side refuses on any non-finite value instead of warning.
     """
-    k = (len(q) - 1) // 2
+    k = (c.size - 1) // 2
     z = np.asarray(roots, dtype=complex)
     inside = z[np.abs(z) < 1.0]
     if inside.size != k:
         return None
-    c = np.array([x / top for x in q])
     v = np.concatenate(([c[k]], 2.0 * c[k + 1 :]))  # T = sum_j v_j cos(j theta)
     with np.errstate(all="ignore"):
         grid = np.fft.rfft(v, max(4096, 1 << (8 * k - 1).bit_length())).real
@@ -832,10 +842,10 @@ def _spectral_factor(q: list[int], top: int, roots) -> tuple[list[int], int] | N
         phase = np.prod(-rho / np.abs(rho))  # prod(-rho) / |prod(rho)|
         if not phase.real * c[-1] > 0:
             return None  # a < 0, or c_2k rounded to 0
-        log_root_a = 0.5 * (math.log(abs(c[-1])) - np.log(np.abs(rho)).sum())
+        root_a = np.exp(0.5 * (math.log(abs(c[-1])) - np.log(np.abs(rho)).sum()))
         size = 1 << (k + 1).bit_length()
         unity = np.exp(2j * math.pi * np.arange(size) / size)
-        values = np.exp(log_root_a + np.log(unity[:, None] - rho).sum(axis=1))
+        values = root_a * np.prod(unity[:, None] - rho, axis=1)
         F = (np.fft.fft(values) / size).real[: k + 1]
         if not np.isfinite(F).all():
             return None
@@ -856,8 +866,7 @@ def spectral_certificate(p: UniPoly, roots) -> tuple[list[int], int] | None:
     """
     if p.degree < 2 or p.degree % 2:
         return None
-    q = _primitive(p.coeffs)
-    return _spectral_factor(q, max(abs(x) for x in q), roots)
+    return _spectral_factor(_float_coeffs(p), roots)
 
 
 def classify_float_roots(roots) -> tuple[int, int, int]:
@@ -976,37 +985,55 @@ def numeric_roots(p: UniPoly) -> list[complex]:
     where it is: later sweeps evaluate and correct only the live iterates,
     while the frozen ones stay in every Aberth sum (as in Bini &
     Fiorentino's MPSolve).  ConvergenceFailure is raised if the
-    ``_MAX_SWEEPS`` sweeps run out before every iterate is frozen.  The
-    iterates start on the moduli of the Newton polygon, inner and outer
-    side by side (``_aberth_starts``): Q(3, 1) and s^2 + 6s + 1 converge
-    in 5 and 4 sweeps, the last of them the check, where starts on one
-    circle took 32 and 37.  The roots are paired by ``_mirror_partners``:
-    each conjugate pair comes back as its member above the real axis and
-    that member's exact conjugate, so the order of a pair never rests on
-    float noise, and a root without a partner comes back real.  Roots come
-    back sorted by (real, imag).
+    ``_MAX_SWEEPS`` sweeps run out before every iterate is frozen; a NaN
+    iterate never passes.  The iterates start on the moduli of the Newton
+    polygon, inner and outer side by side (``_aberth_starts``): Q(3, 1) and
+    s^2 + 6s + 1 converge in 5 and 4 sweeps, the last of them the check,
+    where starts on one circle took 32 and 37.  The roots are paired by
+    ``_mirror_partners``: each conjugate pair comes back as its member
+    above the real axis and that member's exact conjugate, so the order of
+    a pair never rests on float noise, and a root without a partner comes
+    back real.  Roots come back sorted by (real, imag).
+
+    A palindromic p of degree n = 2k (every Q) is iterated in half.  With
+    p(0) != 0, p(s) = s^(2k) p(1/s) puts 1/r among the roots with r, with
+    the same multiplicity, so only the k starts of least modulus, the even
+    places of ``_aberth_starts``, are iterated, and the reciprocals of the
+    k iterates stand in for the other k roots: each correction sums
+    1/(z_i - w) over the other iterates and over every iterate's
+    reciprocal, and the roots leave as the pairs of z and 1/z.  An iterate
+    may settle on an outer root; its reciprocal is then the inner one.  A
+    circle root e^(i theta) takes one iterate, whose reciprocal is the root
+    e^(-i theta), and a double root at +-1 one iterate and its reciprocal.
+    In exact arithmetic the relative residual of 1/z equals that of z, as
+    p's coefficients read the same both ways.  Every other p, of odd degree or not
+    palindromic, iterates all n starts.
 
     The residual, like ``root_residuals`` (the CLI's ``float_residuals``),
     is a backward error, not a distance to the exact root: the copies of a
     root of multiplicity mu are accurate only to about _TOL^(1/mu), for a
     double root sqrt(1e-12) = 1e-6 relative.  For Q(5, 3) =
-    5(s^2 + 3s + 1)^2 the residuals are 3e-13 to 6e-13, yet each copy lies
-    1.5e-6 to 2.0e-6 relative (0.8e-6 to 4.0e-6 absolute) from its root:
-    a copy stops as soon as its residual passes.
+    5(s^2 + 3s + 1)^2 the residuals are 3.7e-13, yet each copy lies 1.6e-6
+    relative (0.6e-6 and 4.3e-6 absolute) from its root: a copy stops as
+    soon as its residual passes.
 
     p must have p(0) != 0, as ``_aberth_starts`` needs both end
     coefficients nonzero; a root at 0 is refused with ValidationError.
     The coefficients come from ``_float_coeffs``, so any positive multiple
     of p gives the same roots.  Each sweep fills the first rows of one
-    n x (n + 1) table with the rows of ``_power_rows`` of the live
-    iterates, so p, p' and the scale are matrix-vector products at any
-    degree; those rows then take their moduli in place, and their first n
-    columns the 1/(z_i - z_j) of each live i against every j, so a sweep
-    allocates no n x n array of its own.  The tests check convergence, and
-    the float census against the exact one, on Q for (78, 5), (79, 1),
-    (99, 4), (101, 1), (120, 1), (160, 1), (200, 1), (150, 1), (199, 197),
-    (301, 1), (401, 1) and (401, 3) (degree up to 800), and every 15th of
-    the 376 pairs with 50 <= m - n <= 100, n <= 12.
+    table, a row per iterate (k or n of them) and n + 1 columns, with the
+    rows of ``_power_rows`` of the live iterates, so p, p' and the scale are
+    matrix-vector products at any degree; those rows then take their
+    moduli in place, and their first n columns the 1/(z_i - w) of each
+    live i against all n roots w, so a sweep allocates no n x n array of
+    its own.  In half, a sweep costs k rows of powers and a k x 2k block
+    of pairwise terms instead of 2k and 2k x 2k: at (301, 1) and (601, 1)
+    Aberth takes 0.47 and 0.52 of the CPU time of the full iteration.  The
+    tests check convergence, and the float census against the exact one,
+    on Q for (78, 5), (79, 1), (99, 4), (101, 1), (120, 1), (160, 1),
+    (200, 1), (150, 1), (199, 197), (301, 1), (401, 1) and (401, 3) (degree
+    up to 800), every 15th of the 376 pairs with 50 <= m - n <= 100,
+    n <= 12, and every coprime pair with m <= 60.
     """
     if p.degree < 1:
         raise ValidationError("need degree >= 1 to compute roots")
@@ -1017,8 +1044,11 @@ def numeric_roots(p: UniPoly) -> list[complex]:
     dcoeffs = coeffs[1:] * np.arange(1, n + 1)
     abs_coeffs = np.abs(coeffs)
     z = _aberth_starts(abs_coeffs)
-    table = np.empty((n, n + 1), dtype=complex)  # the one work buffer
-    live = np.arange(n)  # the iterates that still move
+    half = n % 2 == 0 and p.is_palindromic()
+    if half:
+        z = z[0::2]  # the k starts of least modulus
+    table = np.empty((z.size, n + 1), dtype=complex)  # the one work buffer
+    live = np.arange(z.size)  # the iterates that still move
     for _ in range(_MAX_SWEEPS):
         rows = table[: live.size]
         live = live[_power_rows(z[live], rows)]  # row i is iterate live[i]
@@ -1028,13 +1058,14 @@ def numeric_roots(p: UniPoly) -> list[complex]:
         np.abs(rows, out=rows)
         scale = (rows @ abs_coeffs).real
         moving = ~(np.abs(pv) <= _TOL * scale)  # a NaN never passes
+        full = np.concatenate((z, 1.0 / z)) if half else z  # all n roots
         if not moving.any():
-            return _exact_pairs(z.tolist())
+            return _exact_pairs(full.tolist())
         live, zl, pv, dv = live[moving], zl[moving], pv[moving], dv[moving]
         pairwise = table[: live.size, :n]
         dv = np.where(dv == 0, 1e-300, dv)
         w = pv / dv
-        np.subtract(zl[:, None], z[None, :], out=pairwise)
+        np.subtract(zl[:, None], full[None, :], out=pairwise)
         pairwise[np.arange(live.size), live] = np.inf
         np.divide(1.0, pairwise, out=pairwise)
         s = pairwise.sum(axis=1)

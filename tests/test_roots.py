@@ -960,7 +960,9 @@ class TestNumericRoots:
         q = diagonal_poly(CoprimePair(*mn)).poly
         found = numeric_roots(q)
         nonreal = [r for r in found if r.imag != 0]
-        assert nonreal
+        # Q(5, 3) = 5(s^2 + 3s + 1)^2 has two double real roots r, 1/r: one
+        # iterate and its reciprocal hold each, so both come back real
+        assert bool(nonreal) == (mn != (5, 3))
         assert sorted(nonreal, key=lambda r: (r.real, r.imag)) == sorted(
             (r.conjugate() for r in nonreal), key=lambda r: (r.real, r.imag)
         )
@@ -1007,6 +1009,97 @@ class TestNumericRoots:
         assert max(root_residuals(q, found)) <= roots._TOL
         k = mn[0] - mn[1]
         assert classify_float_roots(found) == (k, 0, k)
+
+
+def closed_under_pairing(found: list[complex], tol: float = 1e-6) -> bool:
+    """Each root has its conjugate and its reciprocal among the roots, and
+    distinct roots stay distinct, to tol."""
+
+    def matched(images):
+        dist = np.abs(np.subtract.outer(np.array(images), np.array(found)))
+        near = dist.argmin(axis=1)
+        return dist[np.arange(len(found)), near].max() <= tol and len(set(near)) == len(found)
+
+    return matched([r.conjugate() for r in found]) and matched([1 / r for r in found])
+
+
+class TestHalfIteration:
+    """A palindromic p of degree 2k runs Aberth on k iterates and their
+    reciprocals; every other p runs it on all its roots."""
+
+    @pytest.mark.parametrize(
+        "p, simple",
+        [
+            (UniPoly([1, 1, 1]), True),  # e^(+-2 pi i / 3)
+            (UniPoly([1, -1, 1]), True),  # e^(+-i pi / 3)
+            (UniPoly([1, -1, 1, -1, 1]), True),  # the primitive 10th roots of unity
+            (UniPoly([1, -1, 1]) * UniPoly([1, 3, 1]), True),
+            (UniPoly([1, 2, 1]), False),  # (1 + s)^2
+            (q_of(5, 3), False),  # 5(s^2 + 3s + 1)^2
+        ],
+        ids=["s2+s+1", "s2-s+1", "phi10", "circle-times-real", "(1+s)^2", "Q53"],
+    )
+    def test_roots_are_closed_under_the_pairing(self, p, simple):
+        found = numeric_roots(p)
+        assert len(found) == p.degree
+        if simple:
+            assert closed_under_pairing(found)
+            assert max(root_residuals(p, found)) <= roots._TOL
+            exact = np.roots([float(c) for c in reversed(p.coeffs)])
+            assert max(min(abs(f - r) for f in found) for r in exact) <= 1e-9
+        else:
+            # copies of a double root agree only to about sqrt(_TOL)
+            assert closed_under_pairing(found, tol=1e-5)
+
+    def test_every_pair_to_60_has_k_distinct_roots_inside(self):
+        for pair in coprime_pairs(60):
+            q = q_of(pair.m, pair.n)
+            found = numeric_roots(q)
+            assert classify_float_roots(found) == (pair.k, 0, pair.k), pair
+            if pair != CoprimePair(5, 3):  # the one Q with a double root
+                gaps = np.abs(np.subtract.outer(found, found)) + np.eye(len(found))
+                assert gaps.min() > 1e-6, pair
+
+    def test_iterates_are_the_starts_of_least_modulus(self, monkeypatch):
+        # the k starts at the even places of _aberth_starts are the ones
+        # inside: the first sweep evaluates exactly those
+        seen = []
+        power_rows = roots._power_rows
+
+        def record(z, rows):
+            seen.append(z.copy())
+            return power_rows(z, rows)
+
+        monkeypatch.setattr(roots, "_power_rows", record)
+        q = q_of(41, 3)
+        numeric_roots(q)
+        starts = roots._aberth_starts(np.abs(roots._float_coeffs(q)))
+        assert np.array_equal(seen[0], starts[0::2])
+        assert (np.abs(starts[0::2]) < 1).all()
+
+    def test_other_inputs_keep_their_roots_bit_for_bit(self):
+        # odd degree, palindromic or not, and even degree not palindromic:
+        # float.hex of the roots that the all-roots iteration gave before
+        # the half iteration was added
+        q21 = list(q_of(21, 1).coeffs)
+        inputs = [
+            [3, -2, 0, 5, 1, -7],
+            [1, 2, 2, 1],
+            [1, 3, 3, 1],
+            [2, 5, 7, 7, 5, 2],
+            [1, 6, 13, 6, 2],
+            [-1, 0, 1],
+            (UniPoly([-1, 1000]) * UniPoly([1000, 1]) * UniPoly([-2, 1])).coeffs,
+            (q_of(3, 1) * UniPoly([2, 1])).coeffs,
+            [q21[0] + 1] + q21[1:],
+        ]
+        bits = [
+            [(z.real.hex(), z.imag.hex()) for z in numeric_roots(UniPoly(list(c)))]
+            for c in inputs
+        ]
+        assert hashlib.sha256(repr(bits).encode()).hexdigest() == (
+            "43367974d5ed959f7ab020f8441f9f6ae7b433c5b5e6293cdada8e89f8f05107"
+        )
 
 
 def _k1(ell: int) -> UniPoly:

@@ -113,14 +113,15 @@ class TestWitnessCandidates:
 
     def test_candidates_pinned(self):
         # float.hex of every candidate of every coprime pair with m <= 40, as
-        # the polish with a separate Horner pass for Q' left them
+        # the polish with a separate Horner pass for Q' left them, started
+        # from the roots of the half iteration on Q's k inner roots
         bits = [
             [(z.real.hex(), z.imag.hex()) for z in witness_candidates(pair)]
             for pair in coprime_pairs(40)
         ]
         assert sum(map(len, bits)) == 6554
         assert hashlib.sha256(repr(bits).encode()).hexdigest() == (
-            "c7bb3bc851f8baf65f36f6025ddc3ff3d1662fe82005430b8b9b1f4bbbadf648"
+            "317095afc65530582608e1ef9a4f2a55fb008fe681f8aab9a107930009182398"
         )
 
     def test_real_root_with_float_noise_stays_real(self):
