@@ -79,21 +79,22 @@ results leave as monic ``UniPoly``s.
   chain counts as if no certificate had been given.
 
 ``numeric_roots`` is the float diagnostic: an Aberth-Ehrlich simultaneous
-iteration with a relative backward-error residual acceptance test.  Its
-iterates start on the moduli of the Newton polygon of p, each inner start
-beside an outer one, and an iterate that passes the test stops moving
-(Bini 1996; Bini & Fiorentino's MPSolve), so a sweep evaluates p, p' and
-the residual scale of the live iterates only.  For a palindromic p of
-degree 2k, p(s) = s^(2k) p(1/s) closes the roots under s -> 1/s, so only
-the k inner starts are iterated, and their reciprocals stand in for the
-other k roots in every Aberth sum and in the result.  Every float value
-of p there comes from ``_power_rows``: one row of powers per point, z^j
-where |z| <= 1 and z^j / z^deg where |z| > 1, so no entry exceeds 1 in
-modulus at any degree.  ``root_residuals`` evaluates through the same
-rows, so a returned root reads the residual it was accepted at.  The
-roots leave as exact conjugate pairs and exact reals, matched by
-``_mirror_partners``, the one owner of the real/pair decision for float
-roots.
+iteration with a relative backward-error residual acceptance test, for
+the palindromic p of even degree 2k that every caller sends (Q, or the
+squarefree part of Q with the root -1 divided out); any other p raises
+``NotPalindromic``.  p(s) = s^(2k) p(1/s) closes the roots under
+s -> 1/s, so only k iterates run, started on the k least moduli of the
+Newton polygon of p, and their reciprocals stand in for the other k
+roots in every Aberth sum and in the result.  An iterate that passes the
+test stops moving (Bini 1996; Bini & Fiorentino's MPSolve), so a sweep
+evaluates p, p' and the residual scale of the live iterates only.  Every
+float value of p there comes from ``_power_rows``: one row of powers per
+point, in the order of the points, z^j where |z| <= 1 and z^j / z^deg
+where |z| > 1, so no entry exceeds 1 in modulus at any degree.
+``root_residuals`` evaluates through the same rows, so a returned root
+reads the residual it was accepted at.  The roots leave as exact
+conjugate pairs and exact reals, matched by ``_mirror_partners``, the one
+owner of the real/pair decision for float roots.
 ``classify_float_roots`` sorts float roots into inside/on/outside with
 the guard band ``CIRCLE_GUARD``, and ``interior_float_roots``, the
 witness's root finder, keeps those inside it and polishes them by Newton
@@ -689,33 +690,28 @@ def _float_coeffs(p: UniPoly) -> np.ndarray:
     return np.array([float(c / top) for c in p.coeffs])
 
 
-def _power_rows(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Fill one row of powers per point, scaled to modulus at most 1.
+def _power_rows(z: np.ndarray, rows: np.ndarray) -> None:
+    """Fill rows[i] with the powers of z[i], scaled to modulus at most 1.
 
     The row of a point x holds 1, x, ..., x^deg where |x| <= 1, and y^deg,
     ..., y, 1 with y = 1/x, i.e. x^j / x^deg, where |x| > 1; deg + 1 is the
     width of rows.  With c the coefficients of p, row @ c and row[:deg] @
     (j c_j) are p(x) and p'(x) and |row| @ |c| is sum_j |c_j| |x|^j, all
     three times the same factor (1 or x^-deg), so the Newton step p/p' and
-    the residual ratio are p's own at any degree.  The points with |x| <= 1
-    take the first rows, so that each kind of row is one block and one
-    ``np.cumprod``: rows[i] belongs to z[order[i]], and order is returned.
-    ``interior_float_roots`` polishes by Horner instead, which its
-    docstring shows to be the more accurate of the two at the roots.
+    the residual ratio are p's own at any degree.  An outer row takes the
+    powers of y in ascending order, as an inner row those of x, and is then
+    reversed in place.  ``interior_float_roots`` polishes by Horner
+    instead, which its docstring shows to be the more accurate of the two
+    at the roots.
     """
-    order = np.argsort(np.abs(z) > 1.0, kind="stable")
-    z = z[order]
-    k = int(np.count_nonzero(np.abs(z) <= 1.0))
-    inner = rows[:k]
-    inner[:, 0] = 1.0
-    inner[:, 1:] = z[:k, None]
-    np.cumprod(inner, axis=1, out=inner)
-    if k < z.size:  # most sweeps of a palindromic p have no outer point
-        outer = rows[k:, ::-1]  # outer columns run y^0, y^1, ...
-        outer[:, 0] = 1.0
-        outer[:, 1:] = 1.0 / z[k:, None]
-        np.cumprod(outer, axis=1, out=outer)
-    return order
+    rows[:, 0] = 1.0
+    rows[:, 1:] = z[:, None]
+    outer = np.abs(z) > 1.0  # most sweeps of a palindromic p have none
+    if outer.any():
+        rows[outer, 1:] = 1.0 / z[outer, None]
+    np.cumprod(rows, axis=1, out=rows)
+    if outer.any():
+        rows[outer] = rows[outer, ::-1]
 
 
 def root_residuals(p: UniPoly, roots) -> list[float]:
@@ -731,20 +727,23 @@ def root_residuals(p: UniPoly, roots) -> list[float]:
     coeffs = _float_coeffs(p)
     r = np.array(roots, dtype=complex)
     rows = np.empty((r.size, coeffs.size), dtype=complex)
-    order = _power_rows(r, rows)
+    _power_rows(r, rows)
     value = np.abs(rows @ coeffs)
     np.abs(rows, out=rows)
     scale = (rows @ np.abs(coeffs)).real
-    out = np.empty(r.size)
     # p(r) == 0 reads 0 even where the scale is 0 too; a NaN stays NaN
-    out[order] = np.divide(value, scale, out=np.zeros_like(scale), where=value != 0)
-    return out.tolist()
+    return np.divide(value, scale, out=np.zeros_like(scale), where=value != 0).tolist()
 
 
 def interior_float_roots(p: UniPoly) -> list[complex]:
-    """The float roots of a squarefree p with |r| < 1 - CIRCLE_GUARD, each
-    polished by Newton, closed under conjugation and sorted by (real, imag).
+    """The float roots of a squarefree palindromic p with |r| < 1 -
+    CIRCLE_GUARD, each polished by Newton, closed under conjugation and
+    sorted by (real, imag).
 
+    A palindromic p of odd degree n has p(-1) = (-1)^n p(-1) = 0, and
+    s + 1 is divided out of it, leaving a palindromic p of even degree for
+    ``numeric_roots``.  (The squarefree part of a Q is palindromic, as
+    Q(1) = m^3 > 0, and of odd degree iff Q(-1) = 0.)
     ``numeric_roots`` gives exact reals and exact conjugate pairs, so only
     roots on or above the real axis are polished: a real start stays real,
     and a root above the axis brings its exact conjugate.  p is squarefree
@@ -763,6 +762,7 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
     Horner reaches 2.1e-16 and 7.4e-15; ``_float_coeffs``' scaling by
     max |c_i| gives 2.2e-16 and 7.7e-15.
     """
+    p = p.div_rem(UniPoly([1, 1]))[0] if p.degree % 2 else p
     lead = p.coeffs[-1]
     top = [float(c / lead) for c in reversed(p.coeffs)]
     out = []
@@ -785,14 +785,21 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
     return sorted(out, key=lambda r: (r.real, r.imag))
 
 
-def _spectral_factor(c: np.ndarray, roots) -> tuple[list[int], int] | None:
-    """f and b for ``_spectral_margin``, from the float roots of q, or None.
+def spectral_certificate(p: UniPoly, roots) -> tuple[list[int], int] | None:
+    """A certificate (f, b) for ``interior_root_count``, built from float
+    roots of p (those of ``numeric_roots``), or None where none is found.
+
+    p must be palindromic of degree 2k >= 2 for the certificate to mean
+    anything; any other degree gives None.  The census checks the
+    certificate exactly, so a None here, or an f the check refuses, only
+    leaves the census to the Sturm chain.
 
     With c = q / max |q_i|, the coefficients of ``_float_coeffs``, and
     T(theta) = c_k + 2 sum_j c_(k+j) cos(j theta), the spectral factor F
     of T - eps (Fejer and Riesz) is sqrt(a) prod(s - rho) over the k roots
     rho of c - eps s^k inside the circle, a = c_2k / prod(-rho) > 0, so
-    that F rev(F) = c - eps s^k; f = rint(2^b F).  Steps:
+    that F rev(F) = c - eps s^k; f = rint(2^b F), for ``_spectral_margin``.
+    Steps:
 
     * refuse unless exactly k of the roots lie inside the circle;
     * eps = T_min / 4, with T_min the least T on an rfft grid of
@@ -813,27 +820,28 @@ def _spectral_factor(c: np.ndarray, roots) -> tuple[list[int], int] | None:
     Floats only choose f: a poor f makes the margin fail, never pass.  The
     float side refuses on any non-finite value instead of warning.
     """
-    k = (c.size - 1) // 2
+    if p.degree < 2 or p.degree % 2:
+        return None
+    c = _float_coeffs(p)
+    k = p.degree // 2
     z = np.asarray(roots, dtype=complex)
-    inside = z[np.abs(z) < 1.0]
-    if inside.size != k:
+    rho = z[np.abs(z) < 1.0]  # the roots inside, moved onto c - eps s^k below
+    if rho.size != k:
         return None
     v = np.concatenate(([c[k]], 2.0 * c[k + 1 :]))  # T = sum_j v_j cos(j theta)
     with np.errstate(all="ignore"):
         grid = np.fft.rfft(v, max(4096, 1 << (8 * k - 1).bit_length())).real
-        dips = np.cos(np.outer(np.angle(inside), np.arange(k + 1))) @ v
+        dips = np.cos(np.outer(np.angle(rho), np.arange(k + 1))) @ v
         eps = 0.25 * min(grid.min(), dips.min())
         if not 0 < eps < math.inf:
             return None
         shifted = c.copy()
         shifted[k] -= eps
         dshifted = shifted[1:] * np.arange(1, 2 * k + 1)
-        rho = inside
         rows = np.empty((k, 2 * k + 1), dtype=complex)
         for _ in range(10):
-            order = _power_rows(rho, rows)
-            step = np.empty(k, dtype=complex)
-            step[order] = (rows @ shifted) / (rows[:, :-1] @ dshifted)
+            _power_rows(rho, rows)
+            step = (rows @ shifted) / (rows[:, :-1] @ dshifted)
             rho = rho - step
             if not (np.abs(step) > _TOL * np.abs(rho)).any():
                 break  # the next step is rounding noise; a NaN is refused below
@@ -855,20 +863,6 @@ def _spectral_factor(c: np.ndarray, roots) -> tuple[list[int], int] | None:
         return np.rint(np.ldexp(F, b)).astype(np.int64).tolist(), b
 
 
-def spectral_certificate(p: UniPoly, roots) -> tuple[list[int], int] | None:
-    """A certificate (f, b) for ``interior_root_count``, built from float
-    roots of p (those of ``numeric_roots``), or None where none is found.
-
-    p must be palindromic of degree 2k >= 2 for the certificate to mean
-    anything; any other degree gives None.  The census checks the
-    certificate exactly, so a None here, or an f the check refuses, only
-    leaves the census to the Sturm chain.
-    """
-    if p.degree < 2 or p.degree % 2:
-        return None
-    return _spectral_factor(_float_coeffs(p), roots)
-
-
 def classify_float_roots(roots) -> tuple[int, int, int]:
     """(inside, on, outside) counts of float roots, guard band CIRCLE_GUARD."""
     inside = on = outside = 0
@@ -884,15 +878,15 @@ def classify_float_roots(roots) -> tuple[int, int, int]:
 
 
 def _aberth_starts(abs_coeffs: np.ndarray) -> np.ndarray:
-    """Aberth's starting points, on the moduli of the Newton polygon (Bini 1996).
+    """Aberth's k starting points for a palindromic p of degree 2k, on the
+    moduli of the Newton polygon (Bini 1996).
 
     The upper convex hull of the points (j, log|c_j|), zero coefficients
     left out, has vertices i0 < i1 < ...; an edge from i0 to i1 gives
-    i1 - i0 moduli (|c_i0| / |c_i1|)^(1/(i1 - i0)).  The j-th smallest and
-    the j-th largest modulus go to neighbouring angles of 2 pi k / n + 0.4,
-    so that each start inside the unit circle has a partner outside, as
-    each root r of a palindromic Q has 1/r.  abs_coeffs must be nonzero at
-    both ends.
+    i1 - i0 moduli (|c_i0| / |c_i1|)^(1/(i1 - i0)).  The k smallest of the
+    2k moduli go to the angles 2 pi j / k + 0.4; the reciprocals of the
+    starts stand in for the other k.  abs_coeffs must be nonzero at both
+    ends, as it is for a palindromic p.
     """
     hull: list[tuple[int, float]] = []
     for j, c in enumerate(abs_coeffs.tolist()):
@@ -911,11 +905,8 @@ def _aberth_starts(abs_coeffs: np.ndarray) -> np.ndarray:
         [math.exp((y0 - y1) / (j1 - j0)) for (j0, y0), (j1, y1) in edges],
         [j1 - j0 for (j0, _), (j1, _) in edges],
     )
-    n = moduli.size
-    order = np.empty(n, dtype=int)
-    order[0::2] = np.arange((n + 1) // 2)
-    order[1::2] = n - 1 - np.arange(n // 2)
-    return moduli[order] * np.exp(1j * (2.0 * math.pi * np.arange(n) / n + 0.4))
+    k = moduli.size // 2
+    return moduli[:k] * np.exp(1j * (2.0 * math.pi * np.arange(k) / k + 0.4))
 
 
 def _mirror_partners(roots) -> list[int]:
@@ -978,7 +969,21 @@ def _exact_pairs(roots: list[complex]) -> list[complex]:
 
 
 def numeric_roots(p: UniPoly) -> list[complex]:
-    """All complex roots by Aberth-Ehrlich simultaneous iteration.
+    """All complex roots of a palindromic p of degree 2k (every Q) by
+    Aberth-Ehrlich simultaneous iteration on half of them.
+
+    p(s) = s^(2k) p(1/s) puts 1/r among the roots with r, with the same
+    multiplicity, and p(0) = lc(p) != 0, so only the k starts of
+    ``_aberth_starts`` (of least modulus) are iterated, and the reciprocals
+    of the k iterates stand in for the other k roots: each correction sums
+    1/(z_i - w) over the other iterates and over every iterate's
+    reciprocal, and the roots leave as the pairs of z and 1/z.  An iterate
+    may settle on an outer root; its reciprocal is then the inner one.  A
+    circle root e^(i theta) takes one iterate, whose reciprocal is the root
+    e^(-i theta), and a double root at +-1 one iterate and its reciprocal.
+    In exact arithmetic the relative residual of 1/z equals that of z, as
+    p's coefficients read the same both ways.  p of odd degree, or not
+    palindromic, raises NotPalindromic.
 
     An iterate is converged once it satisfies the relative backward-error
     residual |p(r)| / sum |c_i||r|^i <= _TOL, and from then on it stays
@@ -987,27 +992,13 @@ def numeric_roots(p: UniPoly) -> list[complex]:
     Fiorentino's MPSolve).  ConvergenceFailure is raised if the
     ``_MAX_SWEEPS`` sweeps run out before every iterate is frozen; a NaN
     iterate never passes.  The iterates start on the moduli of the Newton
-    polygon, inner and outer side by side (``_aberth_starts``): Q(3, 1) and
-    s^2 + 6s + 1 converge in 5 and 4 sweeps, the last of them the check,
-    where starts on one circle took 32 and 37.  The roots are paired by
-    ``_mirror_partners``: each conjugate pair comes back as its member
-    above the real axis and that member's exact conjugate, so the order of
-    a pair never rests on float noise, and a root without a partner comes
-    back real.  Roots come back sorted by (real, imag).
-
-    A palindromic p of degree n = 2k (every Q) is iterated in half.  With
-    p(0) != 0, p(s) = s^(2k) p(1/s) puts 1/r among the roots with r, with
-    the same multiplicity, so only the k starts of least modulus, the even
-    places of ``_aberth_starts``, are iterated, and the reciprocals of the
-    k iterates stand in for the other k roots: each correction sums
-    1/(z_i - w) over the other iterates and over every iterate's
-    reciprocal, and the roots leave as the pairs of z and 1/z.  An iterate
-    may settle on an outer root; its reciprocal is then the inner one.  A
-    circle root e^(i theta) takes one iterate, whose reciprocal is the root
-    e^(-i theta), and a double root at +-1 one iterate and its reciprocal.
-    In exact arithmetic the relative residual of 1/z equals that of z, as
-    p's coefficients read the same both ways.  Every other p, of odd degree or not
-    palindromic, iterates all n starts.
+    polygon (``_aberth_starts``): Q(3, 1) and s^2 + 6s + 1 converge in 5
+    and 4 sweeps, the last of them the check, where k starts on the unit
+    circle take 34 and 39.  The roots are paired by ``_mirror_partners``: each
+    conjugate pair comes back as its member above the real axis and that
+    member's exact conjugate, so the order of a pair never rests on float
+    noise, and a root without a partner comes back real.  Roots come back
+    sorted by (real, imag).
 
     The residual, like ``root_residuals`` (the CLI's ``float_residuals``),
     is a backward error, not a distance to the exact root: the copies of a
@@ -1017,48 +1008,40 @@ def numeric_roots(p: UniPoly) -> list[complex]:
     relative (0.6e-6 and 4.3e-6 absolute) from its root: a copy stops as
     soon as its residual passes.
 
-    p must have p(0) != 0, as ``_aberth_starts`` needs both end
-    coefficients nonzero; a root at 0 is refused with ValidationError.
     The coefficients come from ``_float_coeffs``, so any positive multiple
     of p gives the same roots.  Each sweep fills the first rows of one
-    table, a row per iterate (k or n of them) and n + 1 columns, with the
-    rows of ``_power_rows`` of the live iterates, so p, p' and the scale are
+    table, a row per iterate (k of them) and 2k + 1 columns, with the rows
+    of ``_power_rows`` of the live iterates, so p, p' and the scale are
     matrix-vector products at any degree; those rows then take their
-    moduli in place, and their first n columns the 1/(z_i - w) of each
-    live i against all n roots w, so a sweep allocates no n x n array of
-    its own.  In half, a sweep costs k rows of powers and a k x 2k block
-    of pairwise terms instead of 2k and 2k x 2k: at (301, 1) and (601, 1)
-    Aberth takes 0.47 and 0.52 of the CPU time of the full iteration.  The
-    tests check convergence, and the float census against the exact one,
-    on Q for (78, 5), (79, 1), (99, 4), (101, 1), (120, 1), (160, 1),
-    (200, 1), (150, 1), (199, 197), (301, 1), (401, 1) and (401, 3) (degree
-    up to 800), every 15th of the 376 pairs with 50 <= m - n <= 100,
-    n <= 12, and every coprime pair with m <= 60.
+    moduli in place, and their first 2k columns the 1/(z_i - w) of each
+    live i against all 2k roots w, so a sweep allocates no array of its
+    own of that size.  The tests check convergence, and the float census
+    against the exact one, on Q for (78, 5), (79, 1), (99, 4), (101, 1),
+    (120, 1), (160, 1), (200, 1), (150, 1), (199, 197), (301, 1),
+    (401, 1) and (401, 3) (degree up to 800), every 15th of the 376 pairs
+    with 50 <= m - n <= 100, n <= 12, and every coprime pair with m <= 60.
     """
     if p.degree < 1:
         raise ValidationError("need degree >= 1 to compute roots")
-    if p.coeffs[0] == 0:
-        raise ValidationError("numeric_roots needs p(0) != 0; divide out the root at 0")
+    if p.degree % 2 or not p.is_palindromic():
+        raise NotPalindromic("numeric_roots needs a palindromic p of even degree")
     n = p.degree
     coeffs = _float_coeffs(p)
     dcoeffs = coeffs[1:] * np.arange(1, n + 1)
     abs_coeffs = np.abs(coeffs)
     z = _aberth_starts(abs_coeffs)
-    half = n % 2 == 0 and p.is_palindromic()
-    if half:
-        z = z[0::2]  # the k starts of least modulus
     table = np.empty((z.size, n + 1), dtype=complex)  # the one work buffer
     live = np.arange(z.size)  # the iterates that still move
     for _ in range(_MAX_SWEEPS):
         rows = table[: live.size]
-        live = live[_power_rows(z[live], rows)]  # row i is iterate live[i]
         zl = z[live]
+        _power_rows(zl, rows)
         pv = rows @ coeffs
         dv = rows[:, :n] @ dcoeffs
         np.abs(rows, out=rows)
         scale = (rows @ abs_coeffs).real
         moving = ~(np.abs(pv) <= _TOL * scale)  # a NaN never passes
-        full = np.concatenate((z, 1.0 / z)) if half else z  # all n roots
+        full = np.concatenate((z, 1.0 / z))  # all n roots
         if not moving.any():
             return _exact_pairs(full.tolist())
         live, zl, pv, dv = live[moving], zl[moving], pv[moving], dv[moving]

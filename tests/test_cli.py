@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -168,6 +169,25 @@ class TestRootsCommand:
         assert aberth_calls == [156]
         assert data["method"] == "spectral"
         assert (data["inside"], data["on_circle"], data["outside"]) == (78, 0, 78)
+
+    @pytest.mark.parametrize(
+        "mn, digest",
+        [
+            ((81, 5), "bd457a402fb1fde76f4382253212b589e31ecca7ec34a2e8ab94424eb21e91f8"),
+            ((101, 1), "8d82c598b8c35caeb63fdf4cf91fab271085d39d144b0435aa66a2ac611ace49"),
+            ((103, 7), "8033c233151d2d87b27530a54ba5981caeec1ecbb30627a0d43b1781b76a9825"),
+            ((111, 11), "be517cb417c5b6fca7adbe32aca7d13fc7b889369378cc995038ebc678836653"),
+        ],
+    )
+    def test_json_is_pinned_at_the_frontier(self, capsys, mn, digest):
+        # float_roots, float_residuals and margin_lo at k >= 41, byte for
+        # byte; (103, 7) has the thinnest certificate margin on record
+        m, n = mn
+        rc, out, _ = run(
+            capsys, ["roots", "--m", str(m), "--n", str(n), "--output-format", "json"]
+        )
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_csv_census_survives_a_failed_aberth(self, capsys, monkeypatch):
         # no roots, no certificate: the chain counts and csv still exits 0
