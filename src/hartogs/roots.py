@@ -1,23 +1,21 @@
 """Exact root localization relative to the unit circle, plus float roots.
 
 Everything that claims a count is proven in exact arithmetic, and every
-exact algorithm runs on primitive integer coefficient lists (ascending
-degree).  Two integer steps carry all the division: a sign-preserving
-primitive pseudo-remainder (``_neg_prem``, after Collins and Brown & Traub)
-and an exact quotient (``_divexact``), integral by Gauss's lemma because
-every divisor is primitive.  ``_neg_prem`` runs in one loop only,
-``_sturm_chain``: the chain of (a, b) is their primitive remainder
-sequence and ends in gcd(a, b), so that one sequence serves every Sturm
-count, every gcd and every multiplicity.  The loop carries the contents
-of the subresultants along, one small integer per step, and so knows a
-divisor of each pseudo-remainder ahead of it, about lc(a)^2; on large
-steps (``_EXACT_BITS``) it forms only the quotient, by exact 2-adic
-division (``_exact_quotient``).  Its one basis-dependent piece
-is the multiply-by-x map: the monomial shift by default, and in the
-census the Chebyshev map 2x T_0 = 2 T_1, 2x T_i = T_(i+1) + T_(i-1),
-which keeps the leading coordinate.  Public names convert once at the
-boundary: ``_primitive`` on the way in, and the gcd and squarefree
-results leave as monic ``UniPoly``s.
+exact algorithm runs on integer coefficient lists (ascending degree).  Two
+integer steps carry all the division: a sign-preserving pseudo-remainder
+(``_neg_prem``) and an exact quotient (``_divexact``), integral by Gauss's
+lemma because every divisor is primitive.  ``_neg_prem`` runs in one loop
+only, ``_sturm_chain``: the chain of (a, b) is their subresultant sequence
+up to sign (Collins 1967, Brown & Traub 1971) and ends in a multiple of
+gcd(a, b), so that one sequence serves every Sturm count, every gcd and
+every multiplicity.  In a run of degree drops 1 each step divides its
+pseudo-remainder exactly by lc(a)^2; on large steps (``_EXACT_BITS``) it
+forms only the quotient, by exact 2-adic division (``_exact_quotient``).
+Its one basis-dependent piece is the multiply-by-x map: the monomial shift
+by default, and in the census the Chebyshev map 2x T_0 = 2 T_1, 2x T_i =
+T_(i+1) + T_(i-1), which keeps the leading coordinate.  Public names
+convert once at the boundary: ``_primitive`` on the way in, and the gcd
+and squarefree results leave as monic ``UniPoly``s.
 
 * A palindromic h of degree 2k has h(e^(i theta)) e^(-ik theta) = h_k +
   sum_j 2 h_(k+j) cos(j theta) = g(cos theta), so g = h_k T_0 + sum_j
@@ -218,9 +216,9 @@ def _chebyshev_derivative(c: list[int]) -> list[int]:
     return [e[0]] + [2 * x for x in e[1:n]]
 
 
-def _neg_prem(a: list[int], b: list[int], times_x, d: int) -> tuple[list[int], int]:
-    """Primitive part of -(a mod b), by a sign-preserving pseudo-remainder,
-    and the content of that remainder over d.
+def _neg_prem(a: list[int], b: list[int], times_x, d: int) -> list[int]:
+    """A positive multiple of -(a mod b), over d, by a sign-preserving
+    pseudo-remainder.
 
     a and b are coordinates in one basis, and ``times_x`` is the basis's
     multiply-by-x map up to a positive factor that keeps lc(b): the
@@ -234,15 +232,16 @@ def _neg_prem(a: list[int], b: list[int], times_x, d: int) -> tuple[list[int], i
     When deg a = deg b + 1 = n + 1, as at every step of a normal chain,
     the two steps fuse into one pass, r_i = lc(b)^2 a_i - q1 xb_i -
     q0 b_i with xb = times_x(b), q1 = lc(b) a_(n+1) and q0 = lc(b) a_n -
-    a_(n+1) xb_n: the pseudo-remainder prem(a, b) itself.  There d > 1 is
-    a divisor of every r_i that ``_sturm_chain`` predicts by the
-    subresultant theorem, about lc(a)^2, so r has about three times the
-    bits of r / d.  Once deg b times the bits of lc(a) reaches
-    ``_EXACT_BITS``, only r / d is formed, 2-adically by
-    ``_exact_quotient``; below, r is formed whole, and its content must be
-    a multiple of d.  A d that does not divide is a broken invariant and
-    raises InternalMismatch.  d = 1 predicts nothing: the first step of a
-    normal run and any step that drops the degree by more than one.
+    a_(n+1) xb_n: the pseudo-remainder prem(a, b) itself.
+
+    -r / d is returned, for a divisor d of r that the caller vouches for:
+    lc(a)^2 inside a normal run of ``_sturm_chain``, where r has about
+    three times the bits of r / d, and 1 elsewhere.  Once deg b times the
+    bits of lc(a) reaches ``_EXACT_BITS``, a fused step forms only r / d,
+    2-adically by ``_exact_quotient``; below, r is formed whole and
+    floor-divided by d.  Every floor remainder is >= 0, so d times the sum
+    of the quotients equals the sum of r iff d divides every r_i.  A d
+    that does not divide is a broken invariant and raises InternalMismatch.
     """
     db = len(b) - 1
     if len(a) == db + 2:
@@ -264,14 +263,14 @@ def _neg_prem(a: list[int], b: list[int], times_x, d: int) -> tuple[list[int], i
             r = [mul * x - c * y for x, y in zip(r, powers[len(r) - db])]
             while r and r[-1] == 0:
                 r.pop()
+    if d > 1:
+        q = [x // d for x in r]
+        if d * sum(q) != sum(r):
+            raise InternalMismatch("the divisor does not divide the remainder")
+        r = q
     while r and r[-1] == 0:
         r.pop()
-    if not r:
-        return r, 0
-    content = math.gcd(*r)
-    if content % d:
-        raise InternalMismatch("the predicted divisor does not divide the remainder")
-    return ([-x // content for x in r] if content > 1 else [-x for x in r]), content // d
+    return [-x for x in r]
 
 
 def _inverse_mod_2k(odd: int, k: int) -> int:
@@ -346,8 +345,9 @@ def _divexact(a: list[int], b: list[int]) -> list[int]:
 
 
 def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of integer lists: the last element of their chain."""
-    return _sturm_chain(a, b)[-1] if b else _primitive(a)
+    """Primitive gcd of integer lists: the last element of their chain,
+    made primitive, as ``_divexact`` needs its divisor."""
+    return _primitive(_sturm_chain(a, b)[-1] if b else a)
 
 
 def _hom_eval(p: list[int], x: Fraction) -> int:
@@ -376,7 +376,7 @@ def _strip_root(p: list[int], x: Fraction) -> tuple[list[int], int]:
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals (primitive integer remainder sequence)."""
+    """Monic gcd over the rationals (integer subresultant sequence)."""
     return _monic(_gcd(_primitive(a.coeffs), _primitive(b.coeffs)))
 
 
@@ -417,53 +417,36 @@ def _sturm_chain(
     """Negated-remainder chain starting (p0, p1), nonzero p1, positive scaling.
 
     p0, p1 and every element share one basis, whose multiply-by-x map is
-    ``times_x`` (see ``_neg_prem``).  Every element p_i is primitive, and
-    each step divides its pseudo-remainder by a divisor that the
-    fundamental theorem of subresultants guarantees (Collins 1967, Brown &
-    Traub 1971).  In a normal run, every degree drop 1, starting at
-    S_0 = p_0 and S_1 = p_1, the subresultants are S_2 = prem(S_0, S_1)
-    and S_(i+1) = prem(S_(i-1), S_i) / lc(S_(i-1))^2, integral, and
-    S_i = C_i p_i.  prem(alpha a, beta b) = alpha beta^2 prem(a, b), so the
-    fused value raw_i = prem(p_(i-1), p_i) of ``_neg_prem`` has content
-
-        la^2 |C_(i-1) C_(i+1)| / C_i^2,    la = lc(p_(i-1)).
-
-    With X = la^2 |C_(i-1)|, Y = C_i^2 and g = gcd(X, Y): content * (Y/g)
-    = (X/g) |C_(i+1)| with X/g and Y/g coprime, so d = X/g divides raw_i,
-    and |C_(i+1)| = kappa Y/g with kappa the content of raw_i / d, one
-    integer update per step; d takes nearly all of lc(a)^2 (1478 of its
-    1483 bits on average over every 4th pair with deg Q 100 to 200).  In
+    ``times_x`` (see ``_neg_prem``).  The chain is the subresultant
+    sequence up to sign (Collins 1967, Brown & Traub 1971).  In a normal
+    run, every degree drop 1, starting at S_0 and S_1, the subresultants
+    are S_2 = prem(S_0, S_1) and S_(i+1) = prem(S_(i-1), S_i) /
+    lc(S_(i-1))^2, integral.  prem(+-a, +-b) = +-prem(a, b), with the sign
+    of a, and lc(-a)^2 = lc(a)^2, so the elements p_i = +-S_i come out of
+    the same divisions: each step after a run's first divides the fused
+    pseudo-remainder of ``_neg_prem`` by lc(a)^2, with no gcd.  In
     Chebyshev coordinates the theorem holds for G(y) = 2 g(y/2), y = 2x,
     whose leading coefficient is g's top coordinate and in which the fused
-    value is prem in y (``_times_2x`` is the multiplication by y).  There
-    too C_i is an integer: S_i is an integer combination of the
-    times_x^j(p_0) and times_x^j(p_1), whose coordinates are integers.
+    value is prem in y (``_times_2x`` is the multiplication by y); there
+    too S_i has integer coordinates, as an integer combination of the
+    times_x^j(S_0) and times_x^j(S_1).
 
-    The first step of a run predicts nothing (S_2 = prem(S_0, S_1)), and
-    a step that drops the degree by more than one leaves the normal case
-    the theorem is used in, so both divide by d = 1; after such a step a
-    new run starts at the two elements it leaves, both primitive.
+    A run's first two elements are made primitive: p0 and p1, and after a
+    degree drop of 2 or more, which leaves the normal case the theorem is
+    used in, the element the drop lands on and the one after it.  A new
+    run starts at those two, so its first step divides by 1.  Inside a run
+    the elements keep the contents of the subresultants: on the census
+    chains one or two bits more per step, nearly all of them powers of 2.
     """
     chain = [_primitive(p0), _primitive(p1)]
-    prev = cur = 0  # |C_(i-1)|, |C_i|; 0 starts a normal run
+    run = False  # chain[-2] and chain[-1] continue a normal run
     while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
-        normal = len(a) == len(b) + 1
-        d = 1
-        if normal and cur:
-            x = a[-1] * a[-1] * prev
-            g = math.gcd(x, cur * cur)
-            d = x // g
-        r, content = _neg_prem(a, b, times_x, d)
+        r = _neg_prem(a, b, times_x, a[-1] * a[-1] if run else 1)
         if not r:
             break
-        chain.append(r)
-        if not normal:
-            prev = cur = 0
-        elif cur:
-            prev, cur = cur, content * (cur * cur // g)
-        else:
-            prev, cur = 1, content
+        run = len(a) == len(b) + 1 == len(r) + 2
+        chain.append(r if run else _primitive(r))
     return chain
 
 

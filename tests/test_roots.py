@@ -217,6 +217,12 @@ def dividend_divisor(draw, product=monomial_product):
     return [x + y for x, y in zip(a, r + [0] * len(a))], b
 
 
+# a chain of degrees 7, 6, 5, 3, 2, 1, 0: a normal run, a drop by 2, and a
+# normal run after it
+DROP_7 = [0, 1, 3, 3, 3, -2, 0, -2]
+DROP_6 = [-3, 0, -3, 1, -4, 0, -2]
+
+
 def negated_remainders(a: list[int], b: list[int]) -> list[UniPoly]:
     """s_0 = a, s_1 = b, s_(k+1) = -(s_(k-1) mod s_k) over the rationals,
     down to the last nonzero element."""
@@ -264,6 +270,7 @@ class TestRemainderSequence:
     @example(([-1, 0, 1], [1, 1]))  # x + 1 divides x^2 - 1: zero remainder
     @example(([1, 0, 0, 1], [0, 0, 1]))  # x^3 + 1 mod x^2 = 1: the degree drops by 2
     @example(([2, -3, 0, 5, 1], [7, 0, -2, 3]))  # a normal chain, every drop 1
+    @example((DROP_7, DROP_6))  # a drop by 2 inside the chain; it ends in [12]
     def test_every_element_is_a_positive_multiple(self, ab):
         a, b = ab
         ref = negated_remainders(a, b)
@@ -274,6 +281,7 @@ class TestRemainderSequence:
         assert all(is_positive_multiple(c, s) for c, s in zip(chain, ref))
         g = roots._gcd(roots._primitive(a), roots._primitive(b))
         assert is_positive_multiple(g, ref[-1])
+        assert math.gcd(*g) == 1  # _divexact divides by it
 
     @pytest.mark.usefixtures("exact_bits")
     @settings(max_examples=150, deadline=None)
@@ -319,15 +327,16 @@ class TestRemainderSequence:
         )
 
     def test_frontier_chains_pinned(self, monkeypatch):
-        # every census chain of every 15th pair with 50 <= m - n <= 100,
-        # n <= 12, and of (201, 100), most steps above the 2-adic crossover,
-        # as the floor-division steps built them
+        # the primitive parts of every census chain of every 15th pair with
+        # 50 <= m - n <= 100, n <= 12, and of (201, 100), most steps above
+        # the 2-adic crossover, as the floor-division steps built them
         chains = []
         build = roots._sturm_chain
 
         def recorded(*args):
-            chains.append(build(*args))
-            return chains[-1]
+            chain = build(*args)
+            chains.append([roots._primitive(q) for q in chain])
+            return chain
 
         monkeypatch.setattr(roots, "_sturm_chain", recorded)
         for mn in FRONTIER_PAIRS[::15] + [(201, 100)]:
@@ -360,12 +369,26 @@ def subresultant_contents(chain: list[list[int]], to_poly) -> list[Fraction]:
 
 MONOMIAL_8 = [3, -1, 4, 1, -5, 9, -2, 6, 5]
 # odd first coordinate, the others even: in_y gives it the content 2, and
-# the C_i are integers all the same
+# the subresultants have integer coordinates all the same
 CHEBYSHEV_7 = [3, -8, 4, 2, -6, 10, 4, 6]
 
 
+def recorded_divisors(monkeypatch) -> list[int]:
+    """The divisors d that every later ``_neg_prem`` call is given."""
+    divisors = []
+    step = roots._neg_prem
+
+    def recorded(a, b, times_x, d):
+        divisors.append(d)
+        return step(a, b, times_x, d)
+
+    monkeypatch.setattr(roots, "_neg_prem", recorded)
+    return divisors
+
+
 class TestTwoAdicRemainderSequence:
-    """The predicted divisors, every predicted division taken 2-adically."""
+    """The divisors of the subresultant sequence, every predicted division
+    taken 2-adically."""
 
     @pytest.fixture(autouse=True)
     def every_step_two_adic(self, monkeypatch):
@@ -388,28 +411,29 @@ class TestTwoAdicRemainderSequence:
     def test_divisors_are_the_subresultant_prediction(
         self, monkeypatch, a, b, times_x, to_poly
     ):
-        # each step past the first divides by la^2 C_(i-1) / gcd(., C_i^2),
-        # the C_i read off subresultants computed over the rationals
-        divisors = []
-        step = roots._neg_prem
-
-        def recorded(a, b, times_x, d):
-            divisors.append(d)
-            return step(a, b, times_x, d)
-
-        monkeypatch.setattr(roots, "_neg_prem", recorded)
+        # each step past the first divides by lc(a)^2, and each element is
+        # its subresultant up to sign, computed over the rationals
+        divisors = recorded_divisors(monkeypatch)
         chain = roots._sturm_chain(a, b, times_x)
         assert len(chain[-1]) == 1
         assert all(len(p) == len(q) + 1 for p, q in zip(chain, chain[1:]))
-        c = subresultant_contents(chain, to_poly)
-        assert all(x.denominator == 1 for x in c)
-        c = [int(x) for x in c]
-        expected = [1]
-        for i in range(2, len(chain) - 1):
-            x = chain[i - 1][-1] ** 2 * c[i - 1]
-            expected.append(x // math.gcd(x, c[i] ** 2))
-        assert divisors == expected
+        assert divisors == [1] + [p[-1] ** 2 for p in chain[1:-2]]
         assert max(divisors) > 1
+        assert subresultant_contents(chain, to_poly) == [1] * len(chain)
+
+    def test_a_drop_by_two_starts_a_new_run(self, monkeypatch):
+        # degrees 7, 6, 5, 3, 2, 1, 0: the run's second step divides by
+        # lc(a)^2, the step across the drop by 1, and so does the first step
+        # of the new run at (3, 2); the next divides by lc(a)^2 again
+        divisors = recorded_divisors(monkeypatch)
+        chain = roots._sturm_chain(DROP_7, DROP_6)
+        assert [len(p) - 1 for p in chain] == [7, 6, 5, 3, 2, 1, 0]
+        assert divisors == [1, chain[1][-1] ** 2, 1, 1, chain[4][-1] ** 2]
+        assert min(divisors[1], divisors[4]) > 1
+        ref = negated_remainders(DROP_7, DROP_6)
+        assert all(is_positive_multiple(c, s) for c, s in zip(chain, ref))
+        # the element the drop lands on and the next, primitive, start the run
+        assert math.gcd(*chain[3]) == math.gcd(*chain[4]) == 1
 
 
 class TestChebyshevReduce:
