@@ -8,6 +8,14 @@ rationals), lifts interior roots to explicit kernel-zero witnesses, and
 scans a non-vanishing conjecture across coprime pairs.
 """
 
+import os
+
+# numpy's BLAS on one thread unless the user set a count, before numpy
+# loads: the float census is many small products, which threads only
+# oversubscribe, and ``scan --workers`` already runs a process per core
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .arith import (
     CoprimePair,
     ceil_div,
@@ -29,6 +37,13 @@ from .errors import (
     OutsideDomain,
     ValidationError,
 )
+from .floatroots import (
+    classify_float_roots,
+    interior_float_roots,
+    numeric_roots,
+    root_residuals,
+    spectral_certificate,
+)
 from .kernel import (
     KernelFormula,
     eval_kernel,
@@ -42,14 +57,10 @@ from .poly import BiPoly, UniPoly
 from .qpoly import DiagonalPoly, diagonal_poly
 from .roots import (
     RootCensus,
+    census,
     chebyshev_reduce,
-    classify_float_roots,
-    interior_float_roots,
     interior_root_count,
-    numeric_roots,
     poly_gcd,
-    root_residuals,
-    spectral_certificate,
     squarefree_decomposition,
     squarefree_part,
     sturm_count,

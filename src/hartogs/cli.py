@@ -10,9 +10,10 @@ exact values and plain records, and each ``cmd_*`` turns them into a
 JSON-able record for json or a list of lines for csv and text, built only
 for the format asked for; ``main`` serializes it.  Exact coefficients are
 printed as decimal strings, so no precision is lost in json; ``_fmt_poly``
-prints P and Q in text.  The float root diagnostic of ``roots`` runs here
-too, for json and text, and for csv from k = ``_CSV_CERTIFICATE_K`` on; its
-roots build the spectral certificate that the exact census checks.
+prints P and Q in text.  ``roots`` and ``scan`` reach the census through
+``roots.census``, which certifies from k = ``roots._CERTIFICATE_K`` on.
+The float root diagnostic of ``roots`` json and text runs here, and the
+census builds its certificate from the roots it prints.
 
 Exit codes: 0 success (including conjecture findings, which are reported
 but are not errors); 2 for a ``ValidationError`` (bad input), any other
@@ -32,6 +33,7 @@ import warnings
 
 from .arith import CoprimePair
 from .errors import ConvergenceFailure, HartogsError, InternalMismatch, ValidationError
+from .floatroots import classify_float_roots, numeric_roots, root_residuals
 from .kernel import (
     eval_kernel,
     kernel_formula,
@@ -39,24 +41,10 @@ from .kernel import (
     series_tail_estimate,
 )
 from .qpoly import diagonal_poly
-from .roots import (
-    classify_float_roots,
-    interior_root_count,
-    numeric_roots,
-    root_residuals,
-    spectral_certificate,
-)
+from .roots import census
 from .zeros import scan, zero_witness
 
 __all__ = ["main", "run"]
-
-# k = m - n from which csv runs Aberth to certify the census.  The chain's
-# time over that of Aberth, the certificate and its check (CPU time, best
-# of 3 per pair, median over n <= 12) read 0.82-0.92 at k = 36-39, 0.92-1.03
-# at k = 40, 1.06-1.09 at 41 and 1.2-1.6 at 43-48.  Below it csv runs no
-# float step, which also keeps Aberth's and the FFT's memory out of a
-# process that only ever asks for csv at small k
-_CSV_CERTIFICATE_K = 41
 
 # scan columns in csv and json order; elapsed_ms and error follow when present
 _SCAN_COLUMNS = (
@@ -151,28 +139,24 @@ def cmd_qpoly(args) -> dict | list[str]:
 def cmd_roots(args) -> dict | list[str]:
     pair = CoprimePair(args.m, args.n)
     q = diagonal_poly(pair).poly
-    csv = args.output_format == "csv"
-    # float diagnostic: never replaces the exact census, only checked against
-    # it; its roots choose the certificate, which the census checks exactly
-    float_roots = certificate = error = None
-    if not csv or pair.k >= _CSV_CERTIFICATE_K:
-        try:
-            float_roots = numeric_roots(q)
-        except ConvergenceFailure as exc:
-            error = str(exc)
-        else:
-            certificate = spectral_certificate(q, float_roots)
-    census = interior_root_count(q, certificate)
-    if csv:
+    if args.output_format == "csv":
+        counts = census(q)
         return [
             "inside,on_circle,outside,method",
-            f"{census.inside},{census.on_circle},{census.outside},{census.method}",
+            f"{counts.inside},{counts.on_circle},{counts.outside},{counts.method}",
         ]
-    residuals = None
+    # float diagnostic: never replaces the exact census, only checked against
+    # it; the census builds its certificate from these same printed roots
+    float_roots = residuals = error = None
+    try:
+        float_roots = numeric_roots(q)
+    except ConvergenceFailure as exc:
+        error = str(exc)
+    counts = census(q, float_roots or [])
     if float_roots is not None:
         residuals = root_residuals(q, float_roots)
         triple = classify_float_roots(float_roots)
-        exact = (census.inside, census.on_circle, census.outside)
+        exact = (counts.inside, counts.on_circle, counts.outside)
         if triple != exact:
             warnings.warn(
                 f"float classification {triple} disagrees with exact census {exact}",
@@ -183,11 +167,11 @@ def cmd_roots(args) -> dict | list[str]:
             "m": pair.m,
             "n": pair.n,
             "degree": q.degree,
-            "inside": census.inside,
-            "on_circle": census.on_circle,
-            "outside": census.outside,
-            "method": census.method,
-            "margin_lo": census.margin_lo,
+            "inside": counts.inside,
+            "on_circle": counts.on_circle,
+            "outside": counts.outside,
+            "method": counts.method,
+            "margin_lo": counts.margin_lo,
             "float_roots": (
                 None if float_roots is None else [[r.real, r.imag] for r in float_roots]
             ),
@@ -196,9 +180,9 @@ def cmd_roots(args) -> dict | list[str]:
         }
     lines = [
         f"pair: m={pair.m} n={pair.n}  Q degree {q.degree}",
-        f"census: inside={census.inside} on_circle={census.on_circle} "
-        f"outside={census.outside} (method: {census.method})",
-        f"margin_lo: {census.margin_lo} (proven lower bound on min |Q| / Q(1) "
+        f"census: inside={counts.inside} on_circle={counts.on_circle} "
+        f"outside={counts.outside} (method: {counts.method})",
+        f"margin_lo: {counts.margin_lo} (proven lower bound on min |Q| / Q(1) "
         "on the circle; None where the chain counted)",
     ]
     if error is not None:

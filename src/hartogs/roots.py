@@ -1,4 +1,5 @@
-"""Exact root localization relative to the unit circle, plus float roots.
+"""Exact root localization relative to the unit circle, and the census
+entry point.
 
 Everything that claims a count is proven in exact arithmetic, and every
 exact algorithm runs on integer coefficient lists (ascending degree).  Two
@@ -76,45 +77,21 @@ and squarefree results leave as monic ``UniPoly``s.
   ``squarefree`` unexamined (None).  A margin <= 0 proves nothing, and the
   chain counts as if no certificate had been given.
 
-``numeric_roots`` is the float diagnostic: an Aberth-Ehrlich simultaneous
-iteration with a relative backward-error residual acceptance test, for
-the palindromic p of even degree 2k that every caller sends (Q, or the
-squarefree part of Q with the root -1 divided out); any other p raises
-``NotPalindromic``.  p(s) = s^(2k) p(1/s) closes the roots under
-s -> 1/s, so only k iterates run, started on the k least moduli of the
-Newton polygon of p, and their reciprocals stand in for the other k
-roots in every Aberth sum and in the result.  An iterate that passes the
-test stops moving (Bini 1996; Bini & Fiorentino's MPSolve), so a sweep
-evaluates p, p' and the residual scale of the live iterates only.  Every
-float value of p there comes from ``_power_rows``: one row of powers per
-point, in the order of the points, z^j where |z| <= 1 and z^j / z^deg
-where |z| > 1, so no entry exceeds 1 in modulus at any degree.
-``root_residuals`` evaluates through the same rows, so a returned root
-reads the residual it was accepted at.  The roots leave as exact
-conjugate pairs and exact reals, matched by ``_mirror_partners``, the one
-owner of the real/pair decision for float roots.
-``classify_float_roots`` sorts float roots into inside/on/outside with
-the guard band ``CIRCLE_GUARD``, and ``interior_float_roots``, the
-witness's root finder, keeps those inside it and polishes them by Newton
-on p and p' from Horner's rule, the module's one other float evaluation
-of p (its docstring says why not the power rows).
-``spectral_certificate`` rounds the spectral factor of the float roots
-into a certificate (f, b) for the census.  The census itself never runs a
-float step: floats only choose f, so a poor f makes the margin fail and
-never makes it pass.  The caller that prints float roots (``hartogs
-roots``) compares their classification with the exact census, warns on
-disagreement, never silently fixes it, and keeps the exact census when the
-diagnostic does not converge.
+``census(q)`` is the one entry point of ``hartogs scan`` and ``hartogs
+roots``: from k = ``_CERTIFICATE_K`` on it builds the certificate from
+float roots (``hartogs.floatroots``) and hands it to
+``interior_root_count``; below it, and wherever the float side fails or
+the check refuses, the chain counts.  ``interior_root_count`` itself never
+runs a float step: floats only choose f, so a poor f makes the margin fail
+and never makes it pass.  ``numeric_roots`` and ``spectral_certificate``,
+which this module re-exports, live in ``hartogs.floatroots``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (
     ConvergenceFailure,
@@ -122,6 +99,7 @@ from .errors import (
     NotPalindromic,
     ValidationError,
 )
+from .floatroots import inner_roots, numeric_roots, spectral_certificate
 from .poly import UniPoly
 
 __all__ = [
@@ -129,26 +107,23 @@ __all__ = [
     "chebyshev_reduce",
     "sturm_count",
     "interior_root_count",
+    "census",
     "numeric_roots",
     "spectral_certificate",
     "poly_gcd",
     "squarefree_part",
     "squarefree_decomposition",
-    "root_residuals",
-    "interior_float_roots",
-    "classify_float_roots",
 ]
 
-CIRCLE_GUARD = 1e-9
 _ONE = Fraction(1)
-# sweep budget of numeric_roots before it raises ConvergenceFailure
-_MAX_SWEEPS = 500
-# relative backward error at which numeric_roots stops
-_TOL = 1e-12
-# rows of mirror distances _mirror_partners takes at a time
-_PAIR_ROWS = 32
-# the spacing of doubles at 1, for the stop of interior_float_roots' polish
-_EPS = sys.float_info.epsilon
+# k = deg Q / 2 from which ``census`` certifies.  The chain's CPU time over
+# that of Aberth, the certificate and its check (best of 3 per pair, median
+# over the pairs (n + k, n) with m <= 72) reads 0.95 at k = 32, 1.04-1.07
+# at 36-38, 1.15 at 40, 1.37 at 42, 1.6-2.0 at 44-48 and 2.1-2.7 at 60-70;
+# 41 also keeps the method that ``roots`` csv has always printed.  Below it
+# no float step runs, which keeps Aberth's and the FFT's memory out of a
+# process that only ever censuses small k
+_CERTIFICATE_K = 41
 # deg b * bits(lc a) from which a remainder step divides 2-adically: the
 # 2-adic step pays a fixed cost per step and saves a little per coordinate,
 # and on the census chains of deg Q <= 240 it was the faster one from here on
@@ -662,382 +637,23 @@ def interior_root_count(p: UniPoly, certificate=None) -> RootCensus:
     return census
 
 
-# ---------------------------------------------------------------------------
-# float diagnostics
+def census(q: UniPoly, float_roots=None) -> RootCensus:
+    """The exact census of a palindromic q, certified where that is cheaper.
 
-
-def _float_coeffs(p: UniPoly) -> np.ndarray:
-    """p's coefficients over max |c_i|, each divided exactly before its one
-    rounding, so any positive multiple of p gives the same floats."""
-    top = max(abs(c) for c in p.coeffs)
-    return np.array([float(c / top) for c in p.coeffs])
-
-
-def _power_rows(z: np.ndarray, rows: np.ndarray) -> None:
-    """Fill rows[i] with the powers of z[i], scaled to modulus at most 1.
-
-    The row of a point x holds 1, x, ..., x^deg where |x| <= 1, and y^deg,
-    ..., y, 1 with y = 1/x, i.e. x^j / x^deg, where |x| > 1; deg + 1 is the
-    width of rows.  With c the coefficients of p, row @ c and row[:deg] @
-    (j c_j) are p(x) and p'(x) and |row| @ |c| is sum_j |c_j| |x|^j, all
-    three times the same factor (1 or x^-deg), so the Newton step p/p' and
-    the residual ratio are p's own at any degree.  An outer row takes the
-    powers of y in ascending order, as an inner row those of x, and is then
-    reversed in place.  ``interior_float_roots`` polishes by Horner
-    instead, which its docstring shows to be the more accurate of the two
-    at the roots.
+    With ``float_roots`` None, a q of even degree 2k with k >=
+    ``_CERTIFICATE_K`` gets the certificate that ``spectral_certificate``
+    builds from ``inner_roots``, the k raw Aberth iterates; below that k,
+    and where Aberth raises ConvergenceFailure, no certificate is tried.
+    Given ``float_roots`` (those of ``numeric_roots``, or [] where it
+    failed), the certificate is built from them at any degree and no Aberth
+    runs.  ``interior_root_count`` then checks the certificate exactly, and
+    counts by the chain wherever there is none or it is refused, so the
+    counts never depend on the floats.
     """
-    rows[:, 0] = 1.0
-    rows[:, 1:] = z[:, None]
-    outer = np.abs(z) > 1.0  # most sweeps of a palindromic p have none
-    if outer.any():
-        rows[outer, 1:] = 1.0 / z[outer, None]
-    np.cumprod(rows, axis=1, out=rows)
-    if outer.any():
-        rows[outer] = rows[outer, ::-1]
-
-
-def root_residuals(p: UniPoly, roots) -> list[float]:
-    """Relative backward-error residuals |p(r)| / sum_i |c_i| |r|^i.
-
-    Both sums come from the rows of ``_power_rows`` and the coefficients of
-    ``_float_coeffs``, the arithmetic ``numeric_roots`` tests its iterates
-    with, so each of its roots reads the residual it was accepted at, and
-    neither sum overflows at any degree.
-    """
-    if p.is_zero:
-        raise ValidationError("the zero polynomial has no residuals")
-    coeffs = _float_coeffs(p)
-    r = np.array(roots, dtype=complex)
-    rows = np.empty((r.size, coeffs.size), dtype=complex)
-    _power_rows(r, rows)
-    value = np.abs(rows @ coeffs)
-    np.abs(rows, out=rows)
-    scale = (rows @ np.abs(coeffs)).real
-    # p(r) == 0 reads 0 even where the scale is 0 too; a NaN stays NaN
-    return np.divide(value, scale, out=np.zeros_like(scale), where=value != 0).tolist()
-
-
-def interior_float_roots(p: UniPoly) -> list[complex]:
-    """The float roots of a squarefree palindromic p with |r| < 1 -
-    CIRCLE_GUARD, each polished by Newton, closed under conjugation and
-    sorted by (real, imag).
-
-    A palindromic p of odd degree n has p(-1) = (-1)^n p(-1) = 0, and
-    s + 1 is divided out of it, leaving a palindromic p of even degree for
-    ``numeric_roots``.  (The squarefree part of a Q is palindromic, as
-    Q(1) = m^3 > 0, and of odd degree iff Q(-1) = 0.)
-    ``numeric_roots`` gives exact reals and exact conjugate pairs, so only
-    roots on or above the real axis are polished: a real start stays real,
-    and a root above the axis brings its exact conjugate.  p is squarefree
-    because Newton converges only linearly at a multiple root.  Each step
-    takes p and p' from one Horner pass over the coefficients of p / lc(p),
-    each divided exactly before its one rounding, top degree first; the
-    polish stops after 60 steps, at p' = 0, or at a step within two double
-    spacings of z, which includes every step that leaves z where it is.
-
-    Horner and lc(p) are more accurate here than the arithmetic of
-    ``numeric_roots``.  Over the 11,822 interior roots on or above the
-    real axis of the 1,101 coprime pairs with m <= 60, against 40-digit
-    roots, ``_power_rows`` left 1.6 times Horner's rounding noise at the
-    roots (median |p| 1.65e-17 against 1.01e-17 of the residual scale) and
-    polished to relative errors of median 3.2e-16 and worst 2.1e-14, where
-    Horner reaches 2.1e-16 and 7.4e-15; ``_float_coeffs``' scaling by
-    max |c_i| gives 2.2e-16 and 7.7e-15.
-    """
-    p = p.div_rem(UniPoly([1, 1]))[0] if p.degree % 2 else p
-    lead = p.coeffs[-1]
-    top = [float(c / lead) for c in reversed(p.coeffs)]
-    out = []
-    for z in numeric_roots(p):
-        if abs(z) >= 1.0 - CIRCLE_GUARD or z.imag < 0:
-            continue
-        real = z.imag == 0
-        for _ in range(60):
-            pz = dz = 0j
-            for c in top:
-                dz = dz * z + pz
-                pz = pz * z + c
-            if dz == 0:
-                break
-            step = pz / dz
-            z -= step
-            if abs(step) <= 2 * _EPS * abs(z):
-                break  # within two double spacings of z: rounding noise from here
-        out += [complex(z.real)] if real else [z, z.conjugate()]
-    return sorted(out, key=lambda r: (r.real, r.imag))
-
-
-def spectral_certificate(p: UniPoly, roots) -> tuple[list[int], int] | None:
-    """A certificate (f, b) for ``interior_root_count``, built from float
-    roots of p (those of ``numeric_roots``), or None where none is found.
-
-    p must be palindromic of degree 2k >= 2 for the certificate to mean
-    anything; any other degree gives None.  The census checks the
-    certificate exactly, so a None here, or an f the check refuses, only
-    leaves the census to the Sturm chain.
-
-    With c = q / max |q_i|, the coefficients of ``_float_coeffs``, and
-    T(theta) = c_k + 2 sum_j c_(k+j) cos(j theta), the spectral factor F
-    of T - eps (Fejer and Riesz) is sqrt(a) prod(s - rho) over the k roots
-    rho of c - eps s^k inside the circle, a = c_2k / prod(-rho) > 0, so
-    that F rev(F) = c - eps s^k; f = rint(2^b F), for ``_spectral_margin``.
-    Steps:
-
-    * refuse unless exactly k of the roots lie inside the circle;
-    * eps = T_min / 4, with T_min the least T on an rfft grid of
-      max(4096, 2^ceil(log2 8k)) points and at the argument of each inside
-      root, where the grid alone misses the dips;
-    * rho: at most 10 Newton steps on c - eps s^k from the inside roots, p
-      and p' from ``_power_rows``, until no step moves a root by more than
-      ``_TOL`` relative (Newton squares the error, so the step after that
-      would be rounding noise);
-    * F from its values sqrt(a) prod(omega - rho) at the N =
-      2^ceil(log2(k + 2)) roots of unity omega, one product each, and one
-      FFT: multiplying k roots out into coefficients fails from k ~ 100.
-      |omega - rho| < 2, and sqrt(a) = F_k <= 1 since sum F_i^2 = c_k -
-      eps < 1, so each value stays below 2^k in modulus, finite for
-      k <= 1000; past that a value may overflow to inf, and F is refused;
-    * b = 52 - e with max|F| = m 2^e, 1/2 <= m < 1, so f has 52 bits.
-
-    Floats only choose f: a poor f makes the margin fail, never pass.  The
-    float side refuses on any non-finite value instead of warning.
-    """
-    if p.degree < 2 or p.degree % 2:
-        return None
-    c = _float_coeffs(p)
-    k = p.degree // 2
-    z = np.asarray(roots, dtype=complex)
-    rho = z[np.abs(z) < 1.0]  # the roots inside, moved onto c - eps s^k below
-    if rho.size != k:
-        return None
-    v = np.concatenate(([c[k]], 2.0 * c[k + 1 :]))  # T = sum_j v_j cos(j theta)
-    with np.errstate(all="ignore"):
-        grid = np.fft.rfft(v, max(4096, 1 << (8 * k - 1).bit_length())).real
-        dips = np.cos(np.outer(np.angle(rho), np.arange(k + 1))) @ v
-        eps = 0.25 * min(grid.min(), dips.min())
-        if not 0 < eps < math.inf:
-            return None
-        shifted = c.copy()
-        shifted[k] -= eps
-        dshifted = shifted[1:] * np.arange(1, 2 * k + 1)
-        rows = np.empty((k, 2 * k + 1), dtype=complex)
-        for _ in range(10):
-            _power_rows(rho, rows)
-            step = (rows @ shifted) / (rows[:, :-1] @ dshifted)
-            rho = rho - step
-            if not (np.abs(step) > _TOL * np.abs(rho)).any():
-                break  # the next step is rounding noise; a NaN is refused below
-        if not (np.abs(rho) < 1.0).all():
-            return None
-        phase = np.prod(-rho / np.abs(rho))  # prod(-rho) / |prod(rho)|
-        if not phase.real * c[-1] > 0:
-            return None  # a < 0, or c_2k rounded to 0
-        root_a = np.exp(0.5 * (math.log(abs(c[-1])) - np.log(np.abs(rho)).sum()))
-        size = 1 << (k + 1).bit_length()
-        unity = np.exp(2j * math.pi * np.arange(size) / size)
-        values = root_a * np.prod(unity[:, None] - rho, axis=1)
-        F = (np.fft.fft(values) / size).real[: k + 1]
-        if not np.isfinite(F).all():
-            return None
-        b = 52 - math.frexp(float(np.abs(F).max()))[1]
-        if b < 0:
-            return None
-        return np.rint(np.ldexp(F, b)).astype(np.int64).tolist(), b
-
-
-def classify_float_roots(roots) -> tuple[int, int, int]:
-    """(inside, on, outside) counts of float roots, guard band CIRCLE_GUARD."""
-    inside = on = outside = 0
-    for r in roots:
-        a = abs(r)
-        if a < 1.0 - CIRCLE_GUARD:
-            inside += 1
-        elif a <= 1.0 + CIRCLE_GUARD:
-            on += 1
-        else:
-            outside += 1
-    return inside, on, outside
-
-
-def _aberth_starts(abs_coeffs: np.ndarray) -> np.ndarray:
-    """Aberth's k starting points for a palindromic p of degree 2k, on the
-    moduli of the Newton polygon (Bini 1996).
-
-    The upper convex hull of the points (j, log|c_j|), zero coefficients
-    left out, has vertices i0 < i1 < ...; an edge from i0 to i1 gives
-    i1 - i0 moduli (|c_i0| / |c_i1|)^(1/(i1 - i0)).  The k smallest of the
-    2k moduli go to the angles 2 pi j / k + 0.4; the reciprocals of the
-    starts stand in for the other k.  abs_coeffs must be nonzero at both
-    ends, as it is for a palindromic p.
-    """
-    hull: list[tuple[int, float]] = []
-    for j, c in enumerate(abs_coeffs.tolist()):
-        if c == 0:
-            continue
-        y = math.log(c)
-        while len(hull) > 1:
-            (j0, y0), (j1, y1) = hull[-2], hull[-1]
-            if (y1 - y0) * (j - j0) > (y - y0) * (j1 - j0):
-                break  # (j1, y1) lies above the chord from (j0, y0) to (j, y)
-            hull.pop()
-        hull.append((j, y))
-    # the slopes fall along an upper hull, so the moduli come out ascending
-    edges = list(zip(hull, hull[1:]))
-    moduli = np.repeat(
-        [math.exp((y0 - y1) / (j1 - j0)) for (j0, y0), (j1, y1) in edges],
-        [j1 - j0 for (j0, _), (j1, _) in edges],
-    )
-    k = moduli.size // 2
-    return moduli[:k] * np.exp(1j * (2.0 * math.pi * np.arange(k) / k + 0.4))
-
-
-def _mirror_partners(roots) -> list[int]:
-    """partner[i] = j when float roots i and j are one conjugate pair, and
-    partner[i] = i when root i is real.
-
-    Roots of a real polynomial are mirror images of one another across the
-    real axis up to float noise.  Pairs are matched greedily, nearest first,
-    on the distance |r_j - conj(r_i)|, which is symmetric in i and j and is
-    2|Im r_i| for i = j.  Both members of a pair are classified by that one
-    distance, so every root gets exactly one role.  A vectorized pass first
-    settles every i and j that are each other's strictly nearest: no edge
-    of either is shorter, so the greedy order would match them too, and
-    only the roots it leaves go through the greedy loop.
-    """
-    x, y = np.real(roots), np.imag(roots)
-    n = x.size
-    nearest = np.empty(n, dtype=int)
-    strict = np.empty(n, dtype=bool)
-    # dist[i, j] = |r_j - conj r_i| = hypot(x_i - x_j, y_i + y_j), one block
-    # of rows at a time, so that no n x n array is built
-    for lo in range(0, n, _PAIR_ROWS):
-        rows = slice(lo, lo + _PAIR_ROWS)
-        dist = np.hypot(np.subtract.outer(x[rows], x), np.add.outer(y[rows], y))
-        near = dist.argmin(axis=1)
-        least = dist[np.arange(near.size), near]
-        nearest[rows] = near
-        strict[rows] = (dist == least[:, None]).sum(axis=1) == 1
-    idx = np.arange(n)
-    mutual = strict & strict[nearest] & (nearest[nearest] == idx)
-    partner = np.where(mutual, nearest, -1)
-    rest = np.flatnonzero(~mutual).tolist()
-    edges = sorted(
-        (math.hypot(x[i] - x[j], y[i] + y[j]), i, j)
-        for a, i in enumerate(rest)
-        for j in rest[a:]
-    )
-    for _, i, j in edges:
-        if partner[i] < 0 and partner[j] < 0:
-            partner[i], partner[j] = j, i
-    return partner.tolist()
-
-
-def _exact_pairs(roots: list[complex]) -> list[complex]:
-    """Roots sorted by (real, imag), each conjugate pair exact, the rest real.
-
-    A pair becomes its member above the real axis and that member's
-    conjugate.  The non-real roots of a real polynomial come in conjugate
-    pairs, so a root without a partner is real, and it keeps its real part
-    only, which lies no farther from a real root than the root itself.
-    """
-    out = []
-    for i, j in enumerate(_mirror_partners(roots)):
-        if j == i:
-            out.append(complex(roots[i].real))
-        elif i < j:
-            upper = max(roots[i], roots[j], key=lambda r: r.imag)
-            out += [upper, upper.conjugate()]
-    return sorted(out, key=lambda r: (r.real, r.imag))
-
-
-def numeric_roots(p: UniPoly) -> list[complex]:
-    """All complex roots of a palindromic p of degree 2k (every Q) by
-    Aberth-Ehrlich simultaneous iteration on half of them.
-
-    p(s) = s^(2k) p(1/s) puts 1/r among the roots with r, with the same
-    multiplicity, and p(0) = lc(p) != 0, so only the k starts of
-    ``_aberth_starts`` (of least modulus) are iterated, and the reciprocals
-    of the k iterates stand in for the other k roots: each correction sums
-    1/(z_i - w) over the other iterates and over every iterate's
-    reciprocal, and the roots leave as the pairs of z and 1/z.  An iterate
-    may settle on an outer root; its reciprocal is then the inner one.  A
-    circle root e^(i theta) takes one iterate, whose reciprocal is the root
-    e^(-i theta), and a double root at +-1 one iterate and its reciprocal.
-    In exact arithmetic the relative residual of 1/z equals that of z, as
-    p's coefficients read the same both ways.  p of odd degree, or not
-    palindromic, raises NotPalindromic.
-
-    An iterate is converged once it satisfies the relative backward-error
-    residual |p(r)| / sum |c_i||r|^i <= _TOL, and from then on it stays
-    where it is: later sweeps evaluate and correct only the live iterates,
-    while the frozen ones stay in every Aberth sum (as in Bini &
-    Fiorentino's MPSolve).  ConvergenceFailure is raised if the
-    ``_MAX_SWEEPS`` sweeps run out before every iterate is frozen; a NaN
-    iterate never passes.  The iterates start on the moduli of the Newton
-    polygon (``_aberth_starts``): Q(3, 1) and s^2 + 6s + 1 converge in 5
-    and 4 sweeps, the last of them the check, where k starts on the unit
-    circle take 34 and 39.  The roots are paired by ``_mirror_partners``: each
-    conjugate pair comes back as its member above the real axis and that
-    member's exact conjugate, so the order of a pair never rests on float
-    noise, and a root without a partner comes back real.  Roots come back
-    sorted by (real, imag).
-
-    The residual, like ``root_residuals`` (the CLI's ``float_residuals``),
-    is a backward error, not a distance to the exact root: the copies of a
-    root of multiplicity mu are accurate only to about _TOL^(1/mu), for a
-    double root sqrt(1e-12) = 1e-6 relative.  For Q(5, 3) =
-    5(s^2 + 3s + 1)^2 the residuals are 3.7e-13, yet each copy lies 1.6e-6
-    relative (0.6e-6 and 4.3e-6 absolute) from its root: a copy stops as
-    soon as its residual passes.
-
-    The coefficients come from ``_float_coeffs``, so any positive multiple
-    of p gives the same roots.  Each sweep fills the first rows of one
-    table, a row per iterate (k of them) and 2k + 1 columns, with the rows
-    of ``_power_rows`` of the live iterates, so p, p' and the scale are
-    matrix-vector products at any degree; those rows then take their
-    moduli in place, and their first 2k columns the 1/(z_i - w) of each
-    live i against all 2k roots w, so a sweep allocates no array of its
-    own of that size.  The tests check convergence, and the float census
-    against the exact one, on Q for (78, 5), (79, 1), (99, 4), (101, 1),
-    (120, 1), (160, 1), (200, 1), (150, 1), (199, 197), (301, 1),
-    (401, 1) and (401, 3) (degree up to 800), every 15th of the 376 pairs
-    with 50 <= m - n <= 100, n <= 12, and every coprime pair with m <= 60.
-    """
-    if p.degree < 1:
-        raise ValidationError("need degree >= 1 to compute roots")
-    if p.degree % 2 or not p.is_palindromic():
-        raise NotPalindromic("numeric_roots needs a palindromic p of even degree")
-    n = p.degree
-    coeffs = _float_coeffs(p)
-    dcoeffs = coeffs[1:] * np.arange(1, n + 1)
-    abs_coeffs = np.abs(coeffs)
-    z = _aberth_starts(abs_coeffs)
-    table = np.empty((z.size, n + 1), dtype=complex)  # the one work buffer
-    live = np.arange(z.size)  # the iterates that still move
-    for _ in range(_MAX_SWEEPS):
-        rows = table[: live.size]
-        zl = z[live]
-        _power_rows(zl, rows)
-        pv = rows @ coeffs
-        dv = rows[:, :n] @ dcoeffs
-        np.abs(rows, out=rows)
-        scale = (rows @ abs_coeffs).real
-        moving = ~(np.abs(pv) <= _TOL * scale)  # a NaN never passes
-        full = np.concatenate((z, 1.0 / z))  # all n roots
-        if not moving.any():
-            return _exact_pairs(full.tolist())
-        live, zl, pv, dv = live[moving], zl[moving], pv[moving], dv[moving]
-        pairwise = table[: live.size, :n]
-        dv = np.where(dv == 0, 1e-300, dv)
-        w = pv / dv
-        np.subtract(zl[:, None], full[None, :], out=pairwise)
-        pairwise[np.arange(live.size), live] = np.inf
-        np.divide(1.0, pairwise, out=pairwise)
-        s = pairwise.sum(axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(denom == 0, 1e-300, denom)
-        z[live] = zl - w / denom
-    raise ConvergenceFailure(
-        f"Aberth-Ehrlich did not reach residual {_TOL} in {_MAX_SWEEPS} sweeps"
-    )
+    if float_roots is None and q.degree % 2 == 0 and q.degree >= 2 * _CERTIFICATE_K:
+        try:
+            float_roots = inner_roots(q)
+        except ConvergenceFailure:
+            pass
+    certificate = None if float_roots is None else spectral_certificate(q, float_roots)
+    return interior_root_count(q, certificate)

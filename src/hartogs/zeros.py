@@ -9,13 +9,16 @@ interior points at which the kernel vanishes:
 so that z1*conj(w1) = z2*conj(w2) = s0 and K(z, w) is a nonzero multiple
 of s0^(2n-1) Q(s0) = 0.  The candidates are the interior Aberth roots of
 the squarefree part of Q, real or complex, each polished by Newton in
-``hartogs.roots``.  Which interior root is used is a free choice;
+``hartogs.floatroots``.  Which interior root is used is a free choice;
 candidates are ordered deterministically and selected by index.
 
 The scanner walks every coprime pair with m <= m_max and records the exact
 circle root count of Q and the interior count (degree - circle)/2 that the
-reciprocal pairing derives from it.  The conjecture under scan: Q never
-vanishes on |s| = 1, hence has exactly k = m - n roots inside the disk.
+reciprocal pairing derives from it, both from ``roots.census``: from
+k = 41 on a Fejer-Riesz certificate, checked exactly, proves the circle
+count 0, and below that, or where no certificate passes, the Sturm chain
+counts.  The conjecture under scan: Q never vanishes on |s| = 1, hence has
+exactly k = m - n roots inside the disk.
 A violation is a finding, not an error; it is flagged in the row and the
 scan keeps going.
 
@@ -33,9 +36,10 @@ from dataclasses import dataclass
 from .arith import CoprimePair
 from .domain import interior_margin
 from .errors import InternalMismatch, NoInteriorRoot, ValidationError
+from .floatroots import interior_float_roots
 from .kernel import kernel_formula
 from .qpoly import diagonal_poly
-from .roots import interior_float_roots, interior_root_count, squarefree_part
+from .roots import census, interior_root_count, squarefree_part
 
 __all__ = [
     "ZeroWitness",
@@ -72,13 +76,15 @@ def witness_candidates(pair: CoprimePair) -> list[complex]:
     squarefree part of Q: interior roots can have even multiplicity (Q for
     (5,3) is 5(s^2+3s+1)^2), where Newton on Q itself would converge only
     linearly.  When the census finds Q squarefree, Q's own int
-    coefficients serve, so no second gcd runs.
+    coefficients serve, so no second gcd runs.  That flag comes from the
+    Sturm chain alone, so the census here is ``interior_root_count``, not
+    the certified ``roots.census``.
     """
     q = diagonal_poly(pair).poly
-    census = interior_root_count(q)
-    if census.inside == 0:
+    counts = interior_root_count(q)
+    if counts.inside == 0:
         raise NoInteriorRoot(f"Q for {pair} has no root inside the unit disk")
-    candidates = interior_float_roots(q if census.squarefree else squarefree_part(q))
+    candidates = interior_float_roots(q if counts.squarefree else squarefree_part(q))
     if not candidates:
         raise InternalMismatch(
             f"census reports interior roots for {pair} but the float finder found none"
@@ -160,16 +166,16 @@ def _scan_pair(pair: CoprimePair) -> ScanRow:
     start = time.perf_counter()
     try:
         q = diagonal_poly(pair).poly
-        census = interior_root_count(q)
+        counts = census(q)
         elapsed = (time.perf_counter() - start) * 1000.0
-        holds = census.on_circle == 0 and census.inside == pair.k
+        holds = counts.on_circle == 0 and counts.inside == pair.k
         return ScanRow(
             pair.m,
             pair.n,
             pair.k,
             q.degree,
-            census.on_circle,
-            census.inside,
+            counts.on_circle,
+            counts.inside,
             holds,
             elapsed,
         )

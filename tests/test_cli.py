@@ -19,8 +19,9 @@ from hartogs import (
     CoprimePair,
     cli,
     diagonal_poly,
+    floatroots,
     numerator_effective,
-    numeric_roots,
+    roots,
 )
 from hartogs.cli import main
 
@@ -136,17 +137,19 @@ class TestRootsCommand:
 
     @pytest.fixture
     def aberth_calls(self, monkeypatch):
+        # the one iteration behind numeric_roots and inner_roots alike
         calls = []
+        aberth = floatroots._aberth
 
         def counted(p):
             calls.append(p.degree)
-            return numeric_roots(p)
+            return aberth(p)
 
-        monkeypatch.setattr(cli, "numeric_roots", counted)
+        monkeypatch.setattr(floatroots, "_aberth", counted)
         return calls
 
     def test_csv_below_the_crossover_runs_no_float_step(self, capsys, aberth_calls):
-        k = cli._CSV_CERTIFICATE_K - 1
+        k = roots._CERTIFICATE_K - 1
         rc, out, _ = run(
             capsys, ["roots", "--m", str(k + 1), "--n", "1", "--output-format", "csv"]
         )
@@ -194,7 +197,7 @@ class TestRootsCommand:
         def fail(p):
             raise ConvergenceFailure("Aberth-Ehrlich gave up")
 
-        monkeypatch.setattr(cli, "numeric_roots", fail)
+        monkeypatch.setattr(floatroots, "_aberth", fail)
         rc, out, err = run(
             capsys, ["roots", "--m", "79", "--n", "1", "--output-format", "csv"]
         )
@@ -502,6 +505,36 @@ class TestScanCommand:
             check=True,
         ).stdout
         assert out == "False\n"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [({}, ("1", "1", "1")), ({"OPENBLAS_NUM_THREADS": "3"}, ("3", "1", "1"))],
+    ids=["default", "user-set"],
+)
+def test_blas_thread_counts_are_set_before_numpy_loads(preset, expected):
+    # the thread counts as numpy's first import sees them
+    code = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        f"            seen.append(tuple(os.environ.get(v) for v in {BLAS_VARS!r}))\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import hartogs.cli\n"
+        "print(seen)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, PYTHONPATH=str(Path(hartogs.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out == f"{[expected]}\n"
 
 
 class TestFileOutput:

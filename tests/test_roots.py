@@ -32,8 +32,8 @@ from hartogs import (
     squarefree_part,
     sturm_count,
 )
-from hartogs import roots
-from hartogs.roots import _mirror_partners
+from hartogs import floatroots, roots
+from hartogs.floatroots import _mirror_partners
 from hartogs.qpoly import diagonal_poly
 
 
@@ -827,6 +827,62 @@ class TestSpectralCertificate:
         assert lo <= exact < math.nextafter(lo, math.inf)
 
 
+# s^2 + s + 1: the circle roots e^(+-2 pi i / 3)
+CIRCLE_PAIR = UniPoly([1, 1, 1])
+
+
+class TestCensus:
+    """The entry point: the certificate from k = _CERTIFICATE_K on, the chain
+    below it and wherever the certificate is missing or refused."""
+
+    @pytest.mark.parametrize(
+        "p, expected",
+        [
+            # a double circle pair: T >= 0 touches 0, and the float side
+            # refuses to build a certificate
+            (CIRCLE_PAIR * CIRCLE_PAIR * q_of(40, 1), (39, 4, 39)),
+            # a simple circle pair: T changes sign, so no certificate is built
+            (CIRCLE_PAIR * q_of(41, 1), (40, 2, 40)),
+            # odd degree: the root -1, which only the chain counts
+            (UniPoly([1, 1]) * q_of(42, 1), (41, 1, 41)),
+        ],
+        ids=["double-circle-pair", "circle-pair", "odd-degree"],
+    )
+    def test_refused_rows_fall_back_to_the_chain(self, p, expected):
+        assert p.degree >= 2 * roots._CERTIFICATE_K
+        census = roots.census(p)
+        assert census == interior_root_count(p)
+        assert triple(census) == expected
+
+    def test_a_certificate_is_never_trusted_unchecked(self, monkeypatch):
+        # a stand-in hands the census Q(42, 1)'s valid certificate for a p of
+        # the same degree with a circle pair: only the exact margin refuses
+        q = q_of(42, 1)
+        wrong = roots.spectral_certificate(q, numeric_roots(q))
+        assert interior_root_count(q, wrong).method == "spectral"
+        monkeypatch.setattr(roots, "spectral_certificate", lambda p, found: wrong)
+        p = CIRCLE_PAIR * q_of(41, 1)
+        assert roots.census(p) == interior_root_count(p)
+
+    def test_53_falls_back_from_its_printed_roots(self):
+        # the certificate from the roots json and text print is refused
+        q = q_of(5, 3)
+        for float_roots in (numeric_roots(q), []):
+            census = roots.census(q, float_roots)
+            assert census.method == "palindromic_pairing"
+            assert triple(census) == (2, 0, 2)
+
+    def test_inner_roots_are_the_inside_of_numeric_roots(self):
+        # the k raw iterates, each as z or 1/z, against the paired 2k roots
+        for q in (q_of(42, 1), q_of(81, 5)):
+            inner = floatroots.inner_roots(q)
+            paired = np.array([r for r in numeric_roots(q) if abs(r) < 1])
+            assert inner.size == paired.size == q.degree // 2
+            gaps = np.abs(np.subtract.outer(inner, paired))
+            assert gaps.min(axis=1).max() < 1e-9
+            assert sorted(gaps.argmin(axis=1)) == list(range(paired.size))
+
+
 def exact_residual(coeffs, r: complex) -> float:
     """|p(r)| / sum_i |c_i| |r|^i at the float r, from exact integers.
 
@@ -881,8 +937,8 @@ class TestNumericRoots:
 
     def test_a_nan_iterate_never_passes(self, monkeypatch):
         # a NaN residual compares false both ways, so it must read as moving
-        monkeypatch.setattr(roots, "_MAX_SWEEPS", 3)
-        monkeypatch.setattr(roots, "_aberth_starts", lambda c: np.array([complex("nan")]))
+        monkeypatch.setattr(floatroots, "_MAX_SWEEPS", 3)
+        monkeypatch.setattr(floatroots, "_aberth_starts", lambda c: np.array([complex("nan")]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ConvergenceFailure):
@@ -908,7 +964,7 @@ class TestNumericRoots:
         for pair in pairs:
             q = diagonal_poly(pair).poly
             worst = max(root_residuals(q, numeric_roots(q)))
-            if worst > roots._TOL:
+            if worst > floatroots._TOL:
                 over.append((pair, worst))
         assert over == []
 
@@ -920,7 +976,7 @@ class TestNumericRoots:
         exact = [-1000, 1e-3, -2j, 2j, 2, 0.5 + 0.5j]
         for r, got in zip(exact, root_residuals(p, exact)):
             assert abs(got - exact_residual(p.coeffs, r)) <= 1e-15
-        assert max(root_residuals(p, exact[:5])) <= roots._TOL
+        assert max(root_residuals(p, exact[:5])) <= floatroots._TOL
 
     def test_sorted_output(self):
         roots = numeric_roots(UniPoly([1, 1, 1]))  # e^(+-2 pi i / 3)
@@ -972,17 +1028,17 @@ class TestNumericRoots:
     )
     def test_converges_within_eight_sweeps(self, monkeypatch, p):
         # k starts on the unit circle need 34, 39 and 29 sweeps here
-        monkeypatch.setattr(roots, "_MAX_SWEEPS", 8)
+        monkeypatch.setattr(floatroots, "_MAX_SWEEPS", 8)
         found = numeric_roots(p)
         assert len(found) == p.degree
-        assert max(root_residuals(p, found)) <= roots._TOL
+        assert max(root_residuals(p, found)) <= floatroots._TOL
 
     def test_starts_on_the_newton_polygon(self):
         # the moduli are 1/6, 6/13, 13/6 and 6; the two least are the starts
-        starts = roots._aberth_starts(np.array([1.0, 6.0, 13.0, 6.0, 1.0]))
+        starts = floatroots._aberth_starts(np.array([1.0, 6.0, 13.0, 6.0, 1.0]))
         assert sorted(np.abs(starts)) == pytest.approx([1 / 6, 6 / 13], rel=1e-14)
         # zero coefficients and equal moduli still give two distinct starts
-        a, b = roots._aberth_starts(np.array([1.0, 0.0, 0.0, 0.0, 1.0]))
+        a, b = floatroots._aberth_starts(np.array([1.0, 0.0, 0.0, 0.0, 1.0]))
         assert abs(a) == pytest.approx(1.0, rel=1e-14)
         assert abs(b) == pytest.approx(1.0, rel=1e-14)
         assert abs(a - b) > 1
@@ -998,7 +1054,7 @@ class TestNumericRoots:
         assert sorted(nonreal, key=lambda r: (r.real, r.imag)) == sorted(
             (r.conjugate() for r in nonreal), key=lambda r: (r.real, r.imag)
         )
-        assert max(root_residuals(q, found)) <= roots._TOL
+        assert max(root_residuals(q, found)) <= floatroots._TOL
 
     def test_matches_numpy(self):
         p = UniPoly([3, -2, 0, 5, 1, 5, 0, -2, 3])
@@ -1038,7 +1094,7 @@ class TestNumericRoots:
         q = diagonal_poly(CoprimePair(*mn)).poly
         found = numeric_roots(q)
         assert len(found) == q.degree
-        assert max(root_residuals(q, found)) <= roots._TOL
+        assert max(root_residuals(q, found)) <= floatroots._TOL
         k = mn[0] - mn[1]
         assert classify_float_roots(found) == (k, 0, k)
 
@@ -1076,7 +1132,7 @@ class TestHalfIteration:
         assert len(found) == p.degree
         if simple:
             assert closed_under_pairing(found)
-            assert max(root_residuals(p, found)) <= roots._TOL
+            assert max(root_residuals(p, found)) <= floatroots._TOL
             exact = np.roots([float(c) for c in reversed(p.coeffs)])
             assert max(min(abs(f - r) for f in found) for r in exact) <= 1e-9
         else:
@@ -1096,16 +1152,16 @@ class TestHalfIteration:
         # the k starts of _aberth_starts lie inside: the first sweep
         # evaluates exactly those, in their order
         seen = []
-        power_rows = roots._power_rows
+        power_rows = floatroots._power_rows
 
         def record(z, rows):
             seen.append(z.copy())
             power_rows(z, rows)
 
-        monkeypatch.setattr(roots, "_power_rows", record)
+        monkeypatch.setattr(floatroots, "_power_rows", record)
         q = q_of(41, 3)
         numeric_roots(q)
-        starts = roots._aberth_starts(np.abs(roots._float_coeffs(q)))
+        starts = floatroots._aberth_starts(np.abs(floatroots._float_coeffs(q)))
         assert starts.size == q.degree // 2
         assert np.array_equal(seen[0], starts)
         assert (np.abs(starts) < 1).all()

@@ -11,6 +11,7 @@ import math
 import pytest
 
 from hartogs import (
+    ConvergenceFailure,
     CoprimePair,
     ScanRow,
     ValidationError,
@@ -25,7 +26,7 @@ from hartogs import (
     witness_candidates,
     zero_witness,
 )
-from hartogs import cli, roots, zeros
+from hartogs import cli, floatroots, roots, zeros
 from hartogs.cli import main
 
 SCAN_HEADER = "m,n,k,degree,circle_count,interior_count,conjecture_holds"
@@ -330,6 +331,40 @@ class TestScan:
             "fc9ccbfa00b6c3030e2cef937e9279d48b89d5191ec19993df897066ff36973d"
         )
 
+    def test_certified_rows_equal_the_chain_to_100(self, monkeypatch):
+        # the chain is the oracle: on every coprime pair with m <= 100 the
+        # row's counts are interior_root_count(q)'s, and every row from
+        # k = 41 on, and none below, was proven by its certificate
+        methods = []
+        check = roots.interior_root_count
+
+        def recorded(q, certificate=None):
+            counts = check(q, certificate)
+            methods.append(counts.method)
+            return counts
+
+        monkeypatch.setattr(roots, "interior_root_count", recorded)
+        rows = scan(100)
+        assert len(rows) == len(methods) == 3043
+        for row, method in zip(rows, methods):
+            chain = interior_root_count(diagonal_poly(CoprimePair(row.m, row.n)).poly)
+            assert (row.circle_count, row.interior_count) == (
+                chain.on_circle, chain.inside
+            ), row
+            assert method == ("spectral" if row.k >= 41 else "palindromic_pairing"), row
+
+    def test_a_failed_aberth_leaves_the_row_to_the_chain(self, monkeypatch):
+        calls = []
+
+        def fail(p):
+            calls.append(p.degree)
+            raise ConvergenceFailure("Aberth-Ehrlich gave up")
+
+        monkeypatch.setattr(floatroots, "_aberth", fail)
+        rows = scan(47, k=41)
+        assert calls == [82] * len(rows) == [82] * 6
+        assert all(row.conjecture_holds and row.error is None for row in rows)
+
     def test_json_round_trip(self, capsys):
         rows = scan(6)
         assert main(["scan", "--m-max", "6", "--no-timing", "--output-format", "json"]) == 0
@@ -385,14 +420,14 @@ class TestScan:
 
         expected = untimed(scan(8))
         failing = diagonal_poly(CoprimePair(5, 3)).poly
-        census = zeros.interior_root_count
+        census = zeros.census
 
         def census_failing_on_53(q):
             if q == failing:
                 raise ArithmeticError("injected")
             return census(q)
 
-        monkeypatch.setattr(zeros, "interior_root_count", census_failing_on_53)
+        monkeypatch.setattr(zeros, "census", census_failing_on_53)
         rows = untimed(scan(8))
         assert len(rows) == len(expected)
         for row, want in zip(rows, expected):
