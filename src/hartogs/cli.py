@@ -11,7 +11,8 @@ JSON-able record for json or a list of lines for csv and text, built only
 for the format asked for; ``main`` serializes it.  Exact coefficients are
 printed as decimal strings, so no precision is lost in json; ``_fmt_poly``
 prints P and Q in text.  ``roots`` and ``scan`` reach the census through
-``roots.census``, which certifies from k = ``roots._CERTIFICATE_K`` on.
+``roots.census``, which certifies from k = ``roots._CERTIFICATE_K`` = 24
+on, so ``roots`` csv prints the method ``spectral`` from there.
 The float root diagnostic of ``roots`` json and text runs here, and the
 census builds its certificate from the roots it prints.
 

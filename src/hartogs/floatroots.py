@@ -20,8 +20,17 @@ where |z| > 1, so no entry exceeds 1 in modulus at any degree.
 ``root_residuals`` evaluates through the same rows, so a returned root
 reads the residual it was accepted at.  ``numeric_roots``' roots leave as
 exact conjugate pairs and exact reals, matched by ``_mirror_partners``, the
-one owner of the real/pair decision for float roots; ``inner_roots``
-leaves the k iterates unpaired, each as z or 1/z, whichever lies inside.
+one owner of the real/pair decision for float roots.
+``inner_roots`` gives the census the k roots inside, unpaired.  Up to
+k = 75 (``_COLLEAGUE_K``) they are the eigenvalues of the k x k colleague
+matrix of g = sum_j v_j T_j, the Chebyshev image of p (I. J. Good, "The
+colleague matrix, a Chebyshev analogue of the companion matrix", Q. J.
+Math. 1961; Boyd, SIAM Review 2013), each eigenvalue x mapped back to a
+root s of s + 1/s = 2x: LAPACK's eigvals costs less than Aberth there, and
+jumps from 0.70 to 1.85 ms between k = 75 and 76, where Aberth takes
+1.1 ms.  Above, they are the k Aberth iterates, each as z or 1/z,
+whichever lies inside.  Over every coprime pair with 3 | m <= 120 and
+k <= 75, the colleague roots lie within 1.5e-10 of Aberth's.
 ``classify_float_roots`` sorts float roots into inside/on/outside with
 the guard band ``CIRCLE_GUARD``, and ``interior_float_roots``, the
 witness's root finder, keeps those inside it and polishes them by Newton
@@ -56,6 +65,12 @@ __all__ = [
 ]
 
 CIRCLE_GUARD = 1e-9
+# the largest k at which inner_roots takes the colleague eigenvalues, not
+# Aberth: LAPACK's eigvals costs 0.70 ms at k = 74 and 75 but 1.85 ms at
+# k = 76 and 77, where Aberth takes 1.1 ms, as it changes its QR method at
+# that order; below, eigvals is 1.5-2.5x cheaper than Aberth (k = 56-75,
+# n <= 13, one thread of a 2-core x86-64 box)
+_COLLEAGUE_K = 75
 # sweep budget of numeric_roots before it raises ConvergenceFailure
 _MAX_SWEEPS = 500
 # relative backward error at which numeric_roots stops
@@ -70,6 +85,14 @@ def _float_coeffs(p: UniPoly) -> np.ndarray:
     rounding, so any positive multiple of p gives the same floats."""
     top = max(abs(c) for c in p.coeffs)
     return np.array([float(c / top) for c in p.coeffs])
+
+
+def _cosine_coeffs(c: np.ndarray) -> np.ndarray:
+    """v with c(e^(i theta)) e^(-ik theta) = sum_j v_j cos(j theta) for the
+    coefficients c of a palindromic p of degree 2k: v = [c_k, 2 c_(k+1),
+    ..., 2 c_2k], also g's coordinates in T_0, ..., T_k."""
+    k = c.size // 2
+    return np.concatenate(([c[k]], 2.0 * c[k + 1 :]))
 
 
 def _power_rows(z: np.ndarray, rows: np.ndarray) -> None:
@@ -213,7 +236,7 @@ def spectral_certificate(p: UniPoly, roots) -> tuple[list[int], int] | None:
     rho = z[np.abs(z) < 1.0]  # the roots inside, moved onto c - eps s^k below
     if rho.size != k:
         return None
-    v = np.concatenate(([c[k]], 2.0 * c[k + 1 :]))  # T = sum_j v_j cos(j theta)
+    v = _cosine_coeffs(c)  # T = sum_j v_j cos(j theta)
     with np.errstate(all="ignore"):
         grid = np.fft.rfft(v, max(4096, 1 << (8 * k - 1).bit_length())).real
         dips = np.cos(np.outer(np.angle(rho), np.arange(k + 1))) @ v
@@ -356,6 +379,14 @@ def _exact_pairs(roots: list[complex]) -> list[complex]:
     return sorted(out, key=lambda r: (r.real, r.imag))
 
 
+def _require_palindromic(p: UniPoly) -> None:
+    """Refuse any p but a palindromic one of even degree >= 2."""
+    if p.degree < 1:
+        raise ValidationError("need degree >= 1 to compute roots")
+    if p.degree % 2 or not p.is_palindromic():
+        raise NotPalindromic("float roots need a palindromic p of even degree")
+
+
 def _aberth(p: UniPoly) -> np.ndarray:
     """k Aberth-Ehrlich iterates of a palindromic p of degree 2k (every Q),
     one root of each reciprocal pair r, 1/r.
@@ -408,10 +439,7 @@ def _aberth(p: UniPoly) -> np.ndarray:
     800), every 15th of the 376 pairs with 50 <= m - n <= 100, n <= 12,
     and every coprime pair with m <= 60.
     """
-    if p.degree < 1:
-        raise ValidationError("need degree >= 1 to compute roots")
-    if p.degree % 2 or not p.is_palindromic():
-        raise NotPalindromic("numeric_roots needs a palindromic p of even degree")
+    _require_palindromic(p)
     n = p.degree
     coeffs = _float_coeffs(p)
     dcoeffs = coeffs[1:] * np.arange(1, n + 1)
@@ -462,13 +490,52 @@ def numeric_roots(p: UniPoly) -> list[complex]:
     return _exact_pairs(np.concatenate((z, 1.0 / z)).tolist())
 
 
-def inner_roots(p: UniPoly) -> np.ndarray:
-    """The k iterates of ``_aberth`` for a palindromic p of degree 2k, each
-    as z or 1/z, whichever has modulus < 1, unpaired.
+def _colleague_roots(p: UniPoly) -> np.ndarray:
+    """The k roots of g = sum_j v_j T_j, the Chebyshev image of a
+    palindromic p of degree 2k (v as in ``spectral_certificate``), as the
+    eigenvalues of g's colleague matrix (Good 1961).
 
-    This is all ``spectral_certificate`` reads of the roots, without the
-    pairing of ``numeric_roots``; an iterate on the circle stays there, and
-    the certificate is then refused.  Errors are those of ``_aberth``.
+    With t = (T_0(x), ..., T_(k-1)(x)), x T_0 = T_1 and 2x T_j = T_(j+1) +
+    T_(j-1) give the first k - 1 rows of C t = x t, and at a root of g,
+    v_k T_k = -sum_(j<k) v_j T_j gives the last one: 1/2 at column k - 2,
+    and -v_j / (2 v_k) added at every column j.  So the eigenvalues of C
+    are the roots of g.  A failed eigensolve (LinAlgError, also for a
+    non-finite C) raises ConvergenceFailure.
     """
-    z = _aberth(p)
+    v = _cosine_coeffs(_float_coeffs(p))
+    k = v.size - 1
+    if k == 1:
+        return np.array([complex(-v[0] / v[1])])  # x T_0 = T_1 = -v_0 / v_1
+    colleague = np.zeros((k, k))
+    i = np.arange(1, k - 1)
+    colleague[0, 1] = 1.0
+    colleague[i, i - 1] = colleague[i, i + 1] = 0.5
+    colleague[-1, -2] = 0.5
+    colleague[-1] -= v[:k] / (2.0 * v[k])
+    try:
+        return np.linalg.eigvals(colleague).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"colleague eigensolve failed: {exc}") from exc
+
+
+def inner_roots(p: UniPoly) -> np.ndarray:
+    """The k roots of a palindromic p of degree 2k of modulus < 1, one of
+    each reciprocal pair r, 1/r, unpaired.
+
+    Up to k = ``_COLLEAGUE_K`` they come from the eigenvalues x of g's
+    colleague matrix (``_colleague_roots``), each mapped to s = x -
+    sqrt(x - 1) sqrt(x + 1), one root of s + 1/s = 2x; above it from the
+    k iterates of ``_aberth``.  Each is taken as z or 1/z, whichever has
+    modulus < 1.  This is all ``spectral_certificate`` reads of the roots,
+    without the pairing of ``numeric_roots``; a root on the circle (an
+    eigenvalue on [-1, 1]) stays there, and the certificate is then
+    refused.  p of odd degree, or not palindromic, raises NotPalindromic;
+    a failed eigensolve or Aberth raises ConvergenceFailure.
+    """
+    if p.degree // 2 > _COLLEAGUE_K:
+        z = _aberth(p)
+    else:
+        _require_palindromic(p)
+        x = _colleague_roots(p)
+        z = x - np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
     return np.where(np.abs(z) < 1.0, z, 1.0 / z)

@@ -117,13 +117,17 @@ __all__ = [
 
 _ONE = Fraction(1)
 # k = deg Q / 2 from which ``census`` certifies.  The chain's CPU time over
-# that of Aberth, the certificate and its check (best of 3 per pair, median
-# over the pairs (n + k, n) with m <= 72) reads 0.95 at k = 32, 1.04-1.07
-# at 36-38, 1.15 at 40, 1.37 at 42, 1.6-2.0 at 44-48 and 2.1-2.7 at 60-70;
-# 41 also keeps the method that ``roots`` csv has always printed.  Below it
-# no float step runs, which keeps Aberth's and the FFT's memory out of a
-# process that only ever censuses small k
-_CERTIFICATE_K = 41
+# that of the colleague roots, the certificate and its check (best of 3 per
+# pair, median over the pairs (n + k, n) with m <= M):
+#
+#     k        16    20    24    28    32    40
+#     M = 72   0.57  0.79  1.03  1.31  1.60  2.40
+#     M = 300  0.68  0.97  1.32   -    2.29  3.26
+#
+# scan(72) timed the same for 20, 24 and 28.  Below it no float step runs,
+# which keeps LAPACK's and the FFT's memory out of a process that only ever
+# censuses small k
+_CERTIFICATE_K = 24
 # deg b * bits(lc a) from which a remainder step divides 2-adically: the
 # 2-adic step pays a fixed cost per step and saves a little per coordinate,
 # and on the census chains of deg Q <= 240 it was the faster one from here on
@@ -642,11 +646,12 @@ def census(q: UniPoly, float_roots=None) -> RootCensus:
 
     With ``float_roots`` None, a q of even degree 2k with k >=
     ``_CERTIFICATE_K`` gets the certificate that ``spectral_certificate``
-    builds from ``inner_roots``, the k raw Aberth iterates; below that k,
-    and where Aberth raises ConvergenceFailure, no certificate is tried.
+    builds from ``inner_roots``, the k inner roots from the colleague
+    eigenvalues of g up to k = 75 and from Aberth above; below that k, and
+    where either raises ConvergenceFailure, no certificate is tried.
     Given ``float_roots`` (those of ``numeric_roots``, or [] where it
-    failed), the certificate is built from them at any degree and no Aberth
-    runs.  ``interior_root_count`` then checks the certificate exactly, and
+    failed), the certificate is built from them at any degree and no float
+    root finder runs.  ``interior_root_count`` then checks the certificate exactly, and
     counts by the chain wherever there is none or it is refused, so the
     counts never depend on the floats.
     """

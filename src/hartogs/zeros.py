@@ -15,9 +15,9 @@ candidates are ordered deterministically and selected by index.
 The scanner walks every coprime pair with m <= m_max and records the exact
 circle root count of Q and the interior count (degree - circle)/2 that the
 reciprocal pairing derives from it, both from ``roots.census``: from
-k = 41 on a Fejer-Riesz certificate, checked exactly, proves the circle
-count 0, and below that, or where no certificate passes, the Sturm chain
-counts.  The conjecture under scan: Q never vanishes on |s| = 1, hence has
+k = 24 (``roots._CERTIFICATE_K``) on a Fejer-Riesz certificate, checked
+exactly, proves the circle count 0, and below that, or where no
+certificate passes, the Sturm chain counts.  The conjecture under scan: Q never vanishes on |s| = 1, hence has
 exactly k = m - n roots inside the disk.
 A violation is a finding, not an error; it is flagged in the row and the
 scan keeps going.

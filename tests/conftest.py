@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+
+from hartogs import floatroots
 
 # (criterion name, passed) tuples recorded by tests/test_acceptance.py
 _ACCEPTANCE_RESULTS: list[tuple[str, bool]] = []
@@ -16,6 +19,36 @@ def acceptance_report():
         _ACCEPTANCE_RESULTS.append((name, ok))
 
     return record
+
+
+@pytest.fixture
+def aberth_calls(monkeypatch):
+    """The degrees ``floatroots._aberth`` runs on: the one iteration behind
+    ``numeric_roots``, and behind ``inner_roots`` from k = 76 on."""
+    calls = []
+    aberth = floatroots._aberth
+
+    def counted(p):
+        calls.append(p.degree)
+        return aberth(p)
+
+    monkeypatch.setattr(floatroots, "_aberth", counted)
+    return calls
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The orders of the matrices ``np.linalg.eigvals`` runs on: the
+    colleague eigensolve behind ``inner_roots`` up to k = 75."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -135,27 +135,27 @@ class TestRootsCommand:
         assert lines[0] == "inside,on_circle,outside,method"
         assert lines[1] == "2,0,2,palindromic_pairing"
 
-    @pytest.fixture
-    def aberth_calls(self, monkeypatch):
-        # the one iteration behind numeric_roots and inner_roots alike
-        calls = []
-        aberth = floatroots._aberth
-
-        def counted(p):
-            calls.append(p.degree)
-            return aberth(p)
-
-        monkeypatch.setattr(floatroots, "_aberth", counted)
-        return calls
-
-    def test_csv_below_the_crossover_runs_no_float_step(self, capsys, aberth_calls):
+    def test_csv_below_the_crossover_runs_no_float_step(
+        self, capsys, aberth_calls, eigensolves
+    ):
         k = roots._CERTIFICATE_K - 1
         rc, out, _ = run(
             capsys, ["roots", "--m", str(k + 1), "--n", "1", "--output-format", "csv"]
         )
         assert rc == 0
         assert out.strip().split("\n")[1] == f"{k},0,{k},palindromic_pairing"
-        assert aberth_calls == []
+        assert aberth_calls == eigensolves == []
+
+    def test_csv_from_the_crossover_is_certified_by_one_eigensolve(
+        self, capsys, aberth_calls, eigensolves
+    ):
+        k = roots._CERTIFICATE_K
+        rc, out, _ = run(
+            capsys, ["roots", "--m", str(k + 1), "--n", "1", "--output-format", "csv"]
+        )
+        assert rc == 0
+        assert out.strip().split("\n")[1] == f"{k},0,{k},spectral"
+        assert (aberth_calls, eigensolves) == ([], [k])
 
     def test_csv_above_the_crossover_is_certified(self, capsys, aberth_calls):
         rc, out, _ = run(

@@ -873,14 +873,56 @@ class TestCensus:
             assert triple(census) == (2, 0, 2)
 
     def test_inner_roots_are_the_inside_of_numeric_roots(self):
-        # the k raw iterates, each as z or 1/z, against the paired 2k roots
-        for q in (q_of(42, 1), q_of(81, 5)):
+        # the colleague roots (k <= 75) and the k raw Aberth iterates (81, 5),
+        # each as z or 1/z, against the paired 2k roots: every third coprime
+        # pair with m <= 120 and k <= 75, which leaves out (5, 3), whose
+        # double roots Aberth places only to about 1e-6
+        pairs = [pq for pq in coprime_pairs(120) if pq.m - pq.n <= 75][::3]
+        assert CoprimePair(5, 3) not in pairs
+        for q in [diagonal_poly(pq).poly for pq in pairs] + [q_of(81, 5)]:
             inner = floatroots.inner_roots(q)
             paired = np.array([r for r in numeric_roots(q) if abs(r) < 1])
             assert inner.size == paired.size == q.degree // 2
             gaps = np.abs(np.subtract.outer(inner, paired))
             assert gaps.min(axis=1).max() < 1e-9
             assert sorted(gaps.argmin(axis=1)) == list(range(paired.size))
+
+    @pytest.mark.parametrize(
+        "mn, calls", [((76, 1), ([75], [])), ((77, 1), ([], [152]))], ids=["75", "76"]
+    )
+    def test_the_colleague_matrix_serves_up_to_k_75(
+        self, eigensolves, aberth_calls, mn, calls
+    ):
+        census = roots.census(q_of(*mn))
+        assert census.method == "spectral"
+        assert (eigensolves, aberth_calls) == calls
+
+    def test_the_colleague_roots_of_t_k(self):
+        # g = T_30, the image of s^60 + 1: its roots cos((2j - 1) pi / 60) map
+        # onto the circle, where the certificate is refused and the chain
+        # counts all 60 roots
+        k = 30
+        p = UniPoly([1] + [0] * (2 * k - 1) + [1])
+        v = floatroots._cosine_coeffs(floatroots._float_coeffs(p))
+        assert v.tolist() == [0.0] * k + [2.0]  # g = 2 T_k
+        x = np.sort(floatroots._colleague_roots(p))
+        nodes = np.sort(np.cos((2 * np.arange(1, k + 1) - 1) * math.pi / (2 * k)))
+        assert np.abs(x - nodes).max() < 1e-12
+        assert np.abs(np.abs(floatroots.inner_roots(p)) - 1).max() < 1e-12
+        assert roots.spectral_certificate(p, floatroots.inner_roots(p)) is None
+        assert triple(roots.census(p)) == (0, 2 * k, 0)
+
+    def test_a_failed_eigensolve_leaves_the_row_to_the_chain(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        q = q_of(42, 1)
+        with pytest.raises(ConvergenceFailure, match="colleague"):
+            floatroots.inner_roots(q)
+        census = roots.census(q)
+        assert census == interior_root_count(q)
+        assert census.method == "palindromic_pairing"
 
 
 def exact_residual(coeffs, r: complex) -> float:
@@ -951,9 +993,11 @@ class TestNumericRoots:
     )
     def test_refuses_odd_degree_and_non_palindromic(self, p):
         # every caller sends Q or its squarefree part, palindromic of even
-        # degree once interior_float_roots has divided out s + 1
-        with pytest.raises(NotPalindromic):
-            numeric_roots(p)
+        # degree once interior_float_roots has divided out s + 1; the census
+        # sends inner_roots Q alone
+        for finder in (numeric_roots, floatroots.inner_roots):
+            with pytest.raises(NotPalindromic):
+                finder(p)
 
     def test_every_residual_passes_the_acceptance_test(self):
         # root_residuals evaluates through the rows the sweep accepted each

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hartogs import (
@@ -334,7 +335,7 @@ class TestScan:
     def test_certified_rows_equal_the_chain_to_100(self, monkeypatch):
         # the chain is the oracle: on every coprime pair with m <= 100 the
         # row's counts are interior_root_count(q)'s, and every row from
-        # k = 41 on, and none below, was proven by its certificate
+        # k = _CERTIFICATE_K on, and none below, was proven by its certificate
         methods = []
         check = roots.interior_root_count
 
@@ -351,19 +352,35 @@ class TestScan:
             assert (row.circle_count, row.interior_count) == (
                 chain.on_circle, chain.inside
             ), row
-            assert method == ("spectral" if row.k >= 41 else "palindromic_pairing"), row
+            certified = row.k >= roots._CERTIFICATE_K
+            assert method == ("spectral" if certified else "palindromic_pairing"), row
 
-    def test_a_failed_aberth_leaves_the_row_to_the_chain(self, monkeypatch):
+    @staticmethod
+    def scan_with_a_failing(monkeypatch, target, name, error, m_max, k):
+        # every row of scan(m_max, k=k) tries the float root finder once and,
+        # when it fails, is counted by the chain
         calls = []
 
-        def fail(p):
-            calls.append(p.degree)
-            raise ConvergenceFailure("Aberth-Ehrlich gave up")
+        def fail(_):
+            calls.append(None)
+            raise error("the float root finder gave up")
 
-        monkeypatch.setattr(floatroots, "_aberth", fail)
-        rows = scan(47, k=41)
-        assert calls == [82] * len(rows) == [82] * 6
+        monkeypatch.setattr(target, name, fail)
+        rows = scan(m_max, k=k)
+        assert len(rows) >= 3 and len(calls) == len(rows)
         assert all(row.conjecture_holds and row.error is None for row in rows)
+
+    def test_a_failed_eigensolve_leaves_the_row_to_the_chain(self, monkeypatch):
+        # up to k = 75 the roots come from the colleague eigenvalues
+        self.scan_with_a_failing(
+            monkeypatch, np.linalg, "eigvals", np.linalg.LinAlgError, 47, 41
+        )
+
+    def test_a_failed_aberth_leaves_the_row_to_the_chain(self, monkeypatch):
+        # from k = 76 on they come from Aberth
+        self.scan_with_a_failing(
+            monkeypatch, floatroots, "_aberth", ConvergenceFailure, 82, 76
+        )
 
     def test_json_round_trip(self, capsys):
         rows = scan(6)
