@@ -12,7 +12,8 @@ for the format asked for; ``main`` serializes it.  Exact coefficients are
 printed as decimal strings, so no precision is lost in json; ``_fmt_poly``
 prints P and Q in text.  ``roots`` and ``scan`` reach the census through
 ``roots.census``, which certifies from k = ``roots._CERTIFICATE_K`` = 24
-on, so ``roots`` csv prints the method ``spectral`` from there.
+on, so ``roots`` csv prints the method ``spectral`` from there; ``roots``
+hands it its Q as a class of one, ``scan`` its codegree classes.
 The float root diagnostic of ``roots`` json and text runs here, and the
 census builds its certificate from the roots it prints.
 
@@ -141,7 +142,7 @@ def cmd_roots(args) -> dict | list[str]:
     pair = CoprimePair(args.m, args.n)
     q = diagonal_poly(pair).poly
     if args.output_format == "csv":
-        counts = census(q)
+        (counts,) = census([q])  # a class of one
         return [
             "inside,on_circle,outside,method",
             f"{counts.inside},{counts.on_circle},{counts.outside},{counts.method}",
@@ -153,7 +154,7 @@ def cmd_roots(args) -> dict | list[str]:
         float_roots = numeric_roots(q)
     except ConvergenceFailure as exc:
         error = str(exc)
-    counts = census(q, float_roots or [])
+    (counts,) = census([q], [float_roots])
     if float_roots is not None:
         residuals = root_residuals(q, float_roots)
         triple = classify_float_roots(float_roots)

@@ -39,10 +39,25 @@ of p (its docstring says why not the power rows).
 ``spectral_certificate`` rounds the spectral factor of the float roots
 into a certificate (f, b) for the census.  The exact check
 (``interior_root_count``) runs no float step: floats only choose f, so a
-poor f makes the margin fail and never makes it pass.  The caller that prints float roots (``hartogs
-roots``) compares their classification with the exact census, warns on
-disagreement, never silently fixes it, and keeps the exact census when the
-diagnostic does not converge.
+poor f makes the margin fail and never makes it pass.
+
+``inner_roots`` and ``spectral_certificate`` take a class: a sequence of
+palindromic p of one degree 2k, such as the Q of one codegree k = m - n,
+and a lone p is a class of one.  They run it as stacks of at most
+``stack_size(k)`` members (``_STACK_ENTRIES`` bounds the stack's Newton
+tables): one ``_float_coeffs`` per member, then one stacked colleague
+eigensolve and one stacked pass of the grid, the dips, Newton and the
+FFT, so numpy's fixed cost per call is paid per stack, not per p.  Each
+stacked step is the elementwise operation or the reduction along one
+member that a lone p runs, so a member's roots and certificate do not
+depend on its class, bit for bit; Newton stops each member on its own,
+Aberth (k > 75) runs member by member, and a stack whose eigensolve
+fails is solved member by member, so a failure costs its own member only.
+
+The caller that prints float roots (``hartogs roots``) compares their
+classification with the exact census, warns on disagreement, never
+silently fixes it, and keeps the exact census when the diagnostic does
+not converge.
 """
 
 from __future__ import annotations
@@ -59,12 +74,17 @@ __all__ = [
     "numeric_roots",
     "inner_roots",
     "spectral_certificate",
+    "stack_size",
     "root_residuals",
     "interior_float_roots",
     "classify_float_roots",
 ]
 
 CIRCLE_GUARD = 1e-9
+# complex entries of the stacked k x (2k + 1) Newton tables of one pass of
+# spectral_certificate, which bounds its members (``stack_size``): the rfft
+# grids, the colleague matrices and the FFT tables of a stack grow with it
+_STACK_ENTRIES = 1 << 14
 # the largest k at which inner_roots takes the colleague eigenvalues, not
 # Aberth: LAPACK's eigvals costs 0.70 ms at k = 74 and 75 but 1.85 ms at
 # k = 76 and 77, where Aberth takes 1.1 ms, as it changes its QR method at
@@ -80,23 +100,41 @@ _PAIR_ROWS = 32
 # the spacing of doubles at 1, for the stop of interior_float_roots' polish
 _EPS = sys.float_info.epsilon
 
+def stack_size(k: int) -> int:
+    """The members of one stacked float pass at half-degree k: as many
+    k x (2k + 1) Newton tables of ``spectral_certificate`` as fit in
+    ``_STACK_ENTRIES`` complex entries, and at least one."""
+    return max(1, _STACK_ENTRIES // max(1, k * (2 * k + 1)))
+
+
+def _class_degree(ps) -> int:
+    """The one degree of a class of p (0 for an empty class); p of
+    different degrees raise ValidationError."""
+    degrees = {p.degree for p in ps}
+    if len(degrees) > 1:
+        raise ValidationError(f"a class has one degree, got {sorted(degrees)}")
+    return degrees.pop() if degrees else 0
+
+
 def _float_coeffs(p: UniPoly) -> np.ndarray:
     """p's coefficients over max |c_i|, each divided exactly before its one
     rounding, so any positive multiple of p gives the same floats."""
-    top = max(abs(c) for c in p.coeffs)
-    return np.array([float(c / top) for c in p.coeffs])
+    top = max(map(abs, p.coeffs))
+    return np.array([c / top for c in p.coeffs], dtype=float)
 
 
 def _cosine_coeffs(c: np.ndarray) -> np.ndarray:
     """v with c(e^(i theta)) e^(-ik theta) = sum_j v_j cos(j theta) for the
     coefficients c of a palindromic p of degree 2k: v = [c_k, 2 c_(k+1),
-    ..., 2 c_2k], also g's coordinates in T_0, ..., T_k."""
-    k = c.size // 2
-    return np.concatenate(([c[k]], 2.0 * c[k + 1 :]))
+    ..., 2 c_2k], also g's coordinates in T_0, ..., T_k; along the last
+    axis, so a stack of c gives a stack of v."""
+    k = c.shape[-1] // 2
+    return np.concatenate((c[..., k : k + 1], 2.0 * c[..., k + 1 :]), axis=-1)
 
 
 def _power_rows(z: np.ndarray, rows: np.ndarray) -> None:
-    """Fill rows[i] with the powers of z[i], scaled to modulus at most 1.
+    """Fill rows[i] with the powers of z[i], scaled to modulus at most 1;
+    z may be a stack of points, and rows then a stack of tables.
 
     The row of a point x holds 1, x, ..., x^deg where |x| <= 1, and y^deg,
     ..., y, 1 with y = 1/x, i.e. x^j / x^deg, where |x| > 1; deg + 1 is the
@@ -109,12 +147,12 @@ def _power_rows(z: np.ndarray, rows: np.ndarray) -> None:
     instead, which its docstring shows to be the more accurate of the two
     at the roots.
     """
-    rows[:, 0] = 1.0
-    rows[:, 1:] = z[:, None]
+    rows[..., 0] = 1.0
+    rows[..., 1:] = z[..., None]
     outer = np.abs(z) > 1.0  # most sweeps of a palindromic p have none
     if outer.any():
         rows[outer, 1:] = 1.0 / z[outer, None]
-    np.cumprod(rows, axis=1, out=rows)
+    np.cumprod(rows, axis=-1, out=rows)
     if outer.any():
         rows[outer] = rows[outer, ::-1]
 
@@ -190,12 +228,18 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
     return sorted(out, key=lambda r: (r.real, r.imag))
 
 
-def spectral_certificate(p: UniPoly, roots) -> tuple[list[int], int] | None:
-    """A certificate (f, b) for ``interior_root_count``, built from float
-    roots of p, or None where none is found.
+def spectral_certificate(ps, roots=None) -> list[tuple[list[int], int] | None]:
+    """One certificate (f, b) for ``interior_root_count`` per p of a class
+    of same-degree p, built from float roots, None where none is found.
 
-    Only the roots inside the circle are read, so the 2k of
-    ``numeric_roots`` and the k of ``inner_roots`` serve alike.
+    ``roots`` holds one collection of float roots per p, of which only
+    those inside the circle are read, so the 2k of ``numeric_roots`` and
+    the k of ``inner_roots`` serve alike, and a None or an empty entry
+    gives None.  Without ``roots`` the k inner roots are those of
+    ``inner_roots``, found on the same float coefficients.  The class
+    runs as stacks of at most ``stack_size(k)`` members, each step one
+    stacked numpy call with the elementwise operations and reductions of
+    a lone p, so a member's certificate does not depend on its class.
 
     p must be palindromic of degree 2k >= 2 for the certificate to mean
     anything; any other degree gives None.  The census checks the
@@ -214,9 +258,10 @@ def spectral_certificate(p: UniPoly, roots) -> tuple[list[int], int] | None:
       max(4096, 2^ceil(log2 8k)) points and at the argument of each inside
       root, where the grid alone misses the dips;
     * rho: at most 10 Newton steps on c - eps s^k from the inside roots, p
-      and p' from ``_power_rows``, until no step moves a root by more than
-      ``_TOL`` relative (Newton squares the error, so the step after that
-      would be rounding noise);
+      and p' from ``_power_rows``, until no step moves a root of the
+      member by more than ``_TOL`` relative (Newton squares the error, so
+      the step after that would be rounding noise); each member stops on
+      its own;
     * F from its values sqrt(a) prod(omega - rho) at the N =
       2^ceil(log2(k + 2)) roots of unity omega, one product each, and one
       FFT: multiplying k roots out into coefficients fails from k ~ 100.
@@ -228,50 +273,93 @@ def spectral_certificate(p: UniPoly, roots) -> tuple[list[int], int] | None:
     Floats only choose f: a poor f makes the margin fail, never pass.  The
     float side refuses on any non-finite value instead of warning.
     """
-    if p.degree < 2 or p.degree % 2:
-        return None
-    c = _float_coeffs(p)
-    k = p.degree // 2
-    z = np.asarray(roots, dtype=complex)
-    rho = z[np.abs(z) < 1.0]  # the roots inside, moved onto c - eps s^k below
-    if rho.size != k:
-        return None
+    ps = list(ps)
+    degree = _class_degree(ps)
+    if degree < 2 or degree % 2:
+        return [None] * len(ps)
+    k = degree // 2
+    if roots is not None:
+        roots = list(roots)
+        if len(roots) != len(ps):
+            raise ValidationError(f"{len(roots)} collections of roots for {len(ps)} p")
+    out: list[tuple[list[int], int] | None] = []
+    size = stack_size(k)
+    for lo in range(0, len(ps), size):
+        chunk = ps[lo : lo + size]
+        c = np.array([_float_coeffs(p) for p in chunk])
+        if roots is None:
+            z = _inner_stack(chunk, c)
+        else:
+            z = _inside_stack(roots[lo : lo + size], k)
+        out += _certify(c, z)
+    return out
+
+
+def _inside_stack(found, k: int) -> np.ndarray:
+    """The roots of modulus < 1 in each entry of found, one row each; a row
+    of NaN where an entry is None or has other than k of them."""
+    z = np.full((len(found), k), complex("nan"))
+    for i, r in enumerate(found):
+        if r is None:
+            continue
+        r = np.asarray(r, dtype=complex)
+        r = r[np.abs(r) < 1.0]
+        if r.size == k:
+            z[i] = r
+    return z
+
+
+def _certify(c: np.ndarray, z: np.ndarray) -> list[tuple[list[int], int] | None]:
+    """The certificates of ``spectral_certificate`` for one stack: c the
+    members' float coefficients (N x (2k + 1)), z their k float roots
+    (N x k); a member with a root not inside the circle gets None.
+
+    Every member runs every step, so that no step indexes the stack; a
+    refused member's values are never read, and its Newton iterates never
+    move."""
+    k = z.shape[1]
     v = _cosine_coeffs(c)  # T = sum_j v_j cos(j theta)
     with np.errstate(all="ignore"):
-        grid = np.fft.rfft(v, max(4096, 1 << (8 * k - 1).bit_length())).real
-        dips = np.cos(np.outer(np.angle(rho), np.arange(k + 1))) @ v
-        eps = 0.25 * min(grid.min(), dips.min())
-        if not 0 < eps < math.inf:
-            return None
+        ok = (np.abs(z) < 1.0).all(axis=1)  # a NaN is not inside
+        grid = np.fft.rfft(v, max(4096, 1 << (8 * k - 1).bit_length())).real.min(axis=1)
+        arguments = np.angle(z)[:, :, None] * np.arange(k + 1)
+        dips = (np.cos(arguments) @ v[:, :, None]).min(axis=(1, 2))
+        eps = 0.25 * np.where(dips < grid, dips, grid)  # min(grid, dips)
+        ok &= (0 < eps) & (eps < math.inf)
         shifted = c.copy()
-        shifted[k] -= eps
-        dshifted = shifted[1:] * np.arange(1, 2 * k + 1)
-        rows = np.empty((k, 2 * k + 1), dtype=complex)
+        shifted[:, k] -= eps
+        dshifted = shifted[:, 1:] * np.arange(1, 2 * k + 1)
+        shifted, dshifted = shifted[:, :, None], dshifted[:, :, None]  # columns
+        rows = np.empty((z.shape[0], k, 2 * k + 1), dtype=complex)
+        rho, moving = z, ok[:, None].copy()  # rho is moved onto c - eps s^k
         for _ in range(10):
             _power_rows(rho, rows)
-            step = (rows @ shifted) / (rows[:, :-1] @ dshifted)
-            rho = rho - step
-            if not (np.abs(step) > _TOL * np.abs(rho)).any():
-                break  # the next step is rounding noise; a NaN is refused below
-        if not (np.abs(rho) < 1.0).all():
-            return None
-        phase = np.prod(-rho / np.abs(rho))  # prod(-rho) / |prod(rho)|
-        if not phase.real * c[-1] > 0:
-            return None  # a < 0, or c_2k rounded to 0
-        root_a = np.exp(0.5 * (math.log(abs(c[-1])) - np.log(np.abs(rho)).sum()))
+            step = (rows @ shifted)[:, :, 0] / (rows[:, :, :-1] @ dshifted)[:, :, 0]
+            moved = rho - step
+            rho = np.where(moving, moved, rho)
+            # a member's next step would be rounding noise; a NaN is refused below
+            moving &= (np.abs(step) > _TOL * np.abs(moved)).any(axis=1, keepdims=True)
+            if not moving.any():
+                break
+        phase = np.prod(-rho / np.abs(rho), axis=1)  # prod(-rho) / |prod(rho)|
+        # a < 0, or c_2k rounded to 0, is refused
+        ok &= (np.abs(rho) < 1.0).all(axis=1) & (phase.real * c[:, -1] > 0)
+        log_lead = [math.log(abs(x)) if x else -math.inf for x in c[:, -1].tolist()]
+        root_a = np.exp(0.5 * (np.array(log_lead) - np.log(np.abs(rho)).sum(axis=1)))
         size = 1 << (k + 1).bit_length()
         unity = np.exp(2j * math.pi * np.arange(size) / size)
-        factors = np.empty((size, k), dtype=complex)  # omega - rho, as in _aberth
-        factors[:] = rho
+        factors = np.empty((z.shape[0], size, k), dtype=complex)  # omega - rho
+        factors[:] = rho[:, None, :]
         np.subtract(unity[:, None], factors, out=factors)
-        values = root_a * np.prod(factors, axis=1)
-        F = (np.fft.fft(values) / size).real[: k + 1]
-        if not np.isfinite(F).all():
-            return None
-        b = 52 - math.frexp(float(np.abs(F).max()))[1]
-        if b < 0:
-            return None
-        return np.rint(np.ldexp(F, b)).astype(np.int64).tolist(), b
+        values = root_a[:, None] * np.prod(factors, axis=2)
+        F = (np.fft.fft(values) / size).real[:, : k + 1]
+        b = 52 - np.frexp(np.abs(F).max(axis=1))[1]
+        ok &= np.isfinite(F).all(axis=1) & (b >= 0)
+        f = np.rint(np.ldexp(F, b[:, None])).astype(np.int64)
+    return [
+        (fi, bi) if good else None
+        for fi, bi, good in zip(f.tolist(), b.tolist(), ok.tolist())
+    ]
 
 
 def classify_float_roots(roots) -> tuple[int, int, int]:
@@ -490,52 +578,85 @@ def numeric_roots(p: UniPoly) -> list[complex]:
     return _exact_pairs(np.concatenate((z, 1.0 / z)).tolist())
 
 
-def _colleague_roots(p: UniPoly) -> np.ndarray:
-    """The k roots of g = sum_j v_j T_j, the Chebyshev image of a
-    palindromic p of degree 2k (v as in ``spectral_certificate``), as the
-    eigenvalues of g's colleague matrix (Good 1961).
+def _colleague_roots(v: np.ndarray) -> np.ndarray:
+    """The k roots of each g = sum_j v_j T_j of a stack v (N x (k + 1)),
+    the Chebyshev images of palindromic p of degree 2k (v as in
+    ``spectral_certificate``), as the eigenvalues of g's colleague matrix
+    (Good 1961), one row each.
 
     With t = (T_0(x), ..., T_(k-1)(x)), x T_0 = T_1 and 2x T_j = T_(j+1) +
     T_(j-1) give the first k - 1 rows of C t = x t, and at a root of g,
     v_k T_k = -sum_(j<k) v_j T_j gives the last one: 1/2 at column k - 2,
     and -v_j / (2 v_k) added at every column j.  So the eigenvalues of C
-    are the roots of g.  A failed eigensolve (LinAlgError, also for a
-    non-finite C) raises ConvergenceFailure.
+    are the roots of g.  All N matrices go through one eigensolve; numpy
+    fails the whole stack where one member fails (LinAlgError, also for a
+    non-finite C), and then each member is solved alone, so a failure
+    leaves a row of NaN in its own member only.
     """
-    v = _cosine_coeffs(_float_coeffs(p))
-    k = v.size - 1
+    n, k = v.shape[0], v.shape[1] - 1
     if k == 1:
-        return np.array([complex(-v[0] / v[1])])  # x T_0 = T_1 = -v_0 / v_1
-    colleague = np.zeros((k, k))
+        return (-v[:, :1] / v[:, 1:]).astype(complex)  # x T_0 = T_1 = -v_0 / v_1
+    colleague = np.zeros((n, k, k))
     i = np.arange(1, k - 1)
-    colleague[0, 1] = 1.0
-    colleague[i, i - 1] = colleague[i, i + 1] = 0.5
-    colleague[-1, -2] = 0.5
-    colleague[-1] -= v[:k] / (2.0 * v[k])
+    colleague[:, 0, 1] = 1.0
+    colleague[:, i, i - 1] = colleague[:, i, i + 1] = 0.5
+    colleague[:, -1, -2] = 0.5
+    colleague[:, -1] -= v[:, :k] / (2.0 * v[:, k:])
     try:
         return np.linalg.eigvals(colleague).astype(complex)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"colleague eigensolve failed: {exc}") from exc
+    except np.linalg.LinAlgError:
+        pass
+    x = np.full((n, k), complex("nan"))
+    for j in range(n):
+        try:
+            x[j] = np.linalg.eigvals(colleague[j])
+        except np.linalg.LinAlgError:
+            pass
+    return x
 
 
-def inner_roots(p: UniPoly) -> np.ndarray:
-    """The k roots of a palindromic p of degree 2k of modulus < 1, one of
-    each reciprocal pair r, 1/r, unpaired.
+def _inner_stack(ps, c: np.ndarray) -> np.ndarray:
+    """The k inner roots of each p of one stack (c their float
+    coefficients), one row each; a row of NaN where p's root finder
+    failed."""
+    k = c.shape[1] // 2
+    if k > _COLLEAGUE_K:
+        z = np.full((len(ps), k), complex("nan"))
+        for j, p in enumerate(ps):
+            try:
+                z[j] = _aberth(p)  # refuses a p that is not palindromic
+            except ConvergenceFailure:
+                pass
+    else:
+        for p in ps:
+            _require_palindromic(p)
+        x = _colleague_roots(_cosine_coeffs(c))
+        z = x - np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
+    with np.errstate(invalid="ignore"):  # the NaN rows
+        return np.where(np.abs(z) < 1.0, z, 1.0 / z)
+
+
+def inner_roots(ps) -> list[np.ndarray | None]:
+    """The k roots of modulus < 1 of each p of a class of palindromic p of
+    one degree 2k, one of each reciprocal pair r, 1/r, unpaired; None for
+    a p whose root finder failed.
 
     Up to k = ``_COLLEAGUE_K`` they come from the eigenvalues x of g's
-    colleague matrix (``_colleague_roots``), each mapped to s = x -
-    sqrt(x - 1) sqrt(x + 1), one root of s + 1/s = 2x; above it from the
-    k iterates of ``_aberth``.  Each is taken as z or 1/z, whichever has
-    modulus < 1.  This is all ``spectral_certificate`` reads of the roots,
-    without the pairing of ``numeric_roots``; a root on the circle (an
-    eigenvalue on [-1, 1]) stays there, and the certificate is then
-    refused.  p of odd degree, or not palindromic, raises NotPalindromic;
-    a failed eigensolve or Aberth raises ConvergenceFailure.
+    colleague matrix (``_colleague_roots``), one stacked eigensolve per
+    ``stack_size(k)`` members, each x mapped to s = x - sqrt(x - 1)
+    sqrt(x + 1), one root of s + 1/s = 2x; above it from the k iterates of
+    ``_aberth``, member by member.  Each is taken as z or 1/z, whichever
+    has modulus < 1.  This is all ``spectral_certificate`` reads of the
+    roots, without the pairing of ``numeric_roots``; a root on the circle
+    (an eigenvalue on [-1, 1]) stays there, and the certificate is then
+    refused.  A p of odd degree, or not palindromic, raises
+    NotPalindromic, and p of different degrees raise ValidationError.
     """
-    if p.degree // 2 > _COLLEAGUE_K:
-        z = _aberth(p)
-    else:
-        _require_palindromic(p)
-        x = _colleague_roots(p)
-        z = x - np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
-    return np.where(np.abs(z) < 1.0, z, 1.0 / z)
+    ps = list(ps)
+    size = stack_size(_class_degree(ps) // 2)
+    out: list[np.ndarray | None] = []
+    for lo in range(0, len(ps), size):
+        chunk = ps[lo : lo + size]
+        z = _inner_stack(chunk, np.array([_float_coeffs(p) for p in chunk]))
+        out += [None if np.isnan(row).any() else row for row in z]
+    return out

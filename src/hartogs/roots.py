@@ -77,29 +77,33 @@ and squarefree results leave as monic ``UniPoly``s.
   ``squarefree`` unexamined (None).  A margin <= 0 proves nothing, and the
   chain counts as if no certificate had been given.
 
-``census(q)`` is the one entry point of ``hartogs scan`` and ``hartogs
-roots``: from k = ``_CERTIFICATE_K`` on it builds the certificate from
-float roots (``hartogs.floatroots``) and hands it to
-``interior_root_count``; below it, and wherever the float side fails or
-the check refuses, the chain counts.  ``interior_root_count`` itself never
-runs a float step: floats only choose f, so a poor f makes the margin fail
-and never makes it pass.  ``numeric_roots`` and ``spectral_certificate``,
-which this module re-exports, live in ``hartogs.floatroots``.
+``census(qs)`` is the one entry point of ``hartogs scan`` and ``hartogs
+roots``.  It takes a class, palindromic q of one degree 2k (the scan's
+codegree classes, or a lone Q as a class of one), and returns one census
+per q.  From k = ``_CERTIFICATE_K`` on, one stacked float pass
+(``hartogs.floatroots``) builds every q's certificate, and each goes to
+``interior_root_count`` with its own q; below it, and wherever the float
+side fails or the check refuses, the chain counts that q.
+``interior_root_count`` itself never runs a float step: floats only
+choose f, so a poor f makes the margin fail and never makes it pass.
+``numeric_roots`` and ``spectral_certificate``, which this module
+re-exports, live in ``hartogs.floatroots``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    ConvergenceFailure,
     InternalMismatch,
     NotPalindromic,
     ValidationError,
 )
-from .floatroots import inner_roots, numeric_roots, spectral_certificate
+from .floatroots import numeric_roots, spectral_certificate
 from .poly import UniPoly
 
 __all__ = [
@@ -529,6 +533,12 @@ class RootCensus:
     # margin / (2^(2b) q(1)) rounded toward 0 on the spectral path: a proven
     # lower bound on min |p(s)| / p(1) over the circle; None on the chain
     margin_lo: float | None = None
+    # wall time in ms: the census's own exact check plus an equal share of
+    # its class's float pass, as ``census`` times it; None where nothing
+    # timed it, and never compared
+    elapsed_ms: float | None = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
 
 
 def _autocorrelation(f: list[int]) -> list[int]:
@@ -641,24 +651,39 @@ def interior_root_count(p: UniPoly, certificate=None) -> RootCensus:
     return census
 
 
-def census(q: UniPoly, float_roots=None) -> RootCensus:
-    """The exact census of a palindromic q, certified where that is cheaper.
+def census(qs, float_roots=None) -> list[RootCensus]:
+    """The exact census of each palindromic q of a class of one degree,
+    certified where that is cheaper; one RootCensus per q, in order.
 
-    With ``float_roots`` None, a q of even degree 2k with k >=
-    ``_CERTIFICATE_K`` gets the certificate that ``spectral_certificate``
-    builds from ``inner_roots``, the k inner roots from the colleague
-    eigenvalues of g up to k = 75 and from Aberth above; below that k, and
-    where either raises ConvergenceFailure, no certificate is tried.
-    Given ``float_roots`` (those of ``numeric_roots``, or [] where it
+    With ``float_roots`` None, a class of even degree 2k with k >=
+    ``_CERTIFICATE_K`` goes through one stacked float pass,
+    ``spectral_certificate``, which builds each q's certificate from its k
+    inner roots (``inner_roots``: the colleague eigenvalues of g up to
+    k = 75, Aberth above).  Below that k no float step runs, and a q whose
+    root finder fails gets no certificate.  Given ``float_roots``, one
+    collection per q (those of ``numeric_roots``, or None where it
     failed), the certificate is built from them at any degree and no float
-    root finder runs.  ``interior_root_count`` then checks the certificate exactly, and
-    counts by the chain wherever there is none or it is refused, so the
-    counts never depend on the floats.
+    root finder runs.
+
+    ``interior_root_count`` then checks each certificate exactly and counts
+    by the chain wherever there is none or it is refused, so the counts
+    never depend on the floats.  Each census's ``elapsed_ms`` is its own
+    exact check plus an equal share of the class's float pass.  q of
+    different degrees raise ValidationError.
     """
-    if float_roots is None and q.degree % 2 == 0 and q.degree >= 2 * _CERTIFICATE_K:
-        try:
-            float_roots = inner_roots(q)
-        except ConvergenceFailure:
-            pass
-    certificate = None if float_roots is None else spectral_certificate(q, float_roots)
-    return interior_root_count(q, certificate)
+    qs = list(qs)
+    start = time.perf_counter()
+    degree = qs[0].degree if qs else 0
+    if any(q.degree != degree for q in qs):
+        raise ValidationError("a class has one degree")
+    certificates = [None] * len(qs)
+    if float_roots is not None or (degree % 2 == 0 and degree >= 2 * _CERTIFICATE_K):
+        certificates = spectral_certificate(qs, float_roots)
+    share = (time.perf_counter() - start) * 1000.0 / max(len(qs), 1)
+    out = []
+    for q, certificate in zip(qs, certificates):
+        start = time.perf_counter()
+        counts = interior_root_count(q, certificate)
+        elapsed = share + (time.perf_counter() - start) * 1000.0
+        out.append(dataclasses.replace(counts, elapsed_ms=elapsed))
+    return out

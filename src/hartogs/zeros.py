@@ -17,10 +17,14 @@ circle root count of Q and the interior count (degree - circle)/2 that the
 reciprocal pairing derives from it, both from ``roots.census``: from
 k = 24 (``roots._CERTIFICATE_K``) on a Fejer-Riesz certificate, checked
 exactly, proves the circle count 0, and below that, or where no
-certificate passes, the Sturm chain counts.  The conjecture under scan: Q never vanishes on |s| = 1, hence has
-exactly k = m - n roots inside the disk.
-A violation is a finding, not an error; it is flagged in the row and the
-scan keeps going.
+certificate passes, the Sturm chain counts.  The pairs go to the census
+by codegree class k = m - n, every Q of which has degree 2k, in chunks of
+``floatroots.stack_size(k)``: each chunk takes one stacked float pass,
+then one exact check per Q.  A row's elapsed_ms is the time to build its
+own Q, plus its own exact check, plus an equal share of its chunk's float
+pass.  The conjecture under scan: Q never vanishes on |s| = 1, hence has
+exactly k = m - n roots inside the disk.  A violation is a finding, not
+an error; it is flagged in the row and the scan keeps going.
 
 Witnesses and scan rows are plain records; ``hartogs.cli`` alone decides
 how they are printed.
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from .arith import CoprimePair
 from .domain import interior_margin
 from .errors import InternalMismatch, NoInteriorRoot, ValidationError
-from .floatroots import interior_float_roots
+from .floatroots import interior_float_roots, stack_size
 from .kernel import kernel_formula
 from .qpoly import diagonal_poly
 from .roots import census, interior_root_count, squarefree_part
@@ -132,7 +136,13 @@ def zero_witness(pair: CoprimePair, which: int = 0) -> ZeroWitness:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One coprime pair's exact census and verdict."""
+    """One coprime pair's exact census and verdict.
+
+    elapsed_ms is the wall time to build the pair's Q, plus its own exact
+    check, plus an equal share of the stacked float pass of its chunk of
+    the codegree class (none below k = 24); a failed row's is the time of
+    its own attempt alone.
+    """
 
     m: int
     n: int
@@ -162,29 +172,64 @@ def coprime_pairs(m_max: int, k: int | None = None) -> list[CoprimePair]:
             if math.gcd(k, n) == 1]
 
 
-def _scan_pair(pair: CoprimePair) -> ScanRow:
-    start = time.perf_counter()
-    try:
-        q = diagonal_poly(pair).poly
-        counts = census(q)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        holds = counts.on_circle == 0 and counts.inside == pair.k
-        return ScanRow(
+def _ms_since(start: float) -> float:
+    return (time.perf_counter() - start) * 1000.0
+
+
+def _class_rows(pairs: list[CoprimePair]) -> list[ScanRow]:
+    """The rows of pairs of one codegree: each Q built alone, then one
+    ``census`` of them all."""
+    qs, build_ms = [], []
+    for pair in pairs:
+        start = time.perf_counter()
+        qs.append(diagonal_poly(pair).poly)
+        build_ms.append(_ms_since(start))
+    return [
+        ScanRow(
             pair.m,
             pair.n,
             pair.k,
             q.degree,
             counts.on_circle,
             counts.inside,
-            holds,
-            elapsed,
+            counts.on_circle == 0 and counts.inside == pair.k,
+            ms + counts.elapsed_ms,
         )
-    except Exception as exc:  # per-pair failure marker
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return ScanRow(
-            pair.m, pair.n, pair.k, -1, -1, -1, False, elapsed,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        for pair, q, ms, counts in zip(pairs, qs, build_ms, census(qs))
+    ]
+
+
+def _scan_chunk(pairs: list[CoprimePair]) -> list[ScanRow]:
+    """``_class_rows`` of a chunk; where anything in it raises, each pair
+    is redone alone, so a failure marks its own row only."""
+    try:
+        return _class_rows(pairs)
+    except Exception:
+        pass
+    rows = []
+    for pair in pairs:
+        start = time.perf_counter()
+        try:
+            rows += _class_rows([pair])
+        except Exception as exc:  # per-pair failure marker
+            rows.append(ScanRow(
+                pair.m, pair.n, pair.k, -1, -1, -1, False, _ms_since(start),
+                error=f"{type(exc).__name__}: {exc}",
+            ))
+    return rows
+
+
+def _chunks(pairs: list[CoprimePair]) -> list[list[CoprimePair]]:
+    """The pairs split by codegree k, each class in its (m, n) order and
+    cut into chunks of ``stack_size(k)``, one stacked float pass each."""
+    classes: dict[int, list[CoprimePair]] = {}
+    for pair in pairs:
+        classes.setdefault(pair.k, []).append(pair)
+    return [
+        members[lo : lo + stack_size(k)]
+        for k, members in classes.items()
+        for lo in range(0, len(members), stack_size(k))
+    ]
 
 
 def scan(
@@ -192,23 +237,26 @@ def scan(
 ) -> list[ScanRow]:
     """Census every coprime pair with m <= m_max; rows ordered by (m, n).
 
-    Rows come in the (m, n) order of ``coprime_pairs``, which ``pool.map``
-    keeps, so the row order and all mathematical columns are identical
-    regardless of worker count; only elapsed_ms varies run to run.  The
-    pool never exceeds the pair count or the CPU count, since the executor
-    forks all its workers at the first submit.  ``workers=None`` runs
-    serially; workers or k below 1 raise ValidationError.
+    The pairs go by codegree class, in chunks of ``stack_size(k)`` that
+    each take one stacked float pass in ``census``; the rows are put back
+    in the (m, n) order of ``coprime_pairs``, so the row order and all
+    mathematical columns are identical regardless of worker count; only
+    elapsed_ms varies run to run.  The pool never exceeds the chunk count
+    or the CPU count, since the executor forks all its workers at the
+    first submit.  ``workers=None`` runs serially; workers or k below 1
+    raise ValidationError.
     """
     if workers is not None and workers < 1:
         raise ValidationError(f"need workers >= 1, got {workers}")
     if k is not None and k < 1:
         raise ValidationError(f"need k >= 1, got {k}")
-    pairs = coprime_pairs(m_max, k)
-    workers = min(workers or 1, len(pairs), os.cpu_count() or 1)
+    chunks = _chunks(coprime_pairs(m_max, k))
+    workers = min(workers or 1, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
-        return [_scan_pair(pair) for pair in pairs]
-    from concurrent.futures import ProcessPoolExecutor  # only the pool pays for it
+        done = map(_scan_chunk, chunks)
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # only the pool pays for it
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_scan_pair, pairs, chunksize=8))
-
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_scan_chunk, chunks))
+    return sorted((row for rows in done for row in rows), key=lambda r: (r.m, r.n))

@@ -38,13 +38,14 @@ def aberth_calls(monkeypatch):
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """The orders of the matrices ``np.linalg.eigvals`` runs on: the
-    colleague eigensolve behind ``inner_roots`` up to k = 75."""
+    """The shapes of the arrays ``np.linalg.eigvals`` runs on: the stacked
+    colleague eigensolve behind ``inner_roots`` up to k = 75, (members, k,
+    k), and a (k, k) per member where a stack failed."""
     calls = []
     eigvals = np.linalg.eigvals
 
     def counted(a):
-        calls.append(len(a))
+        calls.append(np.shape(a))
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)

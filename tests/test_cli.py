@@ -155,7 +155,7 @@ class TestRootsCommand:
         )
         assert rc == 0
         assert out.strip().split("\n")[1] == f"{k},0,{k},spectral"
-        assert (aberth_calls, eigensolves) == ([], [k])
+        assert (aberth_calls, eigensolves) == ([], [(1, k, k)])
 
     def test_csv_above_the_crossover_is_certified(self, capsys, aberth_calls):
         rc, out, _ = run(

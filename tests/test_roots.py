@@ -718,7 +718,8 @@ def q_of(m: int, n: int) -> UniPoly:
 
 def certified(p: UniPoly) -> roots.RootCensus:
     """The census of p with the certificate built from its Aberth roots."""
-    return interior_root_count(p, roots.spectral_certificate(p, numeric_roots(p)))
+    (certificate,) = roots.spectral_certificate([p], [numeric_roots(p)])
+    return interior_root_count(p, certificate)
 
 
 def triple(census: roots.RootCensus) -> tuple[int, int, int]:
@@ -787,21 +788,23 @@ class TestSpectralCertificate:
             for certificate in garbage:
                 assert interior_root_count(p, certificate) == chain
         # a certificate of Q(41, 3) itself cannot prove Q(41, 3)(s^2 + s + 1)
-        f, b = roots.spectral_certificate(q_of(41, 3), numeric_roots(q_of(41, 3)))
+        q = q_of(41, 3)
+        ((f, b),) = roots.spectral_certificate([q], [numeric_roots(q)])
         assert interior_root_count(circle[2], (f + [0, 0], b)) == interior_root_count(
             circle[2]
         )
 
     def test_malformed_certificates_prove_nothing(self):
         q = q_of(11, 1)
-        f, b = roots.spectral_certificate(q, numeric_roots(q))
+        ((f, b),) = roots.spectral_certificate([q], [numeric_roots(q)])
         assert interior_root_count(q, (f, b)).method == "spectral"
         for bad in [(f[:-1], b), (f + [0], b), (f, -1), ([], 0)]:
             assert interior_root_count(q, bad).method == "palindromic_pairing"
 
     @pytest.mark.parametrize("p", [UniPoly([3]), UniPoly([1, 1]), UniPoly([1, 2, 2, 1])])
     def test_no_certificate_for_odd_or_zero_degree(self, p):
-        assert roots.spectral_certificate(p, []) is None
+        assert roots.spectral_certificate([p], [[]]) == [None]
+        assert roots.spectral_certificate([p]) == [None]
 
     def test_agrees_with_the_chain(self):
         # every coprime pair with m <= 60 and every 15th frontier pair: the
@@ -819,8 +822,9 @@ class TestSpectralCertificate:
         assert refused == [(5, 3)]
 
     def test_margin_lo_rounds_toward_zero(self):
-        q = roots._primitive(q_of(41, 3).coeffs)
-        f, b = roots.spectral_certificate(q_of(41, 3), numeric_roots(q_of(41, 3)))
+        p = q_of(41, 3)
+        ((f, b),) = roots.spectral_certificate([p], [numeric_roots(p)])
+        q = roots._primitive(p.coeffs)
         top = max(abs(x) for x in q)
         exact = Fraction(roots._spectral_margin(q, top, f, b), sum(q) << 2 * b)
         lo = interior_root_count(q_of(41, 3), (f, b)).margin_lo
@@ -850,7 +854,7 @@ class TestCensus:
     )
     def test_refused_rows_fall_back_to_the_chain(self, p, expected):
         assert p.degree >= 2 * roots._CERTIFICATE_K
-        census = roots.census(p)
+        (census,) = roots.census([p])
         assert census == interior_root_count(p)
         assert triple(census) == expected
 
@@ -858,17 +862,17 @@ class TestCensus:
         # a stand-in hands the census Q(42, 1)'s valid certificate for a p of
         # the same degree with a circle pair: only the exact margin refuses
         q = q_of(42, 1)
-        wrong = roots.spectral_certificate(q, numeric_roots(q))
-        assert interior_root_count(q, wrong).method == "spectral"
-        monkeypatch.setattr(roots, "spectral_certificate", lambda p, found: wrong)
+        wrong = roots.spectral_certificate([q], [numeric_roots(q)])
+        assert interior_root_count(q, wrong[0]).method == "spectral"
+        monkeypatch.setattr(roots, "spectral_certificate", lambda ps, found: wrong)
         p = CIRCLE_PAIR * q_of(41, 1)
-        assert roots.census(p) == interior_root_count(p)
+        assert roots.census([p]) == [interior_root_count(p)]
 
     def test_53_falls_back_from_its_printed_roots(self):
         # the certificate from the roots json and text print is refused
         q = q_of(5, 3)
-        for float_roots in (numeric_roots(q), []):
-            census = roots.census(q, float_roots)
+        for float_roots in (numeric_roots(q), [], None):
+            (census,) = roots.census([q], [float_roots])
             assert census.method == "palindromic_pairing"
             assert triple(census) == (2, 0, 2)
 
@@ -880,7 +884,7 @@ class TestCensus:
         pairs = [pq for pq in coprime_pairs(120) if pq.m - pq.n <= 75][::3]
         assert CoprimePair(5, 3) not in pairs
         for q in [diagonal_poly(pq).poly for pq in pairs] + [q_of(81, 5)]:
-            inner = floatroots.inner_roots(q)
+            (inner,) = floatroots.inner_roots([q])
             paired = np.array([r for r in numeric_roots(q) if abs(r) < 1])
             assert inner.size == paired.size == q.degree // 2
             gaps = np.abs(np.subtract.outer(inner, paired))
@@ -888,12 +892,14 @@ class TestCensus:
             assert sorted(gaps.argmin(axis=1)) == list(range(paired.size))
 
     @pytest.mark.parametrize(
-        "mn, calls", [((76, 1), ([75], [])), ((77, 1), ([], [152]))], ids=["75", "76"]
+        "mn, calls",
+        [((76, 1), ([(1, 75, 75)], [])), ((77, 1), ([], [152]))],
+        ids=["75", "76"],
     )
     def test_the_colleague_matrix_serves_up_to_k_75(
         self, eigensolves, aberth_calls, mn, calls
     ):
-        census = roots.census(q_of(*mn))
+        (census,) = roots.census([q_of(*mn)])
         assert census.method == "spectral"
         assert (eigensolves, aberth_calls) == calls
 
@@ -905,12 +911,14 @@ class TestCensus:
         p = UniPoly([1] + [0] * (2 * k - 1) + [1])
         v = floatroots._cosine_coeffs(floatroots._float_coeffs(p))
         assert v.tolist() == [0.0] * k + [2.0]  # g = 2 T_k
-        x = np.sort(floatroots._colleague_roots(p))
+        x = np.sort(floatroots._colleague_roots(v[None])[0])
         nodes = np.sort(np.cos((2 * np.arange(1, k + 1) - 1) * math.pi / (2 * k)))
         assert np.abs(x - nodes).max() < 1e-12
-        assert np.abs(np.abs(floatroots.inner_roots(p)) - 1).max() < 1e-12
-        assert roots.spectral_certificate(p, floatroots.inner_roots(p)) is None
-        assert triple(roots.census(p)) == (0, 2 * k, 0)
+        (inner,) = floatroots.inner_roots([p])
+        assert np.abs(np.abs(inner) - 1).max() < 1e-12
+        assert roots.spectral_certificate([p], [inner]) == [None]
+        assert roots.spectral_certificate([p]) == [None]
+        assert [triple(c) for c in roots.census([p])] == [(0, 2 * k, 0)]
 
     def test_a_failed_eigensolve_leaves_the_row_to_the_chain(self, monkeypatch):
         def fail(a):
@@ -918,11 +926,125 @@ class TestCensus:
 
         monkeypatch.setattr(np.linalg, "eigvals", fail)
         q = q_of(42, 1)
-        with pytest.raises(ConvergenceFailure, match="colleague"):
-            floatroots.inner_roots(q)
-        census = roots.census(q)
+        assert floatroots.inner_roots([q])[0] is None
+        (census,) = roots.census([q])
         assert census == interior_root_count(q)
         assert census.method == "palindromic_pairing"
+
+
+def flaky_eigvals(monkeypatch, failing: int):
+    """Let ``np.linalg.eigvals`` fail on every stack and on the failing-th
+    matrix it gets alone, counted from 0, as LAPACK does for a whole stack
+    when one member does not converge; returns the shapes it was given."""
+    calls, alone = [], []
+    eigvals = np.linalg.eigvals
+
+    def flaky(a):
+        calls.append(np.shape(a))
+        if np.ndim(a) == 2:
+            alone.append(None)
+        if np.ndim(a) == 3 or len(alone) == failing + 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", flaky)
+    return calls
+
+
+class TestClassPass:
+    """One stacked float pass per codegree class: each member's certificate
+    and census are those of the member alone."""
+
+    def test_a_class_certifies_as_its_members_alone(self, monkeypatch):
+        # every coprime pair with m <= 100 from k = _CERTIFICATE_K on, one
+        # class per k: several stacks at small k, one member per stack and
+        # Aberth's roots from k = 76; the class's certificates are those
+        # its census built
+        classes = {}
+        for pair in coprime_pairs(100):
+            if pair.k >= roots._CERTIFICATE_K:
+                classes.setdefault(pair.k, []).append(diagonal_poly(pair).poly)
+        assert len(classes[24]) > floatroots.stack_size(24)
+        built = []
+        certify = roots.spectral_certificate
+
+        def recorded(qs, float_roots=None):
+            built.append(certify(qs, float_roots))
+            return built[-1]
+
+        monkeypatch.setattr(roots, "spectral_certificate", recorded)
+        for k, qs in classes.items():
+            censuses = roots.census(qs)
+            alone = [certify([q])[0] for q in qs]
+            assert built.pop() == alone, k
+            assert censuses == [interior_root_count(q, c) for q, c in zip(qs, alone)], k
+            assert all(c.method == "spectral" for c in censuses), k
+
+    def test_given_roots_certify_as_alone(self):
+        # the printed roots of roots json and text, for a class of k = 30
+        # with m <= 100 and for one with a failed finder (None) among them
+        qs = [q_of(n + 30, n) for n in range(1, 71) if math.gcd(n, 30) == 1]
+        found = [numeric_roots(q) for q in qs]
+        found[3] = None
+        alone = [roots.spectral_certificate([q], [r])[0] for q, r in zip(qs, found)]
+        assert roots.spectral_certificate(qs, found) == alone
+        assert [c is None for c in alone] == [i == 3 for i in range(len(qs))]
+
+    def test_a_failed_stack_leaves_only_its_failing_member_to_the_chain(
+        self, monkeypatch
+    ):
+        qs = [q_of(n + 41, n) for n in (1, 2, 3, 4)]
+        assert floatroots.stack_size(41) >= len(qs)
+        calls = flaky_eigvals(monkeypatch, failing=1)
+        inner = floatroots.inner_roots(qs)
+        assert calls == [(4, 41, 41)] + [(41, 41)] * 4
+        assert [r is None for r in inner] == [False, True, False, False]
+        monkeypatch.undo()
+        flaky_eigvals(monkeypatch, failing=1)
+        censuses = roots.census(qs)
+        assert [c.method for c in censuses] == [
+            "spectral", "palindromic_pairing", "spectral", "spectral"
+        ]
+        chain = [interior_root_count(q) for q in qs]
+        assert censuses[1] == chain[1]
+        assert [triple(c) for c in censuses] == [triple(c) for c in chain]
+
+    def test_a_circle_member_is_refused_alone(self):
+        # a crafted p with a circle pair among certifiable Qs of its degree
+        qs = [q_of(42, 1), CIRCLE_PAIR * q_of(41, 1), q_of(44, 3), q_of(46, 5)]
+        assert {q.degree for q in qs} == {82}
+        certificates = roots.spectral_certificate(qs)
+        assert certificates[1] is None
+        assert certificates == [roots.spectral_certificate([q])[0] for q in qs]
+        censuses = roots.census(qs)
+        assert [c.method for c in censuses] == [
+            "spectral", "palindromic_pairing", "spectral", "spectral"
+        ]
+        assert [triple(c) for c in censuses] == [
+            (41, 0, 41), (40, 2, 40), (41, 0, 41), (41, 0, 41)
+        ]
+        assert censuses[1] == interior_root_count(qs[1])
+
+    def test_a_class_has_one_degree(self):
+        qs = [q_of(42, 1), q_of(43, 1)]
+        for run in (roots.census, floatroots.inner_roots, roots.spectral_certificate):
+            with pytest.raises(ValidationError, match="one degree"):
+                run(qs)
+        assert roots.census([]) == floatroots.inner_roots([]) == []
+        assert roots.spectral_certificate([]) == []
+        with pytest.raises(ValidationError, match="collections of roots"):
+            roots.spectral_certificate(qs[:1], [])
+
+    def test_census_times_each_member(self, monkeypatch):
+        # a clock that ticks 1 s per read: the float pass of 4 members reads
+        # it twice, so each takes 250 ms of it, and its own check 1000 ms
+        ticks = iter(range(1000))
+        monkeypatch.setattr(
+            roots, "time", type("Clock", (), {"perf_counter": lambda: next(ticks)})
+        )
+        qs = [q_of(n + 41, n) for n in (1, 2, 3, 4)]
+        assert [c.elapsed_ms for c in roots.census(qs)] == [1250.0] * 4
+        assert interior_root_count(qs[0]).elapsed_ms is None
 
 
 def exact_residual(coeffs, r: complex) -> float:
@@ -995,7 +1117,7 @@ class TestNumericRoots:
         # every caller sends Q or its squarefree part, palindromic of even
         # degree once interior_float_roots has divided out s + 1; the census
         # sends inner_roots Q alone
-        for finder in (numeric_roots, floatroots.inner_roots):
+        for finder in (numeric_roots, lambda p: floatroots.inner_roots([p])):
             with pytest.raises(NotPalindromic):
                 finder(p)
 

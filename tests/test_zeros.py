@@ -293,6 +293,21 @@ class TestScan:
 
         assert untimed(scan(10)) == untimed(scan(10, workers=2))
 
+    def test_a_row_times_its_build_its_check_and_a_share_of_its_chunk(
+        self, monkeypatch
+    ):
+        # a clock that ticks 1 s per read: a row's Q build and its own exact
+        # check each read it twice (1000 ms), and its chunk's float pass
+        # twice, shared out equally: k = 41 to m = 47 is a chunk of 4 pairs
+        # and one of 2
+        ticks = iter(range(10_000))
+        clock = type("Clock", (), {"perf_counter": lambda: next(ticks)})
+        monkeypatch.setattr(zeros, "time", clock)
+        monkeypatch.setattr(roots, "time", clock)
+        assert floatroots.stack_size(41) == 4
+        rows = scan(47, k=41)
+        assert [row.elapsed_ms for row in rows] == [2250.0] * 4 + [2500.0] * 2
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_fewer_than_one_worker(self, workers):
         with pytest.raises(ValidationError, match="workers"):
@@ -336,19 +351,21 @@ class TestScan:
         # the chain is the oracle: on every coprime pair with m <= 100 the
         # row's counts are interior_root_count(q)'s, and every row from
         # k = _CERTIFICATE_K on, and none below, was proven by its certificate
-        methods = []
+        methods = {}
         check = roots.interior_root_count
 
         def recorded(q, certificate=None):
             counts = check(q, certificate)
-            methods.append(counts.method)
+            methods[tuple(q.coeffs)] = counts.method
             return counts
 
         monkeypatch.setattr(roots, "interior_root_count", recorded)
         rows = scan(100)
         assert len(rows) == len(methods) == 3043
-        for row, method in zip(rows, methods):
-            chain = interior_root_count(diagonal_poly(CoprimePair(row.m, row.n)).poly)
+        for row in rows:
+            q = diagonal_poly(CoprimePair(row.m, row.n)).poly
+            method = methods[tuple(q.coeffs)]
+            chain = interior_root_count(q)
             assert (row.circle_count, row.interior_count) == (
                 chain.on_circle, chain.inside
             ), row
@@ -357,8 +374,8 @@ class TestScan:
 
     @staticmethod
     def scan_with_a_failing(monkeypatch, target, name, error, m_max, k):
-        # every row of scan(m_max, k=k) tries the float root finder once and,
-        # when it fails, is counted by the chain
+        # scan(m_max, k=k) runs the float root finder, and every row, when it
+        # fails, is counted by the chain; returns the rows and the calls
         calls = []
 
         def fail(_):
@@ -367,20 +384,25 @@ class TestScan:
 
         monkeypatch.setattr(target, name, fail)
         rows = scan(m_max, k=k)
-        assert len(rows) >= 3 and len(calls) == len(rows)
+        assert len(rows) >= 3
         assert all(row.conjecture_holds and row.error is None for row in rows)
+        return rows, calls
 
     def test_a_failed_eigensolve_leaves_the_row_to_the_chain(self, monkeypatch):
-        # up to k = 75 the roots come from the colleague eigenvalues
-        self.scan_with_a_failing(
+        # up to k = 75 the roots come from the colleague eigenvalues: one
+        # stacked eigensolve per chunk, and where it fails one per member
+        rows, calls = self.scan_with_a_failing(
             monkeypatch, np.linalg, "eigvals", np.linalg.LinAlgError, 47, 41
         )
+        chunks = -(-len(rows) // floatroots.stack_size(41))
+        assert chunks >= 2 and len(calls) == chunks + len(rows)
 
     def test_a_failed_aberth_leaves_the_row_to_the_chain(self, monkeypatch):
-        # from k = 76 on they come from Aberth
-        self.scan_with_a_failing(
+        # from k = 76 on they come from Aberth, once per member
+        rows, calls = self.scan_with_a_failing(
             monkeypatch, floatroots, "_aberth", ConvergenceFailure, 82, 76
         )
+        assert len(calls) == len(rows)
 
     def test_json_round_trip(self, capsys):
         rows = scan(6)
@@ -439,10 +461,12 @@ class TestScan:
         failing = diagonal_poly(CoprimePair(5, 3)).poly
         census = zeros.census
 
-        def census_failing_on_53(q):
-            if q == failing:
+        def census_failing_on_53(qs):
+            # fails the whole class of (3, 1), (5, 3) and (7, 5); the scan
+            # redoes each pair alone, so only (5, 3) fails
+            if failing in qs:
                 raise ArithmeticError("injected")
-            return census(q)
+            return census(qs)
 
         monkeypatch.setattr(zeros, "census", census_failing_on_53)
         rows = untimed(scan(8))
@@ -478,8 +502,9 @@ class TestScan:
         monkeypatch.setattr(zeros.os, "cpu_count", lambda: 4)
         serial = scan(8)
         assert [r.m for r in scan(8, workers=100_000)] == [r.m for r in serial]
+        # (2, 1) and (3, 2) are one chunk of k = 1, (3, 1) one of k = 2
         assert [r.m for r in scan(3, workers=100_000)] == [2, 3, 3]
-        assert sizes == [4, 3]
+        assert sizes == [4, 2]
         monkeypatch.setattr(zeros.os, "cpu_count", lambda: None)
         scan(8, workers=100_000)
-        assert sizes == [4, 3]
+        assert sizes == [4, 2]
