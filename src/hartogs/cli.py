@@ -11,9 +11,10 @@ JSON-able record for json or a list of lines for csv and text, built only
 for the format asked for; ``main`` serializes it.  Exact coefficients are
 printed as decimal strings, so no precision is lost in json; ``_fmt_poly``
 prints P and Q in text.  ``roots`` and ``scan`` reach the census through
-``roots.census``, which certifies from k = ``roots._CERTIFICATE_K`` = 24
-on, so ``roots`` csv prints the method ``spectral`` from there; ``roots``
-hands it its Q as a class of one, ``scan`` its codegree classes.
+``roots.census``, which certifies a stack of N Q of half-degree k iff
+N k^4 >= ``roots._CERTIFICATE_K``^4 = 24^4; ``roots`` hands it its Q as
+a class of one, so ``roots`` csv prints the method ``spectral`` from
+k = 24 on, and ``scan`` its codegree classes in chunks.
 The float root diagnostic of ``roots`` json and text runs here, and the
 census builds its certificate from the roots it prints.
 

@@ -46,8 +46,10 @@ palindromic p of one degree 2k, such as the Q of one codegree k = m - n,
 and a lone p is a class of one.  They run it as stacks of at most
 ``stack_size(k)`` members (``_STACK_ENTRIES`` bounds the stack's Newton
 tables): one ``_float_coeffs`` per member, then one stacked colleague
-eigensolve and one stacked pass of the grid, the dips, Newton and the
-FFT, so numpy's fixed cost per call is paid per stack, not per p.  Each
+eigensolve and one stacked pass of the dips, Newton and the FFT, so
+numpy's fixed cost per call is paid per stack, not per p; the grid goes
+in blocks of rows of at most ``_GRID_POINTS`` points, so a large stack
+of small k never pads all its rows at once.  Each
 stacked step is the elementwise operation or the reduction along one
 member that a lone p runs, so a member's roots and certificate do not
 depend on its class, bit for bit; Newton stops each member on its own,
@@ -82,9 +84,13 @@ __all__ = [
 
 CIRCLE_GUARD = 1e-9
 # complex entries of the stacked k x (2k + 1) Newton tables of one pass of
-# spectral_certificate, which bounds its members (``stack_size``): the rfft
-# grids, the colleague matrices and the FFT tables of a stack grow with it
+# spectral_certificate, which bounds its members (``stack_size``): the
+# colleague matrices and the FFT tables of a stack grow with it
 _STACK_ENTRIES = 1 << 14
+# grid points of one rfft call of spectral_certificate: the stack's grid
+# minimum is taken in blocks of rows (16 at the 4096-point grid), so a
+# large stack of small k does not pad and transform all its rows at once
+_GRID_POINTS = 1 << 16
 # the largest k at which inner_roots takes the colleague eigenvalues, not
 # Aberth: LAPACK's eigvals costs 0.70 ms at k = 74 and 75 but 1.85 ms at
 # k = 76 and 77, where Aberth takes 1.1 ms, as it changes its QR method at
@@ -255,8 +261,8 @@ def spectral_certificate(ps, roots=None) -> list[tuple[list[int], int] | None]:
 
     * refuse unless exactly k of the roots lie inside the circle;
     * eps = T_min / 4, with T_min the least T on an rfft grid of
-      max(4096, 2^ceil(log2 8k)) points and at the argument of each inside
-      root, where the grid alone misses the dips;
+      max(4096, 2^ceil(log2 8k)) points (``_grid_min``) and at the
+      argument of each inside root, where the grid alone misses the dips;
     * rho: at most 10 Newton steps on c - eps s^k from the inside roots, p
       and p' from ``_power_rows``, until no step moves a root of the
       member by more than ``_TOL`` relative (Newton squares the error, so
@@ -321,7 +327,7 @@ def _certify(c: np.ndarray, z: np.ndarray) -> list[tuple[list[int], int] | None]
     v = _cosine_coeffs(c)  # T = sum_j v_j cos(j theta)
     with np.errstate(all="ignore"):
         ok = (np.abs(z) < 1.0).all(axis=1)  # a NaN is not inside
-        grid = np.fft.rfft(v, max(4096, 1 << (8 * k - 1).bit_length())).real.min(axis=1)
+        grid = _grid_min(v, max(4096, 1 << (8 * k - 1).bit_length()))
         arguments = np.angle(z)[:, :, None] * np.arange(k + 1)
         dips = (np.cos(arguments) @ v[:, :, None]).min(axis=(1, 2))
         eps = 0.25 * np.where(dips < grid, dips, grid)  # min(grid, dips)
@@ -360,6 +366,18 @@ def _certify(c: np.ndarray, z: np.ndarray) -> list[tuple[list[int], int] | None]
         (fi, bi) if good else None
         for fi, bi, good in zip(f.tolist(), b.tolist(), ok.tolist())
     ]
+
+
+def _grid_min(v: np.ndarray, points: int) -> np.ndarray:
+    """The least sum_j v_j cos(j theta) of each row of v on the grid of
+    ``points`` equally spaced theta, from the real part of the rfft, in
+    blocks of at most ``_GRID_POINTS`` grid points; the transform of each
+    row does not depend on the others, so the blocks change no value."""
+    rows = max(1, _GRID_POINTS // points)
+    return np.concatenate([
+        np.fft.rfft(v[lo : lo + rows], points).real.min(axis=1)
+        for lo in range(0, v.shape[0], rows)
+    ])
 
 
 def classify_float_roots(roots) -> tuple[int, int, int]:

@@ -8,7 +8,8 @@ with s = z1*conj(w1), t = z2*conj(w2), and P an integer polynomial with
 exactly 4m - 3 terms.  Two constructions of P are implemented:
 
 * ``numerator_effective`` assembles the five structured pieces indexed by
-  the staircase functions of :mod:`hartogs.arith` in O(m) time;
+  the staircase functions of :mod:`hartogs.arith`, walked once in
+  ``_staircase``, in O(m) time;
 * ``numerator_oracle`` takes the tent-product coefficient of every cell of
   the full exponent rectangle 0 <= b1 <= 2m-2, 0 <= b2 <= 2n in one numpy
   pass over the rectangle's index arrays, a brute-force sum that shares no
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import CoprimePair, level, numerator_coeff, tent_partner
+from .arith import CoprimePair, numerator_coeff
 from .domain import in_domain
 from .errors import (
     DegenerateInput,
@@ -80,6 +81,24 @@ def _series_st(pair: CoprimePair, z: Point, w: Point, cutoff: int):
     return complex(s), complex(t)
 
 
+def _staircase(pair: CoprimePair):
+    """Yield (j, level(j), up, down) for the columns j = 0..m-2, with up =
+    tent_partner(j) + 1 and down = m - 1 - tent_partner(j).
+
+    One walk: with r = m level(j) - 1 - n(j + 1), 0 <= r < m, the partner
+    is m - 2 - r, and the next column takes r - n, lifted by m, and the
+    level by 1, where that is negative (n < m, so one lift is enough).
+    """
+    m, n = pair
+    lev, r = 1, m - 1 - n  # level(0) = 1, as 1 + n <= m
+    for j in range(m - 1):
+        yield j, lev, m - 1 - r, r + 1
+        r -= n
+        if r < 0:
+            lev += 1
+            r += m
+
+
 def _numerator_terms(pair: CoprimePair):
     """Yield (piece, (b1, b2), coeff) for the five structured pieces of P.
 
@@ -90,10 +109,7 @@ def _numerator_terms(pair: CoprimePair):
     """
     m, n = pair
     yield 0, (m - 1, n), m * m
-    for j in range(m - 1):
-        lev = level(pair, j)
-        part = tent_partner(pair, j)
-        up, down = part + 1, m - part - 1
+    for j, lev, up, down in _staircase(pair):
         yield 1, (j, 2 * n - lev), (j + 1) * up
         yield 2, (j, 2 * n + 1 - lev), (j + 1) * down
         yield 3, (j + m, n - lev), (m - j - 1) * up

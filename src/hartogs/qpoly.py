@@ -13,8 +13,9 @@ Q(1) = m^3.  Its five pieces are the restrictions of the numerator's pieces:
 
 with E(j) = j - level(j) + 1 and kappa = tent_partner(j), j = 0..m-2.
 Reversal swaps q1 with q4 and q2 with q3 while fixing q0, which is exactly
-why Q is palindromic.  ``diagonal_poly`` sums the terms straight into Q
-and never builds the pieces apart; the tests do, to check that symmetry.
+why Q is palindromic.  ``diagonal_poly`` sums the four terms of each
+column straight into Q from one staircase walk and never builds the
+pieces apart; the tests do, to check that symmetry.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import CoprimePair
-from .kernel import _numerator_terms
+from .kernel import _staircase
 from .poly import UniPoly
 
 __all__ = ["DiagonalPoly", "diagonal_poly"]
@@ -39,13 +40,19 @@ class DiagonalPoly:
 def diagonal_poly(pair: CoprimePair) -> DiagonalPoly:
     """Restrict the kernel numerator to the diagonal t = s.
 
-    A term c s^b1 t^b2 of P lands on c s^(b1 + b2 - (2n-1)), so summing the
-    terms of the five pieces gives Q = P(s, s) / s^(2n-1).  The tests
-    compare Q with the restriction of ``numerator_oracle``, which shares no
-    staircase code.
+    A term c s^b1 t^b2 of P lands on c s^(b1 + b2 - (2n-1)): the spike on
+    s^k, and the four band terms of column j, read off one staircase walk
+    (``_staircase``), on s^e, s^(e+1), s^(e+k) and s^(e+k+1) with e = E(j),
+    so Q = P(s, s) / s^(2n-1).  The tests compare Q with the restriction
+    of ``numerator_oracle``, which shares no staircase code.
     """
-    shift = 2 * pair.n - 1
-    q = [0] * (2 * pair.k + 1)
-    for _, (b1, b2), coeff in _numerator_terms(pair):
-        q[b1 + b2 - shift] += coeff
+    m, k = pair.m, pair.k
+    q = [0] * (2 * k + 1)
+    q[k] = m * m
+    for j, lev, up, down in _staircase(pair):
+        e, low, high = j - lev + 1, j + 1, m - j - 1
+        q[e] += low * up
+        q[e + 1] += low * down
+        q[e + k] += high * up
+        q[e + k + 1] += high * down
     return DiagonalPoly(pair, UniPoly(q))

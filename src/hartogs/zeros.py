@@ -14,17 +14,18 @@ candidates are ordered deterministically and selected by index.
 
 The scanner walks every coprime pair with m <= m_max and records the exact
 circle root count of Q and the interior count (degree - circle)/2 that the
-reciprocal pairing derives from it, both from ``roots.census``: from
-k = 24 (``roots._CERTIFICATE_K``) on a Fejer-Riesz certificate, checked
-exactly, proves the circle count 0, and below that, or where no
-certificate passes, the Sturm chain counts.  The pairs go to the census
-by codegree class k = m - n, every Q of which has degree 2k, in chunks of
-``floatroots.stack_size(k)``: each chunk takes one stacked float pass,
-then one exact check per Q.  A row's elapsed_ms is the time to build its
-own Q, plus its own exact check, plus an equal share of its chunk's float
-pass.  The conjecture under scan: Q never vanishes on |s| = 1, hence has
-exactly k = m - n roots inside the disk.  A violation is a finding, not
-an error; it is flagged in the row and the scan keeps going.
+reciprocal pairing derives from it, both from ``roots.census``.  The
+pairs go to the census by codegree class k = m - n, every Q of which has
+degree 2k, in chunks of ``floatroots.stack_size(k)``.  A chunk of N
+pairs with N k^4 >= 24^4 (``roots._CERTIFICATE_K``) takes one stacked
+float pass, whose Fejer-Riesz certificates, checked exactly, prove the
+circle count 0, then one exact check per Q; in any other chunk, or where
+no certificate passes, the Sturm chain counts.  A row's elapsed_ms is the
+time to build its own Q, plus its own exact check, plus an equal share of
+its chunk's float pass (none in a chunk below the rule).  The conjecture
+under scan: Q never vanishes on |s| = 1, hence has exactly k = m - n
+roots inside the disk.  A violation is a finding, not an error; it is
+flagged in the row and the scan keeps going.
 
 Witnesses and scan rows are plain records; ``hartogs.cli`` alone decides
 how they are printed.
@@ -140,8 +141,9 @@ class ScanRow:
 
     elapsed_ms is the wall time to build the pair's Q, plus its own exact
     check, plus an equal share of the stacked float pass of its chunk of
-    the codegree class (none below k = 24); a failed row's is the time of
-    its own attempt alone.
+    the codegree class (none where the chunk is below the rule of
+    ``roots.census``); a failed row's is the time of its own attempt
+    alone.
     """
 
     m: int

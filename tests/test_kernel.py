@@ -28,6 +28,8 @@ from hartogs import (
     series_kernel,
     series_tail_estimate,
 )
+from hartogs.arith import level, tent_partner
+from hartogs.kernel import _staircase
 from norm_oracle import monomial_norm_sq
 
 PAIRS = [CoprimePair(2, 1), CoprimePair(3, 2), CoprimePair(3, 1), CoprimePair(5, 3)]
@@ -68,6 +70,16 @@ class TestNumerator:
     def test_oracle_equality_small(self):
         for pair in coprime_pairs(60):
             assert numerator_effective(pair) == numerator_oracle(pair), pair
+
+    def test_the_staircase_walk_is_level_and_tent_partner(self):
+        # the one walk both P and Q read, against the closed forms of arith
+        for pair in coprime_pairs(40) + [CoprimePair(301, 2), CoprimePair(97, 96)]:
+            m = pair.m
+            expected = []
+            for j in range(m - 1):
+                partner = tent_partner(pair, j)
+                expected.append((j, level(pair, j), partner + 1, m - 1 - partner))
+            assert list(_staircase(pair)) == expected, pair
 
     def test_oracle_holds_python_ints(self):
         # the array pass must not leak numpy integers into the exact BiPoly

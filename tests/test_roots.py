@@ -89,6 +89,23 @@ class TestGcdAndSquarefree:
         ratio = Fraction(p.coeffs[-1]) / Fraction(prod.coeffs[-1])
         assert UniPoly([ratio * c for c in prod.coeffs]) == p
 
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            ([], []),
+            ((3, 5), [3, 5]),
+            ([6, -4, 2], [3, -2, 1]),
+            ([Fraction(1, 2), Fraction(-1, 3), 1], [3, -2, 6]),
+            ([Fraction(4), 6, Fraction(-8, 1)], [2, 3, -4]),  # denominator 1
+            ((Fraction(3, 4), Fraction(9, 4)), [1, 3]),
+        ],
+        ids=["zero", "ints", "int-content", "fractions", "fraction-over-1", "both"],
+    )
+    def test_primitive_is_pinned(self, coeffs, expected):
+        ints = roots._primitive(coeffs)
+        assert ints == expected
+        assert all(type(c) is int for c in ints)
+
     def test_zero_polynomial_refused(self):
         with pytest.raises(ValidationError, match="no squarefree part"):
             squarefree_part(UniPoly())
@@ -835,9 +852,47 @@ class TestSpectralCertificate:
 CIRCLE_PAIR = UniPoly([1, 1, 1])
 
 
+def codegree_class(k: int, count: int) -> list[UniPoly]:
+    """The Q of the first ``count`` coprime pairs (n + k, n), by n."""
+    ns = [n for n in range(1, 10 * count + 2) if math.gcd(n, k) == 1][:count]
+    assert len(ns) == count
+    return [q_of(n + k, n) for n in ns]
+
+
 class TestCensus:
-    """The entry point: the certificate from k = _CERTIFICATE_K on, the chain
-    below it and wherever the certificate is missing or refused."""
+    """The entry point: the certificate wherever a stack of N members at
+    half-degree k has N k^4 >= _CERTIFICATE_K^4, the chain elsewhere and
+    wherever the certificate is missing or refused."""
+
+    def test_a_full_stack_at_k_10_is_certified(self, eigensolves):
+        k = 10
+        size = floatroots.stack_size(k)
+        censuses = roots.census(codegree_class(k, size))
+        assert all(c.method == "spectral" for c in censuses)
+        assert [triple(c) for c in censuses] == [(k, 0, k)] * size
+        assert eigensolves == [(size, k, k)]
+
+    def test_no_stack_at_k_5_is_certified(self, eigensolves):
+        # even a full stack_size(5) has N k^4 < 24^4, so a class of three
+        # stacks, more members than the rule would ask of one, runs no float
+        # step
+        k = 5
+        qs = codegree_class(k, 2 * floatroots.stack_size(k) + 1)
+        assert len(qs) * k**4 >= roots._CERTIFICATE_K**4
+        censuses = roots.census(qs)
+        assert {c.method for c in censuses} == {"palindromic_pairing"}
+        assert eigensolves == []
+
+    def test_a_short_tail_stack_at_k_20_stays_on_the_chain(self, eigensolves):
+        # a class of stack_size(20) + 2: the full stack certifies, the tail
+        # stack of two does not, neither within its class nor alone
+        k = 20
+        size = floatroots.stack_size(k)
+        qs = codegree_class(k, size + 2)
+        methods = [c.method for c in roots.census(qs)]
+        assert methods == ["spectral"] * size + ["palindromic_pairing"] * 2
+        assert {c.method for c in roots.census(qs[-2:])} == {"palindromic_pairing"}
+        assert eigensolves == [(size, k, k)]
 
     @pytest.mark.parametrize(
         "p, expected",
@@ -979,6 +1034,32 @@ class TestClassPass:
             assert built.pop() == alone, k
             assert censuses == [interior_root_count(q, c) for q, c in zip(qs, alone)], k
             assert all(c.method == "spectral" for c in censuses), k
+
+    def test_the_grid_minimum_is_taken_in_blocks(self, monkeypatch):
+        # a stack of stack_size(10) = 78 members would pad 78 x 4096 doubles
+        # in one rfft; in blocks of _GRID_POINTS no call takes more than 16
+        # rows, and the minima are the whole stack's, bit for bit
+        k, points = 10, 4096
+        qs = codegree_class(k, floatroots.stack_size(k))
+        block = floatroots._GRID_POINTS // points
+        assert len(qs) > block == 16
+        v = floatroots._cosine_coeffs(
+            np.array([floatroots._float_coeffs(q) for q in qs])
+        )
+        whole = np.fft.rfft(v, points).real.min(axis=1)
+        rows = []
+        rfft = np.fft.rfft
+
+        def recorded(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recorded)
+        assert floatroots._grid_min(v, points).tobytes() == whole.tobytes()
+        assert sum(rows) == len(qs) and max(rows) == block
+        rows.clear()
+        assert all(roots.spectral_certificate(qs))
+        assert sum(rows) == len(qs) and max(rows) == block
 
     def test_given_roots_certify_as_alone(self):
         # the printed roots of roots json and text, for a class of k = 30

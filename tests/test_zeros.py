@@ -349,8 +349,14 @@ class TestScan:
 
     def test_certified_rows_equal_the_chain_to_100(self, monkeypatch):
         # the chain is the oracle: on every coprime pair with m <= 100 the
-        # row's counts are interior_root_count(q)'s, and every row from
-        # k = _CERTIFICATE_K on, and none below, was proven by its certificate
+        # row's counts are interior_root_count(q)'s, and every row whose
+        # chunk of N at half-degree k has N k^4 >= _CERTIFICATE_K^4, and no
+        # other, was proven by its certificate
+        chunk_sizes = {
+            (pair.m, pair.n): len(chunk)
+            for chunk in zeros._chunks(coprime_pairs(100))
+            for pair in chunk
+        }
         methods = {}
         check = roots.interior_root_count
 
@@ -369,7 +375,8 @@ class TestScan:
             assert (row.circle_count, row.interior_count) == (
                 chain.on_circle, chain.inside
             ), row
-            certified = row.k >= roots._CERTIFICATE_K
+            size = chunk_sizes[row.m, row.n]
+            certified = size * row.k**4 >= roots._CERTIFICATE_K**4
             assert method == ("spectral" if certified else "palindromic_pairing"), row
 
     @staticmethod
