@@ -874,8 +874,7 @@ class TestCensus:
 
     def test_no_stack_at_k_5_is_certified(self, eigensolves):
         # even a full stack_size(5) has N k^4 < 24^4, so a class of three
-        # stacks, more members than the rule would ask of one, runs no float
-        # step
+        # stacks runs no float step, although its whole size would pass
         k = 5
         qs = codegree_class(k, 2 * floatroots.stack_size(k) + 1)
         assert len(qs) * k**4 >= roots._CERTIFICATE_K**4
