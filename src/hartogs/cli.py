@@ -13,8 +13,8 @@ printed as decimal strings, so no precision is lost in json; ``_fmt_poly``
 prints P and Q in text.  ``roots`` and ``scan`` reach the census through
 ``roots.census``, which certifies a stack of N Q of half-degree k iff
 N k^4 >= ``roots._CERTIFICATE_K``^4 = 24^4; ``roots`` hands it its Q as
-a class of one, so ``roots`` csv prints the method ``spectral`` from
-k = 24 on, and ``scan`` its codegree classes in chunks.
+a stack of one, so ``roots`` csv prints the method ``spectral`` from
+k = 24 on, and ``scan`` the chunks it cuts its codegree classes into.
 The float root diagnostic of ``roots`` json and text runs here, and the
 census builds its certificate from the roots it prints.
 
@@ -143,7 +143,7 @@ def cmd_roots(args) -> dict | list[str]:
     pair = CoprimePair(args.m, args.n)
     q = diagonal_poly(pair).poly
     if args.output_format == "csv":
-        (counts,) = census([q])  # a class of one
+        (counts,) = census([q])  # a stack of one
         return [
             "inside,on_circle,outside,method",
             f"{counts.inside},{counts.on_circle},{counts.outside},{counts.method}",

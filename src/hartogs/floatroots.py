@@ -21,16 +21,13 @@ where |z| > 1, so no entry exceeds 1 in modulus at any degree.
 reads the residual it was accepted at.  ``numeric_roots``' roots leave as
 exact conjugate pairs and exact reals, matched by ``_mirror_partners``, the
 one owner of the real/pair decision for float roots.
-``inner_roots`` gives the census the k roots inside, unpaired.  Up to
+``_inner_stack`` gives the census the k roots inside, unpaired.  Up to
 k = 75 (``_COLLEAGUE_K``) they are the eigenvalues of the k x k colleague
 matrix of g = sum_j v_j T_j, the Chebyshev image of p (I. J. Good, "The
 colleague matrix, a Chebyshev analogue of the companion matrix", Q. J.
 Math. 1961; Boyd, SIAM Review 2013), each eigenvalue x mapped back to a
-root s of s + 1/s = 2x: LAPACK's eigvals costs less than Aberth there, and
-jumps from 0.70 to 1.85 ms between k = 75 and 76, where Aberth takes
-1.1 ms.  Above, they are the k Aberth iterates, each as z or 1/z,
-whichever lies inside.  Over every coprime pair with 3 | m <= 120 and
-k <= 75, the colleague roots lie within 1.5e-10 of Aberth's.
+root s of s + 1/s = 2x; above, they are the k Aberth iterates, each as z
+or 1/z, whichever lies inside.
 ``classify_float_roots`` sorts float roots into inside/on/outside with
 the guard band ``CIRCLE_GUARD``, and ``interior_float_roots``, the
 witness's root finder, keeps those inside it and polishes them by Newton
@@ -41,20 +38,19 @@ into a certificate (f, b) for the census.  The exact check
 (``interior_root_count``) runs no float step: floats only choose f, so a
 poor f makes the margin fail and never makes it pass.
 
-``inner_roots`` and ``spectral_certificate`` take a class: a sequence of
-palindromic p of one degree 2k, such as the Q of one codegree k = m - n,
-and a lone p is a class of one.  They run it as stacks of at most
-``stack_size(k)`` members (``_STACK_ENTRIES`` bounds the stack's Newton
-tables): one ``_float_coeffs`` per member, then one stacked colleague
-eigensolve and one stacked pass of the dips, Newton and the FFT, so
-numpy's fixed cost per call is paid per stack, not per p; the grid goes
-in blocks of rows of at most ``_GRID_POINTS`` points, so a large stack
-of small k never pads all its rows at once.  Each
-stacked step is the elementwise operation or the reduction along one
-member that a lone p runs, so a member's roots and certificate do not
-depend on its class, bit for bit; Newton stops each member on its own,
-Aberth (k > 75) runs member by member, and a stack whose eigensolve
-fails is solved member by member, so a failure costs its own member only.
+``spectral_certificate`` runs what it is given as one stack of
+palindromic p of one degree 2k: a lone p, or a chunk of a codegree class
+as ``hartogs.zeros`` cuts it, of at most ``stack_size(k)`` members
+(``_STACK_ENTRIES`` bounds their Newton tables).  One ``_float_coeffs``
+per member, then one stacked colleague eigensolve and one stacked pass
+of the dips, Newton and the FFT, so numpy's fixed cost per call is paid
+per stack, not per p; the grid goes in blocks of at most
+``_GRID_POINTS`` points.  Each stacked step is the elementwise operation
+or the reduction along one member that a lone p runs, so a member's
+roots and certificate do not depend on its stack, bit for bit; Newton
+stops each member on its own, Aberth (k > 75) runs member by member, and
+a stack whose eigensolve fails is solved member by member, so a failure
+costs its own member only.
 
 The caller that prints float roots (``hartogs roots``) compares their
 classification with the exact census, warns on disagreement, never
@@ -74,7 +70,6 @@ from .poly import UniPoly
 
 __all__ = [
     "numeric_roots",
-    "inner_roots",
     "spectral_certificate",
     "stack_size",
     "root_residuals",
@@ -84,18 +79,15 @@ __all__ = [
 
 CIRCLE_GUARD = 1e-9
 # complex entries of the stacked k x (2k + 1) Newton tables of one pass of
-# spectral_certificate, which bounds its members (``stack_size``): the
+# spectral_certificate, which bound its members (``stack_size``): the
 # colleague matrices and the FFT tables of a stack grow with it
 _STACK_ENTRIES = 1 << 14
 # grid points of one rfft call of spectral_certificate: the stack's grid
 # minimum is taken in blocks of rows (16 at the 4096-point grid), so a
 # large stack of small k does not pad and transform all its rows at once
 _GRID_POINTS = 1 << 16
-# the largest k at which inner_roots takes the colleague eigenvalues, not
-# Aberth: LAPACK's eigvals costs 0.70 ms at k = 74 and 75 but 1.85 ms at
-# k = 76 and 77, where Aberth takes 1.1 ms, as it changes its QR method at
-# that order; below, eigvals is 1.5-2.5x cheaper than Aberth (k = 56-75,
-# n <= 13, one thread of a 2-core x86-64 box)
+# the largest k at which the census's inner roots are colleague eigenvalues:
+# up to here LAPACK's eigvals costs less than Aberth (timings in the README)
 _COLLEAGUE_K = 75
 # sweep budget of numeric_roots before it raises ConvergenceFailure
 _MAX_SWEEPS = 500
@@ -235,17 +227,17 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
 
 
 def spectral_certificate(ps, roots=None) -> list[tuple[list[int], int] | None]:
-    """One certificate (f, b) for ``interior_root_count`` per p of a class
+    """One certificate (f, b) for ``interior_root_count`` per p of a stack
     of same-degree p, built from float roots, None where none is found.
 
     ``roots`` holds one collection of float roots per p, of which only
     those inside the circle are read, so the 2k of ``numeric_roots`` and
-    the k of ``inner_roots`` serve alike, and a None or an empty entry
+    the k of ``_inner_stack`` serve alike, and a None or an empty entry
     gives None.  Without ``roots`` the k inner roots are those of
-    ``inner_roots``, found on the same float coefficients.  The class
-    runs as stacks of at most ``stack_size(k)`` members, each step one
-    stacked numpy call with the elementwise operations and reductions of
-    a lone p, so a member's certificate does not depend on its class.
+    ``_inner_stack``, found on the same float coefficients.  The stack
+    runs whole, each step one stacked numpy call with the elementwise
+    operations and reductions of a lone p, so a member's certificate does
+    not depend on its stack.
 
     p must be palindromic of degree 2k >= 2 for the certificate to mean
     anything; any other degree gives None.  The census checks the
@@ -283,22 +275,13 @@ def spectral_certificate(ps, roots=None) -> list[tuple[list[int], int] | None]:
     degree = _class_degree(ps)
     if degree < 2 or degree % 2:
         return [None] * len(ps)
-    k = degree // 2
-    if roots is not None:
-        roots = list(roots)
-        if len(roots) != len(ps):
-            raise ValidationError(f"{len(roots)} collections of roots for {len(ps)} p")
-    out: list[tuple[list[int], int] | None] = []
-    size = stack_size(k)
-    for lo in range(0, len(ps), size):
-        chunk = ps[lo : lo + size]
-        c = np.array([_float_coeffs(p) for p in chunk])
-        if roots is None:
-            z = _inner_stack(chunk, c)
-        else:
-            z = _inside_stack(roots[lo : lo + size], k)
-        out += _certify(c, z)
-    return out
+    c = np.array([_float_coeffs(p) for p in ps])
+    if roots is None:
+        return _certify(c, _inner_stack(ps, c))
+    roots = list(roots)
+    if len(roots) != len(ps):
+        raise ValidationError(f"{len(roots)} collections of roots for {len(ps)} p")
+    return _certify(c, _inside_stack(roots, degree // 2))
 
 
 def _inside_stack(found, k: int) -> np.ndarray:
@@ -634,9 +617,18 @@ def _colleague_roots(v: np.ndarray) -> np.ndarray:
 
 
 def _inner_stack(ps, c: np.ndarray) -> np.ndarray:
-    """The k inner roots of each p of one stack (c their float
-    coefficients), one row each; a row of NaN where p's root finder
-    failed."""
+    """The k roots of modulus < 1 of each p of a stack of palindromic p of
+    one degree 2k (c their float coefficients), one of each pair r, 1/r,
+    one row each; a row of NaN where p's root finder failed.
+
+    Up to k = ``_COLLEAGUE_K`` each eigenvalue x of one stacked colleague
+    eigensolve maps to s = x - sqrt(x - 1) sqrt(x + 1), a root of s + 1/s
+    = 2x; above, the k iterates of ``_aberth`` serve, member by member.
+    Each is taken as z or 1/z, whichever has modulus < 1; a root on the
+    circle (an eigenvalue on [-1, 1]) stays there, and the certificate is
+    then refused.  A p of odd degree, or not palindromic, raises
+    NotPalindromic.
+    """
     k = c.shape[1] // 2
     if k > _COLLEAGUE_K:
         z = np.full((len(ps), k), complex("nan"))
@@ -652,29 +644,3 @@ def _inner_stack(ps, c: np.ndarray) -> np.ndarray:
         z = x - np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
     with np.errstate(invalid="ignore"):  # the NaN rows
         return np.where(np.abs(z) < 1.0, z, 1.0 / z)
-
-
-def inner_roots(ps) -> list[np.ndarray | None]:
-    """The k roots of modulus < 1 of each p of a class of palindromic p of
-    one degree 2k, one of each reciprocal pair r, 1/r, unpaired; None for
-    a p whose root finder failed.
-
-    Up to k = ``_COLLEAGUE_K`` they come from the eigenvalues x of g's
-    colleague matrix (``_colleague_roots``), one stacked eigensolve per
-    ``stack_size(k)`` members, each x mapped to s = x - sqrt(x - 1)
-    sqrt(x + 1), one root of s + 1/s = 2x; above it from the k iterates of
-    ``_aberth``, member by member.  Each is taken as z or 1/z, whichever
-    has modulus < 1.  This is all ``spectral_certificate`` reads of the
-    roots, without the pairing of ``numeric_roots``; a root on the circle
-    (an eigenvalue on [-1, 1]) stays there, and the certificate is then
-    refused.  A p of odd degree, or not palindromic, raises
-    NotPalindromic, and p of different degrees raise ValidationError.
-    """
-    ps = list(ps)
-    size = stack_size(_class_degree(ps) // 2)
-    out: list[np.ndarray | None] = []
-    for lo in range(0, len(ps), size):
-        chunk = ps[lo : lo + size]
-        z = _inner_stack(chunk, np.array([_float_coeffs(p) for p in chunk]))
-        out += [None if np.isnan(row).any() else row for row in z]
-    return out

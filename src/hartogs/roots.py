@@ -78,11 +78,11 @@ and squarefree results leave as monic ``UniPoly``s.
   chain counts as if no certificate had been given.
 
 ``census(qs)`` is the one entry point of ``hartogs scan`` and ``hartogs
-roots``.  It takes a class, palindromic q of one degree 2k (the scan's
-codegree classes, or a lone Q as a class of one), and returns one census
-per q.  The class runs in stacks of ``stack_size(k)`` q, and a stack of
-N q certifies iff N k^4 >= ``_CERTIFICATE_K``^4, so a class of one from
-k = 24 and a scan chunk from about k = 10: one stacked float pass
+roots``.  It takes one stack, palindromic q of one degree 2k and at most
+``stack_size(k)`` of them (a scan chunk, as ``hartogs.zeros`` cuts each
+codegree class, or a lone Q), and returns one census per q.  A stack of
+N q certifies iff N k^4 >= ``_CERTIFICATE_K``^4, so a stack of one from
+k = 24 and a full scan chunk from about k = 10: one stacked float pass
 (``hartogs.floatroots``) builds each of its q's certificate, and each
 goes to ``interior_root_count`` with its own q.  In a stack below the
 rule, and wherever the float side fails or the check refuses, the chain
@@ -106,7 +106,7 @@ from .errors import (
     NotPalindromic,
     ValidationError,
 )
-from .floatroots import numeric_roots, spectral_certificate, stack_size
+from .floatroots import _class_degree, numeric_roots, spectral_certificate, stack_size
 from .poly import UniPoly
 
 __all__ = [
@@ -123,27 +123,9 @@ __all__ = [
 ]
 
 _ONE = Fraction(1)
-# The crossover of ``census``: it certifies q of half-degree k, handed over
-# in a stack of N members (``stack_size(k)``, or fewer in a short class or
-# the class's last stack), iff N k^4 >= _CERTIFICATE_K^4.  The stacked
-# float pass pays numpy's fixed cost once per stack, so its cost per q
-# falls with N, and the chain's cost grows faster in k than the pass's;
-# the rule follows the measured crossover below, and certifies a class of
-# one from k = 24 and a full stack from k = 7.  The chain's CPU time over
-# that of the class pass (colleague roots, stacked certificate and exact
-# check; best of 5, in process, on the scan's class (n + k, n) with
-# m <= M in its scan chunks; * where the rule certifies the class's first
-# chunk):
-#
-#     k          5     7     9      10     11     12     16     20     24
-#     M = 72     0.60  0.78  0.92   0.97   1.10*  1.05*  1.36*  1.47*  1.67*
-#     M = 150    0.66  0.84  1.03*  1.08*  1.15*  1.21*  1.43*  1.75*  2.01*
-#
-# A class of one keeps the chain below k = 24 (at (k + 1, 1) the pass
-# takes 0.24-0.34 ms at k = 10-23 against the chain's 0.05-0.22 ms), so
-# ``hartogs roots`` csv prints the chain's method there.
-# Below the rule no float step runs, which keeps LAPACK's and the FFT's
-# memory out of a process that only ever censuses small k
+# the crossover of ``census``: a stack of N q of half-degree k certifies
+# iff N k^4 >= _CERTIFICATE_K^4, where the stacked float pass costs less
+# than the chain (measurements in the README)
 _CERTIFICATE_K = 24
 # deg b * bits(lc a) from which a remainder step divides 2-adically: the
 # 2-adic step pays a fixed cost per step and saves a little per coordinate,
@@ -545,7 +527,7 @@ class RootCensus:
     # lower bound on min |p(s)| / p(1) over the circle; None on the chain
     margin_lo: float | None = None
     # wall time in ms: the census's own exact check plus, if its stack was
-    # certified, an equal share of the class's float pass, as ``census``
+    # certified, an equal share of the stack's float pass, as ``census``
     # times it; None where nothing timed it, and never compared
     elapsed_ms: float | None = dataclasses.field(
         default=None, compare=False, repr=False
@@ -662,54 +644,37 @@ def interior_root_count(p: UniPoly, certificate=None) -> RootCensus:
     return census
 
 
-def _certified_count(k: int, count: int) -> int:
-    """How many of a class of ``count`` q of half-degree k ``census``
-    certifies: each stack of N members, ``stack_size(k)`` but the last,
-    certifies iff N k^4 >= _CERTIFICATE_K^4.  Only the last stack can be
-    shorter, so the certified members lead the class."""
-    size = stack_size(k)
-    stacks = (min(size, count - lo) for lo in range(0, count, size))
-    return sum(n for n in stacks if n * k**4 >= _CERTIFICATE_K**4)
-
-
 def census(qs, float_roots=None) -> list[RootCensus]:
-    """The exact census of each palindromic q of a class of one degree,
-    certified where that is cheaper; one RootCensus per q, in order.
+    """The exact census of each q of one stack, certified where that is
+    cheaper; one RootCensus per q, in order.  q of different degrees, or
+    more than ``stack_size(k)`` q of degree 2k, raise ValidationError.
 
-    With ``float_roots`` None, a class of even degree 2k runs in stacks of
-    ``stack_size(k)`` members, and a stack of N certifies iff N k^4 >=
-    ``_CERTIFICATE_K``^4 (a class of one from k = 24, a full stack from
-    k = 7): one stacked float pass, ``spectral_certificate``, builds each
-    of its q's certificate from the k inner roots (``inner_roots``: the
-    colleague eigenvalues of g up to k = 75, Aberth above).  A stack below
-    the rule runs no float step, and a q whose root finder fails gets no
-    certificate.  Given ``float_roots``, one collection per q (those of
-    ``numeric_roots``, or None where it failed), the certificate is built
-    from them at any degree and no float root finder runs.
-
+    With ``float_roots`` None, a stack of N certifies iff N k^4 >=
+    ``_CERTIFICATE_K``^4: ``spectral_certificate`` builds every q's
+    certificate in one stacked float pass, and a q whose root finder fails
+    gets none; below the rule no float step runs.  Given ``float_roots``,
+    one collection per q (those of ``numeric_roots``, or None where it
+    failed), the certificates are built from them at any degree.
     ``interior_root_count`` then checks each certificate exactly and counts
     by the chain wherever there is none or it is refused, so the counts
     never depend on the floats.  Each census's ``elapsed_ms`` is its own
-    exact check plus an equal share of the float pass of the certified
-    q.  q of different degrees raise ValidationError.
+    exact check plus an equal share of the stack's float pass, if any.
     """
     qs = list(qs)
     start = time.perf_counter()
-    degree = qs[0].degree if qs else 0
-    if any(q.degree != degree for q in qs):
-        raise ValidationError("a class has one degree")
-    if float_roots is not None:
-        cut = len(qs)
-    else:
-        cut = 0 if degree % 2 else _certified_count(degree // 2, len(qs))
-    certificates = [None] * len(qs)
-    if cut:
-        certificates[:cut] = spectral_certificate(qs[:cut], float_roots)
-    share = (time.perf_counter() - start) * 1000.0 / max(cut, 1)
+    k = _class_degree(qs) // 2
+    if len(qs) > stack_size(k):
+        raise ValidationError(
+            f"a stack at k = {k} holds at most {stack_size(k)} q, got {len(qs)}"
+        )
+    certificates, share = [None] * len(qs), 0.0
+    if float_roots is not None or len(qs) * k**4 >= _CERTIFICATE_K**4:
+        certificates = spectral_certificate(qs, float_roots)
+        share = (time.perf_counter() - start) * 1000.0 / max(len(qs), 1)
     out = []
-    for i, (q, certificate) in enumerate(zip(qs, certificates)):
+    for q, certificate in zip(qs, certificates):
         start = time.perf_counter()
         counts = interior_root_count(q, certificate)
-        elapsed = (share if i < cut else 0.0) + (time.perf_counter() - start) * 1000.0
+        elapsed = share + (time.perf_counter() - start) * 1000.0
         out.append(dataclasses.replace(counts, elapsed_ms=elapsed))
     return out

@@ -14,13 +14,14 @@ candidates are ordered deterministically and selected by index.
 
 The scanner walks every coprime pair with m <= m_max and records the exact
 circle root count of Q and the interior count (degree - circle)/2 that the
-reciprocal pairing derives from it, both from ``roots.census``.  The
-pairs go to the census by codegree class k = m - n, every Q of which has
-degree 2k, in chunks of ``floatroots.stack_size(k)``.  A chunk of N
-pairs with N k^4 >= 24^4 (``roots._CERTIFICATE_K``) takes one stacked
-float pass, whose Fejer-Riesz certificates, checked exactly, prove the
-circle count 0, then one exact check per Q; in any other chunk, or where
-no certificate passes, the Sturm chain counts.  A row's elapsed_ms is the
+reciprocal pairing derives from it, both from ``roots.census``.
+``_chunks``, the one place a codegree class k = m - n is cut, hands it
+chunks of ``floatroots.stack_size(k)`` pairs, each Q of degree 2k, one
+stack each.  A chunk of N pairs with N k^4 >= 24^4
+(``roots._CERTIFICATE_K``) takes one stacked float pass, whose
+Fejer-Riesz certificates, checked exactly, prove the circle count 0,
+then one exact check per Q; in any other chunk, or where no certificate
+passes, the Sturm chain counts.  A row's elapsed_ms is the
 time to build its own Q, plus its own exact check, plus an equal share of
 its chunk's float pass (none in a chunk below the rule).  The conjecture
 under scan: Q never vanishes on |s| = 1, hence has exactly k = m - n
@@ -179,8 +180,8 @@ def _ms_since(start: float) -> float:
 
 
 def _class_rows(pairs: list[CoprimePair]) -> list[ScanRow]:
-    """The rows of pairs of one codegree: each Q built alone, then one
-    ``census`` of them all."""
+    """The rows of one chunk of a codegree class: each Q built alone, then
+    one ``census`` of them all, as one stack."""
     qs, build_ms = [], []
     for pair in pairs:
         start = time.perf_counter()
@@ -223,7 +224,8 @@ def _scan_chunk(pairs: list[CoprimePair]) -> list[ScanRow]:
 
 def _chunks(pairs: list[CoprimePair]) -> list[list[CoprimePair]]:
     """The pairs split by codegree k, each class in its (m, n) order and
-    cut into chunks of ``stack_size(k)``, one stacked float pass each."""
+    cut into chunks of ``stack_size(k)``: the one cut of a class, and
+    each chunk is the one stack of its ``census``."""
     classes: dict[int, list[CoprimePair]] = {}
     for pair in pairs:
         classes.setdefault(pair.k, []).append(pair)
@@ -239,8 +241,8 @@ def scan(
 ) -> list[ScanRow]:
     """Census every coprime pair with m <= m_max; rows ordered by (m, n).
 
-    The pairs go by codegree class, in chunks of ``stack_size(k)`` that
-    each take one stacked float pass in ``census``; the rows are put back
+    The pairs go by codegree class, in the chunks of ``_chunks``, each
+    one stack of ``census``; the rows are put back
     in the (m, n) order of ``coprime_pairs``, so the row order and all
     mathematical columns are identical regardless of worker count; only
     elapsed_ms varies run to run.  The pool never exceeds the chunk count

@@ -24,7 +24,8 @@ def acceptance_report():
 @pytest.fixture
 def aberth_calls(monkeypatch):
     """The degrees ``floatroots._aberth`` runs on: the one iteration behind
-    ``numeric_roots``, and behind ``inner_roots`` from k = 76 on."""
+    ``numeric_roots``, and behind the census's inner roots
+    (``_inner_stack``) from k = 76 on."""
     calls = []
     aberth = floatroots._aberth
 
@@ -39,8 +40,9 @@ def aberth_calls(monkeypatch):
 @pytest.fixture
 def eigensolves(monkeypatch):
     """The shapes of the arrays ``np.linalg.eigvals`` runs on: the stacked
-    colleague eigensolve behind ``inner_roots`` up to k = 75, (members, k,
-    k), and a (k, k) per member where a stack failed."""
+    colleague eigensolve behind the census's inner roots (``_inner_stack``)
+    up to k = 75, (members, k, k), and a (k, k) per member where a stack
+    failed."""
     calls = []
     eigvals = np.linalg.eigvals
 

@@ -28,11 +28,12 @@ from hartogs import (
     numeric_roots,
     poly_gcd,
     root_residuals,
+    scan,
     squarefree_decomposition,
     squarefree_part,
     sturm_count,
 )
-from hartogs import floatroots, roots
+from hartogs import floatroots, roots, zeros
 from hartogs.floatroots import _mirror_partners
 from hartogs.qpoly import diagonal_poly
 
@@ -859,10 +860,38 @@ def codegree_class(k: int, count: int) -> list[UniPoly]:
     return [q_of(n + k, n) for n in ns]
 
 
+def inner_stack(ps) -> np.ndarray:
+    """The k inner roots of each p of a stack, one row each, as the census's
+    certificate reads them: ``floatroots._inner_stack`` on the float
+    coefficients ``spectral_certificate`` gives it."""
+    return floatroots._inner_stack(
+        ps, np.array([floatroots._float_coeffs(p) for p in ps])
+    )
+
+
+def scan_methods(monkeypatch, m_max: int, k: int) -> list[str]:
+    """The census method of each row of scan(m_max, k=k), in (m, n) order:
+    one class, whose chunks the scan hands the census in that order."""
+    methods = []
+    census = zeros.census
+
+    def recorded(qs):
+        out = census(qs)
+        methods.extend(c.method for c in out)
+        return out
+
+    monkeypatch.setattr(zeros, "census", recorded)
+    rows = scan(m_max, k=k)
+    assert all(row.conjecture_holds and row.error is None for row in rows)
+    assert len(methods) == len(rows)
+    return methods
+
+
 class TestCensus:
     """The entry point: the certificate wherever a stack of N members at
     half-degree k has N k^4 >= _CERTIFICATE_K^4, the chain elsewhere and
-    wherever the certificate is missing or refused."""
+    wherever the certificate is missing or refused; the scan's chunks
+    are its stacks."""
 
     def test_a_full_stack_at_k_10_is_certified(self, eigensolves):
         k = 10
@@ -872,26 +901,38 @@ class TestCensus:
         assert [triple(c) for c in censuses] == [(k, 0, k)] * size
         assert eigensolves == [(size, k, k)]
 
-    def test_no_stack_at_k_5_is_certified(self, eigensolves):
-        # even a full stack_size(5) has N k^4 < 24^4, so a class of three
-        # stacks runs no float step, although its whole size would pass
+    def test_no_stack_at_k_5_is_certified(self, eigensolves, monkeypatch):
+        # even a full stack_size(5) has N k^4 < 24^4, so the class k = 5 to
+        # m = 749, three scan chunks, runs no float step, although its
+        # whole size would pass
         k = 5
-        qs = codegree_class(k, 2 * floatroots.stack_size(k) + 1)
-        assert len(qs) * k**4 >= roots._CERTIFICATE_K**4
-        censuses = roots.census(qs)
-        assert {c.method for c in censuses} == {"palindromic_pairing"}
+        methods = scan_methods(monkeypatch, 749, k)
+        assert len(methods) == 2 * floatroots.stack_size(k) + 2
+        assert len(methods) * k**4 >= roots._CERTIFICATE_K**4
+        assert set(methods) == {"palindromic_pairing"}
         assert eigensolves == []
 
-    def test_a_short_tail_stack_at_k_20_stays_on_the_chain(self, eigensolves):
-        # a class of stack_size(20) + 2: the full stack certifies, the tail
-        # stack of two does not, neither within its class nor alone
+    def test_a_short_tail_stack_at_k_20_stays_on_the_chain(
+        self, eigensolves, monkeypatch
+    ):
+        # the class k = 20 to m = 71 holds stack_size(20) + 2 = 21 pairs:
+        # its full chunk certifies in one eigensolve, and its tail chunk of
+        # two does not
         k = 20
         size = floatroots.stack_size(k)
-        qs = codegree_class(k, size + 2)
-        methods = [c.method for c in roots.census(qs)]
+        methods = scan_methods(monkeypatch, 71, k)
         assert methods == ["spectral"] * size + ["palindromic_pairing"] * 2
-        assert {c.method for c in roots.census(qs[-2:])} == {"palindromic_pairing"}
-        assert eigensolves == [(size, k, k)]
+        assert eigensolves == [(size, k, k)] == [(19, 20, 20)]
+
+    def test_a_census_takes_one_stack(self):
+        # the scan's chunks are the one cut of a class: a census of more
+        # than stack_size(k) q, with or without float roots, is refused
+        k = 20
+        qs = codegree_class(k, floatroots.stack_size(k) + 1)
+        for float_roots in (None, [None] * len(qs)):
+            with pytest.raises(ValidationError, match="at most 19 q, got 20"):
+                roots.census(qs, float_roots)
+        assert {c.method for c in roots.census(qs[1:])} == {"spectral"}
 
     @pytest.mark.parametrize(
         "p, expected",
@@ -938,7 +979,7 @@ class TestCensus:
         pairs = [pq for pq in coprime_pairs(120) if pq.m - pq.n <= 75][::3]
         assert CoprimePair(5, 3) not in pairs
         for q in [diagonal_poly(pq).poly for pq in pairs] + [q_of(81, 5)]:
-            (inner,) = floatroots.inner_roots([q])
+            (inner,) = inner_stack([q])
             paired = np.array([r for r in numeric_roots(q) if abs(r) < 1])
             assert inner.size == paired.size == q.degree // 2
             gaps = np.abs(np.subtract.outer(inner, paired))
@@ -968,7 +1009,7 @@ class TestCensus:
         x = np.sort(floatroots._colleague_roots(v[None])[0])
         nodes = np.sort(np.cos((2 * np.arange(1, k + 1) - 1) * math.pi / (2 * k)))
         assert np.abs(x - nodes).max() < 1e-12
-        (inner,) = floatroots.inner_roots([p])
+        (inner,) = inner_stack([p])
         assert np.abs(np.abs(inner) - 1).max() < 1e-12
         assert roots.spectral_certificate([p], [inner]) == [None]
         assert roots.spectral_certificate([p]) == [None]
@@ -980,7 +1021,7 @@ class TestCensus:
 
         monkeypatch.setattr(np.linalg, "eigvals", fail)
         q = q_of(42, 1)
-        assert floatroots.inner_roots([q])[0] is None
+        assert np.isnan(inner_stack([q])).all()
         (census,) = roots.census([q])
         assert census == interior_root_count(q)
         assert census.method == "palindromic_pairing"
@@ -1006,19 +1047,18 @@ def flaky_eigvals(monkeypatch, failing: int):
 
 
 class TestClassPass:
-    """One stacked float pass per codegree class: each member's certificate
-    and census are those of the member alone."""
+    """One stacked float pass per scan chunk of a codegree class: each
+    member's certificate and census are those of the member alone."""
 
     def test_a_class_certifies_as_its_members_alone(self, monkeypatch):
-        # every coprime pair with m <= 100 from k = _CERTIFICATE_K on, one
-        # class per k: several stacks at small k, one member per stack and
-        # Aberth's roots from k = 76; the class's certificates are those
-        # its census built
-        classes = {}
-        for pair in coprime_pairs(100):
-            if pair.k >= roots._CERTIFICATE_K:
-                classes.setdefault(pair.k, []).append(diagonal_poly(pair).poly)
-        assert len(classes[24]) > floatroots.stack_size(24)
+        # every coprime pair with m <= 100 from k = _CERTIFICATE_K on, in
+        # its scan chunks: several per class at small k, one member per
+        # chunk and Aberth's roots from k = 76; each chunk's certificates
+        # are those its census built
+        chunks = zeros._chunks(
+            [pair for pair in coprime_pairs(100) if pair.k >= roots._CERTIFICATE_K]
+        )
+        assert [len(chunk) for chunk in chunks if chunk[0].k == 24] == [13, 12]
         built = []
         certify = roots.spectral_certificate
 
@@ -1027,12 +1067,13 @@ class TestClassPass:
             return built[-1]
 
         monkeypatch.setattr(roots, "spectral_certificate", recorded)
-        for k, qs in classes.items():
+        for chunk in chunks:
+            qs = [diagonal_poly(pair).poly for pair in chunk]
             censuses = roots.census(qs)
             alone = [certify([q])[0] for q in qs]
-            assert built.pop() == alone, k
-            assert censuses == [interior_root_count(q, c) for q, c in zip(qs, alone)], k
-            assert all(c.method == "spectral" for c in censuses), k
+            assert built.pop() == alone, chunk
+            assert censuses == [interior_root_count(q, c) for q, c in zip(qs, alone)], chunk
+            assert all(c.method == "spectral" for c in censuses), chunk
 
     def test_the_grid_minimum_is_taken_in_blocks(self, monkeypatch):
         # a stack of stack_size(10) = 78 members would pad 78 x 4096 doubles
@@ -1076,9 +1117,9 @@ class TestClassPass:
         qs = [q_of(n + 41, n) for n in (1, 2, 3, 4)]
         assert floatroots.stack_size(41) >= len(qs)
         calls = flaky_eigvals(monkeypatch, failing=1)
-        inner = floatroots.inner_roots(qs)
+        inner = inner_stack(qs)
         assert calls == [(4, 41, 41)] + [(41, 41)] * 4
-        assert [r is None for r in inner] == [False, True, False, False]
+        assert np.isnan(inner).any(axis=1).tolist() == [False, True, False, False]
         monkeypatch.undo()
         flaky_eigvals(monkeypatch, failing=1)
         censuses = roots.census(qs)
@@ -1107,11 +1148,10 @@ class TestClassPass:
 
     def test_a_class_has_one_degree(self):
         qs = [q_of(42, 1), q_of(43, 1)]
-        for run in (roots.census, floatroots.inner_roots, roots.spectral_certificate):
+        for run in (roots.census, roots.spectral_certificate):
             with pytest.raises(ValidationError, match="one degree"):
                 run(qs)
-        assert roots.census([]) == floatroots.inner_roots([]) == []
-        assert roots.spectral_certificate([]) == []
+        assert roots.census([]) == roots.spectral_certificate([]) == []
         with pytest.raises(ValidationError, match="collections of roots"):
             roots.spectral_certificate(qs[:1], [])
 
@@ -1196,8 +1236,8 @@ class TestNumericRoots:
     def test_refuses_odd_degree_and_non_palindromic(self, p):
         # every caller sends Q or its squarefree part, palindromic of even
         # degree once interior_float_roots has divided out s + 1; the census
-        # sends inner_roots Q alone
-        for finder in (numeric_roots, lambda p: floatroots.inner_roots([p])):
+        # sends _inner_stack its stack
+        for finder in (numeric_roots, lambda p: inner_stack([p])):
             with pytest.raises(NotPalindromic):
                 finder(p)
 

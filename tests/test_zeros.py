@@ -293,6 +293,16 @@ class TestScan:
 
         assert untimed(scan(10)) == untimed(scan(10, workers=2))
 
+    def test_parallel_matches_serial_where_a_class_spans_two_chunks(self):
+        # k = 24 to m = 70: 15 pairs in chunks of stack_size(24) = 13 and 2,
+        # each certified, and two tasks for the pool of two workers
+        def untimed(rows):
+            return [dataclasses.replace(row, elapsed_ms=0.0) for row in rows]
+
+        chunks = zeros._chunks(coprime_pairs(70, k=24))
+        assert [len(chunk) for chunk in chunks] == [13, 2]
+        assert untimed(scan(70, k=24)) == untimed(scan(70, k=24, workers=2))
+
     def test_a_row_times_its_build_its_check_and_a_share_of_its_chunk(
         self, monkeypatch
     ):
