@@ -42,7 +42,6 @@ from .floatroots import (
     interior_float_roots,
     numeric_roots,
     root_residuals,
-    spectral_certificate,
 )
 from .kernel import (
     KernelFormula,

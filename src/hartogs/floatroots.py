@@ -32,15 +32,15 @@ or 1/z, whichever lies inside.
 the guard band ``CIRCLE_GUARD``, and ``interior_float_roots``, the
 witness's root finder, keeps those inside it and polishes them by Newton
 on p and p' from Horner's rule, the module's one other float evaluation
-of p (its docstring says why not the power rows).
-``spectral_certificate`` rounds the spectral factor of the float roots
-into a certificate (f, b) for the census.  The exact check
-(``interior_root_count``) runs no float step: floats only choose f, so a
-poor f makes the margin fail and never makes it pass.
+of p, the more accurate of the two there (measurements in the README).
 
-``spectral_certificate`` runs what it is given as one stack of
-palindromic p of one degree 2k: a lone p, or a chunk of a codegree class
-as ``hartogs.zeros`` cuts it, of at most ``stack_size(k)`` members
+``_spectral_certificate``, the census's helper, rounds the spectral
+factor of the float roots into a certificate (f, b), which
+``roots.census`` checks exactly: floats only choose f, so a poor f makes
+the margin fail and never makes it pass.  It checks nothing itself:
+``roots.census`` hands it one stack of palindromic p of one even degree
+2k >= 2, a lone p or a chunk of a codegree class as ``hartogs.zeros``
+cuts it, of at most ``stack_size(k)`` members
 (``_STACK_ENTRIES`` bounds their Newton tables).  One ``_float_coeffs``
 per member, then one stacked colleague eigensolve and one stacked pass
 of the dips, Newton and the FFT, so numpy's fixed cost per call is paid
@@ -70,8 +70,6 @@ from .poly import UniPoly
 
 __all__ = [
     "numeric_roots",
-    "spectral_certificate",
-    "stack_size",
     "root_residuals",
     "interior_float_roots",
     "classify_float_roots",
@@ -79,10 +77,10 @@ __all__ = [
 
 CIRCLE_GUARD = 1e-9
 # complex entries of the stacked k x (2k + 1) Newton tables of one pass of
-# spectral_certificate, which bound its members (``stack_size``): the
+# _spectral_certificate, which bound its members (``stack_size``): the
 # colleague matrices and the FFT tables of a stack grow with it
 _STACK_ENTRIES = 1 << 14
-# grid points of one rfft call of spectral_certificate: the stack's grid
+# grid points of one rfft call of _spectral_certificate: the stack's grid
 # minimum is taken in blocks of rows (16 at the 4096-point grid), so a
 # large stack of small k does not pad and transform all its rows at once
 _GRID_POINTS = 1 << 16
@@ -100,18 +98,9 @@ _EPS = sys.float_info.epsilon
 
 def stack_size(k: int) -> int:
     """The members of one stacked float pass at half-degree k: as many
-    k x (2k + 1) Newton tables of ``spectral_certificate`` as fit in
+    k x (2k + 1) Newton tables of ``_spectral_certificate`` as fit in
     ``_STACK_ENTRIES`` complex entries, and at least one."""
     return max(1, _STACK_ENTRIES // max(1, k * (2 * k + 1)))
-
-
-def _class_degree(ps) -> int:
-    """The one degree of a class of p (0 for an empty class); p of
-    different degrees raise ValidationError."""
-    degrees = {p.degree for p in ps}
-    if len(degrees) > 1:
-        raise ValidationError(f"a class has one degree, got {sorted(degrees)}")
-    return degrees.pop() if degrees else 0
 
 
 def _float_coeffs(p: UniPoly) -> np.ndarray:
@@ -142,8 +131,7 @@ def _power_rows(z: np.ndarray, rows: np.ndarray) -> None:
     the residual ratio are p's own at any degree.  An outer row takes the
     powers of y in ascending order, as an inner row those of x, and is then
     reversed in place.  ``interior_float_roots`` polishes by Horner
-    instead, which its docstring shows to be the more accurate of the two
-    at the roots.
+    instead, the more accurate of the two at the roots.
     """
     rows[..., 0] = 1.0
     rows[..., 1:] = z[..., None]
@@ -193,15 +181,8 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
     each divided exactly before its one rounding, top degree first; the
     polish stops after 60 steps, at p' = 0, or at a step within two double
     spacings of z, which includes every step that leaves z where it is.
-
-    Horner and lc(p) are more accurate here than the arithmetic of
-    ``numeric_roots``.  Over the 11,822 interior roots on or above the
-    real axis of the 1,101 coprime pairs with m <= 60, against 40-digit
-    roots, ``_power_rows`` left 1.6 times Horner's rounding noise at the
-    roots (median |p| 1.65e-17 against 1.01e-17 of the residual scale) and
-    polished to relative errors of median 3.2e-16 and worst 2.1e-14, where
-    Horner reaches 2.1e-16 and 7.4e-15; ``_float_coeffs``' scaling by
-    max |c_i| gives 2.2e-16 and 7.7e-15.
+    Horner on p / lc(p) polishes more accurately than the power rows of
+    ``numeric_roots`` (measurements in the README).
     """
     p = p.div_rem(UniPoly([1, 1]))[0] if p.degree % 2 else p
     lead = p.coeffs[-1]
@@ -226,30 +207,46 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
     return sorted(out, key=lambda r: (r.real, r.imag))
 
 
-def spectral_certificate(ps, roots=None) -> list[tuple[list[int], int] | None]:
-    """One certificate (f, b) for ``interior_root_count`` per p of a stack
-    of same-degree p, built from float roots, None where none is found.
+def _spectral_certificate(ps, roots=None) -> list[tuple[list[int], int] | None]:
+    """One certificate (f, b) per p of a stack that ``roots.census`` has
+    checked, palindromic p of one degree 2k >= 2, built from float roots;
+    None where none is found.
 
     ``roots`` holds one collection of float roots per p, of which only
     those inside the circle are read, so the 2k of ``numeric_roots`` and
     the k of ``_inner_stack`` serve alike, and a None or an empty entry
     gives None.  Without ``roots`` the k inner roots are those of
-    ``_inner_stack``, found on the same float coefficients.  The stack
-    runs whole, each step one stacked numpy call with the elementwise
-    operations and reductions of a lone p, so a member's certificate does
-    not depend on its stack.
+    ``_inner_stack``, found on the same float coefficients.
+    """
+    c = np.array([_float_coeffs(p) for p in ps])
+    z = _inner_stack(ps, c) if roots is None else _inside_stack(roots, c.shape[1] // 2)
+    return _certify(c, z)
 
-    p must be palindromic of degree 2k >= 2 for the certificate to mean
-    anything; any other degree gives None.  The census checks the
-    certificate exactly, so a None here, or an f the check refuses, only
-    leaves the census to the Sturm chain.
 
-    With c = q / max |q_i|, the coefficients of ``_float_coeffs``, and
-    T(theta) = c_k + 2 sum_j c_(k+j) cos(j theta), the spectral factor F
-    of T - eps (Fejer and Riesz) is sqrt(a) prod(s - rho) over the k roots
-    rho of c - eps s^k inside the circle, a = c_2k / prod(-rho) > 0, so
-    that F rev(F) = c - eps s^k; f = rint(2^b F), for ``_spectral_margin``.
-    Steps:
+def _inside_stack(found, k: int) -> np.ndarray:
+    """The roots of modulus < 1 in each entry of found, one row each; a row
+    of NaN where an entry is None or has other than k of them."""
+    z = np.full((len(found), k), complex("nan"))
+    for i, r in enumerate(found):
+        if r is None:
+            continue
+        r = np.asarray(r, dtype=complex)
+        r = r[np.abs(r) < 1.0]
+        if r.size == k:
+            z[i] = r
+    return z
+
+
+def _certify(c: np.ndarray, z: np.ndarray) -> list[tuple[list[int], int] | None]:
+    """The certificates of ``_spectral_certificate`` for one stack: c the
+    members' float coefficients (N x (2k + 1)), z their k float roots
+    (N x k); a member with a root not inside the circle gets None.
+
+    With c = q / max |q_i| and T(theta) = c_k + 2 sum_j c_(k+j) cos(j
+    theta), the spectral factor F of T - eps (Fejer and Riesz) is sqrt(a)
+    prod(s - rho) over the k roots rho of c - eps s^k inside the circle,
+    a = c_2k / prod(-rho) > 0, so that F rev(F) = c - eps s^k; f =
+    rint(2^b F), for ``roots._spectral_margin``.  Steps:
 
     * refuse unless exactly k of the roots lie inside the circle;
     * eps = T_min / 4, with T_min the least T on an rfft grid of
@@ -268,44 +265,13 @@ def spectral_certificate(ps, roots=None) -> list[tuple[list[int], int] | None]:
       k <= 1000; past that a value may overflow to inf, and F is refused;
     * b = 52 - e with max|F| = m 2^e, 1/2 <= m < 1, so f has 52 bits.
 
-    Floats only choose f: a poor f makes the margin fail, never pass.  The
-    float side refuses on any non-finite value instead of warning.
+    Each step is one stacked numpy call with the elementwise operations
+    and reductions of a lone p, so a member's certificate does not depend
+    on its stack.  Every member runs every step, so that no step indexes
+    the stack; a refused member's values are never read, and its Newton
+    iterates never move.  The float side refuses on any non-finite value
+    instead of warning.
     """
-    ps = list(ps)
-    degree = _class_degree(ps)
-    if degree < 2 or degree % 2:
-        return [None] * len(ps)
-    c = np.array([_float_coeffs(p) for p in ps])
-    if roots is None:
-        return _certify(c, _inner_stack(ps, c))
-    roots = list(roots)
-    if len(roots) != len(ps):
-        raise ValidationError(f"{len(roots)} collections of roots for {len(ps)} p")
-    return _certify(c, _inside_stack(roots, degree // 2))
-
-
-def _inside_stack(found, k: int) -> np.ndarray:
-    """The roots of modulus < 1 in each entry of found, one row each; a row
-    of NaN where an entry is None or has other than k of them."""
-    z = np.full((len(found), k), complex("nan"))
-    for i, r in enumerate(found):
-        if r is None:
-            continue
-        r = np.asarray(r, dtype=complex)
-        r = r[np.abs(r) < 1.0]
-        if r.size == k:
-            z[i] = r
-    return z
-
-
-def _certify(c: np.ndarray, z: np.ndarray) -> list[tuple[list[int], int] | None]:
-    """The certificates of ``spectral_certificate`` for one stack: c the
-    members' float coefficients (N x (2k + 1)), z their k float roots
-    (N x k); a member with a root not inside the circle gets None.
-
-    Every member runs every step, so that no step indexes the stack; a
-    refused member's values are never read, and its Newton iterates never
-    move."""
     k = z.shape[1]
     v = _cosine_coeffs(c)  # T = sum_j v_j cos(j theta)
     with np.errstate(all="ignore"):
@@ -468,14 +434,6 @@ def _exact_pairs(roots: list[complex]) -> list[complex]:
     return sorted(out, key=lambda r: (r.real, r.imag))
 
 
-def _require_palindromic(p: UniPoly) -> None:
-    """Refuse any p but a palindromic one of even degree >= 2."""
-    if p.degree < 1:
-        raise ValidationError("need degree >= 1 to compute roots")
-    if p.degree % 2 or not p.is_palindromic():
-        raise NotPalindromic("float roots need a palindromic p of even degree")
-
-
 def _aberth(p: UniPoly) -> np.ndarray:
     """k Aberth-Ehrlich iterates of a palindromic p of degree 2k (every Q),
     one root of each reciprocal pair r, 1/r.
@@ -499,17 +457,13 @@ def _aberth(p: UniPoly) -> np.ndarray:
     Fiorentino's MPSolve).  ConvergenceFailure is raised if the
     ``_MAX_SWEEPS`` sweeps run out before every iterate is frozen; a NaN
     iterate never passes.  The iterates start on the moduli of the Newton
-    polygon (``_aberth_starts``): Q(3, 1) and s^2 + 6s + 1 converge in 5
-    and 4 sweeps, the last of them the check, where k starts on the unit
-    circle take 34 and 39.
+    polygon (``_aberth_starts``).
 
     The residual, like ``root_residuals`` (the CLI's ``float_residuals``),
     is a backward error, not a distance to the exact root: the copies of a
     root of multiplicity mu are accurate only to about _TOL^(1/mu), for a
-    double root sqrt(1e-12) = 1e-6 relative.  For Q(5, 3) =
-    5(s^2 + 3s + 1)^2 the residuals are 3.7e-13, yet each copy lies 1.6e-6
-    relative (0.6e-6 and 4.3e-6 absolute) from its root: a copy stops as
-    soon as its residual passes.
+    double root sqrt(1e-12) = 1e-6 relative: a copy stops as soon as its
+    residual passes.
 
     The coefficients come from ``_float_coeffs``, so any positive multiple
     of p gives the same roots.  Each sweep fills the first rows of one
@@ -521,14 +475,12 @@ def _aberth(p: UniPoly) -> np.ndarray:
     w, so a sweep allocates no array of its own of that size.  The block
     takes the roots w first and has the z_i subtracted after: a strided
     output, and each operand broadcast in two dimensions, costs numpy a
-    ufunc buffer of 8192 entries (128 KB) per call.  The tests check
-    convergence, and the float census against the exact one, on Q for
-    (78, 5), (79, 1), (99, 4), (101, 1), (120, 1), (160, 1), (200, 1),
-    (150, 1), (199, 197), (301, 1), (401, 1) and (401, 3) (degree up to
-    800), every 15th of the 376 pairs with 50 <= m - n <= 100, n <= 12,
-    and every coprime pair with m <= 60.
+    ufunc buffer of 8192 entries (128 KB) per call.
     """
-    _require_palindromic(p)
+    if p.degree < 1:
+        raise ValidationError("need degree >= 1 to compute roots")
+    if p.degree % 2 or not p.is_palindromic():
+        raise NotPalindromic("float roots need a palindromic p of even degree")
     n = p.degree
     coeffs = _float_coeffs(p)
     dcoeffs = coeffs[1:] * np.arange(1, n + 1)
@@ -581,8 +533,8 @@ def numeric_roots(p: UniPoly) -> list[complex]:
 
 def _colleague_roots(v: np.ndarray) -> np.ndarray:
     """The k roots of each g = sum_j v_j T_j of a stack v (N x (k + 1)),
-    the Chebyshev images of palindromic p of degree 2k (v as in
-    ``spectral_certificate``), as the eigenvalues of g's colleague matrix
+    the Chebyshev images of palindromic p of degree 2k (v of
+    ``_cosine_coeffs``), as the eigenvalues of g's colleague matrix
     (Good 1961), one row each.
 
     With t = (T_0(x), ..., T_(k-1)(x)), x T_0 = T_1 and 2x T_j = T_(j+1) +
@@ -626,20 +578,18 @@ def _inner_stack(ps, c: np.ndarray) -> np.ndarray:
     = 2x; above, the k iterates of ``_aberth`` serve, member by member.
     Each is taken as z or 1/z, whichever has modulus < 1; a root on the
     circle (an eigenvalue on [-1, 1]) stays there, and the certificate is
-    then refused.  A p of odd degree, or not palindromic, raises
-    NotPalindromic.
+    then refused.  ``roots.census`` has checked that every p is
+    palindromic, which the colleague matrix takes on trust.
     """
     k = c.shape[1] // 2
     if k > _COLLEAGUE_K:
         z = np.full((len(ps), k), complex("nan"))
         for j, p in enumerate(ps):
             try:
-                z[j] = _aberth(p)  # refuses a p that is not palindromic
+                z[j] = _aberth(p)
             except ConvergenceFailure:
                 pass
     else:
-        for p in ps:
-            _require_palindromic(p)
         x = _colleague_roots(_cosine_coeffs(c))
         z = x - np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
     with np.errstate(invalid="ignore"):  # the NaN rows

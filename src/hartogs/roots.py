@@ -53,14 +53,14 @@ and squarefree results leave as monic ``UniPoly``s.
   (1 - s0^-2)/2 != 0, so the multiplicity of s0 in h equals that of
   phi(s0) in g.  Hence p is squarefree iff a <= 1, b <= 1 and the chain
   ends in a constant, with no second gcd.
-* ``interior_root_count`` produces the full inside/on/outside census of a
-  palindromic p, which is the only input it takes (every Q is
-  palindromic); anything else raises ``NotPalindromic``.  The pairing
-  s <-> 1/s forces inside = outside, so the circle count alone gives
-  inside = outside = (deg - on)/2.
-* ``interior_root_count(p, certificate)`` first checks a Fejer-Riesz
-  certificate (Fejer and Riesz 1916; rounded in floats, then checked
-  exactly, as in Peyrl & Parrilo 2008).  For the primitive q of p, of
+* ``interior_root_count(p)``, the chain census, produces the full
+  inside/on/outside census of a palindromic p, which is the only input it
+  takes (every Q is palindromic); anything else raises ``NotPalindromic``.
+  The pairing s <-> 1/s forces inside = outside, so the circle count alone
+  gives inside = outside = (deg - on)/2.
+* ``census`` checks a Fejer-Riesz certificate (Fejer and Riesz 1916;
+  rounded in floats, then checked exactly, as in Peyrl & Parrilo 2008)
+  with ``_spectral_census``.  For the primitive q of a palindromic p, of
   degree 2k, top = max |q_i|, an integer vector f of length k + 1 and
   b >= 0, let R = 2^(2b) q - top f rev(f) with rev(f)(s) = s^k f(1/s).
   On s = e^(i theta), e^(-ik theta) (f rev f)(s) = |f(s)|^2 since f is
@@ -74,23 +74,24 @@ and squarefree results leave as monic ``UniPoly``s.
   so the pairing leaves k inside and k outside, and margin / (2^(2b) q(1))
   is a proven lower bound on min |q(s)| / q(1) over the circle.  The
   certificate says nothing about repeated roots, so that census leaves
-  ``squarefree`` unexamined (None).  A margin <= 0 proves nothing, and the
-  chain counts as if no certificate had been given.
+  ``squarefree`` unexamined (None).  The margin reads only the upper half
+  of q, so it proves nothing of a q that is not palindromic, which
+  ``census`` refuses first.  A margin <= 0 proves nothing, and the chain
+  counts.
 
 ``census(qs)`` is the one entry point of ``hartogs scan`` and ``hartogs
-roots``.  It takes one stack, palindromic q of one degree 2k and at most
-``stack_size(k)`` of them (a scan chunk, as ``hartogs.zeros`` cuts each
-codegree class, or a lone Q), and returns one census per q.  A stack of
-N q certifies iff N k^4 >= ``_CERTIFICATE_K``^4, so a stack of one from
-k = 24 and a full scan chunk from about k = 10: one stacked float pass
-(``hartogs.floatroots``) builds each of its q's certificate, and each
-goes to ``interior_root_count`` with its own q.  In a stack below the
-rule, and wherever the float side fails or the check refuses, the chain
-counts that q.
-``interior_root_count`` itself never runs a float step: floats only
-choose f, so a poor f makes the margin fail and never makes it pass.
-``numeric_roots`` and ``spectral_certificate``, which this module
-re-exports, live in ``hartogs.floatroots``.
+roots``, and it makes every decision of a census.  It takes one stack,
+palindromic q of one degree 2k and at most ``stack_size(k)`` of them (a
+scan chunk, as ``hartogs.zeros`` cuts each codegree class, or a lone Q),
+checks all of that before any float step, and returns one census per q.
+A stack of N q certifies iff N k^4 >= ``_CERTIFICATE_K``^4, so a stack of
+one from k = 24 and a full scan chunk from about k = 10: one stacked
+float pass (``hartogs.floatroots``) builds each of its q's certificate,
+and census checks each against its own q.  In a stack below the rule,
+and wherever the float side fails or the check refuses, the chain counts
+that q.  The check runs no float step: floats only choose f, so a poor f
+makes the margin fail and never makes it pass.  ``numeric_roots``, which
+this module re-exports, lives in ``hartogs.floatroots``.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ from .errors import (
     NotPalindromic,
     ValidationError,
 )
-from .floatroots import _class_degree, numeric_roots, spectral_certificate, stack_size
+from .floatroots import _spectral_certificate, numeric_roots, stack_size
 from .poly import UniPoly
 
 __all__ = [
@@ -116,7 +117,6 @@ __all__ = [
     "interior_root_count",
     "census",
     "numeric_roots",
-    "spectral_certificate",
     "poly_gcd",
     "squarefree_part",
     "squarefree_decomposition",
@@ -571,12 +571,18 @@ def _spectral_margin(q: list[int], top: int, f: list[int], b: int) -> int:
     return r[0] - 2 * sum(abs(x) for x in r[1:])
 
 
-def _spectral_census(q: list[int], f: list[int], b: int) -> RootCensus | None:
-    """(k, 0, k) for a primitive palindromic q of degree 2k when the
-    certificate (f, b) has a positive margin, else None.
+def _spectral_census(q: UniPoly, certificate) -> RootCensus | None:
+    """(k, 0, k) for a palindromic q of degree 2k when the certificate
+    (f, b) has a positive margin, else None.
 
-    f of another length than k + 1, or b < 0, certifies nothing either.
+    No certificate, an f of another length than k + 1, or b < 0 certifies
+    nothing either.  The margin reads only the upper half of q, so q must
+    be palindromic, as ``census`` checks first.
     """
+    if certificate is None:
+        return None
+    f, b = certificate
+    q = _primitive(q.coeffs)
     k = len(f) - 1
     if len(q) != 2 * k + 1 or b < 0:
         return None
@@ -591,30 +597,23 @@ def _spectral_census(q: list[int], f: list[int], b: int) -> RootCensus | None:
     return RootCensus(k, 0, k, "spectral", None, lo)
 
 
-def interior_root_count(p: UniPoly, certificate=None) -> RootCensus:
-    """Exact census of the roots of a palindromic p relative to the unit circle.
+def interior_root_count(p: UniPoly) -> RootCensus:
+    """The chain census: exact counts of the roots of a palindromic p
+    inside, on and outside the unit circle.
 
-    A ``certificate`` (f, b), as ``spectral_certificate`` builds it, is
-    checked first: a positive integer margin proves the census (k, 0, k)
-    with method "spectral" (see the module docstring).  Without one, or
-    where its margin is not positive, the circle count and the squarefree
-    flag come from one Sturm chain on
+    The circle count and the squarefree flag come from one Sturm chain on
     the Chebyshev image g, run in Chebyshev coordinates and evaluated at
-    +-1 only (see the module docstring); only circle roots
-    walk down the successive gcds of g to weight them by multiplicity.
-    s -> 1/s pairs the roots inside with those outside, multiplicities
-    included, so after the exact circle count inside = outside =
-    (deg - on)/2.  Any other p (the zero polynomial included) raises
-    NotPalindromic.  No float step runs here.
+    +-1 only (see the module docstring); only circle roots walk down the
+    successive gcds of g to weight them by multiplicity.  s -> 1/s pairs
+    the roots inside with those outside, multiplicities included, so after
+    the exact circle count inside = outside = (deg - on)/2.  Any other p
+    (the zero polynomial included) raises NotPalindromic.  No float step
+    runs here.
     """
     if not p.is_palindromic():
         raise NotPalindromic("census needs a nonzero palindromic polynomial")
     n = p.degree
     ints = _primitive(p.coeffs)
-    if certificate is not None:
-        census = _spectral_census(ints, *certificate)
-        if census is not None:
-            return census
     h, at_one = _strip_root(ints, _ONE)
     h, at_minus_one = _strip_root(h, -_ONE)
     on = at_one + at_minus_one
@@ -646,35 +645,54 @@ def interior_root_count(p: UniPoly, certificate=None) -> RootCensus:
 
 def census(qs, float_roots=None) -> list[RootCensus]:
     """The exact census of each q of one stack, certified where that is
-    cheaper; one RootCensus per q, in order.  q of different degrees, or
-    more than ``stack_size(k)`` q of degree 2k, raise ValidationError.
+    cheaper; one RootCensus per q, in order.
+
+    The stack is checked whole before any float step: q of different
+    degrees, more than ``stack_size(k)`` q of degree 2k, or other than one
+    collection of roots per q raise ValidationError, and a q that is not
+    palindromic raises NotPalindromic.
 
     With ``float_roots`` None, a stack of N certifies iff N k^4 >=
-    ``_CERTIFICATE_K``^4: ``spectral_certificate`` builds every q's
-    certificate in one stacked float pass, and a q whose root finder fails
-    gets none; below the rule no float step runs.  Given ``float_roots``,
-    one collection per q (those of ``numeric_roots``, or None where it
-    failed), the certificates are built from them at any degree.
-    ``interior_root_count`` then checks each certificate exactly and counts
-    by the chain wherever there is none or it is refused, so the counts
-    never depend on the floats.  Each census's ``elapsed_ms`` is its own
-    exact check plus an equal share of the stack's float pass, if any.
+    ``_CERTIFICATE_K``^4: one stacked float pass builds every q's
+    certificate, and a q whose root finder fails gets none; below the rule
+    no float step runs.  Given ``float_roots``, one collection per q (those
+    of ``numeric_roots``, or None where it failed), the certificates are
+    built from them at any degree.  Only a stack of even degree 2k >= 2 is
+    certified.  Each certificate is checked here, exactly, and the chain
+    (``interior_root_count``) counts every q without one or whose
+    certificate is refused, so the counts never depend on the floats.
+    Each census's ``elapsed_ms`` is its own exact count plus an equal share
+    of the stack's float pass, if any.
     """
     qs = list(qs)
     start = time.perf_counter()
-    k = _class_degree(qs) // 2
+    degrees = {q.degree for q in qs}
+    if len(degrees) > 1:
+        raise ValidationError(f"a class has one degree, got {sorted(degrees)}")
+    degree = degrees.pop() if degrees else 0
+    k = degree // 2
     if len(qs) > stack_size(k):
         raise ValidationError(
             f"a stack at k = {k} holds at most {stack_size(k)} q, got {len(qs)}"
         )
+    if float_roots is not None:
+        float_roots = list(float_roots)
+        if len(float_roots) != len(qs):
+            raise ValidationError(
+                f"{len(float_roots)} collections of roots for {len(qs)} q"
+            )
+    if not all(q.is_palindromic() for q in qs):
+        raise NotPalindromic("census needs a nonzero palindromic polynomial")
     certificates, share = [None] * len(qs), 0.0
-    if float_roots is not None or len(qs) * k**4 >= _CERTIFICATE_K**4:
-        certificates = spectral_certificate(qs, float_roots)
-        share = (time.perf_counter() - start) * 1000.0 / max(len(qs), 1)
+    # printed roots spare the pass its own root finder, about half its time (README)
+    certify = float_roots is not None or len(qs) * k**4 >= _CERTIFICATE_K**4
+    if certify and degree >= 2 and degree % 2 == 0:
+        certificates = _spectral_certificate(qs, float_roots)
+        share = (time.perf_counter() - start) * 1000.0 / len(qs)
     out = []
     for q, certificate in zip(qs, certificates):
         start = time.perf_counter()
-        counts = interior_root_count(q, certificate)
+        counts = _spectral_census(q, certificate) or interior_root_count(q)
         elapsed = share + (time.perf_counter() - start) * 1000.0
         out.append(dataclasses.replace(counts, elapsed_ms=elapsed))
     return out

@@ -736,8 +736,28 @@ def q_of(m: int, n: int) -> UniPoly:
 
 def certified(p: UniPoly) -> roots.RootCensus:
     """The census of p with the certificate built from its Aberth roots."""
-    (certificate,) = roots.spectral_certificate([p], [numeric_roots(p)])
-    return interior_root_count(p, certificate)
+    (census,) = roots.census([p], [numeric_roots(p)])
+    return census
+
+
+def certificate_of(p: UniPoly) -> tuple[list[int], int] | None:
+    """p's certificate from its Aberth roots, as the census builds it."""
+    (certificate,) = floatroots._spectral_certificate([p], [numeric_roots(p)])
+    return certificate
+
+
+def no_float_pass(ps, found):
+    """A stand-in for the census's float pass that must not run."""
+    raise AssertionError(f"a float pass at degree {ps[0].degree}")
+
+
+def checked(p: UniPoly, certificate) -> roots.RootCensus:
+    """The census of p when its float pass builds ``certificate``: the
+    census's own exact check of it, and the chain where that refuses."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots, "_spectral_certificate", lambda ps, found: [certificate])
+        (census,) = roots.census([p], [None])
+    return census
 
 
 def triple(census: roots.RootCensus) -> tuple[int, int, int]:
@@ -771,7 +791,7 @@ class TestSpectralCertificate:
         # the margin is 4 - 2 (1 + 1) = 0, which proves nothing
         p = UniPoly([1, 0, 1, 4, 1, 0, 1])
         assert roots._spectral_margin(p.coeffs, 4, [0] * 4, 0) == 0
-        census = interior_root_count(p, ([0] * 4, 0))
+        census = checked(p, ([0] * 4, 0))
         assert triple(census) == (2, 2, 2)
         assert census.method == "palindromic_pairing"
         assert census.margin_lo is None
@@ -804,25 +824,24 @@ class TestSpectralCertificate:
                 for _ in range(20)
             ]
             for certificate in garbage:
-                assert interior_root_count(p, certificate) == chain
+                assert checked(p, certificate) == chain
         # a certificate of Q(41, 3) itself cannot prove Q(41, 3)(s^2 + s + 1)
-        q = q_of(41, 3)
-        ((f, b),) = roots.spectral_certificate([q], [numeric_roots(q)])
-        assert interior_root_count(circle[2], (f + [0, 0], b)) == interior_root_count(
-            circle[2]
-        )
+        f, b = certificate_of(q_of(41, 3))
+        assert checked(circle[2], (f + [0, 0], b)) == interior_root_count(circle[2])
 
     def test_malformed_certificates_prove_nothing(self):
         q = q_of(11, 1)
-        ((f, b),) = roots.spectral_certificate([q], [numeric_roots(q)])
-        assert interior_root_count(q, (f, b)).method == "spectral"
+        f, b = certificate_of(q)
+        assert checked(q, (f, b)).method == "spectral"
         for bad in [(f[:-1], b), (f + [0], b), (f, -1), ([], 0)]:
-            assert interior_root_count(q, bad).method == "palindromic_pairing"
+            assert checked(q, bad).method == "palindromic_pairing"
 
     @pytest.mark.parametrize("p", [UniPoly([3]), UniPoly([1, 1]), UniPoly([1, 2, 2, 1])])
-    def test_no_certificate_for_odd_or_zero_degree(self, p):
-        assert roots.spectral_certificate([p], [[]]) == [None]
-        assert roots.spectral_certificate([p]) == [None]
+    def test_no_certificate_for_odd_or_zero_degree(self, p, monkeypatch):
+        # the census runs no float pass below even degree 2, not even for
+        # given roots, and the chain counts
+        monkeypatch.setattr(roots, "_spectral_certificate", no_float_pass)
+        assert roots.census([p], [[]]) == roots.census([p]) == [interior_root_count(p)]
 
     def test_agrees_with_the_chain(self):
         # every coprime pair with m <= 60 and every 15th frontier pair: the
@@ -841,11 +860,11 @@ class TestSpectralCertificate:
 
     def test_margin_lo_rounds_toward_zero(self):
         p = q_of(41, 3)
-        ((f, b),) = roots.spectral_certificate([p], [numeric_roots(p)])
+        f, b = certificate_of(p)
         q = roots._primitive(p.coeffs)
         top = max(abs(x) for x in q)
         exact = Fraction(roots._spectral_margin(q, top, f, b), sum(q) << 2 * b)
-        lo = interior_root_count(q_of(41, 3), (f, b)).margin_lo
+        lo = checked(p, (f, b)).margin_lo
         assert lo <= exact < math.nextafter(lo, math.inf)
 
 
@@ -863,7 +882,7 @@ def codegree_class(k: int, count: int) -> list[UniPoly]:
 def inner_stack(ps) -> np.ndarray:
     """The k inner roots of each p of a stack, one row each, as the census's
     certificate reads them: ``floatroots._inner_stack`` on the float
-    coefficients ``spectral_certificate`` gives it."""
+    coefficients ``_spectral_certificate`` gives it."""
     return floatroots._inner_stack(
         ps, np.array([floatroots._float_coeffs(p) for p in ps])
     )
@@ -934,6 +953,56 @@ class TestCensus:
                 roots.census(qs, float_roots)
         assert {c.method for c in roots.census(qs[1:])} == {"spectral"}
 
+    def test_a_non_palindromic_q_is_refused_whatever_its_certificate(
+        self, monkeypatch
+    ):
+        # q' is Q(7, 3) with its constant term raised by 1; the margin reads
+        # only the upper half of q', so Q's own certificate passes it, and
+        # only the census's palindrome check refuses q'
+        q = q_of(7, 3)
+        lifted = UniPoly((q.coeffs[0] + 1,) + q.coeffs[1:])
+        certificate = certificate_of(q)
+        assert roots._spectral_census(lifted, certificate).method == "spectral"
+        monkeypatch.setattr(
+            roots, "_spectral_certificate", lambda ps, found: [certificate]
+        )
+        with pytest.raises(NotPalindromic):
+            roots.census([lifted], [numeric_roots(q)])
+
+    def test_the_stack_is_checked_before_any_float_step(
+        self, eigensolves, aberth_calls, monkeypatch
+    ):
+        # a stack of two degrees, one over stack_size(k), other than one
+        # collection of roots per q, and a q that is not palindromic, with
+        # and without roots: each is refused before any certificate pass
+        # (_certify) or root finder runs
+        k = 30
+        qs = codegree_class(k, floatroots.stack_size(k) + 1)
+        found = numeric_roots(qs[0])
+        lifted = UniPoly((qs[0].coeffs[0] + 1,) + qs[0].coeffs[1:])
+        aberth_calls.clear()
+        passes = []
+        certify = floatroots._certify
+
+        def recorded(c, z):
+            passes.append(len(c))
+            return certify(c, z)
+
+        monkeypatch.setattr(floatroots, "_certify", recorded)
+        refused = [
+            (ValidationError, [qs[0], q_of(43, 1)], None),
+            (ValidationError, qs, None),
+            (ValidationError, qs[:2], [found]),
+            (NotPalindromic, [qs[0], lifted], None),
+            (NotPalindromic, [lifted], [found]),
+        ]
+        for error, stack, float_roots in refused:
+            with pytest.raises(error):
+                roots.census(stack, float_roots)
+        assert passes == eigensolves == aberth_calls == []
+        roots.census(qs[:2])
+        assert passes == [2] and eigensolves == [(2, k, k)]
+
     @pytest.mark.parametrize(
         "p, expected",
         [
@@ -957,9 +1026,9 @@ class TestCensus:
         # a stand-in hands the census Q(42, 1)'s valid certificate for a p of
         # the same degree with a circle pair: only the exact margin refuses
         q = q_of(42, 1)
-        wrong = roots.spectral_certificate([q], [numeric_roots(q)])
-        assert interior_root_count(q, wrong[0]).method == "spectral"
-        monkeypatch.setattr(roots, "spectral_certificate", lambda ps, found: wrong)
+        wrong = certificate_of(q)
+        assert checked(q, wrong).method == "spectral"
+        monkeypatch.setattr(roots, "_spectral_certificate", lambda ps, found: [wrong])
         p = CIRCLE_PAIR * q_of(41, 1)
         assert roots.census([p]) == [interior_root_count(p)]
 
@@ -1011,8 +1080,8 @@ class TestCensus:
         assert np.abs(x - nodes).max() < 1e-12
         (inner,) = inner_stack([p])
         assert np.abs(np.abs(inner) - 1).max() < 1e-12
-        assert roots.spectral_certificate([p], [inner]) == [None]
-        assert roots.spectral_certificate([p]) == [None]
+        assert floatroots._spectral_certificate([p], [inner]) == [None]
+        assert floatroots._spectral_certificate([p]) == [None]
         assert [triple(c) for c in roots.census([p])] == [(0, 2 * k, 0)]
 
     def test_a_failed_eigensolve_leaves_the_row_to_the_chain(self, monkeypatch):
@@ -1060,19 +1129,19 @@ class TestClassPass:
         )
         assert [len(chunk) for chunk in chunks if chunk[0].k == 24] == [13, 12]
         built = []
-        certify = roots.spectral_certificate
+        certify = floatroots._spectral_certificate
 
         def recorded(qs, float_roots=None):
             built.append(certify(qs, float_roots))
             return built[-1]
 
-        monkeypatch.setattr(roots, "spectral_certificate", recorded)
+        monkeypatch.setattr(roots, "_spectral_certificate", recorded)
         for chunk in chunks:
             qs = [diagonal_poly(pair).poly for pair in chunk]
             censuses = roots.census(qs)
             alone = [certify([q])[0] for q in qs]
             assert built.pop() == alone, chunk
-            assert censuses == [interior_root_count(q, c) for q, c in zip(qs, alone)], chunk
+            assert censuses == [checked(q, c) for q, c in zip(qs, alone)], chunk
             assert all(c.method == "spectral" for c in censuses), chunk
 
     def test_the_grid_minimum_is_taken_in_blocks(self, monkeypatch):
@@ -1098,18 +1167,35 @@ class TestClassPass:
         assert floatroots._grid_min(v, points).tobytes() == whole.tobytes()
         assert sum(rows) == len(qs) and max(rows) == block
         rows.clear()
-        assert all(roots.spectral_certificate(qs))
+        assert all(floatroots._spectral_certificate(qs))
         assert sum(rows) == len(qs) and max(rows) == block
 
-    def test_given_roots_certify_as_alone(self):
-        # the printed roots of roots json and text, for a class of k = 30
-        # with m <= 100 and for one with a failed finder (None) among them
+    def test_given_roots_certify_as_alone(self, monkeypatch):
+        # the printed roots of roots json and text, for the class k = 30 with
+        # m <= 100 in census stacks of stack_size(30) = 8, 8 and 2, and a
+        # failed finder (None) in the first: the certificates the census
+        # builds from them are the members' alone, and the None member's
+        # row goes to the chain
         qs = [q_of(n + 30, n) for n in range(1, 71) if math.gcd(n, 30) == 1]
         found = [numeric_roots(q) for q in qs]
         found[3] = None
-        alone = [roots.spectral_certificate([q], [r])[0] for q, r in zip(qs, found)]
-        assert roots.spectral_certificate(qs, found) == alone
+        certify = floatroots._spectral_certificate
+        alone = [certify([q], [r])[0] for q, r in zip(qs, found)]
         assert [c is None for c in alone] == [i == 3 for i in range(len(qs))]
+        built = []
+
+        def recorded(ps, float_roots):
+            built.append(certify(ps, float_roots))
+            return built[-1]
+
+        monkeypatch.setattr(roots, "_spectral_certificate", recorded)
+        size = floatroots.stack_size(30)
+        censuses = []
+        for lo in range(0, len(qs), size):
+            censuses += roots.census(qs[lo : lo + size], found[lo : lo + size])
+        assert [len(stack) for stack in built] == [8, 8, 2]
+        assert sum(built, []) == alone
+        assert [c.method == "spectral" for c in censuses] == [c is not None for c in alone]
 
     def test_a_failed_stack_leaves_only_its_failing_member_to_the_chain(
         self, monkeypatch
@@ -1134,9 +1220,9 @@ class TestClassPass:
         # a crafted p with a circle pair among certifiable Qs of its degree
         qs = [q_of(42, 1), CIRCLE_PAIR * q_of(41, 1), q_of(44, 3), q_of(46, 5)]
         assert {q.degree for q in qs} == {82}
-        certificates = roots.spectral_certificate(qs)
+        certificates = floatroots._spectral_certificate(qs)
         assert certificates[1] is None
-        assert certificates == [roots.spectral_certificate([q])[0] for q in qs]
+        assert certificates == [floatroots._spectral_certificate([q])[0] for q in qs]
         censuses = roots.census(qs)
         assert [c.method for c in censuses] == [
             "spectral", "palindromic_pairing", "spectral", "spectral"
@@ -1148,12 +1234,12 @@ class TestClassPass:
 
     def test_a_class_has_one_degree(self):
         qs = [q_of(42, 1), q_of(43, 1)]
-        for run in (roots.census, roots.spectral_certificate):
+        for float_roots in (None, [None, None]):
             with pytest.raises(ValidationError, match="one degree"):
-                run(qs)
-        assert roots.census([]) == roots.spectral_certificate([]) == []
+                roots.census(qs, float_roots)
+        assert roots.census([]) == roots.census([], []) == []
         with pytest.raises(ValidationError, match="collections of roots"):
-            roots.spectral_certificate(qs[:1], [])
+            roots.census(qs[:1], [])
 
     def test_census_times_each_member(self, monkeypatch):
         # a clock that ticks 1 s per read: the float pass of 4 members reads
@@ -1233,13 +1319,22 @@ class TestNumericRoots:
         [UniPoly([1, 1]), UniPoly([1, 2, 2, 1]), UniPoly([1, 6, 13, 6, 2]), UniPoly([-1, 0, 1])],
         ids=["s+1", "odd-palindromic", "not-palindromic", "antipalindromic"],
     )
-    def test_refuses_odd_degree_and_non_palindromic(self, p):
-        # every caller sends Q or its squarefree part, palindromic of even
-        # degree once interior_float_roots has divided out s + 1; the census
-        # sends _inner_stack its stack
-        for finder in (numeric_roots, lambda p: inner_stack([p])):
-            with pytest.raises(NotPalindromic):
-                finder(p)
+    def test_refuses_odd_degree_and_non_palindromic(self, p, monkeypatch):
+        # every caller sends numeric_roots Q or its squarefree part,
+        # palindromic of even degree once interior_float_roots has divided
+        # out s + 1; the census refuses a p that is not palindromic before
+        # any float pass, given roots or not, and counts a palindromic p of
+        # odd degree by the chain, with no float pass either
+        with pytest.raises(NotPalindromic):
+            numeric_roots(p)
+
+        monkeypatch.setattr(roots, "_spectral_certificate", no_float_pass)
+        for float_roots in (None, [[]]):
+            if p.is_palindromic():
+                assert roots.census([p], float_roots) == [interior_root_count(p)]
+            else:
+                with pytest.raises(NotPalindromic):
+                    roots.census([p], float_roots)
 
     def test_every_residual_passes_the_acceptance_test(self):
         # root_residuals evaluates through the rows the sweep accepted each

@@ -368,14 +368,14 @@ class TestScan:
             for pair in chunk
         }
         methods = {}
-        check = roots.interior_root_count
+        census = zeros.census
 
-        def recorded(q, certificate=None):
-            counts = check(q, certificate)
-            methods[tuple(q.coeffs)] = counts.method
-            return counts
+        def recorded(qs):
+            out = census(qs)
+            methods.update((tuple(q.coeffs), c.method) for q, c in zip(qs, out))
+            return out
 
-        monkeypatch.setattr(roots, "interior_root_count", recorded)
+        monkeypatch.setattr(zeros, "census", recorded)
         rows = scan(100)
         assert len(rows) == len(methods) == 3043
         for row in rows:
