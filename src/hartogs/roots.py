@@ -60,7 +60,7 @@ and squarefree results leave as monic ``UniPoly``s.
   gives inside = outside = (deg - on)/2.
 * ``census`` checks a Fejer-Riesz certificate (Fejer and Riesz 1916;
   rounded in floats, then checked exactly, as in Peyrl & Parrilo 2008)
-  with ``_spectral_census``.  For the primitive q of a palindromic p, of
+  with ``_margin_lo``.  For the primitive q of a palindromic p, of
   degree 2k, top = max |q_i|, an integer vector f of length k + 1 and
   b >= 0, let R = 2^(2b) q - top f rev(f) with rev(f)(s) = s^k f(1/s).
   On s = e^(i theta), e^(-ik theta) (f rev f)(s) = |f(s)|^2 since f is
@@ -69,8 +69,11 @@ and squarefree results leave as monic ``UniPoly``s.
       2^(2b) e^(-ik theta) q(s) = R_k + 2 sum_(j>=1) R_(k+j) cos(j theta)
                                   + top |f(s)|^2 >= margin,
 
-  margin = R_k - 2 sum_(j>=1) |R_(k+j)| (``_spectral_margin``, one
-  Kronecker-packed product).  margin > 0 puts no root of q on the circle,
+  margin = R_k - 2 sum_(j>=1) |R_(k+j)| (``_spectral_margin``).  The
+  coefficients k..2k of f rev(f) come from int64 correlations of f's
+  limbs (``_autocorrelation``), each sum proven below 2^63, for every
+  |f_i| < 2^62 (``_F_BITS``) at any k a list can reach; an f outside
+  that range proves nothing.  margin > 0 puts no root of q on the circle,
   so the pairing leaves k inside and k outside, and margin / (2^(2b) q(1))
   is a proven lower bound on min |q(s)| / q(1) over the circle.  The
   certificate says nothing about repeated roots, so that census leaves
@@ -102,6 +105,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     InternalMismatch,
     NotPalindromic,
@@ -131,6 +136,9 @@ _CERTIFICATE_K = 24
 # 2-adic step pays a fixed cost per step and saves a little per coordinate,
 # and on the census chains of deg Q <= 240 it was the faster one from here on
 _EXACT_BITS = 6000
+# the bits of max |f_i| up to which ``_autocorrelation`` checks a
+# certificate in int64 limbs (the float side's f has at most 53)
+_F_BITS = 62
 
 
 # ---------------------------------------------------------------------------
@@ -534,50 +542,78 @@ class RootCensus:
     )
 
 
-def _autocorrelation(f: list[int]) -> list[int]:
-    """[sum_i f_i f_(i+j) for j = 0..k], coefficients k..2k of f rev(f).
+def _autocorrelation(f: list[int]) -> list[int] | None:
+    """[sum_i f_i f_(i+j) for j = 0..k], coefficients k..2k of f rev(f),
+    from int64 limb correlations; None where some |f_i| >= 2^62
+    (``_F_BITS``), the range of the scheme at every k below 2^56.
 
-    One Kronecker-packed product: f and rev(f) go into integers with slots
-    of w bits, and a bias of 2^(w-1) added to every slot of the product
-    makes each slot hold coefficient + 2^(w-1) in [0, 2^w), since every
-    coefficient has modulus at most (k + 1) max|f_i|^2 < 2^(w-2).  So the
-    slots read off the bytes of the sum with no carry between them.
+    With bits = bits(max |f_i|) and L limbs of w = ceil((bits + 1) / L)
+    bits, f = sum_a X_a 2^(wa): x_0 = f, x_(a+1) = floor((x_a + 2^(w-1)) /
+    2^w), X_a = x_a - 2^w x_(a+1) in [-2^(w-1), 2^(w-1)) for a < L - 1, and
+    X_(L-1) = x_(L-1).  |f_i| <= 2^(wL-1) gives |x_a| <= 2^(w(L-a)-1) by
+    induction, so every limb has modulus at most 2^(w-1).  The sum for
+    shift s, D_s[j] = sum over a + b = s of sum_i X_a,i X_b,(i+j), adds at
+    most L (k + 1) products of modulus at most 4^(w-1), so each of its
+    partial sums stays below 2^63 when L (k + 1) 4^(w-1) < 2^63; L is the
+    least count that meets it.  For 53-bit f that is L = 2 (w = 27) up to
+    k = 1022 and L = 3 (w = 18) from k = 1023.  One full correlation of
+    (X_b, X_a) holds both sums of a pair a < b, one at lags 0..k and the
+    other reversed, so a q costs L (L + 1) / 2 numpy calls, and the D_s
+    meet in Python ints by Horner's rule in 2^w.
     """
     k = len(f) - 1
-    bound = (k + 1) * max(abs(x) for x in f) ** 2
-    size = (bound.bit_length() + 9) // 8  # bytes per slot
-    w = 8 * size
-    half = 1 << (w - 1)
-    packed = sum(x << (w * i) for i, x in enumerate(f))
-    packed_rev = sum(x << (w * i) for i, x in enumerate(reversed(f)))
-    slots = 2 * k + 1
-    bias = half * ((1 << (w * slots)) - 1) // ((1 << w) - 1)
-    data = (packed * packed_rev + bias).to_bytes(slots * size, "little")
-    return [
-        int.from_bytes(data[n * size : (n + 1) * size], "little") - half
-        for n in range(k, slots)
-    ]
+    bits = max(max(f), -min(f)).bit_length()
+    if bits > _F_BITS:
+        return None
+    for limbs in range(1, bits + 2):
+        w = -(-(bits + 1) // limbs)
+        if limbs * (k + 1) << 2 * (w - 1) < 1 << 63:
+            break
+    else:
+        return None
+    x = np.array(f, dtype=np.int64)
+    parts = []
+    for _ in range(limbs - 1):
+        high = (x + (1 << (w - 1))) >> w
+        parts.append(x - (high << w))
+        x = high
+    parts.append(x)
+    terms = [[] for _ in range(2 * limbs - 1)]
+    for a in range(limbs):
+        for b in range(a, limbs):
+            full = np.correlate(parts[b], parts[a], "full")
+            terms[a + b] += [full[k:]] if a == b else [full[k:], full[k::-1]]
+    sums = [sum(group[1:], group[0]).tolist() for group in terms]
+    acc = sums.pop()
+    for below in reversed(sums):
+        acc = [(hi << w) + lo for hi, lo in zip(acc, below)]
+    return acc
 
 
-def _spectral_margin(q: list[int], top: int, f: list[int], b: int) -> int:
-    """R_k - 2 sum_(j>=1) |R_(k+j)| for R = 2^(2b) q - top f rev(f).
+def _spectral_margin(q: list[int], top: int, f: list[int], b: int) -> int | None:
+    """R_k - 2 sum_(j>=1) |R_(k+j)| for R = 2^(2b) q - top f rev(f); None
+    where f lies outside ``_autocorrelation``'s range.
 
     q has degree 2k and f length k + 1; R is palindromic, so its upper
     half is all of it.  See the module docstring for what a positive value
     proves.
     """
     k = len(f) - 1
-    r = [(x << 2 * b) - top * y for x, y in zip(q[k:], _autocorrelation(f))]
-    return r[0] - 2 * sum(abs(x) for x in r[1:])
+    frf = _autocorrelation(f)
+    if frf is None:
+        return None
+    r = [(x << 2 * b) - top * y for x, y in zip(q[k:], frf)]
+    return r[0] - 2 * sum(map(abs, r[1:]))
 
 
-def _spectral_census(q: UniPoly, certificate) -> RootCensus | None:
-    """(k, 0, k) for a palindromic q of degree 2k when the certificate
-    (f, b) has a positive margin, else None.
+def _margin_lo(q: UniPoly, certificate) -> float | None:
+    """margin / (2^(2b) q(1)) rounded toward 0, for a palindromic q of
+    degree 2k whose certificate (f, b) has a positive margin; else None.
 
-    No certificate, an f of another length than k + 1, or b < 0 certifies
-    nothing either.  The margin reads only the upper half of q, so q must
-    be palindromic, as ``census`` checks first.
+    No certificate, an f of another length than k + 1 or outside
+    ``_autocorrelation``'s range, or b < 0 certifies nothing either.  The
+    margin reads only the upper half of q, so q must be palindromic, as
+    ``census`` checks first.
     """
     if certificate is None:
         return None
@@ -586,15 +622,15 @@ def _spectral_census(q: UniPoly, certificate) -> RootCensus | None:
     k = len(f) - 1
     if len(q) != 2 * k + 1 or b < 0:
         return None
-    margin = _spectral_margin(q, max(abs(x) for x in q), f, b)
-    if margin <= 0:
+    margin = _spectral_margin(q, max(max(q), -min(q)), f, b)
+    if margin is None or margin <= 0:
         return None
-    # margin > 0 puts T(0) = q(1) above 0; round the bound toward 0
-    bound = Fraction(margin, sum(q) << 2 * b)
-    lo = float(bound)
-    if lo > bound:
-        lo = math.nextafter(lo, 0.0)
-    return RootCensus(k, 0, k, "spectral", None, lo)
+    # margin > 0 puts T(0) = q(1) above 0; int / int rounds to nearest, so
+    # a quotient above the exact one steps back toward 0
+    den = sum(q) << 2 * b
+    lo = margin / den
+    num, lo_den = lo.as_integer_ratio()
+    return math.nextafter(lo, 0.0) if num * den > margin * lo_den else lo
 
 
 def interior_root_count(p: UniPoly) -> RootCensus:
@@ -692,7 +728,14 @@ def census(qs, float_roots=None) -> list[RootCensus]:
     out = []
     for q, certificate in zip(qs, certificates):
         start = time.perf_counter()
-        counts = _spectral_census(q, certificate) or interior_root_count(q)
-        elapsed = share + (time.perf_counter() - start) * 1000.0
-        out.append(dataclasses.replace(counts, elapsed_ms=elapsed))
+        lo = _margin_lo(q, certificate)
+        chain = None if lo is not None else interior_root_count(q)
+        ms = share + (time.perf_counter() - start) * 1000.0
+        if chain is None:
+            out.append(RootCensus(k, 0, k, "spectral", None, lo, ms))
+        else:  # the chain's counts, timed by the census
+            out.append(RootCensus(
+                chain.inside, chain.on_circle, chain.outside, chain.method,
+                chain.squarefree, None, ms,
+            ))
     return out

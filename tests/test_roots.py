@@ -721,12 +721,17 @@ FRONTIER_PAIRS = [
 ]
 
 
+def schoolbook_frf(f: list[int]) -> tuple:
+    """f rev(f) by ``UniPoly``'s schoolbook double loop over Python ints,
+    which shares no code with the census's int64 limbs."""
+    return (UniPoly(f) * UniPoly(f[::-1])).coeffs  # f_0, f_k != 0: full degree
+
+
 def margin_oracle(q: list[int], top: int, f: list[int], b: int) -> int:
     """R_k - 2 sum_j |R_(k+j)| for R = 2^(2b) q - top f rev(f), the product
-    by ``UniPoly``'s schoolbook loop rather than a packed integer."""
+    by ``schoolbook_frf``."""
     k = len(f) - 1
-    frf = (UniPoly(f) * UniPoly(f[::-1])).coeffs  # f_0, f_k != 0: full degree
-    r = [2 ** (2 * b) * x - top * y for x, y in zip(q, frf)]
+    r = [2 ** (2 * b) * x - top * y for x, y in zip(q, schoolbook_frf(f))]
     return r[k] - 2 * sum(abs(x) for x in r[k + 1 :])
 
 
@@ -768,10 +773,12 @@ class TestSpectralCertificate:
     """The Fejer-Riesz certificate: floats choose f, one integer margin decides."""
 
     def test_margin_matches_the_schoolbook_oracle(self):
-        # signed, asymmetric f with up to 53 bits, so that a lost factor 2, a
-        # lost abs or f f in place of f rev(f) each changes the margin
+        # signed, asymmetric f with up to 53 bits, and up to the limbs' 62,
+        # so that a lost factor 2, a lost abs or f f in place of f rev(f)
+        # each changes the margin
         rng = np.random.default_rng(7)
-        for k, bits in [(1, 3), (2, 8), (5, 20), (30, 53), (72, 53), (95, 52)]:
+        for k, bits in [(1, 3), (2, 8), (5, 20), (30, 53), (72, 53), (95, 52),
+                        (7, 62), (40, 33), (300, 20)]:
             half = [int(x) for x in rng.integers(-(2**bits), 2**bits, size=k + 1)]
             q = half[:0:-1] + half
             f = [int(x) for x in rng.integers(-(2**bits), 2**bits, size=k + 1)]
@@ -784,6 +791,56 @@ class TestSpectralCertificate:
         assert roots._spectral_margin([1, 3, 1], 3, [1, 1], 1) == 4
         # 4 (1 + 3s + s^2) - 3 (2 - s)(-1 + 2s) = 10 - 3s + 10 s^2: -3 - 2 * 10
         assert roots._spectral_margin([1, 3, 1], 3, [2, -1], 1) == -23
+
+    @pytest.mark.parametrize(
+        "k, top, limbs",
+        [
+            # |f_i| = 2^29 - 1: one limb up to k = 30, two from k = 31
+            (30, 2**29 - 1, 1),
+            (31, 2**29 - 1, 2),
+            # |f_i| = 2^53 - 1: two limbs of 27 bits up to k = 1022, three
+            # of 18 bits from k = 1023, and k = 2048, the k of (2049, 1)
+            (1022, 2**53 - 1, 2),
+            (1023, 2**53 - 1, 3),
+            (2048, 2**53 - 1, 3),
+            # limbs 2^26 and -2^26 in every entry: the largest cross sum
+            (1022, 2**53 - 2**26, 2),
+        ],
+    )
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_limb_sums_match_the_schoolbook_loop_at_the_bound(
+        self, k, top, limbs, sign, monkeypatch
+    ):
+        # every |f_i| at the top of its regime and of one sign, so that
+        # each limb sum is as large as the scheme lets it be; L limbs take
+        # L (L + 1) / 2 correlations
+        f = [sign * top] * (k + 1)
+        calls = []
+        correlate = np.correlate
+
+        def counted(a, v, mode):
+            calls.append(mode)
+            return correlate(a, v, mode)
+
+        monkeypatch.setattr(roots.np, "correlate", counted)
+        assert roots._autocorrelation(f) == list(schoolbook_frf(f)[k:])
+        assert len(calls) == limbs * (limbs + 1) // 2
+
+    def test_an_f_outside_the_int64_scheme_is_refused(self):
+        # |f_i| < 2^62 is the scheme's range: 2^62 - 1 is still checked, and
+        # an entry of 2^62, 2^63 or -2^63 leaves the q to the chain, with no
+        # OverflowError and no wrapped sum
+        k = 3
+        f = [2**62 - 1, -(2**62) + 1, 2**62 - 1, 1]
+        assert roots._autocorrelation(f) == list(schoolbook_frf(f)[k:])
+        q = q_of(11, 1)
+        f, b = certificate_of(q)
+        assert checked(q, (f, b)).method == "spectral"
+        for huge in (2**62, 2**63, -(2**63), 2**200):
+            assert roots._autocorrelation([huge] + f[1:]) is None
+            census = checked(q, ([huge] + f[1:], b))
+            assert census == interior_root_count(q)
+            assert census.method == "palindromic_pairing"
 
     def test_zero_margin_is_refused(self):
         # T = 4 + 2 cos(theta) + 2 cos(3 theta) >= 0 vanishes only at pi, so
@@ -962,7 +1019,7 @@ class TestCensus:
         q = q_of(7, 3)
         lifted = UniPoly((q.coeffs[0] + 1,) + q.coeffs[1:])
         certificate = certificate_of(q)
-        assert roots._spectral_census(lifted, certificate).method == "spectral"
+        assert roots._margin_lo(lifted, certificate) is not None
         monkeypatch.setattr(
             roots, "_spectral_certificate", lambda ps, found: [certificate]
         )
@@ -1240,6 +1297,25 @@ class TestClassPass:
         assert roots.census([]) == roots.census([], []) == []
         with pytest.raises(ValidationError, match="collections of roots"):
             roots.census(qs[:1], [])
+
+    def test_census_builds_each_certified_census_once(self, monkeypatch):
+        # a certified q's RootCensus is built once, its elapsed_ms in it;
+        # a q left to the chain takes the chain's census and one timed copy
+        built = []
+        init = roots.RootCensus.__init__
+
+        def counted(census, *args):
+            built.append(args[3])  # the method
+            init(census, *args)
+
+        monkeypatch.setattr(roots.RootCensus, "__init__", counted)
+        qs = [q_of(n + 41, n) for n in (1, 2, 3, 4)]
+        assert all(c.elapsed_ms > 0 for c in roots.census(qs))
+        assert built == ["spectral"] * 4
+        built.clear()
+        (census,) = roots.census([q_of(5, 3)])
+        assert census.elapsed_ms > 0
+        assert built == ["palindromic_pairing"] * 2
 
     def test_census_times_each_member(self, monkeypatch):
         # a clock that ticks 1 s per read: the float pass of 4 members reads
