@@ -731,11 +731,9 @@ def census(qs, float_roots=None) -> list[RootCensus]:
         lo = _margin_lo(q, certificate)
         chain = None if lo is not None else interior_root_count(q)
         ms = share + (time.perf_counter() - start) * 1000.0
-        if chain is None:
-            out.append(RootCensus(k, 0, k, "spectral", None, lo, ms))
-        else:  # the chain's counts, timed by the census
-            out.append(RootCensus(
-                chain.inside, chain.on_circle, chain.outside, chain.method,
-                chain.squarefree, None, ms,
-            ))
+        counts = (k, 0, k, "spectral", None) if chain is None else (
+            chain.inside, chain.on_circle, chain.outside, chain.method,
+            chain.squarefree,
+        )
+        out.append(RootCensus(*counts, lo, ms))
     return out
