@@ -6,14 +6,14 @@ exact arithmetic, and floats only choose what it checks.
 
 ``numeric_roots`` is the float diagnostic: an Aberth-Ehrlich simultaneous
 iteration with a relative backward-error residual acceptance test, for
-the palindromic p of even degree 2k that every caller sends (Q, or the
-squarefree part of Q with the root -1 divided out); any other p raises
-``NotPalindromic``.  p(s) = s^(2k) p(1/s) closes the roots under
-s -> 1/s, so only k iterates run (``_aberth``), started on the k least
-moduli of the Newton polygon of p, and their reciprocals stand in for the
-other k roots in every Aberth sum and in the result.  An iterate that
-passes the test stops moving (Bini 1996; Bini & Fiorentino's MPSolve), so
-a sweep evaluates p, p' and the residual scale of the live iterates only.
+the palindromic p of even degree 2k that ``hartogs roots`` sends (Q);
+any other p raises ``NotPalindromic``.  p(s) = s^(2k) p(1/s) closes the
+roots under s -> 1/s, so only k iterates run (``_aberth``), started on
+the k least moduli of the Newton polygon of p, and their reciprocals
+stand in for the other k roots in every Aberth sum and in the result.
+An iterate that passes the test stops moving (Bini 1996; Bini &
+Fiorentino's MPSolve), so a sweep evaluates p, p' and the residual scale
+of the live iterates only.
 Every float value of p there comes from ``_power_rows``: one row of powers
 per point, in the order of the points, z^j where |z| <= 1 and z^j / z^deg
 where |z| > 1, so no entry exceeds 1 in modulus at any degree.
@@ -21,18 +21,21 @@ where |z| > 1, so no entry exceeds 1 in modulus at any degree.
 reads the residual it was accepted at.  ``numeric_roots``' roots leave as
 exact conjugate pairs and exact reals, matched by ``_mirror_partners``, the
 one owner of the real/pair decision for float roots.
-``_inner_stack`` gives the census the k roots inside, unpaired.  Up to
-k = 75 (``_COLLEAGUE_K``) they are the eigenvalues of the k x k colleague
-matrix of g = sum_j v_j T_j, the Chebyshev image of p (I. J. Good, "The
-colleague matrix, a Chebyshev analogue of the companion matrix", Q. J.
-Math. 1961; Boyd, SIAM Review 2013), each eigenvalue x mapped back to a
-root s of s + 1/s = 2x; above, they are the k Aberth iterates, each as z
-or 1/z, whichever lies inside.
+``_inner_stack`` gives the census and the witness the k roots inside,
+unpaired.  Up to k = 75 (``_COLLEAGUE_K``) they are the eigenvalues of
+the k x k colleague matrix of g = sum_j v_j T_j, the Chebyshev image of p
+(I. J. Good, "The colleague matrix, a Chebyshev analogue of the companion
+matrix", Q. J. Math. 1961; Boyd, SIAM Review 2013), each eigenvalue x
+mapped back to a root s of s + 1/s = 2x; above, they are the k Aberth
+iterates, each as z or 1/z, whichever lies inside.
 ``classify_float_roots`` sorts float roots into inside/on/outside with
 the guard band ``CIRCLE_GUARD``, and ``interior_float_roots``, the
-witness's root finder, keeps those inside it and polishes them by Newton
-on p and p' from Horner's rule, the module's one other float evaluation
-of p, the more accurate of the two there (measurements in the README).
+witness's root finder, pairs the k roots of ``_inner_stack`` and their
+reciprocals as ``numeric_roots`` pairs its own, keeps those inside the
+band and polishes them by Newton on p and p' from Horner's rule, the
+module's one other float evaluation of p, the more accurate of the two
+there (measurements in the README).  ``numeric_roots``, and so every root
+``hartogs roots`` prints, stays on Aberth at every k.
 
 ``_spectral_certificate``, the census's helper, rounds the spectral
 factor of the float roots into a certificate (f, b), which
@@ -170,25 +173,36 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
     sorted by (real, imag).
 
     A palindromic p of odd degree n has p(-1) = (-1)^n p(-1) = 0, and
-    s + 1 is divided out of it, leaving a palindromic p of even degree for
-    ``numeric_roots``.  (The squarefree part of a Q is palindromic, as
-    Q(1) = m^3 > 0, and of odd degree iff Q(-1) = 0.)
-    ``numeric_roots`` gives exact reals and exact conjugate pairs, so only
-    roots on or above the real axis are polished: a real start stays real,
-    and a root above the axis brings its exact conjugate.  p is squarefree
-    because Newton converges only linearly at a multiple root.  Each step
-    takes p and p' from one Horner pass over the coefficients of p / lc(p),
-    each divided exactly before its one rounding, top degree first; the
-    polish stops after 60 steps, at p' = 0, or at a step within two double
-    spacings of z, which includes every step that leaves z where it is.
-    Horner on p / lc(p) polishes more accurately than the power rows of
-    ``numeric_roots`` (measurements in the README).
+    s + 1 is divided out of it, leaving a palindromic p of even degree 2k.
+    (The squarefree part of a Q is palindromic, as Q(1) = m^3 > 0, and of
+    odd degree iff Q(-1) = 0.)  What is left must have degree >= 1
+    (else ValidationError) and be palindromic of even degree (else
+    NotPalindromic), checked before any root is sought, as ``_aberth``
+    checks it.  The roots start as the census's k inner roots
+    (``_inner_stack``: the colleague eigenvalues up to k = 75, Aberth
+    above), and the full set {z, 1/z} is paired by ``_exact_pairs`` into
+    exact reals and exact conjugate pairs, as in ``numeric_roots``: a
+    circle root and its reciprocal are one conjugate pair there, never a
+    real root.  A NaN row, where the finder failed, raises
+    ConvergenceFailure.  Only roots on or above the real axis are
+    polished: a real start stays real, and a root above the axis brings
+    its exact conjugate.  p is squarefree because Newton converges only
+    linearly at a multiple root.  Each step takes p and p' from one Horner
+    pass over the coefficients of p / lc(p), each divided exactly before
+    its one rounding, top degree first; the polish stops after 60 steps,
+    at p' = 0, or at a step within two double spacings of z, which
+    includes every step that leaves z where it is.  Horner on p / lc(p)
+    polishes more accurately than the power rows of ``numeric_roots``
+    (measurements in the README).
     """
     p = p.div_rem(UniPoly([1, 1]))[0] if p.degree % 2 else p
+    (inner,) = _inner_stack([p], _checked_coeffs(p)[None])
+    if np.isnan(inner).any():
+        raise ConvergenceFailure(f"no float roots found for a p of degree {p.degree}")
     lead = p.coeffs[-1]
     top = [float(c / lead) for c in reversed(p.coeffs)]
     out = []
-    for z in numeric_roots(p):
+    for z in _exact_pairs(np.concatenate((inner, 1.0 / inner)).tolist()):
         if abs(z) >= 1.0 - CIRCLE_GUARD or z.imag < 0:
             continue
         real = z.imag == 0
@@ -260,9 +274,10 @@ def _certify(c: np.ndarray, z: np.ndarray) -> list[tuple[list[int], int] | None]
     * F from its values sqrt(a) prod(omega - rho) at the N =
       2^ceil(log2(k + 2)) roots of unity omega, one product each, and one
       FFT: multiplying k roots out into coefficients fails from k ~ 100.
-      |omega - rho| < 2, and sqrt(a) = F_k <= 1 since sum F_i^2 = c_k -
-      eps < 1, so each value stays below 2^k in modulus, finite for
-      k <= 1000; past that a value may overflow to inf, and F is refused;
+      |omega - rho| < 2 and sqrt(a) = F_k <= 1 (sum F_i^2 = c_k - eps <
+      1) only bound each value by 2^k in modulus, finite up to k = 1023;
+      the bound sets no range: a value that does overflow to inf gets F
+      refused, and (2049, 1) certifies at k = 2048;
     * b = 52 - e with max|F| = m 2^e, 1/2 <= m < 1, so f has 52 bits.
 
     Each step is one stacked numpy call with the elementwise operations
@@ -434,6 +449,17 @@ def _exact_pairs(roots: list[complex]) -> list[complex]:
     return sorted(out, key=lambda r: (r.real, r.imag))
 
 
+def _checked_coeffs(p: UniPoly) -> np.ndarray:
+    """``_float_coeffs`` of p once p is a palindromic p of even degree >= 2,
+    the input of ``_aberth`` and ``interior_float_roots``; p of degree < 1
+    raises ValidationError, any other p NotPalindromic."""
+    if p.degree < 1:
+        raise ValidationError("need degree >= 1 to compute roots")
+    if p.degree % 2 or not p.is_palindromic():
+        raise NotPalindromic("float roots need a palindromic p of even degree")
+    return _float_coeffs(p)
+
+
 def _aberth(p: UniPoly) -> np.ndarray:
     """k Aberth-Ehrlich iterates of a palindromic p of degree 2k (every Q),
     one root of each reciprocal pair r, 1/r.
@@ -477,12 +503,8 @@ def _aberth(p: UniPoly) -> np.ndarray:
     output, and each operand broadcast in two dimensions, costs numpy a
     ufunc buffer of 8192 entries (128 KB) per call.
     """
-    if p.degree < 1:
-        raise ValidationError("need degree >= 1 to compute roots")
-    if p.degree % 2 or not p.is_palindromic():
-        raise NotPalindromic("float roots need a palindromic p of even degree")
     n = p.degree
-    coeffs = _float_coeffs(p)
+    coeffs = _checked_coeffs(p)
     dcoeffs = coeffs[1:] * np.arange(1, n + 1)
     abs_coeffs = np.abs(coeffs)
     z = _aberth_starts(abs_coeffs)

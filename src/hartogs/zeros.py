@@ -7,9 +7,10 @@ interior points at which the kernel vanishes:
     w = (sqrt(|s0|), sqrt(|s0|)),
 
 so that z1*conj(w1) = z2*conj(w2) = s0 and K(z, w) is a nonzero multiple
-of s0^(2n-1) Q(s0) = 0.  The candidates are the interior Aberth roots of
-the squarefree part of Q, real or complex, each polished by Newton in
-``hartogs.floatroots``.  Which interior root is used is a free choice;
+of s0^(2n-1) Q(s0) = 0.  The candidates are the interior roots of the
+squarefree part of Q, real or complex, started from the census's own
+inner roots (one colleague eigensolve up to k = 75, Aberth above) and
+each polished by Newton in ``hartogs.floatroots``.  Which interior root is used is a free choice;
 candidates are ordered deterministically and selected by index.
 
 The scanner walks every coprime pair with m <= m_max and records the exact
@@ -78,13 +79,14 @@ class ZeroWitness:
 def witness_candidates(pair: CoprimePair) -> list[complex]:
     """Interior roots of Q (distinct, polished), deterministically ordered.
 
-    ``interior_float_roots`` finds and polishes them on the exact
-    squarefree part of Q: interior roots can have even multiplicity (Q for
-    (5,3) is 5(s^2+3s+1)^2), where Newton on Q itself would converge only
-    linearly.  When the census finds Q squarefree, Q's own int
-    coefficients serve, so no second gcd runs.  That flag comes from the
-    Sturm chain alone, so the census here is ``interior_root_count``, not
-    the certified ``roots.census``.
+    ``interior_float_roots`` finds them with the census's inner-root
+    finder (the colleague eigenvalues up to k = 75, Aberth above) and
+    polishes them on the exact squarefree part of Q: interior roots can
+    have even multiplicity (Q for (5,3) is 5(s^2+3s+1)^2), where Newton
+    on Q itself would converge only linearly.  When the census finds Q
+    squarefree, Q's own int coefficients serve, so no second gcd runs.
+    That flag comes from the Sturm chain alone, so the census here is
+    ``interior_root_count``, not the certified ``roots.census``.
     """
     q = diagonal_poly(pair).poly
     counts = interior_root_count(q)

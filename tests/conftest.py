@@ -24,8 +24,9 @@ def acceptance_report():
 @pytest.fixture
 def aberth_calls(monkeypatch):
     """The degrees ``floatroots._aberth`` runs on: the one iteration behind
-    ``numeric_roots``, and behind the census's inner roots
-    (``_inner_stack``) from k = 76 on."""
+    ``numeric_roots``, and behind the inner roots of ``_inner_stack`` from
+    k = 76 on, which the census and the witness's
+    ``interior_float_roots`` take."""
     calls = []
     aberth = floatroots._aberth
 
@@ -40,9 +41,10 @@ def aberth_calls(monkeypatch):
 @pytest.fixture
 def eigensolves(monkeypatch):
     """The shapes of the arrays ``np.linalg.eigvals`` runs on: the stacked
-    colleague eigensolve behind the census's inner roots (``_inner_stack``)
-    up to k = 75, (members, k, k), and a (k, k) per member where a stack
-    failed."""
+    colleague eigensolve behind the inner roots of ``_inner_stack`` up to
+    k = 75, which the census and the witness's ``interior_float_roots``
+    take, (members, k, k) (a witness's stack has one member), and a
+    (k, k) per member where a stack failed."""
     calls = []
     eigvals = np.linalg.eigvals
 

@@ -1396,9 +1396,9 @@ class TestNumericRoots:
         ids=["s+1", "odd-palindromic", "not-palindromic", "antipalindromic"],
     )
     def test_refuses_odd_degree_and_non_palindromic(self, p, monkeypatch):
-        # every caller sends numeric_roots Q or its squarefree part,
-        # palindromic of even degree once interior_float_roots has divided
-        # out s + 1; the census refuses a p that is not palindromic before
+        # numeric_roots gets Q, and the same check guards the squarefree
+        # part interior_float_roots has divided s + 1 out of (its own test
+        # below); the census refuses a p that is not palindromic before
         # any float pass, given roots or not, and counts a palindromic p of
         # odd degree by the chain, with no float pass either
         with pytest.raises(NotPalindromic):
@@ -1460,6 +1460,24 @@ class TestNumericRoots:
         (real,) = interior_float_roots(UniPoly([1, 6, 1]))
         assert real.imag == 0
         assert real.real == pytest.approx(-3 + 2 * math.sqrt(2), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "p, error, message",
+        [
+            (UniPoly([3]), ValidationError, "need degree >= 1"),
+            (UniPoly([1, 1]), ValidationError, "need degree >= 1"),  # 1 once s + 1 is out
+            (UniPoly([1, 2, 3]), NotPalindromic, "palindromic p of even degree"),
+        ],
+        ids=["constant", "s+1", "not-palindromic"],
+    )
+    def test_interior_float_roots_checks_p_before_any_root(
+        self, p, error, message, eigensolves, aberth_calls
+    ):
+        # the check _aberth makes, before the colleague eigensolve as well
+        with pytest.raises(ValidationError, match=message) as raised:
+            interior_float_roots(p)
+        assert raised.type is error
+        assert eigensolves == aberth_calls == []
 
     def test_interior_float_roots_divides_out_minus_one(self):
         # an odd-degree palindromic p has the root -1, on the circle

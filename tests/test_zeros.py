@@ -116,15 +116,53 @@ class TestWitnessCandidates:
     def test_candidates_pinned(self):
         # float.hex of every candidate of every coprime pair with m <= 40, as
         # the polish with a separate Horner pass for Q' left them, started
-        # from the roots of the half iteration on Q's k inner roots
+        # from the census's k inner roots (the colleague eigenvalues, as
+        # every pair here has k <= 75) and their reciprocals, paired
         bits = [
             [(z.real.hex(), z.imag.hex()) for z in witness_candidates(pair)]
             for pair in coprime_pairs(40)
         ]
         assert sum(map(len, bits)) == 6554
         assert hashlib.sha256(repr(bits).encode()).hexdigest() == (
-            "317095afc65530582608e1ef9a4f2a55fb008fe681f8aab9a107930009182398"
+            "b51e5b106ed860299f1bce19bbb98571f41b0ca724618aa111a9d70e18840ddd"
         )
+
+    @pytest.mark.parametrize("mn", [(41, 3), (77, 2)], ids=["38", "75"])
+    def test_colleague_roots_start_the_polish_up_to_k_75(
+        self, eigensolves, aberth_calls, mn
+    ):
+        k = mn[0] - mn[1]
+        witness_candidates(CoprimePair(*mn))
+        assert (eigensolves, aberth_calls) == ([(1, k, k)], [])
+
+    def test_aberth_roots_start_the_polish_from_k_76(self, eigensolves, aberth_calls):
+        witness_candidates(CoprimePair(79, 3))
+        assert (eigensolves, aberth_calls) == ([], [152])
+
+    @pytest.mark.parametrize(
+        "mn, module, name, error",
+        [
+            ((41, 3), np.linalg, "eigvals", np.linalg.LinAlgError),
+            ((79, 3), floatroots, "_aberth", ConvergenceFailure),
+        ],
+        ids=["colleague", "aberth"],
+    )
+    def test_a_failed_root_finder_fails_the_witness(
+        self, capsys, monkeypatch, mn, module, name, error
+    ):
+        # the stack's eigensolve fails and then the member's own, or Aberth
+        # runs out of sweeps: the NaN row of _inner_stack is a
+        # ConvergenceFailure (exit 2), never an empty list (exit 3)
+        def fail(*args):
+            raise error("did not converge")
+
+        monkeypatch.setattr(module, name, fail)
+        q = diagonal_poly(CoprimePair(*mn)).poly
+        with pytest.raises(ConvergenceFailure):
+            floatroots.interior_float_roots(q)
+        assert main(["witness", "--m", str(mn[0]), "--n", str(mn[1])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_real_root_with_float_noise_stays_real(self):
         # Aberth leaves imaginary parts of ~1e-12 on real roots of these Q
