@@ -175,27 +175,33 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
     A palindromic p of odd degree n has p(-1) = (-1)^n p(-1) = 0, and
     s + 1 is divided out of it, leaving a palindromic p of even degree 2k.
     (The squarefree part of a Q is palindromic, as Q(1) = m^3 > 0, and of
-    odd degree iff Q(-1) = 0.)  What is left must have degree >= 1
+    odd degree iff Q(-1) = 0.)  A p of odd degree with p(-1) != 0 raises
+    NotPalindromic; what is left after the division must have degree >= 1
     (else ValidationError) and be palindromic of even degree (else
     NotPalindromic), checked before any root is sought, as ``_aberth``
-    checks it.  The roots start as the census's k inner roots
-    (``_inner_stack``: the colleague eigenvalues up to k = 75, Aberth
-    above), and the full set {z, 1/z} is paired by ``_exact_pairs`` into
-    exact reals and exact conjugate pairs, as in ``numeric_roots``: a
-    circle root and its reciprocal are one conjugate pair there, never a
-    real root.  A NaN row, where the finder failed, raises
-    ConvergenceFailure.  Only roots on or above the real axis are
-    polished: a real start stays real, and a root above the axis brings
-    its exact conjugate.  p is squarefree because Newton converges only
-    linearly at a multiple root.  Each step takes p and p' from one Horner
-    pass over the coefficients of p / lc(p), each divided exactly before
-    its one rounding, top degree first; the polish stops after 60 steps,
-    at p' = 0, or at a step within two double spacings of z, which
-    includes every step that leaves z where it is.  Horner on p / lc(p)
-    polishes more accurately than the power rows of ``numeric_roots``
-    (measurements in the README).
+    checks it.  p = (s + 1) q with q palindromic is palindromic, so the
+    two checks pass exactly the palindromic p.
+
+    The roots start as the census's k inner roots (``_inner_stack``: the
+    colleague eigenvalues up to k = 75, Aberth above), and the full set
+    {z, 1/z} is paired by ``_exact_pairs`` into exact reals and exact
+    conjugate pairs, as in ``numeric_roots``: a circle root and its
+    reciprocal are one conjugate pair there, never a real root.  A NaN
+    row, where the finder failed, raises ConvergenceFailure.  Only roots
+    on or above the real axis are polished: a real start stays real, and
+    a root above the axis brings its exact conjugate.  p is squarefree
+    because Newton converges only linearly at a multiple root.  Each step
+    takes p and p' from one Horner pass over the coefficients of p /
+    lc(p), each divided exactly before its one rounding, top degree
+    first; the polish stops after 60 steps, at p' = 0, or at a step
+    within two double spacings of z, which includes every step that
+    leaves z where it is.  Horner on p / lc(p) polishes more accurately
+    than the power rows of ``numeric_roots`` (measurements in the README).
     """
-    p = p.div_rem(UniPoly([1, 1]))[0] if p.degree % 2 else p
+    if p.degree % 2:
+        p, rest = p.div_rem(UniPoly([1, 1]))
+        if not rest.is_zero:  # a palindromic p of odd degree has p(-1) = 0
+            raise NotPalindromic("float roots need a palindromic p; p(-1) != 0")
     (inner,) = _inner_stack([p], _checked_coeffs(p)[None])
     if np.isnan(inner).any():
         raise ConvergenceFailure(f"no float roots found for a p of degree {p.degree}")

@@ -10,8 +10,9 @@ so that z1*conj(w1) = z2*conj(w2) = s0 and K(z, w) is a nonzero multiple
 of s0^(2n-1) Q(s0) = 0.  The candidates are the interior roots of the
 squarefree part of Q, real or complex, started from the census's own
 inner roots (one colleague eigensolve up to k = 75, Aberth above) and
-each polished by Newton in ``hartogs.floatroots``.  Which interior root is used is a free choice;
-candidates are ordered deterministically and selected by index.
+each polished by Newton in ``hartogs.floatroots``.  Which interior root
+is used is a free choice; candidates are ordered deterministically and
+selected by index.
 
 The scanner walks every coprime pair with m <= m_max and records the exact
 circle root count of Q and the interior count (degree - circle)/2 that the

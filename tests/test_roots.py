@@ -1467,8 +1467,10 @@ class TestNumericRoots:
             (UniPoly([3]), ValidationError, "need degree >= 1"),
             (UniPoly([1, 1]), ValidationError, "need degree >= 1"),  # 1 once s + 1 is out
             (UniPoly([1, 2, 3]), NotPalindromic, "palindromic p of even degree"),
+            # (s + 1)(s^2 + 3s + 1) + 1: the quotient by s + 1 is palindromic
+            (UniPoly([2, 4, 4, 1]), NotPalindromic, r"p\(-1\) != 0"),
         ],
-        ids=["constant", "s+1", "not-palindromic"],
+        ids=["constant", "s+1", "not-palindromic", "odd-not-palindromic"],
     )
     def test_interior_float_roots_checks_p_before_any_root(
         self, p, error, message, eigensolves, aberth_calls
