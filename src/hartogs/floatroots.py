@@ -204,7 +204,8 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
             raise NotPalindromic("float roots need a palindromic p; p(-1) != 0")
     (inner,) = _inner_stack([p], _checked_coeffs(p)[None])
     if np.isnan(inner).any():
-        raise ConvergenceFailure(f"no float roots found for a p of degree {p.degree}")
+        finder = "Aberth" if p.degree // 2 > _COLLEAGUE_K else "the colleague eigensolve"
+        raise ConvergenceFailure(f"{finder} found no roots of a p of degree {p.degree}")
     lead = p.coeffs[-1]
     top = [float(c / lead) for c in reversed(p.coeffs)]
     out = []

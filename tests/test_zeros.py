@@ -140,15 +140,15 @@ class TestWitnessCandidates:
         assert (eigensolves, aberth_calls) == ([], [152])
 
     @pytest.mark.parametrize(
-        "mn, module, name, error",
+        "mn, module, name, error, finder",
         [
-            ((41, 3), np.linalg, "eigvals", np.linalg.LinAlgError),
-            ((79, 3), floatroots, "_aberth", ConvergenceFailure),
+            ((41, 3), np.linalg, "eigvals", np.linalg.LinAlgError, "the colleague eigensolve"),
+            ((79, 3), floatroots, "_aberth", ConvergenceFailure, "Aberth"),
         ],
         ids=["colleague", "aberth"],
     )
     def test_a_failed_root_finder_fails_the_witness(
-        self, capsys, monkeypatch, mn, module, name, error
+        self, capsys, monkeypatch, mn, module, name, error, finder
     ):
         # the stack's eigensolve fails and then the member's own, or Aberth
         # runs out of sweeps: the NaN row of _inner_stack is a
@@ -158,11 +158,11 @@ class TestWitnessCandidates:
 
         monkeypatch.setattr(module, name, fail)
         q = diagonal_poly(CoprimePair(*mn)).poly
-        with pytest.raises(ConvergenceFailure):
+        with pytest.raises(ConvergenceFailure, match=f"^{finder} found no roots"):
             floatroots.interior_float_roots(q)
         assert main(["witness", "--m", str(mn[0]), "--n", str(mn[1])]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {finder}") and err.count("\n") == 1
 
     def test_real_root_with_float_noise_stays_real(self):
         # Aberth leaves imaginary parts of ~1e-12 on real roots of these Q
