@@ -176,10 +176,10 @@ class TestRootsCommand:
     @pytest.mark.parametrize(
         "mn, digest",
         [
-            ((81, 5), "bd457a402fb1fde76f4382253212b589e31ecca7ec34a2e8ab94424eb21e91f8"),
-            ((101, 1), "8d82c598b8c35caeb63fdf4cf91fab271085d39d144b0435aa66a2ac611ace49"),
-            ((103, 7), "8033c233151d2d87b27530a54ba5981caeec1ecbb30627a0d43b1781b76a9825"),
-            ((111, 11), "be517cb417c5b6fca7adbe32aca7d13fc7b889369378cc995038ebc678836653"),
+            ((81, 5), "3146b0c6bde2c3cc4bff148525a6958abcac63eaf20f7b1cedfe103c34efbb13"),
+            ((101, 1), "a25407e8c90e61365b8238df60a45372efddaa8494b5cda313349ee77279e7d1"),
+            ((103, 7), "43e40300334b0f3fb43ff68fc37392f2cf466e748bb1687fcc6855a699bdc3eb"),
+            ((111, 11), "0473b34545d8579e4d8598afdcc8be896ef220c096ff571b2b3709c775e50a45"),
         ],
     )
     def test_json_is_pinned_at_the_frontier(self, capsys, mn, digest):

@@ -1384,7 +1384,7 @@ class TestNumericRoots:
     def test_a_nan_iterate_never_passes(self, monkeypatch):
         # a NaN residual compares false both ways, so it must read as moving
         monkeypatch.setattr(floatroots, "_MAX_SWEEPS", 3)
-        monkeypatch.setattr(floatroots, "_aberth_starts", lambda c: np.array([complex("nan")]))
+        monkeypatch.setattr(floatroots, "_aberth_starts", lambda k: np.array([complex("nan")]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ConvergenceFailure):
@@ -1510,15 +1510,37 @@ class TestNumericRoots:
         assert len(found) == p.degree
         assert max(root_residuals(p, found)) <= floatroots._TOL
 
-    def test_starts_on_the_newton_polygon(self):
-        # the moduli are 1/6, 6/13, 13/6 and 6; the two least are the starts
-        starts = floatroots._aberth_starts(np.array([1.0, 6.0, 13.0, 6.0, 1.0]))
-        assert sorted(np.abs(starts)) == pytest.approx([1 / 6, 6 / 13], rel=1e-14)
-        # zero coefficients and equal moduli still give two distinct starts
-        a, b = floatroots._aberth_starts(np.array([1.0, 0.0, 0.0, 0.0, 1.0]))
-        assert abs(a) == pytest.approx(1.0, rel=1e-14)
-        assert abs(b) == pytest.approx(1.0, rel=1e-14)
-        assert abs(a - b) > 1
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 76, 150])
+    def test_starts_on_one_circle_inside(self, k):
+        # k starts of one modulus < 1, pairwise distinct, none real, and no
+        # start's conjugate among the starts
+        starts = floatroots._aberth_starts(k)
+        assert starts.size == k
+        radius = np.abs(starts)
+        assert 0 < radius[0] < 1
+        assert radius == pytest.approx(np.full(k, radius[0]), rel=1e-15)
+        arc = 2 * math.pi * radius[0] / k  # the spacing along the circle
+        if k > 1:
+            gaps = np.abs(np.subtract.outer(starts, starts))[~np.eye(k, dtype=bool)]
+            assert gaps.min() > arc / 2
+        assert (starts.imag != 0).all()
+        assert np.abs(np.subtract.outer(starts.conjugate(), starts)).min() > arc / 20
+
+    def test_frontier_pairs_converge_within_64_sweeps(self, monkeypatch):
+        # six pairs with 76 <= k <= 120 take 9 sweeps each (54); the
+        # Newton-polygon starts took 75, a conjugation-symmetric lattice
+        # 77 (offset 0) and 153 (offset half a spacing)
+        sweeps = []
+        power_rows = floatroots._power_rows
+
+        def record(z, rows):
+            sweeps.append(z.size)
+            power_rows(z, rows)
+
+        monkeypatch.setattr(floatroots, "_power_rows", record)
+        for m, n in [(79, 3), (81, 5), (101, 2), (107, 12), (115, 7), (121, 1)]:
+            floatroots._aberth(q_of(m, n))
+        assert len(sweeps) <= 64
 
     @pytest.mark.parametrize("mn", [(5, 3), (41, 3), (101, 1)])
     def test_conjugate_pairs_are_exact(self, mn):
@@ -1625,7 +1647,7 @@ class TestHalfIteration:
                 gaps = np.abs(np.subtract.outer(found, found)) + np.eye(len(found))
                 assert gaps.min() > 1e-6, pair
 
-    def test_iterates_are_the_starts_of_least_modulus(self, monkeypatch):
+    def test_the_first_sweep_evaluates_the_starts(self, monkeypatch):
         # the k starts of _aberth_starts lie inside: the first sweep
         # evaluates exactly those, in their order
         seen = []
@@ -1638,7 +1660,7 @@ class TestHalfIteration:
         monkeypatch.setattr(floatroots, "_power_rows", record)
         q = q_of(41, 3)
         numeric_roots(q)
-        starts = floatroots._aberth_starts(np.abs(floatroots._float_coeffs(q)))
+        starts = floatroots._aberth_starts(q.degree // 2)
         assert starts.size == q.degree // 2
         assert np.array_equal(seen[0], starts)
         assert (np.abs(starts) < 1).all()
