@@ -196,9 +196,11 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
     row, where the finder failed, raises ConvergenceFailure.  Only roots
     on or above the real axis are polished: a real start stays real, and
     a root above the axis brings its exact conjugate.  p is squarefree
-    because Newton converges only linearly at a multiple root.  Each step
-    takes p and p' from one Horner pass over the coefficients of p /
-    lc(p), each divided exactly before its one rounding, top degree
+    because Newton converges only linearly at a multiple root: the witness
+    hands over Q where one prime proves it squarefree
+    (``roots._proven_squarefree``), and its squarefree part elsewhere.
+    Each step takes p and p' from one Horner pass over the coefficients of
+    p / lc(p), each divided exactly before its one rounding, top degree
     first; the polish stops after 60 steps, at p' = 0, or at a step
     within two double spacings of z, which includes every step that
     leaves z where it is.  Horner on p / lc(p) polishes more accurately

@@ -5,18 +5,18 @@ Everything that claims a count is proven in exact arithmetic, and every
 exact algorithm runs on integer coefficient lists (ascending degree).  Two
 integer steps carry all the division: a sign-preserving pseudo-remainder
 (``_neg_prem``) and an exact quotient (``_divexact``), integral by Gauss's
-lemma because every divisor is primitive.  ``_neg_prem`` runs in one loop
-only, ``_sturm_chain``: the chain of (a, b) is their subresultant sequence
-up to sign (Collins 1967, Brown & Traub 1971) and ends in a multiple of
-gcd(a, b), so that one sequence serves every Sturm count, every gcd and
-every multiplicity.  In a run of degree drops 1 each step divides its
-pseudo-remainder exactly by lc(a)^2; on large steps (``_EXACT_BITS``) it
-forms only the quotient, by exact 2-adic division (``_exact_quotient``).
-Its one basis-dependent piece is the multiply-by-x map: the monomial shift
-by default, and in the census the Chebyshev map 2x T_0 = 2 T_1, 2x T_i =
-T_(i+1) + T_(i-1), which keeps the leading coordinate.  Public names
-convert once at the boundary: ``_primitive`` on the way in, and the gcd
-and squarefree results leave as monic ``UniPoly``s.
+lemma because every divisor is primitive.  ``_neg_prem`` runs in two
+loops.  In ``_sturm_chain`` the chain of (a, b) is their subresultant
+sequence up to sign (Collins 1967, Brown & Traub 1971) and ends in a
+multiple of gcd(a, b), so that one sequence serves every Sturm count,
+every gcd and every multiplicity; in a run of degree drops 1 each step
+divides its pseudo-remainder exactly by lc(a)^2.  ``_proven_squarefree``
+reduces each of its steps modulo one prime.  ``_neg_prem``'s one
+basis-dependent piece is the multiply-by-x map: the monomial shift by
+default, and on the Chebyshev image of a palindrome the map 2x T_0 =
+2 T_1, 2x T_i = T_(i+1) + T_(i-1), which keeps the leading coordinate.
+Public names convert once at the boundary: ``_primitive`` on the way in,
+and the gcd and squarefree results leave as monic ``UniPoly``s.
 
 * A palindromic h of degree 2k has h(e^(i theta)) e^(-ik theta) = h_k +
   sum_j 2 h_(k+j) cos(j theta) = g(cos theta), so g = h_k T_0 + sum_j
@@ -46,13 +46,9 @@ and squarefree results leave as monic ``UniPoly``s.
   element of the chain before it, until a level counts no root; the sum
   of the counts weights each root by its multiplicity.  Every d_i divides
   g, so it is nonzero at +-1 and no chain needs a strip of its own.
-* The first chain also decides ``interior_root_count(p).squarefree``: it
-  ends in gcd(g, g'), a constant iff g is squarefree.  Write p = (s - 1)^a
-  (s + 1)^b h with h(+-1) != 0, so g(+-1) != 0 too.  Every root s0 of h
-  has s0 not in {0, +-1}, where phi(s) = (s + 1/s)/2 has phi'(s0) =
-  (1 - s0^-2)/2 != 0, so the multiplicity of s0 in h equals that of
-  phi(s0) in g.  Hence p is squarefree iff a <= 1, b <= 1 and the chain
-  ends in a constant, with no second gcd.
+* ``_proven_squarefree(p)``, the witness's test, proves a palindromic p
+  squarefree by Euclid on (g, 2g') modulo one prime, or proves nothing
+  (the proof is in its docstring).
 * ``interior_root_count(p)``, the chain census, produces the full
   inside/on/outside census of a palindromic p, which is the only input it
   takes (every Q is palindromic); anything else raises ``NotPalindromic``.
@@ -76,11 +72,9 @@ and squarefree results leave as monic ``UniPoly``s.
   that range proves nothing.  margin > 0 puts no root of q on the circle,
   so the pairing leaves k inside and k outside, and margin / (2^(2b) q(1))
   is a proven lower bound on min |q(s)| / q(1) over the circle.  The
-  certificate says nothing about repeated roots, so that census leaves
-  ``squarefree`` unexamined (None).  The margin reads only the upper half
-  of q, so it proves nothing of a q that is not palindromic, which
-  ``census`` refuses first.  A margin <= 0 proves nothing, and the chain
-  counts.
+  margin reads only the upper half of q, so it proves nothing of a q that
+  is not palindromic, which ``census`` refuses first.  A margin <= 0
+  proves nothing, and the chain counts.
 
 ``census(qs)`` is the one entry point of ``hartogs scan`` and ``hartogs
 roots``, and it makes every decision of a census.  It takes one stack,
@@ -132,10 +126,9 @@ _ONE = Fraction(1)
 # iff N k^4 >= _CERTIFICATE_K^4, where the stacked float pass costs less
 # than the chain (measurements in the README)
 _CERTIFICATE_K = 24
-# deg b * bits(lc a) from which a remainder step divides 2-adically: the
-# 2-adic step pays a fixed cost per step and saves a little per coordinate,
-# and on the census chains of deg Q <= 240 it was the faster one from here on
-_EXACT_BITS = 6000
+# the prime of ``_proven_squarefree``, the largest below 2^31 - 1: odd,
+# and above 2k at every k a list can reach
+_PRIME = 2_147_483_629
 # the bits of max |f_i| up to which ``_autocorrelation`` checks a
 # certificate in int64 limbs (the float side's f has at most 53)
 _F_BITS = 62
@@ -211,7 +204,7 @@ def _neg_prem(a: list[int], b: list[int], times_x, d: int) -> list[int]:
     leading term of r while multiplying it by a positive number, so the
     result is a positive multiple of the negated Euclidean remainder, and
     Sturm signs survive.  b must have degree >= 1, as every divisor in
-    ``_sturm_chain`` has; [] means b divides a.
+    ``_sturm_chain`` and ``_proven_squarefree`` has; [] means b divides a.
 
     When deg a = deg b + 1 = n + 1, as at every step of a normal chain,
     the two steps fuse into one pass, r_i = lc(b)^2 a_i - q1 xb_i -
@@ -220,9 +213,7 @@ def _neg_prem(a: list[int], b: list[int], times_x, d: int) -> list[int]:
 
     -r / d is returned, for a divisor d of r that the caller vouches for:
     lc(a)^2 inside a normal run of ``_sturm_chain``, where r has about
-    three times the bits of r / d, and 1 elsewhere.  Once deg b times the
-    bits of lc(a) reaches ``_EXACT_BITS``, a fused step forms only r / d,
-    2-adically by ``_exact_quotient``; below, r is formed whole and
+    three times the bits of r / d, and 1 elsewhere.  r is formed whole and
     floor-divided by d.  Every floor remainder is >= 0, so d times the sum
     of the quotients equals the sum of r iff d divides every r_i.  A d
     that does not divide is a broken invariant and raises InternalMismatch.
@@ -231,10 +222,7 @@ def _neg_prem(a: list[int], b: list[int], times_x, d: int) -> list[int]:
     if len(a) == db + 2:
         lb, la, xb = b[-1], a[-1], times_x(b)
         l2, q1, q0 = lb * lb, lb * la, lb * a[-2] - la * xb[-2]
-        if d > 1 and db * la.bit_length() >= _EXACT_BITS:
-            r, d = _exact_quotient(l2, q1, q0, a, xb, b, d), 1  # r is over d
-        else:
-            r = [l2 * x - q1 * y - q0 * z for x, y, z in zip(a[:db], xb, b)]
+        r = [l2 * x - q1 * y - q0 * z for x, y, z in zip(a[:db], xb, b)]
     else:
         mul = abs(b[-1])
         sgn = 1 if b[-1] > 0 else -1
@@ -255,55 +243,6 @@ def _neg_prem(a: list[int], b: list[int], times_x, d: int) -> list[int]:
     while r and r[-1] == 0:
         r.pop()
     return [-x for x in r]
-
-
-def _inverse_mod_2k(odd: int, k: int) -> int:
-    """odd^-1 mod 2^k for an odd int, by Newton doubling x <- x (2 - odd x).
-
-    odd * odd = 1 mod 8 starts it at 3 bits, and each step doubles the bits.
-    """
-    x, bits = odd & 7, 3
-    while bits < k:
-        bits = min(2 * bits, k)
-        mask = (1 << bits) - 1
-        x = x * (2 - (odd & mask) * x) & mask
-    return x & ((1 << k) - 1)
-
-
-def _exact_quotient(l2, q1, q0, a, xb, b, d) -> list[int]:
-    """(l2 a_i - q1 xb_i - q0 b_i) / d for i < deg b, for a d > 1 that
-    divides each of them, computed 2-adically (Jebelean 1993).
-
-    |a|, |xb| and |b| being the largest moduli of their coordinates, each
-    quotient lies in [-top, top] with top = (l2 |a| + |q1| |xb| + |q0| |b|)
-    // d, so it is its own symmetric residue mod 2^w for w = bits(top) + 1.
-    With d = 2^v o, o odd, and l2, q1, q0 times o^-1 mod 2^(w + v), the
-    quotient is bits v .. w + v - 1 of the folded sum: three products of
-    the quotient's size per coordinate, where the sum itself takes three
-    of twice that size and a long division by d.  Where d does not divide,
-    the residues are garbage, so the even and the odd coordinate sums (the
-    values at +-1 in either basis, the only points a Sturm chain is read
-    at) are checked exactly, and a mismatch raises InternalMismatch.
-    """
-    n = len(b) - 1
-    top = (
-        l2 * max(max(a), -min(a))
-        + abs(q1) * max(max(xb), -min(xb))
-        + abs(q0) * max(max(b), -min(b))
-    ) // d
-    w = top.bit_length() + 1
-    v = (d & -d).bit_length() - 1
-    k = w + v
-    mask = (1 << k) - 1
-    inv = _inverse_mod_2k(d >> v, k)
-    f2, f1, f0 = l2 * inv & mask, q1 * inv & mask, q0 * inv & mask
-    half, full = 1 << (w - 1), 1 << w
-    q = [(f2 * x - f1 * y - f0 * z & mask) >> v for x, y, z in zip(a[:n], xb, b)]
-    q = [x - full if x >= half else x for x in q]
-    for s in (slice(0, None, 2), slice(1, None, 2)):
-        if d * sum(q[s]) != l2 * sum(a[s]) - q1 * sum(xb[s]) - q0 * sum(b[s]):
-            raise InternalMismatch("2-adic quotient fails its check at +-1")
-    return q
 
 
 def _divexact(a: list[int], b: list[int]) -> list[int]:
@@ -389,6 +328,56 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
         for i, (hi, lo) in enumerate(zip(e, e[1:]), 1)
         if len(hi) > len(lo)
     ]
+
+
+def _proven_squarefree(p: UniPoly) -> bool:
+    """True only where the palindromic p is squarefree, proven modulo the
+    prime P = ``_PRIME``; False proves nothing.  Any other p (the zero
+    polynomial included) raises NotPalindromic.
+
+    Write p = (s - 1)^a (s + 1)^b h with h(+-1) != 0.  h is palindromic of
+    even degree 2k (an anti-palindromic h, or one of odd degree, vanishes
+    at 1 or at -1), so h(s) = s^k g(phi(s)) with phi(s) = (s + 1/s)/2 and
+    g = h_k T_0 + sum_j 2 h_(k+j) T_j, and g(+-1) != 0.  Every root s0 of h
+    has s0 not in {0, +-1}, where phi'(s0) = (1 - s0^-2)/2 != 0, so the
+    multiplicity of s0 in h equals that of phi(s0) in g.  Hence p is
+    squarefree iff a <= 1, b <= 1 and g is squarefree.
+
+    g is squarefree if P does not divide lc(g) and gcd(g mod P, g' mod P)
+    = 1 over F_P (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 6): were u^2 a factor of g with deg u >= 1, u primitive, then by
+    Gauss's lemma g = u^2 v with v integral, lc(u)^2 divides lc(g), so
+    u mod P keeps its degree and divides both g mod P and g' mod P.  The
+    Chebyshev coordinates change to monomial ones by a triangular matrix
+    with powers of 2 on its diagonal, so for odd P the top coordinate of
+    g, 2 h_2k, is 0 mod P iff lc(g) is, and Euclid runs on the coordinates
+    mod P: each step is ``_neg_prem(a, b, _times_2x, 1)`` reduced mod P,
+    lc(b)^e (a mod b) up to sign, and lc(b) is a unit mod P.  P > 2k keeps
+    2g' at degree k - 1 mod P, so a squarefree g reads False only where P
+    divides lc(g) or the discriminant of g.  False (a repeated root, or
+    such a P) sends the caller to the exact route, ``squarefree_part``.
+    """
+    if not p.is_palindromic():
+        raise NotPalindromic("the squarefree proof needs a nonzero palindromic polynomial")
+
+    def reduced(c: list[int]) -> list[int]:
+        c = [x % _PRIME for x in c]
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    h, at_one = _strip_root(_primitive(p.coeffs), _ONE)
+    h, at_minus_one = _strip_root(h, -_ONE)
+    if at_one > 1 or at_minus_one > 1:
+        return False
+    k = len(h) // 2
+    a = reduced([h[k]] + [2 * c for c in h[k + 1 :]])
+    if len(a) <= k:
+        return False  # P divides lc(g)
+    b = reduced(_chebyshev_derivative(a))
+    while len(b) > 1:
+        a, b = b, reduced(_neg_prem(a, b, _times_2x, 1))
+    return len(b or a) == 1  # the gcd is b, or a where b = 0
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +517,6 @@ class RootCensus:
     # circle; "palindromic_pairing": the Sturm chain counted the circle
     # roots.  Either way the pairing gives inside = outside
     method: str
-    # no repeated root, read off the circle count's own Sturm chain; None
-    # on the spectral path, which does not examine multiplicity
-    squarefree: bool | None
     # margin / (2^(2b) q(1)) rounded toward 0 on the spectral path: a proven
     # lower bound on min |p(s)| / p(1) over the circle; None on the chain
     margin_lo: float | None = None
@@ -637,14 +623,13 @@ def interior_root_count(p: UniPoly) -> RootCensus:
     """The chain census: exact counts of the roots of a palindromic p
     inside, on and outside the unit circle.
 
-    The circle count and the squarefree flag come from one Sturm chain on
-    the Chebyshev image g, run in Chebyshev coordinates and evaluated at
-    +-1 only (see the module docstring); only circle roots walk down the
-    successive gcds of g to weight them by multiplicity.  s -> 1/s pairs
-    the roots inside with those outside, multiplicities included, so after
-    the exact circle count inside = outside = (deg - on)/2.  Any other p
-    (the zero polynomial included) raises NotPalindromic.  No float step
-    runs here.
+    The circle count comes from one Sturm chain on the Chebyshev image g,
+    run in Chebyshev coordinates and evaluated at +-1 only (see the module
+    docstring); only circle roots walk down the successive gcds of g to
+    weight them by multiplicity.  s -> 1/s pairs the roots inside with
+    those outside, multiplicities included, so after the exact circle count
+    inside = outside = (deg - on)/2.  Any other p (the zero polynomial
+    included) raises NotPalindromic.  No float step runs here.
     """
     if not p.is_palindromic():
         raise NotPalindromic("census needs a nonzero palindromic polynomial")
@@ -653,7 +638,6 @@ def interior_root_count(p: UniPoly) -> RootCensus:
     h, at_one = _strip_root(ints, _ONE)
     h, at_minus_one = _strip_root(h, -_ONE)
     on = at_one + at_minus_one
-    squarefree = at_one <= 1 and at_minus_one <= 1
     if len(h) > 1:
         if h != h[::-1]:
             raise InternalMismatch("expected a self-inversive factor")
@@ -662,7 +646,6 @@ def interior_root_count(p: UniPoly) -> RootCensus:
         k = len(h) // 2
         g = [h[k]] + [2 * c for c in h[k + 1 :]]
         chain = _sturm_chain(g, _chebyshev_derivative(g), _times_2x)
-        squarefree = squarefree and len(chain[-1]) == 1
         # each x in (-1, 1) is a conjugate pair on the circle
         while found := _circle_variations(chain):
             on += 2 * found
@@ -673,7 +656,7 @@ def interior_root_count(p: UniPoly) -> RootCensus:
     if (n - on) % 2:
         raise InternalMismatch(f"{n - on} roots off the circle cannot pair up")
     half = (n - on) // 2
-    census = RootCensus(half, on, half, "palindromic_pairing", squarefree)
+    census = RootCensus(half, on, half, "palindromic_pairing")
     if census.inside < 0 or census.outside < 0:
         raise InternalMismatch(f"census went negative: {census}")
     return census
@@ -731,9 +714,8 @@ def census(qs, float_roots=None) -> list[RootCensus]:
         lo = _margin_lo(q, certificate)
         chain = None if lo is not None else interior_root_count(q)
         ms = share + (time.perf_counter() - start) * 1000.0
-        counts = (k, 0, k, "spectral", None) if chain is None else (
-            chain.inside, chain.on_circle, chain.outside, chain.method,
-            chain.squarefree,
+        counts = (k, 0, k, "spectral") if chain is None else (
+            chain.inside, chain.on_circle, chain.outside, chain.method
         )
         out.append(RootCensus(*counts, lo, ms))
     return out

@@ -8,11 +8,11 @@ interior points at which the kernel vanishes:
 
 so that z1*conj(w1) = z2*conj(w2) = s0 and K(z, w) is a nonzero multiple
 of s0^(2n-1) Q(s0) = 0.  The candidates are the interior roots of the
-squarefree part of Q, real or complex, started from the census's own
-inner roots (one colleague eigensolve up to k = 75, Aberth above) and
-each polished by Newton in ``hartogs.floatroots``.  Which interior root
-is used is a free choice; candidates are ordered deterministically and
-selected by index.
+squarefree part of Q (Q itself where one prime proves it squarefree),
+real or complex, started from the census's own inner roots (one
+colleague eigensolve up to k = 75, Aberth above) and each polished by
+Newton in ``hartogs.floatroots``.  Which interior root is used is a free
+choice; candidates are ordered deterministically and selected by index.
 
 The scanner walks every coprime pair with m <= m_max and records the exact
 circle root count of Q and the interior count (degree - circle)/2 that the
@@ -47,7 +47,7 @@ from .errors import InternalMismatch, NoInteriorRoot, ValidationError
 from .floatroots import interior_float_roots, stack_size
 from .kernel import kernel_formula
 from .qpoly import diagonal_poly
-from .roots import census, interior_root_count, squarefree_part
+from .roots import _proven_squarefree, census, squarefree_part
 
 __all__ = [
     "ZeroWitness",
@@ -84,21 +84,21 @@ def witness_candidates(pair: CoprimePair) -> list[complex]:
     finder (the colleague eigenvalues up to k = 75, Aberth above) and
     polishes them on the exact squarefree part of Q: interior roots can
     have even multiplicity (Q for (5,3) is 5(s^2+3s+1)^2), where Newton
-    on Q itself would converge only linearly.  When the census finds Q
-    squarefree, Q's own int coefficients serve, so no second gcd runs.
-    That flag comes from the Sturm chain alone, so the census here is
-    ``interior_root_count``, not the certified ``roots.census``.
+    on Q itself would converge only linearly.  Where Q is proven
+    squarefree modulo one prime (``roots._proven_squarefree``), Q's own
+    int coefficients serve, so no gcd runs; where that proves nothing,
+    ``squarefree_part`` does.  Only a finder that returns no candidate
+    runs the census, which tells NoInteriorRoot from InternalMismatch.
     """
     q = diagonal_poly(pair).poly
-    counts = interior_root_count(q)
-    if counts.inside == 0:
+    candidates = interior_float_roots(q if _proven_squarefree(q) else squarefree_part(q))
+    if candidates:
+        return candidates
+    if census([q])[0].inside == 0:
         raise NoInteriorRoot(f"Q for {pair} has no root inside the unit disk")
-    candidates = interior_float_roots(q if counts.squarefree else squarefree_part(q))
-    if not candidates:
-        raise InternalMismatch(
-            f"census reports interior roots for {pair} but the float finder found none"
-        )
-    return candidates
+    raise InternalMismatch(
+        f"census reports interior roots for {pair} but the float finder found none"
+    )
 
 
 def zero_witness(pair: CoprimePair, which: int = 0) -> ZeroWitness:

@@ -269,20 +269,12 @@ def is_positive_multiple(ints: list[int], ref: UniPoly) -> bool:
 class TestRemainderSequence:
     """The integer remainder sequence against rational Euclidean division."""
 
-    @pytest.fixture(params=[6000, 0], ids=["floor", "2-adic"])
-    def exact_bits(self, request, monkeypatch):
-        # 0 takes every predicted division 2-adically
-        monkeypatch.setattr(roots, "_EXACT_BITS", request.param)
-        return request.param
-
-    def test_a_divisor_that_divides_nothing_raises(self, exact_bits):
+    def test_a_divisor_that_divides_nothing_raises(self):
         # 1000003 divides no remainder of this normal pair: floor division
-        # finds it in the content, the 2-adic quotient in its check at +-1
-        message = "does not divide" if exact_bits else "fails its check at"
-        with pytest.raises(InternalMismatch, match=message):
+        # finds it in the content
+        with pytest.raises(InternalMismatch, match="does not divide"):
             roots._neg_prem([2, -3, 0, 5, 1], [7, 0, -2, 3], roots._times_x, 1000003)
 
-    @pytest.mark.usefixtures("exact_bits")
     @settings(max_examples=150, deadline=None)
     @given(dividend_divisor())
     @example(([-1, 0, 1], [1, 1]))  # x + 1 divides x^2 - 1: zero remainder
@@ -301,7 +293,6 @@ class TestRemainderSequence:
         assert is_positive_multiple(g, ref[-1])
         assert math.gcd(*g) == 1  # _divexact divides by it
 
-    @pytest.mark.usefixtures("exact_bits")
     @settings(max_examples=150, deadline=None)
     @given(dividend_divisor(chebyshev_product))
     @example(([1, 0, 1], [0, 1]))  # T_1 divides T_2 + T_0 = 2x^2: zero remainder
@@ -346,8 +337,8 @@ class TestRemainderSequence:
 
     def test_frontier_chains_pinned(self, monkeypatch):
         # the primitive parts of every census chain of every 15th pair with
-        # 50 <= m - n <= 100, n <= 12, and of (201, 100), most steps above
-        # the 2-adic crossover, as the floor-division steps built them
+        # 50 <= m - n <= 100, n <= 12, and of (201, 100), as the
+        # floor-division steps built them
         chains = []
         build = roots._sturm_chain
 
@@ -404,13 +395,9 @@ def recorded_divisors(monkeypatch) -> list[int]:
     return divisors
 
 
-class TestTwoAdicRemainderSequence:
-    """The divisors of the subresultant sequence, every predicted division
-    taken 2-adically."""
-
-    @pytest.fixture(autouse=True)
-    def every_step_two_adic(self, monkeypatch):
-        monkeypatch.setattr(roots, "_EXACT_BITS", 0)
+class TestSubresultantDivisors:
+    """The divisors of the subresultant sequence that ``_sturm_chain``
+    hands each remainder step."""
 
     @pytest.mark.parametrize(
         "a, b, times_x, to_poly",
@@ -689,8 +676,10 @@ def palindromic_products(draw) -> UniPoly:
     return p
 
 
-class TestSquarefreeFlag:
-    """``interior_root_count(p).squarefree`` against ``squarefree_part``."""
+class TestSquarefreeProof:
+    """``roots._proven_squarefree(p)``, one-sided: "proven" implies
+    squarefree, as ``squarefree_part`` decides it, so every input with a
+    repeated root reads "not proven"."""
 
     @settings(max_examples=150, deadline=None)
     @given(palindromic_products())
@@ -701,19 +690,33 @@ class TestSquarefreeFlag:
     @example(UniPoly([1, 6, 11, 6, 1]))  # (s^2+3s+1)^2: repeated interior root
     @example(UniPoly([1, 2, 3, 2, 1]))  # (s^2+s+1)^2: repeated circle roots
     @example(UniPoly([7]))
-    def test_matches_squarefree_part(self, p):
-        census = interior_root_count(p)
-        assert census.squarefree == (squarefree_part(p).degree == p.degree)
+    def test_proven_only_where_squarefree(self, p):
+        squarefree = squarefree_part(p).degree == p.degree
+        assert squarefree or not roots._proven_squarefree(p)
 
-    def test_only_53_repeats_a_root(self):
+    def test_only_53_is_not_proven(self):
         # Q for every coprime pair with m <= 60 is squarefree except (5, 3),
-        # where Q = 5(s^2 + 3s + 1)^2
-        repeated = [
+        # where Q = 5(s^2 + 3s + 1)^2, and the one prime proves every other
+        unproven = [
             (pair.m, pair.n)
             for pair in coprime_pairs(60)
-            if not interior_root_count(diagonal_poly(pair).poly).squarefree
+            if not roots._proven_squarefree(diagonal_poly(pair).poly)
         ]
-        assert repeated == [(5, 3)]
+        assert unproven == [(5, 3)]
+
+    def test_a_prime_that_divides_lc_g_proves_nothing(self):
+        # h = (P s^2 + s + P)^2 has g = [1 + 2P^2, 4P, 2P^2], which is 1
+        # mod P: without the check on lc(g), Euclid mod P would "prove" a
+        # square squarefree
+        prime = roots._PRIME
+        h = UniPoly([prime, 1, prime]) * UniPoly([prime, 1, prime])
+        assert squarefree_part(h).degree == 2
+        assert not roots._proven_squarefree(h)
+
+    @pytest.mark.parametrize("coeffs", [[], [1, 2], [3, -4, 1]])
+    def test_rejects_non_palindromic(self, coeffs):
+        with pytest.raises(NotPalindromic):
+            roots._proven_squarefree(UniPoly(coeffs))
 
 
 FRONTIER_PAIRS = [
@@ -911,7 +914,6 @@ class TestSpectralCertificate:
             if census.method != "spectral":
                 refused.append(mn)
             else:
-                assert census.squarefree is None
                 assert 0 < census.margin_lo < 1
         assert refused == [(5, 3)]
 

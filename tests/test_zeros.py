@@ -14,6 +14,8 @@ import pytest
 from hartogs import (
     ConvergenceFailure,
     CoprimePair,
+    InternalMismatch,
+    NoInteriorRoot,
     ScanRow,
     ValidationError,
     coprime_pairs,
@@ -75,9 +77,8 @@ class TestWitnessCandidates:
             assert len(found) == interior_root_count(sf).inside, pair
 
     def test_no_second_gcd_on_squarefree_q(self, monkeypatch):
-        # the census's Sturm chain already says Q is squarefree: the witness
-        # path then runs no integer gcd at all; only (5, 3) takes the
-        # squarefree_part branch
+        # one prime already proves Q squarefree: the witness path then runs
+        # no integer gcd at all; only (5, 3) takes the squarefree_part branch
         calls = {"_gcd": 0, "squarefree_part": 0}
 
         def counted(module, name):
@@ -98,18 +99,13 @@ class TestWitnessCandidates:
         assert calls["squarefree_part"] == 1 and calls["_gcd"] > 0
 
     def test_monic_q_gives_the_squarefree_part_candidates(self, monkeypatch):
-        # a census that denies squarefreeness sends every pair through
+        # a proof that proves nothing sends every pair through
         # squarefree_part(q); the candidates must not change by one bit
         def bits(pair):
             return [(z.real.hex(), z.imag.hex()) for z in witness_candidates(pair)]
 
         fast = {pair: bits(pair) for pair in coprime_pairs(30)}
-        census = zeros.interior_root_count
-        monkeypatch.setattr(
-            zeros,
-            "interior_root_count",
-            lambda q: dataclasses.replace(census(q), squarefree=False),
-        )
+        monkeypatch.setattr(zeros, "_proven_squarefree", lambda q: False)
         for pair, found in fast.items():
             assert bits(pair) == found, pair
 
@@ -251,19 +247,37 @@ class TestZeroWitness:
             zero_witness(CoprimePair(27, 25), which=1)
 
     def test_no_interior_root_exits_2(self, capsys, monkeypatch):
-        census = zeros.interior_root_count
+        # the float finder finds nothing and the census agrees: no root
+        census = zeros.census
+        monkeypatch.setattr(zeros, "interior_float_roots", lambda p: [])
         monkeypatch.setattr(
             zeros,
-            "interior_root_count",
-            lambda q: dataclasses.replace(census(q), inside=0),
+            "census",
+            lambda qs: [dataclasses.replace(c, inside=0) for c in census(qs)],
         )
+        with pytest.raises(NoInteriorRoot, match=r"Q for \(2, 1\) has no root"):
+            witness_candidates(CoprimePair(2, 1))
         assert main(["witness", "--m", "2", "--n", "1"]) == 2
         assert "no root inside the unit disk" in capsys.readouterr().err
 
     def test_float_finder_finding_nothing_exits_3(self, capsys, monkeypatch):
+        # the census counts k = 1 root inside that the float finder missed
         monkeypatch.setattr(zeros, "interior_float_roots", lambda p: [])
+        with pytest.raises(InternalMismatch, match="the float finder found none"):
+            witness_candidates(CoprimePair(2, 1))
         assert main(["witness", "--m", "2", "--n", "1"]) == 3
         assert capsys.readouterr().err.startswith("internal mismatch:")
+
+    def test_a_found_root_runs_no_census_and_no_chain(self, monkeypatch):
+        # the witness runs the census only when the float finder finds
+        # nothing, and no Sturm chain where one prime proves Q squarefree
+        def forbidden(*args):
+            raise AssertionError("the witness ran a census or a chain")
+
+        monkeypatch.setattr(zeros, "census", forbidden)
+        monkeypatch.setattr(roots, "_sturm_chain", forbidden)
+        for mn in [(2, 1), (41, 3), (79, 3), (201, 2)]:
+            assert witness_candidates(CoprimePair(*mn))
 
     def test_json_shape(self, capsys):
         argv = ["witness", "--m", "2", "--n", "1", "--output-format", "json"]
