@@ -16,7 +16,28 @@ exactly 4m - 3 terms.  Two constructions of P are implemented:
   staircase code, used as the cross-check oracle.
 
 The two must agree exactly; ``KernelFormula.verify`` and the test suite
-enforce this.  A third, analytically independent route sums the monomial
+enforce this.
+
+``eval_kernel`` evaluates K in floats without building P.  Pieces 1-4 of
+column j of ``_numerator_terms`` sit at (j, 2n - lev), (j, 2n + 1 - lev),
+(j + m, n - lev) and (j + m, n + 1 - lev), with coefficients (j+1) up,
+(j+1) down, (m-1-j) up and (m-1-j) down, so they share the factor
+s^j t^(n-lev) and sum to
+
+    s^j t^(n-lev) (up + down*t) ((j+1) t^n + (m-1-j) s^m).
+
+With the spike, piece 0, that gives
+
+    P(s, t) = m^2 s^(m-1) t^n
+              + sum_{j=0}^{m-2} s^j t^(n-lev(j)) (up_j + down_j t) ((j+1) t^n + (m-1-j) s^m),
+
+which ``_numerator_walk`` sums in one walk of ``_staircase``: s^j as a
+running product, t^0..t^(n-1) as a table, and no exponent map.  Every
+coefficient is a nonnegative integer, so each column's float product is
+bounded by its four terms' absolute values, and the walk's error is a
+multiple of u * sum |c| |s|^i |t|^j, as for a term-by-term sum.
+
+A third, analytically independent route sums the monomial
 series K = sum s^a t^b / ||z1^a z2^b||^2 over allowable exponents, with
 
     ||z1^a z2^b||^2 = pi^2 * m / ((a+1) * (m(b+1) + n(a+1))),
@@ -25,7 +46,7 @@ obtained by polar integration over H; exponents are allowable iff a >= 0
 and m(b+1) + n(a+1) > 0 (b may be negative).  The weight of a row is linear
 in b, so ``series_kernel`` sums every row at once from two prefix sums, of
 t^i and i*t^i, that all rows share, each row scaled by an exp prefactor
-that keeps its powers of s and t in range.  ``KernelFormula.eval``,
+that keeps its powers of s and t in range.  ``eval_kernel``,
 ``series_kernel`` and ``series_tail_estimate`` check (z, w) against the
 domain through one helper.
 """
@@ -150,14 +171,7 @@ class KernelFormula:
 
     def eval(self, z: Point, w: Point) -> complex:
         """Evaluate K(z, w) for z, w strictly inside the domain."""
-        s, t = _checked_st(self.pair, z, w)
-        m, n = self.pair
-        shape = (1 - t) ** 2 * (t**n - s**m) ** 2
-        if abs(shape) < _DENOM_FLOOR:
-            raise DenominatorVanishes(
-                f"|(1-t)^2 (t^n - s^m)^2| = {abs(shape):.3e} underflows"
-            )
-        return self.numerator.eval_complex(s, t) / (m * math.pi**2 * shape)
+        return eval_kernel(self.pair, z, w)
 
 
 def kernel_formula(pair: CoprimePair, verify: bool = False) -> KernelFormula:
@@ -170,9 +184,30 @@ def kernel_formula(pair: CoprimePair, verify: bool = False) -> KernelFormula:
     return formula
 
 
+def _numerator_walk(pair: CoprimePair, s: complex, t: complex) -> complex:
+    """P(s, t) in floats by the column identity, one walk of ``_staircase``."""
+    m, n = pair
+    t_pow = [1.0]
+    for _ in range(n - 1):
+        t_pow.append(t_pow[-1] * t)
+    tn, sm = t**n, s**m
+    total, s_j = 0j, 1.0
+    for j, lev, up, down in _staircase(pair):
+        total += s_j * t_pow[n - lev] * (up + down * t) * ((j + 1) * tn + (m - 1 - j) * sm)
+        s_j *= s
+    return total + m * m * s_j * tn
+
+
 def eval_kernel(pair: CoprimePair, z: Point, w: Point) -> complex:
     """Closed-form K(z, w); raises OutsideDomain / DenominatorVanishes."""
-    return kernel_formula(pair).eval(z, w)
+    s, t = _checked_st(pair, z, w)
+    m, n = pair
+    shape = (1 - t) ** 2 * (t**n - s**m) ** 2
+    if abs(shape) < _DENOM_FLOOR:
+        raise DenominatorVanishes(
+            f"|(1-t)^2 (t^n - s^m)^2| = {abs(shape):.3e} underflows"
+        )
+    return _numerator_walk(pair, s, t) / (m * math.pi**2 * shape)
 
 
 def _row_starts(pair: CoprimePair, a):
@@ -192,15 +227,19 @@ def series_kernel(pair: CoprimePair, z: Point, w: Point, cutoff: int) -> complex
         exp(a*log s + b0*log t) * (a+1) * (c0*G0 + m*G1) / (pi^2 m),
 
     where G0 and G1 are the prefix sums of t^i and i*t^i up to i =
-    cutoff - b0, shared by all rows.  The complex exponential prefactor
-    keeps every power in range even though t^b grows for negative b.
+    cutoff - b0, shared by all rows.  The powers t^i come from one running
+    product, a ``np.cumprod`` of (1, t, t, ...), with no call to ``**``.
+    The complex exponential prefactor keeps every power in range even
+    though t^b grows for negative b.
     """
     s, t = _series_st(pair, z, w, cutoff)
     m, n = pair
     a = np.arange(cutoff + 1 if s != 0 else 1)  # s = 0 leaves the a = 0 row
     b0 = _row_starts(pair, a)
     i = np.arange(cutoff - b0[-1] + 1)  # b0 falls with a: the last row is longest
-    t_powers = t**i
+    t_powers = np.full(len(i), t)
+    t_powers[0] = 1
+    np.cumprod(t_powers, out=t_powers)
     g0, g1 = np.cumsum(t_powers), np.cumsum(i * t_powers)
     last = cutoff - b0
     log_sa = a * np.log(s) if s != 0 else 0.0

@@ -14,9 +14,9 @@ Two deliberately small types:
   coefficient lists) and ``div_rem``.
 
 Coefficients are arbitrary precision by construction; nothing in this module
-touches floats except ``BiPoly.eval_complex``.  Neither type has an output
-format of its own: ``hartogs.cli`` prints coefficients as decimal strings, so
-precision survives in machine-readable output, and writes the text monomials
+touches floats.  Neither type has an output format of its own:
+``hartogs.cli`` prints coefficients as decimal strings, so precision
+survives in machine-readable output, and writes the text monomials
 c*s^i*t^j itself from ``terms`` and ``coeffs``.
 """
 
@@ -82,12 +82,6 @@ class BiPoly:
         for (i, j), c in self._terms.items():
             total += c * s**i * t**j
         return _as_scalar(Fraction(total))
-
-    def eval_complex(self, s: complex, t: complex) -> complex:
-        total = 0j
-        for (i, j), c in self._terms.items():
-            total += float(c) * s**i * t**j
-        return total
 
     def __repr__(self) -> str:
         return f"BiPoly({self._terms!r})"

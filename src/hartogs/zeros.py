@@ -45,7 +45,7 @@ from .arith import CoprimePair
 from .domain import interior_margin
 from .errors import InternalMismatch, NoInteriorRoot, ValidationError
 from .floatroots import interior_float_roots, stack_size
-from .kernel import kernel_formula
+from .kernel import eval_kernel
 from .qpoly import diagonal_poly
 from .roots import _proven_squarefree, census, squarefree_part
 
@@ -131,7 +131,7 @@ def zero_witness(pair: CoprimePair, which: int = 0) -> ZeroWitness:
             f"{margin:.3e}, below the floor {_MARGIN_FLOOR:g}; "
             f"try another root index (--which)"
         )
-    kval = kernel_formula(pair).eval(z, w)
+    kval = eval_kernel(pair, z, w)
     return ZeroWitness(pair, s0, z, w, kval, abs(kval), margin)
 
 

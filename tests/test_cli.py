@@ -359,7 +359,7 @@ class TestEvalCommand:
              "--w1", "0.1", "--w2", "0.6", "--cutoff", "150"],
         )
         assert rc == 0
-        assert "closed form: 0.48138696790047208" in out
+        assert "closed form: 0.48138696790047197" in out
         rel = float(out.strip().split("relative difference:")[1])
         assert rel < 1e-10
 

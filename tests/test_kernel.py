@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,9 +28,12 @@ from hartogs import (
     numerator_oracle,
     series_kernel,
     series_tail_estimate,
+    zero_witness,
 )
+from hartogs import kernel
 from hartogs.arith import level, tent_partner
-from hartogs.kernel import _staircase
+from hartogs.cli import main
+from hartogs.kernel import _numerator_walk, _staircase
 from norm_oracle import monomial_norm_sq
 
 PAIRS = [CoprimePair(2, 1), CoprimePair(3, 2), CoprimePair(3, 1), CoprimePair(5, 3)]
@@ -157,6 +161,100 @@ class TestKernelFormula:
             val = eval_kernel(pair, z, z)
             assert abs(val.imag) < 1e-12 * abs(val)
             assert val.real > 0
+
+
+def _gaussian_powers(x: complex, count: int):
+    """Integer (re, im) of (a + bi)^0..(a + bi)^(count-1), and e, where x = (a + bi) / 2^e."""
+    (ar, dr), (ai, di) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
+    e = max(dr, di).bit_length() - 1  # float denominators are powers of 2
+    a, b = ar * (2**e // dr), ai * (2**e // di)
+    powers = [(1, 0)]
+    for _ in range(count - 1):
+        re, im = powers[-1]
+        powers.append((re * a - im * b, re * b + im * a))
+    return powers, e
+
+
+def _walk_error(pair: CoprimePair, s: complex, t: complex, value: complex):
+    """|value - P(s, t)| and sum |c| |s|^i |t|^j, P summed exactly over the oracle's terms.
+
+    The sum is exact at the float inputs s and t, in Gaussian integers over
+    the common denominator 2^(e_s (2m-2) + e_t 2n); it shares no staircase
+    code with ``_numerator_walk``.
+    """
+    big_i, big_j = 2 * pair.m - 2, 2 * pair.n
+    s_pow, e_s = _gaussian_powers(s, big_i + 1)
+    t_pow, e_t = _gaussian_powers(t, big_j + 1)
+    re = im = 0
+    scale = 0.0
+    for (i, j), c in numerator_oracle(pair).terms.items():
+        (sr, si), (tr, ti) = s_pow[i], t_pow[j]
+        shift = e_s * (big_i - i) + e_t * (big_j - j)
+        re += c * (sr * tr - si * ti) << shift
+        im += c * (sr * ti + si * tr) << shift
+        scale += c * abs(s) ** i * abs(t) ** j
+    den = 2 ** (e_s * big_i + e_t * big_j)
+    error = complex(
+        float(Fraction(value.real) - Fraction(re, den)),
+        float(Fraction(value.imag) - Fraction(im, den)),
+    )
+    return abs(error), scale
+
+
+class TestNumeratorWalk:
+    def test_within_the_rounding_bound_of_an_exact_sum(self):
+        # The walk's error is held to gamma_K times sum |c| |s|^i |t|^j, the
+        # a-priori form for a sum of terms with positive coefficients: each
+        # term is a chain of about m + n complex products, each within
+        # sqrt(2) gamma_2 (Higham, Lemma 3.5), and the running sum adds m more
+        # roundings; K = 4(m + n + 8) covers both.  A swapped up/down, a lost
+        # spike or t off by one level misses P by a share of the scale itself.
+        rng = random.Random(2505)
+
+        def random_point(pair):
+            radial = rng.uniform(0.05, 0.95)
+            phases = (rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
+            return interior_point(pair, radial, phases)
+
+        over = []
+        for pair in list(coprime_pairs(30)) + [CoprimePair(503, 2)]:
+            for _ in range(2):
+                z, w = random_point(pair), random_point(pair)
+                s, t = z[0] * w[0].conjugate(), z[1] * w[1].conjugate()
+                error, scale = _walk_error(pair, s, t, _numerator_walk(pair, s, t))
+                bound = 4 * (pair.m + pair.n + 8) * 2.0**-53 * scale
+                if not error <= bound:
+                    over.append((pair, s, t, error / bound))
+        assert not over
+
+
+class _NumeratorBuilt(Exception):
+    pass
+
+
+class TestEvaluationBuildsNoNumerator:
+    @pytest.fixture(autouse=True)
+    def no_numerator(self, monkeypatch):
+        def refuse(pair):
+            raise _NumeratorBuilt(pair)
+
+        monkeypatch.setattr(kernel, "numerator_effective", refuse)
+
+    def test_eval_kernel_and_the_formula(self):
+        pair = CoprimePair(5, 3)
+        z = interior_point(pair, 0.7, (0.4, -0.2))
+        value = eval_kernel(pair, z, z)
+        assert KernelFormula(pair, BiPoly()).eval(z, z) == value
+
+    def test_zero_witness(self):
+        assert zero_witness(CoprimePair(5, 2)).residual < 1e-8
+
+    def test_eval_command(self, capsys):
+        assert main(["eval", "--m", "5", "--n", "2", "--z1", "0.2", "--z2", "0.6"]) == 0
+
+    def test_kernel_verify_still_builds_p(self):
+        with pytest.raises(_NumeratorBuilt):
+            main(["kernel", "--m", "5", "--n", "2", "--verify"])
 
 
 class TestSeriesAgreement:

@@ -35,12 +35,10 @@ class TestBiPolyBasics:
         with pytest.raises(ValidationError):
             BiPoly({(-1, 0): 1})
 
-    def test_eval_exact_and_complex_agree(self):
+    def test_eval_exact(self):
         p = BiPoly({(2, 1): 3, (1, 0): -2, (0, 0): 7})
         exact = p.eval_exact(Fraction(1, 2), Fraction(-1, 3))
         assert exact == 3 * Fraction(1, 4) * Fraction(-1, 3) - 1 + 7
-        approx = p.eval_complex(0.5, -1 / 3)
-        assert abs(approx - float(exact)) < 1e-12
 
     def test_restrict_diagonal(self):
         # s^2 t + s t -> s^3 + s^2 as a univariate in s
