@@ -16,7 +16,8 @@ N k^4 >= ``roots._CERTIFICATE_K``^4 = 24^4; ``roots`` hands it its Q as
 a stack of one, so ``roots`` csv prints the method ``spectral`` from
 k = 24 on, and ``scan`` the chunks it cuts its codegree classes into.
 The float root diagnostic of ``roots`` json and text runs here, and the
-census builds its certificate from the roots it prints.
+census builds its certificate (``hartogs.certificate``) from the roots it
+prints.
 
 Exit codes: 0 success (including conjecture findings, which are reported
 but are not errors); 2 for a ``ValidationError`` (bad input), any other

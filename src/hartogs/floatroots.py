@@ -1,5 +1,5 @@
-"""Float roots of the palindromic Q: Aberth, residuals, the witness polish
-and the float half of the Fejer-Riesz certificate.
+"""Float roots of the palindromic Q: Aberth, the colleague eigenvalues,
+residuals and the witness polish.
 
 Nothing here claims a count: ``hartogs.roots`` proves every census in
 exact arithmetic, and floats only choose what it checks.
@@ -36,25 +36,8 @@ reciprocals as ``numeric_roots`` pairs its own, keeps those inside the
 band and polishes them by Newton on p and p' from Horner's rule, the
 module's one other float evaluation of p, the more accurate of the two
 there (measurements in the README).  ``numeric_roots``, and so every root
-``hartogs roots`` prints, stays on Aberth at every k.
-
-``_spectral_certificate``, the census's helper, rounds the spectral
-factor of the float roots into a certificate (f, b), which
-``roots.census`` checks exactly: floats only choose f, so a poor f makes
-the margin fail and never makes it pass.  It checks nothing itself:
-``roots.census`` hands it one stack of palindromic p of one even degree
-2k >= 2, a lone p or a chunk of a codegree class as ``hartogs.zeros``
-cuts it, of at most ``stack_size(k)`` members
-(``_STACK_ENTRIES`` bounds their Newton tables).  One ``_float_coeffs``
-per member, then one stacked colleague eigensolve and one stacked pass
-of the dips, Newton and the FFT, so numpy's fixed cost per call is paid
-per stack, not per p; the grid goes in blocks of at most
-``_GRID_POINTS`` points.  Each stacked step is the elementwise operation
-or the reduction along one member that a lone p runs, so a member's
-roots and certificate do not depend on its stack, bit for bit; Newton
-stops each member on its own, Aberth (k > 75) runs member by member, and
-a stack whose eigensolve fails is solved member by member, so a failure
-costs its own member only.
+``hartogs roots`` prints, stays on Aberth at every k.  The census's
+Fejer-Riesz certificate, built from them, is in ``hartogs.certificate``.
 
 The caller that prints float roots (``hartogs roots``) compares their
 classification with the exact census, warns on disagreement, never
@@ -80,14 +63,6 @@ __all__ = [
 ]
 
 CIRCLE_GUARD = 1e-9
-# complex entries of the stacked k x (2k + 1) Newton tables of one pass of
-# _spectral_certificate, which bound its members (``stack_size``): the
-# colleague matrices and the FFT tables of a stack grow with it
-_STACK_ENTRIES = 1 << 14
-# grid points of one rfft call of _spectral_certificate: the stack's grid
-# minimum is taken in blocks of rows (16 at the 4096-point grid), so a
-# large stack of small k does not pad and transform all its rows at once
-_GRID_POINTS = 1 << 16
 # the largest k at which the census's inner roots are colleague eigenvalues:
 # up to here LAPACK's eigvals costs less than Aberth (timings in the README)
 _COLLEAGUE_K = 75
@@ -99,12 +74,6 @@ _TOL = 1e-12
 _PAIR_ROWS = 32
 # the spacing of doubles at 1, for the stop of interior_float_roots' polish
 _EPS = sys.float_info.epsilon
-
-def stack_size(k: int) -> int:
-    """The members of one stacked float pass at half-degree k: as many
-    k x (2k + 1) Newton tables of ``_spectral_certificate`` as fit in
-    ``_STACK_ENTRIES`` complex entries, and at least one."""
-    return max(1, _STACK_ENTRIES // max(1, k * (2 * k + 1)))
 
 
 def _float_coeffs(p: UniPoly) -> np.ndarray:
@@ -234,129 +203,6 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
                 break  # within two double spacings of z: rounding noise from here
         out += [complex(z.real)] if real else [z, z.conjugate()]
     return sorted(out, key=lambda r: (r.real, r.imag))
-
-
-def _spectral_certificate(ps, roots=None) -> list[tuple[list[int], int] | None]:
-    """One certificate (f, b) per p of a stack that ``roots.census`` has
-    checked, palindromic p of one degree 2k >= 2, built from float roots;
-    None where none is found.
-
-    ``roots`` holds one collection of float roots per p, of which only
-    those inside the circle are read, so the 2k of ``numeric_roots`` and
-    the k of ``_inner_stack`` serve alike, and a None or an empty entry
-    gives None.  Without ``roots`` the k inner roots are those of
-    ``_inner_stack``, found on the same float coefficients.
-    """
-    c = np.array([_float_coeffs(p) for p in ps])
-    z = _inner_stack(ps, c) if roots is None else _inside_stack(roots, c.shape[1] // 2)
-    return _certify(c, z)
-
-
-def _inside_stack(found, k: int) -> np.ndarray:
-    """The roots of modulus < 1 in each entry of found, one row each; a row
-    of NaN where an entry is None or has other than k of them."""
-    z = np.full((len(found), k), complex("nan"))
-    for i, r in enumerate(found):
-        if r is None:
-            continue
-        r = np.asarray(r, dtype=complex)
-        r = r[np.abs(r) < 1.0]
-        if r.size == k:
-            z[i] = r
-    return z
-
-
-def _certify(c: np.ndarray, z: np.ndarray) -> list[tuple[list[int], int] | None]:
-    """The certificates of ``_spectral_certificate`` for one stack: c the
-    members' float coefficients (N x (2k + 1)), z their k float roots
-    (N x k); a member with a root not inside the circle gets None.
-
-    With c = q / max |q_i| and T(theta) = c_k + 2 sum_j c_(k+j) cos(j
-    theta), the spectral factor F of T - eps (Fejer and Riesz) is sqrt(a)
-    prod(s - rho) over the k roots rho of c - eps s^k inside the circle,
-    a = c_2k / prod(-rho) > 0, so that F rev(F) = c - eps s^k; f =
-    rint(2^b F), for ``roots._spectral_margin``.  Steps:
-
-    * refuse unless exactly k of the roots lie inside the circle;
-    * eps = T_min / 4, with T_min the least T on an rfft grid of
-      max(4096, 2^ceil(log2 8k)) points (``_grid_min``) and at the
-      argument of each inside root, where the grid alone misses the dips;
-    * rho: at most 10 Newton steps on c - eps s^k from the inside roots, p
-      and p' from ``_power_rows``, until no step moves a root of the
-      member by more than ``_TOL`` relative (Newton squares the error, so
-      the step after that would be rounding noise); each member stops on
-      its own;
-    * F from its values sqrt(a) prod(omega - rho) at the N =
-      2^ceil(log2(k + 2)) roots of unity omega, one product each, and one
-      FFT: multiplying k roots out into coefficients fails from k ~ 100.
-      |omega - rho| < 2 and sqrt(a) = F_k <= 1 (sum F_i^2 = c_k - eps <
-      1) only bound each value by 2^k in modulus, finite up to k = 1023;
-      the bound sets no range: a value that does overflow to inf gets F
-      refused, and (2049, 1) certifies at k = 2048;
-    * b = 52 - e with max|F| = m 2^e, 1/2 <= m < 1, so f has 52 bits.
-
-    Each step is one stacked numpy call with the elementwise operations
-    and reductions of a lone p, so a member's certificate does not depend
-    on its stack.  Every member runs every step, so that no step indexes
-    the stack; a refused member's values are never read, and its Newton
-    iterates never move.  The float side refuses on any non-finite value
-    instead of warning.
-    """
-    k = z.shape[1]
-    v = _cosine_coeffs(c)  # T = sum_j v_j cos(j theta)
-    with np.errstate(all="ignore"):
-        ok = (np.abs(z) < 1.0).all(axis=1)  # a NaN is not inside
-        grid = _grid_min(v, max(4096, 1 << (8 * k - 1).bit_length()))
-        arguments = np.angle(z)[:, :, None] * np.arange(k + 1)
-        dips = (np.cos(arguments) @ v[:, :, None]).min(axis=(1, 2))
-        eps = 0.25 * np.where(dips < grid, dips, grid)  # min(grid, dips)
-        ok &= (0 < eps) & (eps < math.inf)
-        shifted = c.copy()
-        shifted[:, k] -= eps
-        dshifted = shifted[:, 1:] * np.arange(1, 2 * k + 1)
-        shifted, dshifted = shifted[:, :, None], dshifted[:, :, None]  # columns
-        rows = np.empty((z.shape[0], k, 2 * k + 1), dtype=complex)
-        rho, moving = z, ok[:, None].copy()  # rho is moved onto c - eps s^k
-        for _ in range(10):
-            _power_rows(rho, rows)
-            step = (rows @ shifted)[:, :, 0] / (rows[:, :, :-1] @ dshifted)[:, :, 0]
-            moved = rho - step
-            rho = np.where(moving, moved, rho)
-            # a member's next step would be rounding noise; a NaN is refused below
-            moving &= (np.abs(step) > _TOL * np.abs(moved)).any(axis=1, keepdims=True)
-            if not moving.any():
-                break
-        phase = np.prod(-rho / np.abs(rho), axis=1)  # prod(-rho) / |prod(rho)|
-        # a < 0, or c_2k rounded to 0, is refused
-        ok &= (np.abs(rho) < 1.0).all(axis=1) & (phase.real * c[:, -1] > 0)
-        log_lead = [math.log(abs(x)) if x else -math.inf for x in c[:, -1].tolist()]
-        root_a = np.exp(0.5 * (np.array(log_lead) - np.log(np.abs(rho)).sum(axis=1)))
-        size = 1 << (k + 1).bit_length()
-        unity = np.exp(2j * math.pi * np.arange(size) / size)
-        factors = np.empty((z.shape[0], size, k), dtype=complex)  # omega - rho
-        factors[:] = rho[:, None, :]
-        np.subtract(unity[:, None], factors, out=factors)
-        values = root_a[:, None] * np.prod(factors, axis=2)
-        F = (np.fft.fft(values) / size).real[:, : k + 1]
-        b = 52 - np.frexp(np.abs(F).max(axis=1))[1]
-        ok &= np.isfinite(F).all(axis=1) & (b >= 0)
-        f = np.rint(np.ldexp(F, b[:, None])).astype(np.int64)
-    return [
-        (fi, bi) if good else None
-        for fi, bi, good in zip(f.tolist(), b.tolist(), ok.tolist())
-    ]
-
-
-def _grid_min(v: np.ndarray, points: int) -> np.ndarray:
-    """The least sum_j v_j cos(j theta) of each row of v on the grid of
-    ``points`` equally spaced theta, from the real part of the rfft, in
-    blocks of at most ``_GRID_POINTS`` grid points; the transform of each
-    row does not depend on the others, so the blocks change no value."""
-    rows = max(1, _GRID_POINTS // points)
-    return np.concatenate([
-        np.fft.rfft(v[lo : lo + rows], points).real.min(axis=1)
-        for lo in range(0, v.shape[0], rows)
-    ])
 
 
 def classify_float_roots(roots) -> tuple[int, int, int]:

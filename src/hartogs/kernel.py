@@ -18,11 +18,12 @@ exactly 4m - 3 terms.  Two constructions of P are implemented:
 The two must agree exactly; ``KernelFormula.verify`` and the test suite
 enforce this.
 
-``eval_kernel`` evaluates K in floats without building P.  Pieces 1-4 of
-column j of ``_numerator_terms`` sit at (j, 2n - lev), (j, 2n + 1 - lev),
-(j + m, n - lev) and (j + m, n + 1 - lev), with coefficients (j+1) up,
-(j+1) down, (m-1-j) up and (m-1-j) down, so they share the factor
-s^j t^(n-lev) and sum to
+``eval_kernel``, which ``hartogs eval`` and the witness call, evaluates K
+in floats without building P.  Pieces 1-4 of column j of
+``_numerator_terms`` sit at (j, 2n - lev), (j, 2n + 1 - lev), (j + m,
+n - lev) and (j + m, n + 1 - lev), with coefficients (j+1) up, (j+1)
+down, (m-1-j) up and (m-1-j) down, so they share the factor s^j
+t^(n-lev) and sum to
 
     s^j t^(n-lev) (up + down*t) ((j+1) t^n + (m-1-j) s^m).
 
@@ -158,7 +159,7 @@ def numerator_oracle(pair: CoprimePair) -> BiPoly:
 
 @dataclass(frozen=True)
 class KernelFormula:
-    """Closed-form kernel: exact numerator plus a fixed denominator shape."""
+    """The closed form's exact numerator P, with its oracle cross-check."""
 
     pair: CoprimePair
     numerator: BiPoly
@@ -168,10 +169,6 @@ class KernelFormula:
         return self.numerator == numerator_oracle(self.pair) and (
             self.numerator.num_terms == 4 * self.pair.m - 3
         )
-
-    def eval(self, z: Point, w: Point) -> complex:
-        """Evaluate K(z, w) for z, w strictly inside the domain."""
-        return eval_kernel(self.pair, z, w)
 
 
 def kernel_formula(pair: CoprimePair, verify: bool = False) -> KernelFormula:

@@ -22,6 +22,7 @@ c*s^i*t^j itself from ``terms`` and ``coeffs``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -39,6 +40,20 @@ def _as_scalar(value) -> Scalar:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     raise ValidationError(f"exact scalar expected, got {type(value).__name__}")
+
+
+def _primitive(coeffs) -> list[int]:
+    """Scale by a positive rational to integer coefficients with content 1.
+
+    Positive scaling preserves signs everywhere, which is what Sturm-chain
+    bookkeeping needs.  coeffs must be empty (the zero polynomial, which
+    comes back as []) or end in a nonzero entry, as a ``UniPoly``'s do.
+    """
+    denominators = [c.denominator for c in coeffs if type(c) is not int]
+    den = math.lcm(*denominators)
+    ints = [int(c * den) for c in coeffs] if denominators else list(coeffs)
+    content = math.gcd(*ints)
+    return [c // content for c in ints] if content > 1 else ints
 
 
 class BiPoly:

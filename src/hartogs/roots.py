@@ -15,8 +15,8 @@ reduces each of its steps modulo one prime.  ``_neg_prem``'s one
 basis-dependent piece is the multiply-by-x map: the monomial shift by
 default, and on the Chebyshev image of a palindrome the map 2x T_0 =
 2 T_1, 2x T_i = T_(i+1) + T_(i-1), which keeps the leading coordinate.
-Public names convert once at the boundary: ``_primitive`` on the way in,
-and the gcd and squarefree results leave as monic ``UniPoly``s.
+Public names convert once at the boundary: ``poly._primitive`` on the way
+in, and the gcd and squarefree results leave as monic ``UniPoly``s.
 
 * A palindromic h of degree 2k has h(e^(i theta)) e^(-ik theta) = h_k +
   sum_j 2 h_(k+j) cos(j theta) = g(cos theta), so g = h_k T_0 + sum_j
@@ -54,27 +54,6 @@ and the gcd and squarefree results leave as monic ``UniPoly``s.
   takes (every Q is palindromic); anything else raises ``NotPalindromic``.
   The pairing s <-> 1/s forces inside = outside, so the circle count alone
   gives inside = outside = (deg - on)/2.
-* ``census`` checks a Fejer-Riesz certificate (Fejer and Riesz 1916;
-  rounded in floats, then checked exactly, as in Peyrl & Parrilo 2008)
-  with ``_margin_lo``.  For the primitive q of a palindromic p, of
-  degree 2k, top = max |q_i|, an integer vector f of length k + 1 and
-  b >= 0, let R = 2^(2b) q - top f rev(f) with rev(f)(s) = s^k f(1/s).
-  On s = e^(i theta), e^(-ik theta) (f rev f)(s) = |f(s)|^2 since f is
-  real, and R is palindromic, so
-
-      2^(2b) e^(-ik theta) q(s) = R_k + 2 sum_(j>=1) R_(k+j) cos(j theta)
-                                  + top |f(s)|^2 >= margin,
-
-  margin = R_k - 2 sum_(j>=1) |R_(k+j)| (``_spectral_margin``).  The
-  coefficients k..2k of f rev(f) come from int64 correlations of f's
-  limbs (``_autocorrelation``), each sum proven below 2^63, for every
-  |f_i| < 2^62 (``_F_BITS``) at any k a list can reach; an f outside
-  that range proves nothing.  margin > 0 puts no root of q on the circle,
-  so the pairing leaves k inside and k outside, and margin / (2^(2b) q(1))
-  is a proven lower bound on min |q(s)| / q(1) over the circle.  The
-  margin reads only the upper half of q, so it proves nothing of a q that
-  is not palindromic, which ``census`` refuses first.  A margin <= 0
-  proves nothing, and the chain counts.
 
 ``census(qs)`` is the one entry point of ``hartogs scan`` and ``hartogs
 roots``, and it makes every decision of a census.  It takes one stack,
@@ -83,31 +62,30 @@ scan chunk, as ``hartogs.zeros`` cuts each codegree class, or a lone Q),
 checks all of that before any float step, and returns one census per q.
 A stack of N q certifies iff N k^4 >= ``_CERTIFICATE_K``^4, so a stack of
 one from k = 24 and a full scan chunk from about k = 10: one stacked
-float pass (``hartogs.floatroots``) builds each of its q's certificate,
-and census checks each against its own q.  In a stack below the rule,
-and wherever the float side fails or the check refuses, the chain counts
-that q.  The check runs no float step: floats only choose f, so a poor f
-makes the margin fail and never makes it pass.  ``numeric_roots``, which
-this module re-exports, lives in ``hartogs.floatroots``.
+float pass builds each of its q's Fejer-Riesz certificate, and census
+checks each against its own q (``hartogs.certificate``, whose docstring
+holds the proof).  In a stack below the rule, and wherever the float side
+fails or the check refuses, the chain counts that q.  The check runs no
+float step: floats only choose f, so a poor f makes the margin fail and
+never makes it pass.  ``numeric_roots``, which this module re-exports,
+lives in ``hartogs.floatroots``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from .certificate import _margin_lo, _spectral_certificate, stack_size
 from .errors import (
     InternalMismatch,
     NotPalindromic,
     ValidationError,
 )
-from .floatroots import _spectral_certificate, numeric_roots, stack_size
-from .poly import UniPoly
+from .floatroots import numeric_roots
+from .poly import UniPoly, _primitive
 
 __all__ = [
     "RootCensus",
@@ -129,27 +107,10 @@ _CERTIFICATE_K = 24
 # the prime of ``_proven_squarefree``, the largest below 2^31 - 1: odd,
 # and above 2k at every k a list can reach
 _PRIME = 2_147_483_629
-# the bits of max |f_i| up to which ``_autocorrelation`` checks a
-# certificate in int64 limbs (the float side's f has at most 53)
-_F_BITS = 62
 
 
 # ---------------------------------------------------------------------------
 # integer polynomial arithmetic (coefficient lists, ascending degree)
-
-
-def _primitive(coeffs) -> list[int]:
-    """Scale by a positive rational to integer coefficients with content 1.
-
-    Positive scaling preserves signs everywhere, which is what Sturm-chain
-    bookkeeping needs.  coeffs must be empty (the zero polynomial, which
-    comes back as []) or end in a nonzero entry, as a ``UniPoly``'s do.
-    """
-    denominators = [c.denominator for c in coeffs if type(c) is not int]
-    den = math.lcm(*denominators)
-    ints = [int(c * den) for c in coeffs] if denominators else list(coeffs)
-    content = math.gcd(*ints)
-    return [c // content for c in ints] if content > 1 else ints
 
 
 def _monic(p: list[int]) -> UniPoly:
@@ -294,6 +255,18 @@ def _strip_root(p: list[int], x: Fraction) -> tuple[list[int], int]:
     return p, mult
 
 
+def _chebyshev_image(p: UniPoly) -> tuple[list[int], int, int]:
+    """(g, a, b) for a palindromic p = (s - 1)^a (s + 1)^b h, h(+-1) != 0:
+    g = [h_k, 2 h_(k+1), ..., 2 h_2k], h's Chebyshev image, so g(+-1) =
+    (+-1)^k h(+-1) != 0.  A non-palindromic h raises InternalMismatch."""
+    h, at_one = _strip_root(_primitive(p.coeffs), _ONE)
+    h, at_minus_one = _strip_root(h, -_ONE)
+    if h != h[::-1]:
+        raise InternalMismatch("expected a self-inversive factor")
+    k = len(h) // 2
+    return [h[k]] + [2 * c for c in h[k + 1 :]], at_one, at_minus_one
+
+
 # ---------------------------------------------------------------------------
 # exact gcd / squarefree machinery
 
@@ -366,14 +339,10 @@ def _proven_squarefree(p: UniPoly) -> bool:
             c.pop()
         return c
 
-    h, at_one = _strip_root(_primitive(p.coeffs), _ONE)
-    h, at_minus_one = _strip_root(h, -_ONE)
-    if at_one > 1 or at_minus_one > 1:
-        return False
-    k = len(h) // 2
-    a = reduced([h[k]] + [2 * c for c in h[k + 1 :]])
-    if len(a) <= k:
-        return False  # P divides lc(g)
+    g, at_one, at_minus_one = _chebyshev_image(p)
+    a = reduced(g)
+    if max(at_one, at_minus_one) > 1 or len(a) < len(g):
+        return False  # a repeated root at +-1, or P divides lc(g)
     b = reduced(_chebyshev_derivative(a))
     while len(b) > 1:
         a, b = b, reduced(_neg_prem(a, b, _times_2x, 1))
@@ -528,97 +497,6 @@ class RootCensus:
     )
 
 
-def _autocorrelation(f: list[int]) -> list[int] | None:
-    """[sum_i f_i f_(i+j) for j = 0..k], coefficients k..2k of f rev(f),
-    from int64 limb correlations; None where some |f_i| >= 2^62
-    (``_F_BITS``), the range of the scheme at every k below 2^56.
-
-    With bits = bits(max |f_i|) and L limbs of w = ceil((bits + 1) / L)
-    bits, f = sum_a X_a 2^(wa): x_0 = f, x_(a+1) = floor((x_a + 2^(w-1)) /
-    2^w), X_a = x_a - 2^w x_(a+1) in [-2^(w-1), 2^(w-1)) for a < L - 1, and
-    X_(L-1) = x_(L-1).  |f_i| <= 2^(wL-1) gives |x_a| <= 2^(w(L-a)-1) by
-    induction, so every limb has modulus at most 2^(w-1).  The sum for
-    shift s, D_s[j] = sum over a + b = s of sum_i X_a,i X_b,(i+j), adds at
-    most L (k + 1) products of modulus at most 4^(w-1), so each of its
-    partial sums stays below 2^63 when L (k + 1) 4^(w-1) < 2^63; L is the
-    least count that meets it.  For 53-bit f that is L = 2 (w = 27) up to
-    k = 1022 and L = 3 (w = 18) from k = 1023.  One full correlation of
-    (X_b, X_a) holds both sums of a pair a < b, one at lags 0..k and the
-    other reversed, so a q costs L (L + 1) / 2 numpy calls, and the D_s
-    meet in Python ints by Horner's rule in 2^w.
-    """
-    k = len(f) - 1
-    bits = max(max(f), -min(f)).bit_length()
-    if bits > _F_BITS:
-        return None
-    for limbs in range(1, bits + 2):
-        w = -(-(bits + 1) // limbs)
-        if limbs * (k + 1) << 2 * (w - 1) < 1 << 63:
-            break
-    else:
-        return None
-    x = np.array(f, dtype=np.int64)
-    parts = []
-    for _ in range(limbs - 1):
-        high = (x + (1 << (w - 1))) >> w
-        parts.append(x - (high << w))
-        x = high
-    parts.append(x)
-    terms = [[] for _ in range(2 * limbs - 1)]
-    for a in range(limbs):
-        for b in range(a, limbs):
-            full = np.correlate(parts[b], parts[a], "full")
-            terms[a + b] += [full[k:]] if a == b else [full[k:], full[k::-1]]
-    sums = [sum(group[1:], group[0]).tolist() for group in terms]
-    acc = sums.pop()
-    for below in reversed(sums):
-        acc = [(hi << w) + lo for hi, lo in zip(acc, below)]
-    return acc
-
-
-def _spectral_margin(q: list[int], top: int, f: list[int], b: int) -> int | None:
-    """R_k - 2 sum_(j>=1) |R_(k+j)| for R = 2^(2b) q - top f rev(f); None
-    where f lies outside ``_autocorrelation``'s range.
-
-    q has degree 2k and f length k + 1; R is palindromic, so its upper
-    half is all of it.  See the module docstring for what a positive value
-    proves.
-    """
-    k = len(f) - 1
-    frf = _autocorrelation(f)
-    if frf is None:
-        return None
-    r = [(x << 2 * b) - top * y for x, y in zip(q[k:], frf)]
-    return r[0] - 2 * sum(map(abs, r[1:]))
-
-
-def _margin_lo(q: UniPoly, certificate) -> float | None:
-    """margin / (2^(2b) q(1)) rounded toward 0, for a palindromic q of
-    degree 2k whose certificate (f, b) has a positive margin; else None.
-
-    No certificate, an f of another length than k + 1 or outside
-    ``_autocorrelation``'s range, or b < 0 certifies nothing either.  The
-    margin reads only the upper half of q, so q must be palindromic, as
-    ``census`` checks first.
-    """
-    if certificate is None:
-        return None
-    f, b = certificate
-    q = _primitive(q.coeffs)
-    k = len(f) - 1
-    if len(q) != 2 * k + 1 or b < 0:
-        return None
-    margin = _spectral_margin(q, max(max(q), -min(q)), f, b)
-    if margin is None or margin <= 0:
-        return None
-    # margin > 0 puts T(0) = q(1) above 0; int / int rounds to nearest, so
-    # a quotient above the exact one steps back toward 0
-    den = sum(q) << 2 * b
-    lo = margin / den
-    num, lo_den = lo.as_integer_ratio()
-    return math.nextafter(lo, 0.0) if num * den > margin * lo_den else lo
-
-
 def interior_root_count(p: UniPoly) -> RootCensus:
     """The chain census: exact counts of the roots of a palindromic p
     inside, on and outside the unit circle.
@@ -634,17 +512,9 @@ def interior_root_count(p: UniPoly) -> RootCensus:
     if not p.is_palindromic():
         raise NotPalindromic("census needs a nonzero palindromic polynomial")
     n = p.degree
-    ints = _primitive(p.coeffs)
-    h, at_one = _strip_root(ints, _ONE)
-    h, at_minus_one = _strip_root(h, -_ONE)
+    g, at_one, at_minus_one = _chebyshev_image(p)
     on = at_one + at_minus_one
-    if len(h) > 1:
-        if h != h[::-1]:
-            raise InternalMismatch("expected a self-inversive factor")
-        # g's Chebyshev coordinates, read off h; h(+-1) = (+-1)^k g(+-1)
-        # is nonzero after the strip, so no chain needs a strip
-        k = len(h) // 2
-        g = [h[k]] + [2 * c for c in h[k + 1 :]]
+    if len(g) > 1:  # g(+-1) != 0, so no chain needs a strip
         chain = _sturm_chain(g, _chebyshev_derivative(g), _times_2x)
         # each x in (-1, 1) is a conjugate pair on the circle
         while found := _circle_variations(chain):

@@ -18,17 +18,17 @@ The scanner walks every coprime pair with m <= m_max and records the exact
 circle root count of Q and the interior count (degree - circle)/2 that the
 reciprocal pairing derives from it, both from ``roots.census``.
 ``_chunks``, the one place a codegree class k = m - n is cut, hands it
-chunks of ``floatroots.stack_size(k)`` pairs, each Q of degree 2k, one
+chunks of ``certificate.stack_size(k)`` pairs, each Q of degree 2k, one
 stack each.  A chunk of N pairs with N k^4 >= 24^4
 (``roots._CERTIFICATE_K``) takes one stacked float pass, whose
-Fejer-Riesz certificates, checked exactly, prove the circle count 0,
-then one exact check per Q; in any other chunk, or where no certificate
-passes, the Sturm chain counts.  A row's elapsed_ms is the
-time to build its own Q, plus its own exact check, plus an equal share of
-its chunk's float pass (none in a chunk below the rule).  The conjecture
-under scan: Q never vanishes on |s| = 1, hence has exactly k = m - n
-roots inside the disk.  A violation is a finding, not an error; it is
-flagged in the row and the scan keeps going.
+Fejer-Riesz certificates (``hartogs.certificate``), checked exactly,
+prove the circle count 0, then one exact check per Q; in any other
+chunk, or where no certificate passes, the Sturm chain counts.  A row's
+elapsed_ms is the time to build its own Q, plus its own exact check,
+plus an equal share of its chunk's float pass (none in a chunk below the
+rule).  The conjecture under scan: Q never vanishes on |s| = 1, hence
+has exactly k = m - n roots inside the disk.  A violation is a finding,
+not an error; it is flagged in the row and the scan keeps going.
 
 Witnesses and scan rows are plain records; ``hartogs.cli`` alone decides
 how they are printed.
@@ -42,9 +42,10 @@ import time
 from dataclasses import dataclass
 
 from .arith import CoprimePair
+from .certificate import stack_size
 from .domain import interior_margin
 from .errors import InternalMismatch, NoInteriorRoot, ValidationError
-from .floatroots import interior_float_roots, stack_size
+from .floatroots import interior_float_roots
 from .kernel import eval_kernel
 from .qpoly import diagonal_poly
 from .roots import _proven_squarefree, census, squarefree_part
@@ -227,8 +228,8 @@ def _scan_chunk(pairs: list[CoprimePair]) -> list[ScanRow]:
 
 def _chunks(pairs: list[CoprimePair]) -> list[list[CoprimePair]]:
     """The pairs split by codegree k, each class in its (m, n) order and
-    cut into chunks of ``stack_size(k)``: the one cut of a class, and
-    each chunk is the one stack of its ``census``."""
+    cut into chunks of ``certificate.stack_size(k)``: the one cut of a
+    class, and each chunk is the one stack of its ``census``."""
     classes: dict[int, list[CoprimePair]] = {}
     for pair in pairs:
         classes.setdefault(pair.k, []).append(pair)

@@ -29,7 +29,7 @@ from hartogs import (
     witness_candidates,
     zero_witness,
 )
-from hartogs import cli, floatroots, roots, zeros
+from hartogs import certificate, cli, floatroots, roots, zeros
 from hartogs.cli import main
 
 SCAN_HEADER = "m,n,k,degree,circle_count,interior_count,conjecture_holds"
@@ -366,7 +366,7 @@ class TestScan:
         clock = type("Clock", (), {"perf_counter": lambda: next(ticks)})
         monkeypatch.setattr(zeros, "time", clock)
         monkeypatch.setattr(roots, "time", clock)
-        assert floatroots.stack_size(41) == 4
+        assert certificate.stack_size(41) == 4
         rows = scan(47, k=41)
         assert [row.elapsed_ms for row in rows] == [2250.0] * 4 + [2500.0] * 2
 
@@ -463,7 +463,7 @@ class TestScan:
         rows, calls = self.scan_with_a_failing(
             monkeypatch, np.linalg, "eigvals", np.linalg.LinAlgError, 47, 41
         )
-        chunks = -(-len(rows) // floatroots.stack_size(41))
+        chunks = -(-len(rows) // certificate.stack_size(41))
         assert chunks >= 2 and len(calls) == chunks + len(rows)
 
     def test_a_failed_aberth_leaves_the_row_to_the_chain(self, monkeypatch):
