@@ -88,6 +88,11 @@ def tent_partner(pair: CoprimePair, j: int) -> int:
     On 0 <= j <= m-2 this is a bijection onto {0, ..., m-2}; it is periodic
     with period m and satisfies the pairing
     tent_partner(j) + tent_partner(m-2-j) = m - 2.
+
+    It is multiplication by n modulo m: kappa = tent_partner has kappa(j) +
+    1 = n(j + 1) + m(1 - level(j)), so kappa(j) + 1 == n(j + 1) (mod m).
+    Hence kappa for n^-1 mod m is the inverse permutation of kappa for n,
+    and kappa for m - n is m - 2 - kappa.
     """
     return pair.m + pair.n - 1 + pair.n * j - pair.m * level(pair, j)
 

@@ -125,9 +125,11 @@ def _certify(c: np.ndarray, z: np.ndarray) -> list[tuple[list[int], int] | None]
       2^ceil(log2(k + 2)) roots of unity omega, one product each, and one
       FFT: multiplying k roots out into coefficients fails from k ~ 100.
       |omega - rho| < 2 and sqrt(a) = F_k <= 1 (sum F_i^2 = c_k - eps <
-      1) only bound each value by 2^k in modulus, finite up to k = 1023;
-      the bound sets no range: a value that does overflow to inf gets F
-      refused, and (2049, 1) certifies at k = 2048;
+      1) only bound each value by 2^k in modulus, finite up to k = 1023.
+      On the n = 1 column the float side's range ends between k = 2048
+      and 2560: (2049, 1) certifies (margin_lo 5.95e-08), while at
+      (2561, 1) the running product overflows, a NaN follows and F is
+      refused; a refused member falls to the chain;
     * b = 52 - e with max|F| = m 2^e, 1/2 <= m < 1, so f has 52 bits.
 
     Each step is one stacked numpy call with the elementwise operations

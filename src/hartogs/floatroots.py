@@ -1,43 +1,34 @@
-"""Float roots of the palindromic Q: Aberth, the colleague eigenvalues,
+"""Float roots of the palindromic Q: the colleague eigenvalues, Aberth,
 residuals and the witness polish.
 
 Nothing here claims a count: ``hartogs.roots`` proves every census in
 exact arithmetic, and floats only choose what it checks.
 
-``numeric_roots`` is the float diagnostic: an Aberth-Ehrlich simultaneous
-iteration with a relative backward-error residual acceptance test, for
-the palindromic p of even degree 2k that ``hartogs roots`` sends (Q);
-any other p raises ``NotPalindromic``.  p(s) = s^(2k) p(1/s) closes the
-roots under s -> 1/s, so only k iterates run (``_aberth``), started at k
-equally spaced angles on one circle just inside |s| = 1, where the roots
-of Q lie, and their reciprocals stand in for the other k roots in every
-Aberth sum and in the result.
-An iterate that passes the test stops moving (Bini 1996; Bini &
-Fiorentino's MPSolve), so a sweep evaluates p, p' and the residual scale
-of the live iterates only.
-Every float value of p there comes from ``_power_rows``: one row of powers
-per point, in the order of the points, z^j where |z| <= 1 and z^j / z^deg
-where |z| > 1, so no entry exceeds 1 in modulus at any degree.
-``root_residuals`` evaluates through the same rows, so a returned root
-reads the residual it was accepted at.  ``numeric_roots``' roots leave as
-exact conjugate pairs and exact reals, matched by ``_mirror_partners``, the
-one owner of the real/pair decision for float roots.
-``_inner_stack`` gives the census and the witness the k roots inside,
-unpaired.  Up to k = 75 (``_COLLEAGUE_K``) they are the eigenvalues of
-the k x k colleague matrix of g = sum_j v_j T_j, the Chebyshev image of p
-(I. J. Good, "The colleague matrix, a Chebyshev analogue of the companion
-matrix", Q. J. Math. 1961; Boyd, SIAM Review 2013), each eigenvalue x
-mapped back to a root s of s + 1/s = 2x; above, they are the k Aberth
-iterates, each as z or 1/z, whichever lies inside.
-``classify_float_roots`` sorts float roots into inside/on/outside with
-the guard band ``CIRCLE_GUARD``, and ``interior_float_roots``, the
-witness's root finder, pairs the k roots of ``_inner_stack`` and their
-reciprocals as ``numeric_roots`` pairs its own, keeps those inside the
-band and polishes them by Newton on p and p' from Horner's rule, the
-module's one other float evaluation of p, the more accurate of the two
-there (measurements in the README).  ``numeric_roots``, and so every root
-``hartogs roots`` prints, stays on Aberth at every k.  The census's
-Fejer-Riesz certificate, built from them, is in ``hartogs.certificate``.
+One root finder serves each k, for every consumer.  ``_inner_stack``
+gives the k roots inside of each p of a stack of palindromic p of degree
+2k, one of each pair r, 1/r.  Up to k = 75 (``_COLLEAGUE_K``) they are
+the eigenvalues x of the k x k colleague matrix of g = sum_j v_j T_j,
+the Chebyshev image of p (I. J. Good, "The colleague matrix, a Chebyshev
+analogue of the companion matrix", Q. J. Math. 1961; Boyd, SIAM Review
+2013), each mapped back to a root s of s + 1/s = 2x; above, the k
+iterates of ``_aberth``, an Aberth-Ehrlich iteration with a relative
+backward-error acceptance test (Bini & Fiorentino's MPSolve), which
+evaluates p through the scaled powers of ``_power_rows``, as
+``root_residuals`` does.  The census's Fejer-Riesz certificate
+(``hartogs.certificate``), ``numeric_roots`` and so the witness all take
+these roots.
+
+``numeric_roots`` returns the 2k roots of the palindromic p of even
+degree 2k that ``hartogs roots`` sends (Q), the inner roots and their
+reciprocals, as exact conjugate pairs and exact reals matched by
+``_mirror_partners``, the one owner of the real/pair decision for float
+roots; any other p raises ``NotPalindromic``.  ``classify_float_roots``
+sorts float roots into inside/on/outside with the guard band
+``CIRCLE_GUARD``, and ``interior_float_roots``, the witness's root
+finder, keeps the roots of ``numeric_roots`` inside the band and polishes
+them by Newton on p and p' from Horner's rule, the module's one other
+float evaluation of p, the more accurate of the two there (measurements
+in the README).
 
 The caller that prints float roots (``hartogs roots``) compares their
 classification with the exact census, warns on disagreement, never
@@ -66,9 +57,9 @@ CIRCLE_GUARD = 1e-9
 # the largest k at which the census's inner roots are colleague eigenvalues:
 # up to here LAPACK's eigvals costs less than Aberth (timings in the README)
 _COLLEAGUE_K = 75
-# sweep budget of numeric_roots before it raises ConvergenceFailure
+# sweep budget of _aberth before it raises ConvergenceFailure
 _MAX_SWEEPS = 500
-# relative backward error at which numeric_roots stops
+# relative backward error at which _aberth stops
 _TOL = 1e-12
 # rows of mirror distances _mirror_partners takes at a time
 _PAIR_ROWS = 32
@@ -120,8 +111,8 @@ def root_residuals(p: UniPoly, roots) -> list[float]:
     """Relative backward-error residuals |p(r)| / sum_i |c_i| |r|^i.
 
     Both sums come from the rows of ``_power_rows`` and the coefficients of
-    ``_float_coeffs``, the arithmetic ``numeric_roots`` tests its iterates
-    with, so each of its roots reads the residual it was accepted at, and
+    ``_float_coeffs``, the arithmetic ``_aberth`` tests its iterates with,
+    so each of its roots reads the residual it was accepted at, and
     neither sum overflows at any degree.  The coefficients are real, so
     the row of conj(r) is the exact conjugate of the row of r in IEEE
     arithmetic, and both sums read the same at r and conj(r): each root
@@ -153,40 +144,32 @@ def interior_float_roots(p: UniPoly) -> list[complex]:
     odd degree iff Q(-1) = 0.)  A p of odd degree with p(-1) != 0 raises
     NotPalindromic; what is left after the division must have degree >= 1
     (else ValidationError) and be palindromic of even degree (else
-    NotPalindromic), checked before any root is sought, as ``_aberth``
-    checks it.  p = (s + 1) q with q palindromic is palindromic, so the
+    NotPalindromic), as ``numeric_roots`` checks before any root is
+    sought.  p = (s + 1) q with q palindromic is palindromic, so the
     two checks pass exactly the palindromic p.
 
-    The roots start as the census's k inner roots (``_inner_stack``: the
-    colleague eigenvalues up to k = 75, Aberth above), and the full set
-    {z, 1/z} is paired by ``_exact_pairs`` into exact reals and exact
-    conjugate pairs, as in ``numeric_roots``: a circle root and its
-    reciprocal are one conjugate pair there, never a real root.  A NaN
-    row, where the finder failed, raises ConvergenceFailure.  Only roots
-    on or above the real axis are polished: a real start stays real, and
-    a root above the axis brings its exact conjugate.  p is squarefree
-    because Newton converges only linearly at a multiple root: the witness
-    hands over Q where one prime proves it squarefree
+    The roots start as those of ``numeric_roots``, whose errors it raises,
+    and only those on or above the real axis are polished: a real start
+    stays real, and a root above the axis brings its exact conjugate.  p
+    is squarefree because Newton converges only linearly at a multiple
+    root: the witness hands over Q where one prime proves it squarefree
     (``roots._proven_squarefree``), and its squarefree part elsewhere.
     Each step takes p and p' from one Horner pass over the coefficients of
     p / lc(p), each divided exactly before its one rounding, top degree
     first; the polish stops after 60 steps, at p' = 0, or at a step
     within two double spacings of z, which includes every step that
     leaves z where it is.  Horner on p / lc(p) polishes more accurately
-    than the power rows of ``numeric_roots`` (measurements in the README).
+    than the power rows of ``_aberth`` (measurements in the README).
     """
     if p.degree % 2:
         p, rest = p.div_rem(UniPoly([1, 1]))
         if not rest.is_zero:  # a palindromic p of odd degree has p(-1) = 0
             raise NotPalindromic("float roots need a palindromic p; p(-1) != 0")
-    (inner,) = _inner_stack([p], _checked_coeffs(p)[None])
-    if np.isnan(inner).any():
-        finder = "Aberth" if p.degree // 2 > _COLLEAGUE_K else "the colleague eigensolve"
-        raise ConvergenceFailure(f"{finder} found no roots of a p of degree {p.degree}")
+    found = numeric_roots(p)
     lead = p.coeffs[-1]
     top = [float(c / lead) for c in reversed(p.coeffs)]
     out = []
-    for z in _exact_pairs(np.concatenate((inner, 1.0 / inner)).tolist()):
+    for z in found:
         if abs(z) >= 1.0 - CIRCLE_GUARD or z.imag < 0:
             continue
         real = z.imag == 0
@@ -295,8 +278,8 @@ def _exact_pairs(roots: list[complex]) -> list[complex]:
 
 def _checked_coeffs(p: UniPoly) -> np.ndarray:
     """``_float_coeffs`` of p once p is a palindromic p of even degree >= 2,
-    the input of ``_aberth`` and ``interior_float_roots``; p of degree < 1
-    raises ValidationError, any other p NotPalindromic."""
+    the input of ``_aberth`` and ``numeric_roots``; p of degree < 1 raises
+    ValidationError, any other p NotPalindromic."""
     if p.degree < 1:
         raise ValidationError("need degree >= 1 to compute roots")
     if p.degree % 2 or not p.is_palindromic():
@@ -387,16 +370,23 @@ def _aberth(p: UniPoly) -> np.ndarray:
 
 def numeric_roots(p: UniPoly) -> list[complex]:
     """All 2k complex roots of a palindromic p of degree 2k (every Q): the
-    k iterates of ``_aberth`` and their reciprocals, paired.
+    k inner roots of ``_inner_stack`` and their reciprocals, paired.
 
-    The roots are paired by ``_mirror_partners``: each conjugate pair comes
-    back as its member above the real axis and that member's exact
-    conjugate, so the order of a pair never rests on float noise, and a
-    root without a partner comes back real.  Roots come back sorted by
-    (real, imag).  Errors are those of ``_aberth``.
+    The inner roots are the census's own: the colleague eigenvalues up to
+    k = 75, the iterates of ``_aberth`` above.  The roots are paired by
+    ``_mirror_partners``: each conjugate pair comes back as its member
+    above the real axis and that member's exact conjugate, so the order of
+    a pair never rests on float noise, and a root without a partner comes
+    back real.  Roots come back sorted by (real, imag).  p of degree < 1
+    raises ValidationError, any other p that is not palindromic of even
+    degree NotPalindromic, both before any root is sought; a NaN row,
+    where the finder failed, raises ConvergenceFailure naming it.
     """
-    z = _aberth(p)
-    return _exact_pairs(np.concatenate((z, 1.0 / z)).tolist())
+    (inner,) = _inner_stack([p], _checked_coeffs(p)[None])
+    if np.isnan(inner).any():
+        finder = "Aberth" if p.degree // 2 > _COLLEAGUE_K else "the colleague eigensolve"
+        raise ConvergenceFailure(f"{finder} found no roots of a p of degree {p.degree}")
+    return _exact_pairs(np.concatenate((inner, 1.0 / inner)).tolist())
 
 
 def _colleague_roots(v: np.ndarray) -> np.ndarray:

@@ -110,6 +110,8 @@ def _staircase(pair: CoprimePair):
     One walk: with r = m level(j) - 1 - n(j + 1), 0 <= r < m, the partner
     is m - 2 - r, and the next column takes r - n, lifted by m, and the
     level by 1, where that is negative (n < m, so one lift is enough).
+    It is the multiplication of ``arith.tent_partner``: r + 1 = m - 1 -
+    tent_partner(j) == -n(j + 1) (mod m), so each step adds -n modulo m.
     """
     m, n = pair
     lev, r = 1, m - 1 - n  # level(0) = 1, as 1 + n <= m

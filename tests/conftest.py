@@ -23,10 +23,9 @@ def acceptance_report():
 
 @pytest.fixture
 def aberth_calls(monkeypatch):
-    """The degrees ``floatroots._aberth`` runs on: the one iteration behind
-    ``numeric_roots``, and behind the inner roots of ``_inner_stack`` from
-    k = 76 on, which the census and the witness's
-    ``interior_float_roots`` take."""
+    """The degrees ``floatroots._aberth`` runs on: the iteration behind the
+    inner roots of ``_inner_stack`` from k = 76 on, which the census,
+    ``numeric_roots`` and so the witness's ``interior_float_roots`` take."""
     calls = []
     aberth = floatroots._aberth
 
@@ -42,9 +41,9 @@ def aberth_calls(monkeypatch):
 def eigensolves(monkeypatch):
     """The shapes of the arrays ``np.linalg.eigvals`` runs on: the stacked
     colleague eigensolve behind the inner roots of ``_inner_stack`` up to
-    k = 75, which the census and the witness's ``interior_float_roots``
-    take, (members, k, k) (a witness's stack has one member), and a
-    (k, k) per member where a stack failed."""
+    k = 75, which the census, ``numeric_roots`` and so the witness's
+    ``interior_float_roots`` take, (members, k, k) (``numeric_roots``'
+    stack has one member), and a (k, k) per member where a stack failed."""
     calls = []
     eigvals = np.linalg.eigvals
 

@@ -103,6 +103,19 @@ class TestLevelAndPartner:
             for j in range(p.m - 1):
                 assert 0 <= tent_partner(p, j) <= p.m - 2
 
+    def test_partner_is_multiplication_by_n_modulo_m(self):
+        # tent_partner(j) + 1 = n(j + 1) mod m, so the partner for n^-1 mod m
+        # is the inverse permutation of the partner for n, and the partner
+        # for m - n is m - 2 minus the partner for n
+        for p in _coprime_pairs(60):
+            m, n = p
+            kappa = [tent_partner(p, j) for j in range(m - 1)]
+            assert [(c + 1) % m for c in kappa] == [n * (j + 1) % m for j in range(m - 1)]
+            inverse = CoprimePair(m, pow(n, -1, m))
+            assert [kappa[tent_partner(inverse, j)] for j in range(m - 1)] == list(range(m - 1))
+            mirror = CoprimePair(m, m - n)
+            assert [tent_partner(mirror, j) for j in range(m - 1)] == [m - 2 - c for c in kappa]
+
     def test_partner_is_a_bijection_on_bands(self):
         # j -> tent_partner(j) permutes {0, ..., m-2}
         for p in _coprime_pairs(25):

@@ -174,6 +174,22 @@ class TestRootsCommand:
         assert (data["inside"], data["on_circle"], data["outside"]) == (78, 0, 78)
 
     @pytest.mark.parametrize(
+        "args, calls",
+        [
+            (["roots", "--m", "77", "--n", "2", "--output-format", "json"], ([], [(1, 75, 75)])),
+            (["witness", "--m", "77", "--n", "2"], ([], [(1, 75, 75)])),
+            (["roots", "--m", "79", "--n", "2", "--output-format", "json"], ([154], [])),
+        ],
+        ids=["roots-75", "witness-75", "roots-77"],
+    )
+    def test_one_root_finder_per_k(self, capsys, aberth_calls, eigensolves, args, calls):
+        # the printed roots, the census's and the witness's all come from one
+        # run of one finder: the colleague eigensolve up to k = 75, Aberth above
+        rc, _, _ = run(capsys, args)
+        assert rc == 0
+        assert (aberth_calls, eigensolves) == calls
+
+    @pytest.mark.parametrize(
         "mn, digest",
         [
             ((81, 5), "3146b0c6bde2c3cc4bff148525a6958abcac63eaf20f7b1cedfe103c34efbb13"),

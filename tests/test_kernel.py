@@ -85,6 +85,21 @@ class TestNumerator:
                 expected.append((j, level(pair, j), partner + 1, m - 1 - partner))
             assert list(_staircase(pair)) == expected, pair
 
+    def test_one_coefficient_multiset_across_each_orbit(self):
+        # with a = j + 1 and [x] = x mod m, tent_partner(j) + 1 = [na] gives
+        # column j the band coefficients a[na], a(m - [na]), (m - a)[na] and
+        # (m - a)(m - [na]): n -> n^-1 swaps a with [na], n -> m - n swaps
+        # the pieces pairwise, so P has one coefficient multiset on the
+        # orbit {+-n, +-n^-1} mod m
+        for pair in coprime_pairs(30):
+            m, n = pair
+            inverse = pow(n, -1, m)
+            multisets = {
+                tuple(sorted(numerator_oracle(CoprimePair(m, x)).terms.values()))
+                for x in {n, m - n, inverse, m - inverse}
+            }
+            assert len(multisets) == 1, pair
+
     def test_oracle_holds_python_ints(self):
         # the array pass must not leak numpy integers into the exact BiPoly
         for pair in PAIRS + [CoprimePair(41, 3)]:

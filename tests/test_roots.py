@@ -829,7 +829,7 @@ class TestCensus:
         qs = codegree_class(k, certificate.stack_size(k) + 1)
         found = numeric_roots(qs[0])
         lifted = UniPoly((qs[0].coeffs[0] + 1,) + qs[0].coeffs[1:])
-        aberth_calls.clear()
+        eigensolves.clear()  # the one that found the roots
         passes = []
         certify = certificate._certify
 
@@ -891,11 +891,10 @@ class TestCensus:
 
     def test_inner_roots_are_the_inside_of_numeric_roots(self):
         # the colleague roots (k <= 75) and the k raw Aberth iterates (81, 5),
-        # each as z or 1/z, against the paired 2k roots: every third coprime
-        # pair with m <= 120 and k <= 75, which leaves out (5, 3), whose
-        # double roots Aberth places only to about 1e-6
+        # each as z or 1/z, against the paired 2k roots: the pairing moves
+        # no inner root, on every third coprime pair with m <= 120 and
+        # k <= 75 and on (81, 5)
         pairs = [pq for pq in coprime_pairs(120) if pq.m - pq.n <= 75][::3]
-        assert CoprimePair(5, 3) not in pairs
         for q in [diagonal_poly(pq).poly for pq in pairs] + [q_of(81, 5)]:
             (inner,) = inner_stack([q])
             paired = np.array([r for r in numeric_roots(q) if abs(r) < 1])
@@ -1050,6 +1049,14 @@ def exact_residual(coeffs, r: complex) -> float:
     return math.sqrt(((x * x + y * y) << (128 * (len(coeffs) - 1))) / (s * s))
 
 
+def aberth_roots(p: UniPoly) -> list[complex]:
+    """The k iterates of ``floatroots._aberth`` and their reciprocals, paired
+    by ``_exact_pairs``: Aberth's 2k roots at any k, where ``numeric_roots``
+    runs Aberth only from k = 76 on."""
+    z = floatroots._aberth(p)
+    return floatroots._exact_pairs(np.concatenate((z, 1.0 / z)).tolist())
+
+
 class TestNumericRoots:
     def test_residuals_small(self):
         p = UniPoly([1, 6, 13, 6, 1])
@@ -1086,7 +1093,17 @@ class TestNumericRoots:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ConvergenceFailure):
-                numeric_roots(UniPoly([1, 0, 1]))
+                aberth_roots(UniPoly([1, 0, 1]))
+
+    def test_a_nan_colleague_row_is_a_convergence_failure(self, monkeypatch):
+        # a failed eigensolve leaves a row of NaN, never roots
+        monkeypatch.setattr(
+            floatroots, "_colleague_roots", lambda v: np.full((1, 2), complex("nan"))
+        )
+        with pytest.raises(
+            ConvergenceFailure, match="^the colleague eigensolve found no roots"
+        ):
+            numeric_roots(q_of(3, 1))
 
     @pytest.mark.parametrize(
         "p",
@@ -1173,7 +1190,7 @@ class TestNumericRoots:
     def test_interior_float_roots_checks_p_before_any_root(
         self, p, error, message, eigensolves, aberth_calls
     ):
-        # the check _aberth makes, before the colleague eigensolve as well
+        # the check numeric_roots makes, before either root finder runs
         with pytest.raises(ValidationError, match=message) as raised:
             interior_float_roots(p)
         assert raised.type is error
@@ -1204,7 +1221,7 @@ class TestNumericRoots:
     def test_converges_within_eight_sweeps(self, monkeypatch, p):
         # k starts on the unit circle need 34, 39 and 29 sweeps here
         monkeypatch.setattr(floatroots, "_MAX_SWEEPS", 8)
-        found = numeric_roots(p)
+        found = aberth_roots(p)
         assert len(found) == p.degree
         assert max(root_residuals(p, found)) <= floatroots._TOL
 
@@ -1240,18 +1257,35 @@ class TestNumericRoots:
             floatroots._aberth(q_of(m, n))
         assert len(sweeps) <= 64
 
-    @pytest.mark.parametrize("mn", [(5, 3), (41, 3), (101, 1)])
-    def test_conjugate_pairs_are_exact(self, mn):
+    @pytest.mark.parametrize(
+        "mn, find",
+        [((5, 3), aberth_roots), ((41, 3), numeric_roots), ((101, 1), numeric_roots)],
+        ids=["53-aberth", "413", "1011"],
+    )
+    def test_conjugate_pairs_are_exact(self, mn, find):
         q = diagonal_poly(CoprimePair(*mn)).poly
-        found = numeric_roots(q)
+        found = find(q)
         nonreal = [r for r in found if r.imag != 0]
         # Q(5, 3) = 5(s^2 + 3s + 1)^2 has two double real roots r, 1/r: one
-        # iterate and its reciprocal hold each, so both come back real
+        # Aberth iterate and its reciprocal hold each, so both come back real
         assert bool(nonreal) == (mn != (5, 3))
         assert sorted(nonreal, key=lambda r: (r.real, r.imag)) == sorted(
             (r.conjugate() for r in nonreal), key=lambda r: (r.real, r.imag)
         )
         assert max(root_residuals(q, found)) <= floatroots._TOL
+
+    def test_the_double_roots_of_53_come_back_as_close_pairs(self):
+        # the colleague eigenvalues split each double real root of Q(5, 3)
+        # into a conjugate pair just off the real axis, kept as it is found
+        found = numeric_roots(q_of(5, 3))
+        assert [r.real for r in found] == pytest.approx(
+            [-2.6180339887498953] * 2 + [-0.3819660112501049] * 2, rel=1e-15
+        )
+        assert [r.imag for r in found] == pytest.approx(
+            [-6.29e-8, 6.29e-8, -9.18e-9, 9.18e-9], rel=1e-2
+        )
+        assert found[1] == found[0].conjugate() and found[3] == found[2].conjugate()
+        assert max(root_residuals(q_of(5, 3), found)) <= floatroots._TOL
 
     def test_matches_numpy(self):
         p = UniPoly([3, -2, 0, 5, 1, 5, 0, -2, 3])
@@ -1310,7 +1344,7 @@ def closed_under_pairing(found: list[complex], tol: float = 1e-6) -> bool:
 
 class TestHalfIteration:
     """A palindromic p of degree 2k runs Aberth on k iterates and their
-    reciprocals."""
+    reciprocals, and ``numeric_roots`` pairs k inner roots with theirs."""
 
     @pytest.mark.parametrize(
         "p, simple",
@@ -1325,7 +1359,7 @@ class TestHalfIteration:
         ids=["s2+s+1", "s2-s+1", "phi10", "circle-times-real", "(1+s)^2", "Q53"],
     )
     def test_roots_are_closed_under_the_pairing(self, p, simple):
-        found = numeric_roots(p)
+        found = aberth_roots(p)
         assert len(found) == p.degree
         if simple:
             assert closed_under_pairing(found)
@@ -1357,7 +1391,7 @@ class TestHalfIteration:
 
         monkeypatch.setattr(floatroots, "_power_rows", record)
         q = q_of(41, 3)
-        numeric_roots(q)
+        aberth_roots(q)
         starts = floatroots._aberth_starts(q.degree // 2)
         assert starts.size == q.degree // 2
         assert np.array_equal(seen[0], starts)
