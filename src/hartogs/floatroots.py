@@ -370,22 +370,22 @@ def _aberth(p: UniPoly) -> np.ndarray:
 
 def numeric_roots(p: UniPoly) -> list[complex]:
     """All 2k complex roots of a palindromic p of degree 2k (every Q): the
-    k inner roots of ``_inner_stack`` and their reciprocals, paired.
-
-    The inner roots are the census's own: the colleague eigenvalues up to
-    k = 75, the iterates of ``_aberth`` above.  The roots are paired by
-    ``_mirror_partners``: each conjugate pair comes back as its member
-    above the real axis and that member's exact conjugate, so the order of
-    a pair never rests on float noise, and a root without a partner comes
-    back real.  Roots come back sorted by (real, imag).  p of degree < 1
-    raises ValidationError, any other p that is not palindromic of even
-    degree NotPalindromic, both before any root is sought; a NaN row,
-    where the finder failed, raises ConvergenceFailure naming it.
+    k inner roots of ``_inner_stack``, the census's own, and their
+    reciprocals, paired by ``_mirror_partners``: a conjugate pair comes back
+    as its member above the real axis and its exact conjugate, so its order
+    never rests on float noise, and a lone root comes back real, all sorted
+    by (real, imag).  p of degree < 1 raises ValidationError, any other p
+    not palindromic of even degree NotPalindromic, both before any root is
+    sought; a NaN row raises ConvergenceFailure naming the finder, and for
+    Aberth, which fails only when its sweeps run out, the sweep budget.
     """
     (inner,) = _inner_stack([p], _checked_coeffs(p)[None])
     if np.isnan(inner).any():
-        finder = "Aberth" if p.degree // 2 > _COLLEAGUE_K else "the colleague eigensolve"
-        raise ConvergenceFailure(f"{finder} found no roots of a p of degree {p.degree}")
+        raise ConvergenceFailure(
+            f"Aberth found no roots of a p of degree {p.degree}: Aberth-Ehrlich did not"
+            f" reach residual {_TOL} in {_MAX_SWEEPS} sweeps" if p.degree // 2 > _COLLEAGUE_K
+            else f"the colleague eigensolve found no roots of a p of degree {p.degree}"
+        )
     return _exact_pairs(np.concatenate((inner, 1.0 / inner)).tolist())
 
 

@@ -266,6 +266,17 @@ class TestRootsCommand:
         assert len(data["float_roots"]) == data["degree"] == 156
         assert max(data["float_residuals"]) < 1e-10
 
+    def test_json_names_the_sweep_budget_aberth_ran_out_of(self, capsys, monkeypatch):
+        # Aberth fails only when its sweeps run out, and the diagnostic says
+        # so; the exact census stands
+        monkeypatch.setattr(floatroots, "_MAX_SWEEPS", 2)
+        data = json_out(capsys, ["roots", "--m", "79", "--n", "1"])
+        assert data["diagnostic_error"] == (
+            "Aberth found no roots of a p of degree 156:"
+            " Aberth-Ehrlich did not reach residual 1e-12 in 2 sweeps"
+        )
+        assert (data["inside"], data["on_circle"], data["outside"]) == (78, 0, 78)
+
     @pytest.fixture
     def failing_aberth(self, monkeypatch):
         def fail(p):

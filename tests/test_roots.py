@@ -1057,6 +1057,10 @@ def aberth_roots(p: UniPoly) -> list[complex]:
     return floatroots._exact_pairs(np.concatenate((z, 1.0 / z)).tolist())
 
 
+# numeric_roots runs the colleague eigensolve at k <= 75, aberth_roots Aberth
+BOTH_FINDERS = (numeric_roots, aberth_roots)
+
+
 class TestNumericRoots:
     def test_residuals_small(self):
         p = UniPoly([1, 6, 13, 6, 1])
@@ -1274,18 +1278,23 @@ class TestNumericRoots:
         )
         assert max(root_residuals(q, found)) <= floatroots._TOL
 
-    def test_the_double_roots_of_53_come_back_as_close_pairs(self):
-        # the colleague eigenvalues split each double real root of Q(5, 3)
-        # into a conjugate pair just off the real axis, kept as it is found
-        found = numeric_roots(q_of(5, 3))
+    def test_the_double_roots_of_53_stay_near_the_real_axis(self):
+        # the colleague eigensolve of Q(5, 3) = 5(s^2 + 3s + 1)^2 may split
+        # each double real root into a conjugate pair just off the axis or
+        # into two reals, as the sign of a discriminant rounded to about 0
+        # falls: numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64) gives the pairs
+        # -2.6180339887498953 +- 6.29e-8j and -0.3819660112501049 +- 9.18e-9j.
+        # What holds on every LAPACK build: each root lies within 1e-7 of its
+        # double root, and is real or has its exact conjugate among the roots
+        q = q_of(5, 3)
+        found = numeric_roots(q)
+        phi = (3 + math.sqrt(5)) / 2
         assert [r.real for r in found] == pytest.approx(
-            [-2.6180339887498953] * 2 + [-0.3819660112501049] * 2, rel=1e-15
+            [-phi] * 2 + [-1 / phi] * 2, abs=1e-7
         )
-        assert [r.imag for r in found] == pytest.approx(
-            [-6.29e-8, 6.29e-8, -9.18e-9, 9.18e-9], rel=1e-2
-        )
-        assert found[1] == found[0].conjugate() and found[3] == found[2].conjugate()
-        assert max(root_residuals(q_of(5, 3), found)) <= floatroots._TOL
+        assert max(abs(r.imag) for r in found) <= 1e-7
+        assert all(r.imag == 0 or r.conjugate() in found for r in found)
+        assert max(root_residuals(q, found)) <= floatroots._TOL
 
     def test_matches_numpy(self):
         p = UniPoly([3, -2, 0, 5, 1, 5, 0, -2, 3])
@@ -1347,28 +1356,32 @@ class TestHalfIteration:
     reciprocals, and ``numeric_roots`` pairs k inner roots with theirs."""
 
     @pytest.mark.parametrize(
-        "p, simple",
+        "p, simple, finders",
         [
-            (UniPoly([1, 1, 1]), True),  # e^(+-2 pi i / 3)
-            (UniPoly([1, -1, 1]), True),  # e^(+-i pi / 3)
-            (UniPoly([1, -1, 1, -1, 1]), True),  # the primitive 10th roots of unity
-            (UniPoly([1, -1, 1]) * UniPoly([1, 3, 1]), True),
-            (UniPoly([1, 2, 1]), False),  # (1 + s)^2
-            (q_of(5, 3), False),  # 5(s^2 + 3s + 1)^2
+            (UniPoly([1, 1, 1]), True, BOTH_FINDERS),  # e^(+-2 pi i / 3)
+            (UniPoly([1, -1, 1]), True, BOTH_FINDERS),  # e^(+-i pi / 3)
+            # the primitive 10th roots of unity
+            (UniPoly([1, -1, 1, -1, 1]), True, BOTH_FINDERS),
+            (UniPoly([1, -1, 1]) * UniPoly([1, 3, 1]), True, BOTH_FINDERS),
+            # (1 + s)^2: the colleague eigensolve returns -1 twice, exactly,
+            # which closed_under_pairing's distinctness check refuses
+            (UniPoly([1, 2, 1]), False, (aberth_roots,)),
+            (q_of(5, 3), False, BOTH_FINDERS),  # 5(s^2 + 3s + 1)^2
         ],
         ids=["s2+s+1", "s2-s+1", "phi10", "circle-times-real", "(1+s)^2", "Q53"],
     )
-    def test_roots_are_closed_under_the_pairing(self, p, simple):
-        found = aberth_roots(p)
-        assert len(found) == p.degree
-        if simple:
-            assert closed_under_pairing(found)
-            assert max(root_residuals(p, found)) <= floatroots._TOL
-            exact = np.roots([float(c) for c in reversed(p.coeffs)])
-            assert max(min(abs(f - r) for f in found) for r in exact) <= 1e-9
-        else:
-            # copies of a double root agree only to about sqrt(_TOL)
-            assert closed_under_pairing(found, tol=1e-5)
+    def test_roots_are_closed_under_the_pairing(self, p, simple, finders):
+        for find in finders:
+            found = find(p)
+            assert len(found) == p.degree
+            if simple:
+                assert closed_under_pairing(found)
+                assert max(root_residuals(p, found)) <= floatroots._TOL
+                exact = np.roots([float(c) for c in reversed(p.coeffs)])
+                assert max(min(abs(f - r) for f in found) for r in exact) <= 1e-9
+            else:
+                # copies of a double root agree only to about sqrt(_TOL)
+                assert closed_under_pairing(found, tol=1e-5)
 
     def test_every_pair_to_60_has_k_distinct_roots_inside(self):
         for pair in coprime_pairs(60):
